@@ -19,7 +19,7 @@ import numpy as np
 
 from . import solvers
 from .errors import NON_CONVERGENCE, SolverError, SpecError, StructureError
-from .mll import MLLSpec, MLLVector, Pair, conditional_lambda_set
+from .mll import MLLSpec, MLLVector, Pair, conditional_from_lambda  # noqa: F401 (re-export)
 from .tables import (
     ConditionalTable,
     JointTable,
@@ -131,37 +131,6 @@ def ci_to_zero_params(s: CIStatement) -> list[Pair]:
     return [
         (L, margin) for L in nonempty_submasks(margin) if (L & s.a) and (L & s.b)
     ]
-
-
-def conditional_from_lambda(
-    vars: VarSet,
-    target_mask: int,
-    given_mask: int,
-    values: Mapping[Pair, float] | Mapping[int, float],
-) -> ConditionalTable:
-    """Conditional distribution pinned by the parameter block of the margin
-    target|given whose effects meet the target.
-
-    ``values`` may be keyed by (effect, margin) pairs or by effect masks
-    and must cover exactly that block.  Effects inside the conditioning
-    set are immaterial (the block is a parameter cut) and are set to zero.
-    """
-    both = target_mask | given_mask
-    need = conditional_lambda_set(vars, target_mask, given_mask)
-    by_effect: dict[int, float] = {}
-    for key, val in values.items():
-        effect = key[0] if isinstance(key, tuple) else int(key)
-        by_effect[effect] = float(val)
-    if set(by_effect) != {e for e, _ in need}:
-        raise SpecError("values must cover exactly the conditional's parameter block")
-    sub = vars.restrict(both)
-    entries = {compress(e, both): v for e, v in by_effect.items()}
-    t = table_from_eta(eta_from_dict(sub, entries))
-    return condition(
-        t,
-        sub.mask_of(vars.names_of(target_mask)),
-        sub.mask_of(vars.names_of(given_mask)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +249,8 @@ def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
 def gibbs_stationary(g: GibbsCycleSpec) -> JointTable:
     """Stationary distribution of the composed sweep kernel on the state
     variables, by direct linear solve."""
-    kernel = _sweep_kernel(g)
-    size = kernel.shape[0]
-    a = kernel.T - np.eye(size)
-    a[-1, :] = 1.0
-    b = np.zeros(size)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(NON_CONVERGENCE, f"sweep stationary failed: {exc}") from exc
-    if np.any(pi <= 0):
-        raise SolverError(NON_CONVERGENCE, "sweep stationary has non-positive entries")
-    if float(np.max(np.abs(pi @ kernel - pi))) > 1e-12:
-        raise SolverError(NON_CONVERGENCE, "sweep stationary fails invariance")
-    return JointTable(g.vars.restrict(g.state), pi / pi.sum())
+    pi = solvers.stationary_distribution(_sweep_kernel(g))
+    return JointTable(g.vars.restrict(g.state), pi)
 
 
 # ---------------------------------------------------------------------------

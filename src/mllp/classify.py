@@ -12,8 +12,6 @@ implements sufficient conditions that go beyond it:
 ``three_margin``
     complete with at most three distinct margins (special case of the
     certified fixed-point condition below).
-``nested``
-    margins form a strictly increasing chain ending at the full set.
 ``variable_removal``
     some variable occurs in no margin except the full set; the collection
     is smooth iff the reduced collection without that variable is.
@@ -60,7 +58,7 @@ from typing import Iterable, Sequence
 
 from .errors import IncompleteSpecError, SpecError
 from .mll import MLLSpec, Pair
-from .tables import VarSet, bit_positions, nonempty_submasks, popcount
+from .tables import VarSet, bit_positions, compress, nonempty_submasks, popcount
 
 PROVEN_SMOOTH = "PROVEN_SMOOTH"
 NOT_SMOOTH_INCOMPLETE = "NOT_SMOOTH_INCOMPLETE"
@@ -70,7 +68,6 @@ DIRECT_RULES = ("hierarchical", "two_margin")
 MOVABLE_RULES = (
     "variable_removal",
     "slice_split",
-    "nested",
     "three_margin",
     "single_feedback",
     "cyclic",
@@ -80,7 +77,7 @@ CONTRACTION_RULE = "contraction_reduce"
 RULE_ORDER = DIRECT_RULES + MOVABLE_RULES
 # Rules that close a proof on their own; the others reduce and recurse.
 BASE_RULES = frozenset(
-    {"hierarchical", "two_margin", "three_margin", "nested", "single_feedback", "cyclic"}
+    {"hierarchical", "two_margin", "three_margin", "single_feedback", "cyclic"}
 )
 
 DEFAULT_MOVE_LIMIT = 256
@@ -201,21 +198,12 @@ def reduce_minus_v(spec: MLLSpec, v_mask: int) -> MLLSpec:
     keep = spec.vars.full_mask & ~v_mask
     if keep == 0:
         raise SpecError("cannot remove the only variable")
-    pos = bit_positions(keep)
-    remap = {old: new for new, old in enumerate(pos)}
-
-    def shrink(mask: int) -> int:
-        out = 0
-        for b in bit_positions(mask & keep):
-            out |= 1 << remap[b]
-        return out
-
     new_vars = spec.vars.restrict(keep)
     pairs: list[Pair] = []
     for effect, margin in spec.pairs:
         if effect & v_mask:
             continue
-        pair = (shrink(effect), shrink(margin))
+        pair = (compress(effect, keep), compress(margin, keep))
         if pair not in pairs:
             pairs.append(pair)
     return MLLSpec(new_vars, tuple(pairs))
@@ -323,16 +311,6 @@ def _rule_three_margin(spec: MLLSpec) -> dict | None:
     if len(margins) <= 3:
         return {"margins": tuple(sorted(margins))}
     return None
-
-
-def _rule_nested(spec: MLLSpec) -> dict | None:
-    margins = sorted(spec.margins, key=lambda m: (popcount(m), m))
-    for small, big in zip(margins, margins[1:]):
-        if small & ~big:
-            return None
-    if margins[-1] != spec.vars.full_mask:
-        return None
-    return {"chain": tuple(margins)}
 
 
 def _rule_variable_removal(spec: MLLSpec) -> dict | None:
@@ -498,7 +476,6 @@ _RULE_FUNCS = {
     "hierarchical": _rule_hierarchical,
     "two_margin": _rule_two_margin,
     "three_margin": _rule_three_margin,
-    "nested": _rule_nested,
     "variable_removal": _rule_variable_removal,
     "slice_split": _rule_slice_split,
     "slice_split_general": _rule_slice_split_general,
@@ -542,8 +519,19 @@ def classify(
     ``hierarchical`` and ``two_margin`` are checked on the collection as
     given; every later rule is checked on the whole interchange closure
     (original collection first), and reducing rules fire only when the
-    recursive classification of their reduced collection succeeds.
+    recursive classification of their reduced collection succeeds.  A
+    relocation can lead back, through interchange moves, to a collection
+    already on the recursion path; such a branch ends as not proven.
     """
+    return _classify(spec, contraction_rule, move_limit, frozenset())
+
+
+def _classify(
+    spec: MLLSpec,
+    contraction_rule: bool,
+    move_limit: int,
+    on_path: frozenset[tuple[Pair, ...]],
+) -> ClassificationReport:
     if not spec.is_complete():
         return ClassificationReport(spec, NOT_SMOOTH_INCOMPLETE, (), ())
 
@@ -553,6 +541,11 @@ def classify(
             return ClassificationReport(
                 spec, PROVEN_SMOOTH, (RuleStep(rule, params),), ()
             )
+
+    key = tuple(sorted(spec.pairs))
+    if key in on_path:
+        return ClassificationReport(spec, UNKNOWN, (), ())
+    on_path = on_path | {key}
 
     closure = interchange_closure(spec, limit=move_limit)
     rules = MOVABLE_RULES + ((CONTRACTION_RULE,) if contraction_rule else ())
@@ -566,39 +559,24 @@ def classify(
                 return ClassificationReport(
                     spec, PROVEN_SMOOTH, (*prefix, RuleStep(rule, params)), ()
                 )
-            if rule in ("variable_removal", "slice_split", "slice_split_general"):
-                for v in params["candidates"]:
-                    reduced = reduce_minus_v(state, v)
-                    rec = classify(
-                        reduced,
-                        contraction_rule=contraction_rule,
-                        move_limit=move_limit,
-                    )
-                    if rec.verdict == PROVEN_SMOOTH:
-                        step = RuleStep(rule, {"v": v})
-                        return ClassificationReport(
-                            spec,
-                            PROVEN_SMOOTH,
-                            (*prefix, step, *rec.rule_chain),
-                            (reduced, *rec.reduced_specs),
-                        )
-                continue
             if rule == CONTRACTION_RULE:
-                reduced = relocate_pairs(state, params["relocate"])
-                rec = classify(
-                    reduced,
-                    contraction_rule=contraction_rule,
-                    move_limit=move_limit,
+                reductions = [
+                    (RuleStep(rule, params), relocate_pairs(state, params["relocate"]))
+                ]
+            else:
+                reductions = (
+                    (RuleStep(rule, {"v": v}), reduce_minus_v(state, v))
+                    for v in params["candidates"]
                 )
+            for step, reduced in reductions:
+                rec = _classify(reduced, contraction_rule, move_limit, on_path)
                 if rec.verdict == PROVEN_SMOOTH:
-                    step = RuleStep(rule, params)
                     return ClassificationReport(
                         spec,
                         PROVEN_SMOOTH,
                         (*prefix, step, *rec.rule_chain),
                         (reduced, *rec.reduced_specs),
                     )
-                continue
     return ClassificationReport(spec, UNKNOWN, (), ())
 
 
@@ -742,7 +720,6 @@ def census(n: int = 3, *, contraction_rule: bool = True) -> dict:
         "two_margin_extra": first_rule_counts.get("two_margin", 0),
         "variable_removal_first": first_rule_counts.get("variable_removal", 0),
         "slice_split_first": first_rule_counts.get("slice_split", 0),
-        "nested_first": first_rule_counts.get("nested", 0),
         "three_margin_first": first_rule_counts.get("three_margin", 0),
         "single_feedback_first": first_rule_counts.get("single_feedback", 0),
         "cyclic_first": first_rule_counts.get("cyclic", 0),

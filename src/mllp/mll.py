@@ -43,9 +43,13 @@ import numpy as np
 
 from .errors import SpecError, StructureError
 from .tables import (
+    ConditionalTable,
     JointTable,
     VarSet,
     compress,
+    compress_map,
+    condition,
+    eta_from_dict,
     eta_from_table,
     fwht,
     marginal_array,
@@ -54,6 +58,7 @@ from .tables import (
     parity_signs,
     popcount,
     submasks,
+    table_from_eta,
 )
 
 # ---------------------------------------------------------------------------
@@ -324,6 +329,37 @@ def conditional_lambda_set(
     ]
 
 
+def conditional_from_lambda(
+    vars: VarSet,
+    target_mask: int,
+    given_mask: int,
+    values: Mapping[Pair, float] | Mapping[int, float],
+) -> ConditionalTable:
+    """Conditional distribution pinned by the parameter block of the margin
+    target|given whose effects meet the target.
+
+    ``values`` may be keyed by (effect, margin) pairs or by effect masks
+    and must cover exactly that block.  Effects inside the conditioning
+    set are immaterial (the block is a parameter cut) and are set to zero.
+    """
+    both = target_mask | given_mask
+    need = conditional_lambda_set(vars, target_mask, given_mask)
+    by_effect: dict[int, float] = {}
+    for key, val in values.items():
+        effect = key[0] if isinstance(key, tuple) else int(key)
+        by_effect[effect] = float(val)
+    if set(by_effect) != {e for e, _ in need}:
+        raise SpecError("values must cover exactly the conditional's parameter block")
+    sub = vars.restrict(both)
+    entries = {compress(e, both): v for e, v in by_effect.items()}
+    t = table_from_eta(eta_from_dict(sub, entries))
+    return condition(
+        t,
+        sub.mask_of(vars.names_of(target_mask)),
+        sub.mask_of(vars.names_of(given_mask)),
+    )
+
+
 def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:
     """The margin-change term f = lam(effect, margin|added) - lam(effect, margin).
 
@@ -342,8 +378,6 @@ def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:
     m_in = tb.vars.mask_of(t.vars.names_of(margin))
     pm = marginal_array(tb.p, tb.n, m_in) if m_in else np.array([1.0])
     # log p(x_added | x_margin) laid out over the cells of `both`
-    from .tables import compress_map  # local import to keep module header light
-
     cols = compress_map(tb.n, m_in)
     logcond = np.log(tb.p) - np.log(pm[cols])
     e_in = tb.vars.mask_of(t.vars.names_of(effect))
@@ -356,8 +390,6 @@ def margin_kernel_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
     if margin == (1 << n) - 1:
         raise StructureError("kernel is only defined for proper margins")
     pm = marginal_array(p, n, margin)
-    from .tables import compress_map
-
     cols = compress_map(n, margin)
     w = p / pm[cols]
     return fwht(w) / (1 << popcount(margin))

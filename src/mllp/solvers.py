@@ -18,10 +18,13 @@ Four routes, dispatched automatically from the classification chain:
 * a damped fixed point followed by a multi-start *Newton* solve with the
   analytic Jacobian for collections without a proven route.
 
-Reduction steps found by the classifier (variable removal, per-slice
-removal, parameter interchanges, subsystem relocation) are replayed
-exactly: each transforms the target vector using the margin-change term of
-the conditional distribution that the already-known parameters pin down.
+AUTO inversion classifies the collection once and replays the rule chain.
+Reduction steps (variable removal, per-slice removal, parameter
+interchanges, subsystem relocation) are replayed exactly: each transforms
+the target vector using the margin-change term of the conditional
+distribution that the already-known parameters pin down, and hands the
+rest of the chain to the inversion of the reduced collection, which the
+classifier proved with exactly that rest.
 
 Every solve is deterministic given (spec, target, options, seed); solves
 share no state and can run concurrently.
@@ -50,6 +53,7 @@ from .mll import (
     MLLSpec,
     MLLVector,
     Pair,
+    conditional_from_lambda,
     decompose_f,
     jacobian_array,
     lambda_array,
@@ -70,6 +74,7 @@ from .tables import (
     marginal_array,
     marginalize,
     nonempty_submasks,
+    packed_indices,
     popcount,
     table_from_eta,
 )
@@ -167,23 +172,6 @@ def _finish_table(spec: MLLSpec, p: np.ndarray, trace: list[float]) -> JointTabl
         raise SolverError(
             NON_CONVERGENCE, f"converged point is not a valid table: {exc}", trace
         ) from exc
-
-
-def _conditional_from_values(
-    vars: VarSet, target_mask: int, given_mask: int, values: Mapping[int, float]
-) -> ConditionalTable:
-    """Conditional p(x_target | x_given) pinned by the parameters of the
-    margin target|given whose effects meet the target; effects inside the
-    conditioning set do not matter and are set to zero."""
-    both = target_mask | given_mask
-    sub = vars.restrict(both)
-    entries = {compress(e, both): v for e, v in values.items()}
-    t = table_from_eta(eta_from_dict(sub, entries))
-    return condition(
-        t,
-        sub.mask_of(vars.names_of(target_mask)),
-        sub.mask_of(vars.names_of(given_mask)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +290,7 @@ def reconstruct_mixed(
     sub_p: list[np.ndarray] = []
     for tbl in margins:
         mask = vars_m.mask_of(tbl.vars.names)
-        names_sorted = vars_m.names_of(mask)
-        if tuple(tbl.vars.names) != names_sorted:
-            perm = np.zeros(tbl.vars.n_cells, dtype=np.int64)
-            for idx in range(tbl.vars.n_cells):
-                cell = 0
-                for j, nm in enumerate(names_sorted):
-                    if idx >> j & 1:
-                        cell |= 1 << tbl.vars.position(nm)
-                perm[idx] = cell
-            sub_p.append(tbl.p[perm])
-        else:
-            sub_p.append(np.asarray(tbl.p, dtype=np.float64))
+        sub_p.append(tbl.p[packed_indices(vars_m.restrict(mask), tbl.vars.names)])
         sub_masks.append(mask)
 
     covered: set[int] = set()
@@ -535,10 +512,9 @@ def _transition_matrix(chain: CycleChainSpec) -> np.ndarray:
     return mat
 
 
-def stationary(chain: CycleChainSpec) -> JointTable:
-    """Unique stationary distribution of the cycle's transition matrix, by
-    direct linear solve of (M^T - I) pi = 0 with a normalisation row."""
-    m = _transition_matrix(chain)
+def stationary_distribution(m: np.ndarray) -> np.ndarray:
+    """Unique stationary distribution of a row-stochastic matrix, by direct
+    linear solve of (M^T - I) pi = 0 with a normalisation row."""
     size = m.shape[0]
     a = m.T - np.eye(size)
     a[-1, :] = 1.0
@@ -554,8 +530,13 @@ def stationary(chain: CycleChainSpec) -> JointTable:
         )
     if float(np.max(np.abs(pi @ m - pi))) > 1e-12:
         raise SolverError(NON_CONVERGENCE, "stationary vector fails invariance")
-    vars_b = chain.vars.restrict(chain.blocks[0])
-    return JointTable(vars_b, pi / pi.sum())
+    return pi / pi.sum()
+
+
+def stationary(chain: CycleChainSpec) -> JointTable:
+    """Unique stationary distribution of the cycle's transition matrix."""
+    pi = stationary_distribution(_transition_matrix(chain))
+    return JointTable(chain.vars.restrict(chain.blocks[0]), pi)
 
 
 def stationary_power(
@@ -600,7 +581,7 @@ def invert_cyclic(
         giv = blocks[i]
         margin = tgt | giv
         values = {e: tmap[(e, m)] for e, m in spec.pairs if m == margin}
-        conds.append(_conditional_from_values(spec.vars, tgt, giv, values))
+        conds.append(conditional_from_lambda(spec.vars, tgt, giv, values))
     chain = CycleChainSpec(spec.vars, tuple(blocks), tuple(conds))
     pi = stationary(chain)
 
@@ -690,20 +671,6 @@ def invert_newton(
 # Reduction replays
 # ---------------------------------------------------------------------------
 
-def _shrink_map(vars: VarSet, v_mask: int):
-    keep = vars.full_mask & ~v_mask
-    pos = bit_positions(keep)
-    remap = {old: new for new, old in enumerate(pos)}
-
-    def shrink(mask: int) -> int:
-        out = 0
-        for b in bit_positions(mask & keep):
-            out |= 1 << remap[b]
-        return out
-
-    return shrink
-
-
 def _glue_slices(
     vars: VarSet, v_mask: int, pv: np.ndarray, q0: JointTable, q1: JointTable
 ) -> np.ndarray:
@@ -755,35 +722,31 @@ def _invert_variable_removal(
     spec: MLLSpec,
     tmap: dict[Pair, float],
     v_mask: int,
+    sub_chain: tuple[cls.RuleStep, ...],
     opts: SolveOptions,
-    depth: int,
 ) -> np.ndarray:
     """Split off the conditional of X_v given the rest (all effects
-    containing v sit in the full margin), invert the reduced collection,
-    and glue the conditional back on."""
+    containing v sit in the full margin), invert the reduced collection by
+    ``sub_chain``, and glue the conditional back on."""
     vars = spec.vars
     full = vars.full_mask
     rest = full & ~v_mask
     cond_vals = {e: tmap[(e, full)] for e, m in spec.pairs if e & v_mask}
-    cond = _conditional_from_values(vars, v_mask, rest, cond_vals)
+    cond = conditional_from_lambda(vars, v_mask, rest, cond_vals)
     # a table with that conditional and uniform rest pins the margin-change
     # terms of the full-margin effects not containing v
     t_pin = joint_from_conditional(
         vars, cond, table_from_eta(eta_from_dict(vars.restrict(rest), {}))
     )
-    shrink = _shrink_map(vars, v_mask)
-    red_pairs = []
-    red_vals = []
-    for e, m in spec.pairs:
-        if e & v_mask:
-            continue
-        val = tmap[(e, m)]
-        if m == full:
-            val -= decompose_f(t_pin, e, rest, v_mask)
-        red_pairs.append((shrink(e), shrink(m)))
-        red_vals.append(val)
-    reduced = MLLSpec(vars.restrict(rest), tuple(red_pairs))
-    sub = _invert_auto(reduced, MLLVector(reduced, np.array(red_vals)), opts, depth + 1)
+    reduced = cls.reduce_minus_v(spec, v_mask)
+    red_vals = [
+        tmap[(e, m)] - decompose_f(t_pin, e, rest, v_mask) if m == full else tmap[(e, m)]
+        for e, m in spec.pairs
+        if not e & v_mask
+    ]
+    sub = _invert_via_chain(
+        reduced, MLLVector(reduced, np.array(red_vals)), sub_chain, opts
+    )
     return joint_from_conditional(vars, cond, sub.table).p
 
 
@@ -791,28 +754,26 @@ def _invert_slice_split(
     spec: MLLSpec,
     tmap: dict[Pair, float],
     v_mask: int,
+    sub_chain: tuple[cls.RuleStep, ...],
     opts: SolveOptions,
-    depth: int,
 ) -> np.ndarray:
     """Per-slice reduction: for each value of X_v the slice parameters are
-    lam(A, M) +/- lam(A|v, M); invert both slices, then recover the X_v
-    marginal from the effect {v} and its margin-change term."""
+    lam(A, M) +/- lam(A|v, M); invert both slices by ``sub_chain``, then
+    recover the X_v marginal from the effect {v} and its margin-change
+    term."""
     vars = spec.vars
-    shrink = _shrink_map(vars, v_mask)
     em = {e: m for e, m in spec.pairs}
+    reduced = cls.reduce_minus_v(spec, v_mask)
     slices: list[JointTable] = []
-    for xv in (0, 1):
-        sign = -1.0 if xv else 1.0
-        pairs = []
-        vals = []
-        for e, m in spec.pairs:
-            if e & v_mask:
-                continue
-            kap = tmap[(e, m)] + sign * tmap[(e | v_mask, em[e | v_mask])]
-            pairs.append((shrink(e), shrink(m & ~v_mask)))
-            vals.append(kap)
-        reduced = MLLSpec(vars.restrict(vars.full_mask & ~v_mask), tuple(pairs))
-        sub = _invert_auto(reduced, MLLVector(reduced, np.array(vals)), opts, depth + 1)
+    for sign in (1.0, -1.0):
+        vals = [
+            tmap[(e, m)] + sign * tmap[(e | v_mask, em[e | v_mask])]
+            for e, m in spec.pairs
+            if not e & v_mask
+        ]
+        sub = _invert_via_chain(
+            reduced, MLLVector(reduced, np.array(vals)), sub_chain, opts
+        )
         slices.append(sub.table)
     q0, q1 = slices
     margin_v = em[v_mask]
@@ -830,11 +791,12 @@ def _invert_contraction(
     spec: MLLSpec,
     tmap: dict[Pair, float],
     relocate: tuple[Pair, ...],
+    sub_chain: tuple[cls.RuleStep, ...],
     opts: SolveOptions,
-    depth: int,
 ) -> np.ndarray:
     """Solve the self-contained subsystem for the relocated effects by the
-    certified fixed point, then invert the relocated collection."""
+    certified fixed point, then invert the relocated collection by
+    ``sub_chain``."""
     vars = spec.vars
     n = vars.n
     full = vars.full_mask
@@ -864,7 +826,7 @@ def _invert_contraction(
         new_tmap.pop((e, m))
         new_tmap[(e, full)] = float(eta[e])
     vals = np.array([new_tmap[pair] for pair in relocated.pairs])
-    sub = _invert_auto(relocated, MLLVector(relocated, vals), opts, depth + 1)
+    sub = _invert_via_chain(relocated, MLLVector(relocated, vals), sub_chain, opts)
     return sub.table.p
 
 
@@ -872,17 +834,19 @@ def _invert_contraction(
 # Automatic dispatch
 # ---------------------------------------------------------------------------
 
-def _invert_via_report(
+def _invert_via_chain(
     spec: MLLSpec,
     target: MLLVector,
-    report: cls.ClassificationReport,
+    chain: tuple[cls.RuleStep, ...],
     opts: SolveOptions,
-    depth: int,
 ) -> SolveResult:
+    """Replay a proof chain: interchanges rewrite the target, the first
+    other rule inverts, and a reducing rule passes the rest of the chain on
+    to its reduced collection."""
     cur_spec = spec
     tmap = _target_dict(target)
-    method = ">".join(s.rule for s in report.rule_chain if s.rule != "interchange")
-    for step in report.rule_chain:
+    method = ">".join(s.rule for s in chain if s.rule != "interchange")
+    for i, step in enumerate(chain):
         rule = step.rule
         if rule == "interchange":
             cur_spec, tmap = _apply_interchange_to_target(
@@ -896,26 +860,22 @@ def _invert_via_report(
         cur_target = MLLVector(
             cur_spec, np.array([tmap[pair] for pair in cur_spec.pairs])
         )
+        rest = chain[i + 1:]
         if rule == "hierarchical":
             sub = invert_hierarchical(cur_spec, cur_target, opts)
         elif rule in ("two_margin", "three_margin", "single_feedback"):
             sub = invert_fixed_point(cur_spec, cur_target, opts)
-        elif rule == "nested":
-            top = max(cur_spec.proper_margins, key=popcount, default=0)
-            v = 1 << bit_positions(cur_spec.vars.full_mask & ~top)[0]
-            p = _invert_variable_removal(cur_spec, dict(tmap), v, opts, depth)
-            sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, "nested")
         elif rule == "variable_removal":
-            p = _invert_variable_removal(cur_spec, dict(tmap), step.details["v"], opts, depth)
-            sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, "variable_removal")
+            p = _invert_variable_removal(cur_spec, tmap, step.details["v"], rest, opts)
+            sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, rule)
         elif rule in ("slice_split", "slice_split_general"):
-            p = _invert_slice_split(cur_spec, dict(tmap), step.details["v"], opts, depth)
+            p = _invert_slice_split(cur_spec, tmap, step.details["v"], rest, opts)
             sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, rule)
         elif rule == "cyclic":
             sub = invert_cyclic(cur_spec, cur_target, opts, blocks=step.details["blocks"])
         elif rule == cls.CONTRACTION_RULE:
             p = _invert_contraction(
-                cur_spec, dict(tmap), step.details["relocate"], opts, depth
+                cur_spec, tmap, step.details["relocate"], rest, opts
             )
             sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, rule)
         else:
@@ -933,13 +893,11 @@ def _invert_via_report(
 
 
 def _invert_auto(
-    spec: MLLSpec, target: MLLVector, opts: SolveOptions, depth: int = 0
+    spec: MLLSpec, target: MLLVector, opts: SolveOptions
 ) -> SolveResult:
-    if depth > 20:
-        raise SolverError(ALL_METHODS_FAILED, "reduction recursion too deep")
     report = cls.classify(spec)
     if report.verdict == cls.PROVEN_SMOOTH:
-        return _invert_via_report(spec, target, report, opts, depth)
+        return _invert_via_chain(spec, target, report.rule_chain, opts)
     if report.verdict == cls.NOT_SMOOTH_INCOMPLETE:
         raise StructureError("cannot invert an incomplete collection")
 

@@ -28,7 +28,12 @@ from mllp.classify import (
 )
 from mllp.errors import IncompleteSpecError, SpecError
 from mllp.mll import MLLSpec
-from mllp.tables import VarSet
+from mllp.tables import VarSet, popcount
+
+
+RELOCATION_CYCLE = (
+    "3: 3\n34: 4\n14: 1 14\n1234: 2 12 13 23 24 34 123 124 134 234 1234\n"
+)
 
 
 def relabel(spec: MLLSpec, perm):
@@ -111,11 +116,24 @@ class TestRules:
         params = rule_applies(catalog.PAIRED_SLICES, "slice_split")
         assert params is not None and params["v"] == 0b001
 
-    def test_nested_chain_detected(self):
-        spec = MLLSpec.from_text("3: 3\n23: 2 23\n123: 1 12 13 123\n")
-        params = rule_applies(spec, "nested")
-        assert params is not None
-        assert params["chain"] == (0b100, 0b110, 0b111)
+    def test_nested_chains_proven_without_nested_rule(self):
+        # the variables outside the top proper margin of a nested chain sit
+        # in no proper margin, so variable removal proves every nested chain
+        # that the direct rules miss
+        with pytest.raises(SpecError):
+            rule_applies(catalog.NESTED_SKIP, "nested")
+        first_rules = set()
+        for spec in enumerate_complete(3, up_to_symmetry=True):
+            margins = sorted(spec.margins, key=popcount)
+            if margins[-1] != spec.vars.full_mask or any(
+                small & ~big for small, big in zip(margins, margins[1:])
+            ):
+                continue
+            report = classify(spec)
+            assert report.verdict == PROVEN_SMOOTH
+            first_rules.add(report.first_rule)
+        assert first_rules == {"hierarchical", "two_margin", "variable_removal"}
+        assert classify(catalog.NESTED_SKIP).first_rule == "variable_removal"
 
     def test_variable_removal_detected(self):
         params = rule_applies(catalog.NESTED_SKIP, "variable_removal")
@@ -189,12 +207,18 @@ class TestClassify:
         assert report.chain_names() == ("slice_split_general", "cyclic")
 
     def test_proven_chains_end_in_base_rule(self):
-        base = {"hierarchical", "two_margin", "three_margin", "nested",
+        base = {"hierarchical", "two_margin", "three_margin",
                 "single_feedback", "cyclic"}
         for spec in enumerate_complete(3, up_to_symmetry=True):
             report = classify(spec)
             if report.verdict == PROVEN_SMOOTH:
                 assert report.rule_chain[-1].rule in base
+
+    def test_relocation_cycle_ends_unproven(self):
+        # contraction relocations of this collection lead back to it through
+        # interchange moves; the repeated branch ends instead of recursing
+        report = classify(MLLSpec.from_text(RELOCATION_CYCLE))
+        assert report.verdict == UNKNOWN
 
     def test_permutation_equivariance(self):
         specs = [catalog.CHAIN_THREE, catalog.NESTED_SKIP, catalog.PAIRED_SLICES,

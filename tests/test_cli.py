@@ -50,6 +50,15 @@ class TestSubcommands:
         rc, out = run(["classify", "--spec", str(path / "spec.json")])
         assert rc == 0
 
+    def test_classify_relocation_cycle_terminates(self, tmp_path):
+        spec = tmp_path / "cycle.txt"
+        spec.write_text(
+            "3: 3\n34: 4\n14: 1 14\n1234: 2 12 13 23 24 34 123 124 134 234 1234\n"
+        )
+        rc, out = run(["classify", "--spec", str(spec)])
+        assert rc == 0
+        assert json.loads(out)["verdict"] == "UNKNOWN"
+
     def test_enumerate(self, workdir):
         rc, out = run(["enumerate", "--vars", "3", "--orbits"])
         doc = json.loads(out)

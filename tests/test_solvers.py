@@ -341,6 +341,31 @@ class TestInvertAuto:
         want_marg = marginalize(t, 0b110)
         assert float(np.max(np.abs(got_marg.p - want_marg.p))) < 1e-9
 
+    @pytest.mark.parametrize("name", ["PAIRED_SLICES_FOUR", "NESTED_SKIP"])
+    def test_auto_classifies_once(self, name, rng, monkeypatch):
+        # reductions replay the rest of the one classification chain
+        import mllp.classify as cls
+
+        original = cls.classify
+        depth = 0
+        top_level_calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal depth, top_level_calls
+            top_level_calls += depth == 0
+            depth += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(cls, "classify", counting)
+        spec = getattr(catalog, name)
+        t = dirichlet_table(spec.vars, rng)
+        res = invert(spec, lambda_vector(t, spec))
+        assert top_level_calls == 1
+        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
     def test_forced_methods(self, rng):
         spec = catalog.CHAIN_THREE
         t = dirichlet_table(spec.vars, rng)
