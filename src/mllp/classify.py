@@ -225,34 +225,47 @@ def interchange_moves(spec: MLLSpec) -> list[Move]:
     with K meeting A.  Both replace one coordinate by the other side of the
     exact identity lam(L, M plus A) = lam(L, M) + f(block), a smooth
     triangular re-parameterization.
+
+    The block {(K, X) : K inside X, K meets A} lies wholly in the spec
+    exactly when A avoids bad(X), the union of the nonempty K inside X for
+    which (K, X) is not a pair.  A variable of X is outside bad(X) when all
+    2**(|X|-1) subsets of X containing it are effects in margin X, so
+    free(X) = X minus bad(X) is found once per margin by counting.  Downward
+    moves of (L, M) are then the nonempty submasks of M minus L within
+    free(M); upward moves go to the margins X strictly above M with X minus
+    M inside free(X) (a set that is no margin has bad(X) = X).
     """
+    effects_in: dict[int, list[int]] = {}
+    for effect, margin in spec.pairs:
+        effects_in.setdefault(margin, []).append(effect)
+    free: dict[int, int] = {}
+    for margin, effects in effects_in.items():
+        half = 1 << (popcount(margin) - 1)
+        free[margin] = 0
+        for b in bit_positions(margin):
+            if sum(1 for e in effects if e >> b & 1) == half:
+                free[margin] |= 1 << b
+    up: dict[int, list[int]] = {
+        m: [x for x in free if x != m and m & ~x == 0 and x & ~m & ~free[x] == 0]
+        for m in free
+    }
     out: list[Move] = []
-    full = spec.vars.full_mask
-    pairs = set(spec.pairs)
     for (L, M) in spec.pairs:
-        for A in nonempty_submasks(M & ~L):
-            block = {(K, M) for K in nonempty_submasks(M) if K & A}
-            if block <= pairs:
-                out.append((((L, M)), M & ~A))
-        for A in nonempty_submasks(full & ~M):
-            MA = M | A
-            block = {(K, MA) for K in nonempty_submasks(MA) if K & A}
-            if block <= pairs:
-                out.append((((L, M)), MA))
+        for A in nonempty_submasks(M & ~L & free[M]):
+            out.append(((L, M), M & ~A))
+        for X in up[M]:
+            out.append(((L, M), X))
     out.sort()
     return out
 
 
 def apply_interchange(spec: MLLSpec, move: Move) -> MLLSpec:
-    (effect, margin), new_margin = move
-    if (effect, margin) not in spec.pairs:
+    pair, new_margin = move
+    if pair not in spec.pairs:
         raise SpecError("move refers to a pair not in the spec")
     return MLLSpec(
         spec.vars,
-        tuple(
-            (e, new_margin) if (e, m) == (effect, margin) else (e, m)
-            for e, m in spec.pairs
-        ),
+        tuple((p[0], new_margin) if p == pair else p for p in spec.pairs),
     )
 
 
@@ -264,20 +277,22 @@ def interchange_closure(
     Returns (reached spec, move path) pairs; exploration stops after
     ``limit`` distinct collections (distinct by exact pair set).
     """
-    start_key = tuple(sorted(spec.pairs))
-    seen = {start_key}
+    seen = {frozenset(spec.pairs)}
     frontier: list[tuple[MLLSpec, tuple[Move, ...]]] = [(spec, ())]
     out = [(spec, ())]
     while frontier and len(seen) < limit:
         nxt: list[tuple[MLLSpec, tuple[Move, ...]]] = []
         for s, path in frontier:
+            # a move's key follows from the state's; only unseen keys are
+            # built (and validated) as specs
+            key = frozenset(s.pairs)
             for mv in interchange_moves(s):
-                s2 = apply_interchange(s, mv)
-                key = tuple(sorted(s2.pairs))
-                if key in seen:
+                pair, new_margin = mv
+                key2 = key - {pair} | {(pair[0], new_margin)}
+                if key2 in seen:
                     continue
-                seen.add(key)
-                entry = (s2, path + (mv,))
+                seen.add(key2)
+                entry = (apply_interchange(s, mv), path + (mv,))
                 out.append(entry)
                 nxt.append(entry)
                 if len(seen) >= limit:
@@ -443,33 +458,44 @@ def _rule_contraction_reduce(spec: MLLSpec) -> dict | None:
            certifying the subsystem iteration as a contraction).
     Relocating U into the full margin must leave a provably smooth
     collection; that recursion is checked by the caller.
+
+    The answer is the smallest admissible U, ties broken by the sorted
+    positions of its pairs among the proper pairs.  Condition (i) closes
+    upward and (ii) only tightens as U grows, so the dependency closure of
+    any member of an admissible U is itself admissible and inside U: every
+    smallest admissible U is the closure of each of its pairs, and one
+    closure per pair finds them all.  Collections with more than 14 proper
+    pairs get no answer: the verdicts are defined with that cap, and
+    lifting it gives some of those collections a relocation, so it would
+    change verdicts.
     """
     full = spec.vars.full_mask
-    em = {e: m for e, m in spec.pairs}
     proper_pairs = [p for p in spec.pairs if p[1] != full]
     if not proper_pairs or len(proper_pairs) > 14:
         return None
-    n_pp = len(proper_pairs)
-    for size in range(1, n_pp + 1):
-        for combo in itertools.combinations(range(n_pp), size):
-            u = [proper_pairs[i] for i in combo]
-            u_effects = {e for e, _ in u}
-            u_margins = {m for _, m in u}
-            ok = True
-            for effect, margin in u:
-                for k in nonempty_submasks(full):
-                    if (k & ~margin) and em.get(k) != full and k not in u_effects:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                others = [n for n in u_margins if n != margin and (effect & ~n)]
-                if len(others) > 1:
-                    ok = False
-                    break
-            if ok:
-                return {"relocate": tuple(u)}
-    return None
+    # needs[i]: the proper pairs whose effects lie outside pair i's margin
+    needs = [
+        sum(1 << j for j, (k, _) in enumerate(proper_pairs) if k & ~margin)
+        for _, margin in proper_pairs
+    ]
+    admissible: list[list[int]] = []
+    for i in range(len(proper_pairs)):
+        u, todo = 1 << i, [i]
+        while todo:
+            new = needs[todo.pop()] & ~u
+            u |= new
+            todo.extend(bit_positions(new))
+        members = bit_positions(u)
+        u_margins = {proper_pairs[j][1] for j in members}
+        if all(
+            sum(1 for n in u_margins if n != margin and effect & ~n) <= 1
+            for effect, margin in (proper_pairs[j] for j in members)
+        ):
+            admissible.append(members)
+    if not admissible:
+        return None
+    best = min(admissible, key=lambda members: (len(members), members))
+    return {"relocate": tuple(proper_pairs[j] for j in best)}
 
 
 _RULE_FUNCS = {

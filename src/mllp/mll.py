@@ -68,6 +68,15 @@ from .tables import (
 Pair = tuple[int, int]  # (effect mask, margin mask)
 
 
+def _int_pair(pair) -> Pair:
+    """``pair`` as an (int, int) tuple.  One that already is one is kept,
+    not copied, so the many specs of an interchange closure share it."""
+    effect, margin = pair
+    if type(pair) is tuple and type(effect) is int and type(margin) is int:
+        return pair
+    return (int(effect), int(margin))
+
+
 @dataclass(frozen=True)
 class MLLSpec:
     """Ordered collection of effect-margin pairs over a variable set."""
@@ -76,7 +85,7 @@ class MLLSpec:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(e), int(m)) for e, m in self.pairs)
+        pairs = tuple(_int_pair(p) for p in self.pairs)
         seen = set()
         full = self.vars.full_mask
         for effect, margin in pairs:

@@ -1,11 +1,13 @@
 """Brute-force reference implementations used to check the fast paths.
 
-Everything here works cell by cell with explicit Python loops and no
-transforms, deliberately sharing no code with the package internals.
+Everything here works cell by cell, subset by subset, with explicit Python
+loops and no transforms, deliberately sharing no code with the package
+internals.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -110,3 +112,50 @@ def fd_jacobian(t: JointTable, spec: MLLSpec, h: float = 1e-5) -> np.ndarray:
             lambda_array(p_up, t.n, spec) - lambda_array(p_dn, t.n, spec)
         ) / (2 * h)
     return out
+
+
+def _subsets(mask: int) -> list[int]:
+    """Nonempty subsets of ``mask``, by scanning every smaller integer."""
+    return [k for k in range(1, mask + 1) if k & ~mask == 0]
+
+
+def brute_interchange_moves(spec: MLLSpec) -> list:
+    """Interchange moves by their definition: build the conditional block
+    of every (pair, A) and test that the spec contains all of it."""
+    full = (1 << spec.vars.n) - 1
+    pairs = set(spec.pairs)
+    out = []
+    for L, M in spec.pairs:
+        for A in _subsets(M & ~L):
+            if {(K, M) for K in _subsets(M) if K & A} <= pairs:
+                out.append(((L, M), M & ~A))
+        for A in _subsets(full & ~M):
+            block = {(K, M | A) for K in _subsets(M | A) if K & A}
+            if block <= pairs:
+                out.append(((L, M), M | A))
+    return sorted(out)
+
+
+def brute_contraction_reduce(spec: MLLSpec) -> dict | None:
+    """Smallest self-contained subsystem of proper-margin pairs, found by
+    trying every subset in order of size, then of pair positions."""
+    full = (1 << spec.vars.n) - 1
+    margin_of = dict(spec.pairs)
+    proper = [p for p in spec.pairs if p[1] != full]
+    if not proper or len(proper) > 14:
+        return None
+    for size in range(1, len(proper) + 1):
+        for combo in itertools.combinations(proper, size):
+            effects = {e for e, _ in combo}
+            margins = {m for _, m in combo}
+            if all(
+                all(
+                    margin_of[k] == full or k in effects
+                    for k in range(1, full + 1)
+                    if k & ~margin
+                )
+                and sum(1 for n in margins if n != margin and effect & ~n) <= 1
+                for effect, margin in combo
+            ):
+                return {"relocate": combo}
+    return None

@@ -29,11 +29,46 @@ from mllp.classify import (
 from mllp.errors import IncompleteSpecError, SpecError
 from mllp.mll import MLLSpec
 from mllp.tables import VarSet, popcount
+from oracles import brute_contraction_reduce, brute_interchange_moves
 
 
 RELOCATION_CYCLE = (
     "3: 3\n34: 4\n14: 1 14\n1234: 2 12 13 23 24 34 123 124 134 234 1234\n"
 )
+SATURATED_FOUR = "1234: 1 2 3 4 12 13 14 23 24 34 123 124 134 234 1234\n"
+
+
+def few_margin_complete(n: int, rng) -> MLLSpec:
+    """Complete collection with three drawn proper margins: each effect
+    picks uniformly among the drawn margins containing it and the full one."""
+    full = (1 << n) - 1
+    proper = rng.choice(np.arange(1, full), size=3, replace=False)
+    pairs = []
+    for effect in range(1, full + 1):
+        options = [int(m) for m in proper if effect & ~m == 0] + [full]
+        pairs.append((effect, options[int(rng.integers(len(options)))]))
+    return MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), tuple(pairs))
+
+
+def random_pairs(n: int, rng) -> MLLSpec:
+    """Spec of distinct random pairs, usually incomplete."""
+    full = (1 << n) - 1
+    pairs = set()
+    for _ in range(int(rng.integers(1, 2 * full))):
+        margin = int(rng.integers(1, full + 1))
+        effects = [e for e in range(1, margin + 1) if e & ~margin == 0]
+        pairs.add((effects[int(rng.integers(len(effects)))], margin))
+    return MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), tuple(sorted(pairs)))
+
+
+@pytest.fixture(scope="module")
+def closure_states():
+    """Every interchange-closure state of the census orbits and of eight
+    seeded few-margin 4-variable collections."""
+    rng = np.random.default_rng(2024)
+    starts = enumerate_complete(3, up_to_symmetry=True)
+    starts += [few_margin_complete(4, rng) for _ in range(8)]
+    return [state for spec in starts for state, _ in interchange_closure(spec)]
 
 
 def relabel(spec: MLLSpec, perm):
@@ -145,6 +180,30 @@ class TestRules:
         blocks = params["blocks"]
         assert sorted(blocks) == [0b001, 0b010, 0b100]
 
+    def test_contraction_matches_subset_search(self, closure_states):
+        checked = 0
+        for spec in closure_states:
+            proper = [p for p in spec.pairs if p[1] != spec.vars.full_mask]
+            if spec.vars.n == 4 and len(proper) > 10:
+                continue
+            assert rule_applies(spec, "contraction_reduce") == (
+                brute_contraction_reduce(spec)
+            )
+            checked += spec.vars.n == 4
+        assert checked > 100
+
+    def test_contraction_keeps_pair_cap(self):
+        # 15 proper pairs in margin 1234 and every effect with 5 in the full
+        # margin: any single pair alone is admissible, but the cap of 14
+        # proper pairs still leaves the rule without an answer
+        spec = MLLSpec.from_text(
+            "1234: 1 2 3 4 12 13 14 23 24 34 123 124 134 234 1234\n"
+            "12345: 5 15 25 35 45 125 135 145 235 245 345 1235 1245 1345 2345"
+            " 12345\n"
+        )
+        assert rule_applies(spec, "contraction_reduce") is None
+        assert brute_contraction_reduce(spec) is None
+
     def test_unknown_rule_name_rejected(self):
         with pytest.raises(SpecError):
             rule_applies(catalog.CHAIN_THREE, "nope")
@@ -160,6 +219,23 @@ class TestInterchange:
         closure = interchange_closure(catalog.CROSS_SINGLE)
         assert closure[0][0].pairs == catalog.CROSS_SINGLE.pairs
         assert closure[0][1] == ()
+
+    def test_moves_match_block_definition(self, closure_states):
+        rng = np.random.default_rng(7)
+        incomplete = [random_pairs(n, rng) for n in (2, 3, 4) for _ in range(40)]
+        assert sum(not is_complete(s) for s in incomplete) > 100
+        for spec in closure_states + incomplete:
+            assert interchange_moves(spec) == brute_interchange_moves(spec)
+
+    def test_truncated_closure_is_a_prefix(self):
+        spec = MLLSpec.from_text(SATURATED_FOUR)
+        whole = interchange_closure(spec, limit=256)
+        assert len(whole) == 256
+        for k in (1, 2, 17, 100):
+            part = interchange_closure(spec, limit=k)
+            assert [(s.pairs, path) for s, path in part] == [
+                (s.pairs, path) for s, path in whole[:k]
+            ]
 
     def test_cross_single_reaches_variable_removal(self):
         # one move relocates the deferred pair; the result admits removal

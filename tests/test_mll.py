@@ -348,3 +348,11 @@ class TestSpecFormats:
         spec = catalog.CHAIN_THREE
         with pytest.raises(SpecError):
             MLLVector(spec, np.zeros(3))
+
+    def test_pairs_normalised_to_int_tuples(self):
+        # (int, int) tuples are kept as given; other forms become them
+        kept = (1, 3)
+        spec = MLLSpec(make_vars(2), (kept, [np.int64(2), np.int64(2)], (True, 1)))
+        assert spec.pairs[0] is kept
+        assert spec.pairs == ((1, 3), (2, 2), (1, 1))
+        assert all(type(x) is int for pair in spec.pairs for x in pair)
