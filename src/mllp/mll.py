@@ -428,22 +428,18 @@ def dlambda_deta(t: JointTable, effect: int, margin: int, wrt: int) -> float:
 
 def jacobian_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
     """Raw-array variant of :func:`jacobian` used by the solvers."""
-    n_cols = (1 << n) - 1
-    full = n_cols
+    full = (1 << n) - 1
+    cols = np.arange(1, full + 1)
     kernels: dict[int, np.ndarray] = {}
-    out = np.zeros((len(spec), n_cols))
+    out = np.zeros((len(spec), full))
     for i, (effect, margin) in enumerate(spec.pairs):
-        if margin == full:
-            out[i, effect - 1] = 1.0
-            continue
-        if margin not in kernels:
-            kernels[margin] = margin_kernel_array(p, n, margin)
-        g = kernels[margin]
-        for K in range(1, full + 1):
-            if (K & ~margin) == 0:
-                out[i, K - 1] = 1.0 if K == effect else 0.0
-            else:
-                out[i, K - 1] = g[K ^ effect]
+        if margin != full:
+            if margin not in kernels:
+                kernels[margin] = margin_kernel_array(p, n, margin)
+            # one gather per row: off-margin columns read the kernel, the
+            # columns inside the margin are 0 except the effect's own
+            out[i] = np.where(cols & ~margin, kernels[margin][cols ^ effect], 0.0)
+        out[i, effect - 1] = 1.0
     return out
 
 

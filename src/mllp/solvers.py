@@ -5,8 +5,7 @@ Four routes, dispatched automatically from the classification chain:
 * sequential *hierarchical* reconstruction: margins are rebuilt in the
   witness order, each one solved from its already-known sub-margins plus
   the log-linear coefficients assigned to it (a mixed mean/natural
-  coordinate problem solved by proportional-fitting sweeps with a Newton
-  finish);
+  coordinate problem solved by one damped Newton solve);
 * the *fixed-point* iteration eta <- eta + damping * (target - lam(eta)),
   swept margin block by margin block, with a contraction certificate from
   the derivative-column bounds when the collection has the single-feedback
@@ -130,14 +129,20 @@ class SolveResult:
 # Raw-array helpers
 # ---------------------------------------------------------------------------
 
-def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
+def _probs_and_log_z(eta: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cell probabilities of ``eta`` and log Z, from the shifted exponent."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = fwht(eta)
     if not np.all(np.isfinite(s)):
         raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
-    s -= s.max()
-    p = np.exp(s)
-    return p / p.sum()
+    top = s.max()
+    p = np.exp(s - top)
+    z = p.sum()
+    return p / z, float(top) + math.log(z)
+
+
+def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
+    return _probs_and_log_z(eta)[0]
 
 
 def _target_dict(target: MLLVector) -> dict[Pair, float]:
@@ -272,17 +277,16 @@ def reconstruct_mixed(
     vars_m: VarSet,
     margins: Sequence[JointTable],
     eta_targets: Mapping[int, float],
-    opts: SolveOptions = SolveOptions(),
-    ipf_sweeps: int = 25,
-    newton_iters: int = 200,
 ) -> JointTable:
     """Table over ``vars_m`` matching every given sub-margin table and the
     log-linear coefficients of the effects no sub-margin covers.
 
-    Proportional-fitting sweeps alternate with coefficient resets; a Newton
-    solve on the covered-moment equations finishes when the alternation has
-    not already converged.  Raises INCONSISTENT_MARGINS when the given
-    margins contradict each other and NON_CONVERGENCE on failure.
+    One damped Newton solve for the covered coefficients, warm-started from
+    the sub-margins' own coefficients: Armijo steps on the convex dual
+    log Z(theta) - theta . mu* while it resolves progress, then Gauss-Newton
+    steps on the log margin ratios, which keep tiny cells' relative accuracy.
+    Raises INCONSISTENT_MARGINS when the given margins contradict each
+    other, NON_CONVERGENCE when the result misses a margin or a coefficient.
     """
     m = vars_m.n
     size = vars_m.n_cells
@@ -302,93 +306,87 @@ def reconstruct_mixed(
             "eta targets must cover exactly the effects outside the given margins"
         )
 
-    # target moments for covered effects; verify overlap consistency
-    mu_star = np.zeros(size)
-    mu_star[0] = 1.0
-    filled: dict[int, float] = {}
-    for mask, ps in zip(sub_masks, sub_p):
-        mu_sub = fwht(ps)
-        for L in nonempty_submasks(mask):
-            val = float(mu_sub[compress(L, mask)])
-            if L in filled and abs(filled[L] - val) > 1e-9:
-                raise SolverError(
-                    INCONSISTENT_MARGINS,
-                    "given margins disagree on a shared moment by "
-                    f"{abs(filled[L] - val):.3e}",
-                )
-            filled[L] = val
-            mu_star[L] = val
-
     theta = np.zeros(size)
-    for L, v in eta_targets.items():
-        theta[L] = v
-    q = _probs_from_eta(theta)
-
-    def moment_gap(qq: np.ndarray) -> float:
-        mu = fwht(qq)
-        return max((abs(float(mu[L] - mu_star[L])) for L in covered), default=0.0)
-
-    maps = [compress_map(m, mask) for mask in sub_masks]
-    for _ in range(ipf_sweeps if covered else 0):
-        for mask, ps, cmap in zip(sub_masks, sub_p, maps):
-            qs = marginal_array(q, m, mask)
-            q = q * (ps / qs)[cmap]
-            q /= q.sum()
-        theta = fwht(np.log(q)) / size
-        theta[0] = 0.0
-        for L, v in eta_targets.items():
-            theta[L] = v
-        q = _probs_from_eta(theta)
-        if moment_gap(q) < opts.tol * 1e-2:
-            break
-
-    if covered and moment_gap(q) >= opts.tol * 1e-2:
-        cov = sorted(covered)
-        for _ in range(newton_iters):
-            mu = fwht(q)
-            gvec = np.array([mu[L] - mu_star[L] for L in cov])
-            if float(np.max(np.abs(gvec))) < 1e-13:
-                break
-            h = np.empty((len(cov), len(cov)))
-            for a, La in enumerate(cov):
-                for b, Lb in enumerate(cov):
-                    h[a, b] = mu[La ^ Lb] - mu[La] * mu[Lb]
-            try:
-                step = np.linalg.solve(h, -gvec)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError(
-                    NON_CONVERGENCE, f"singular moment system: {exc}"
-                ) from exc
-            base = 0.5 * float(gvec @ gvec)
-            scale = 1.0
-            for _ in range(40):
-                trial = theta.copy()
-                for L, d in zip(cov, step):
-                    trial[L] += scale * d
-                q_try = _probs_from_eta(trial)
-                mu_try = fwht(q_try)
-                g_try = np.array([mu_try[L] - mu_star[L] for L in cov])
-                if 0.5 * float(g_try @ g_try) <= base * (1 - 1e-4 * scale):
-                    theta = trial
-                    q = q_try
-                    break
-                scale *= 0.5
-            else:
-                raise SolverError(
-                    NON_CONVERGENCE,
-                    "moment-matching line search stalled (gap "
-                    f"{float(np.max(np.abs(gvec))):.3e}); margins may be "
-                    "inconsistent",
-                )
-
+    theta[list(eta_targets)] = list(eta_targets.values())
+    # target moments, overlap check and warm start, margin by margin
+    cov = np.array(sorted(covered), dtype=np.int64)
+    mu_star = np.zeros(len(cov))
+    seen = np.zeros(len(cov), dtype=bool)
     for mask, ps in zip(sub_masks, sub_p):
-        qs = marginal_array(q, m, mask)
-        if float(np.max(np.abs(qs - ps))) > 1e-10:
+        at = np.flatnonzero((cov & ~mask) == 0)
+        idx = compress_map(m, mask)[cov[at]]
+        mu_sub = fwht(ps)[idx]
+        clash = float(np.max(np.abs(mu_star[at] - mu_sub)[seen[at]], initial=0.0))
+        if clash > 1e-9:
             raise SolverError(
-                NON_CONVERGENCE,
-                f"margin mismatch {float(np.max(np.abs(qs - ps))):.3e} "
-                "after reconstruction",
+                INCONSISTENT_MARGINS,
+                f"given margins disagree on a shared moment by {clash:.3e}",
             )
+        mu_star[at] = mu_sub
+        seen[at] = True
+        theta[cov[at]] = (fwht(np.log(ps)) / ps.size)[idx]
+
+    p_all = np.concatenate(sub_p or [np.zeros(0)])
+    parity = np.bitwise_count(np.arange(size)[:, None] & cov) % 2
+    chars = 1 - 2 * parity.astype(np.int8)  # chars[x, i] = (-1)**|x & cov[i]|
+
+    def state(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        qq, log_z = _probs_and_log_z(th)
+        qs = np.concatenate([marginal_array(qq, m, mask) for mask in sub_masks]
+                            or [np.zeros(0)])
+        with np.errstate(divide="ignore", over="ignore"):
+            return qq, qs, np.log(p_all / qs), log_z - float(th[cov] @ mu_star)
+
+    q, qs, r, f = state(theta)
+    polish = False
+    for _ in range(200):  # solves that converge take 2-25 steps
+        if float(np.max(np.abs(r), initial=0.0)) < 1e-12:
+            break
+        if not polish:
+            mu = fwht(q)
+            grad = mu[cov] - mu_star
+            try:
+                hess = mu[cov[:, None] ^ cov] - np.outer(mu[cov], mu[cov])
+                step = np.linalg.solve(hess, -grad)
+                slope = float(grad @ step)
+                # a Newton decrement this small is below what the dual resolves
+                polish = slope > -1e-10
+            except np.linalg.LinAlgError:
+                polish = True
+        if polish:
+            # Gauss-Newton: least squares J step = r, where the rows of J,
+            # the Jacobian of log q_S, are E[chi | x_S] - E[chi]
+            jac = np.concatenate(
+                [marginal_array(q[:, None] * chars, m, mask) for mask in sub_masks]
+            )
+            jac /= qs[:, None]
+            jac -= fwht(q)[cov]
+            try:
+                step = np.linalg.lstsq(jac, r)[0]
+            except np.linalg.LinAlgError:
+                break
+            slope = -2.0 * float(r @ (jac @ step))
+        for scale in 0.5 ** np.arange(40.0):
+            trial = theta.copy()
+            trial[cov] += scale * step
+            try:
+                q_try, qs_try, r_try, f_try = state(trial)
+            except SolverError:
+                continue
+            new, old = (r_try @ r_try, r @ r) if polish else (f_try, f)
+            if new < old + 1e-4 * scale * slope:
+                theta, q, qs, r, f = trial, q_try, qs_try, r_try, f_try
+                break
+        else:
+            if polish:
+                break  # no step helps: the checks below decide
+            polish = True
+
+    miss = float(np.max(np.abs(qs - p_all), initial=0.0))
+    if miss > 1e-10:
+        raise SolverError(
+            NON_CONVERGENCE, f"margin mismatch {miss:.3e} after reconstruction"
+        )
     theta_check = fwht(np.log(q)) / size
     for L, v in eta_targets.items():
         if abs(float(theta_check[L]) - v) > 1e-10:
@@ -432,7 +430,7 @@ def invert_hierarchical(
             for e, m in spec.pairs
             if m == margin
         }
-        built[margin] = reconstruct_mixed(vars_m, subs, eta_targets, opts)
+        built[margin] = reconstruct_mixed(vars_m, subs, eta_targets)
     result = built[spec.vars.full_mask]
     res = _verify(spec, target, result.p, max(opts.tol, 1e-9))
     return SolveResult(result, len(order), res, "hierarchical")

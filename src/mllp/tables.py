@@ -386,13 +386,15 @@ def marginal_array(p: np.ndarray, n: int, mask: int) -> np.ndarray:
     """Marginal of a 2**n cell vector onto the variables in ``mask``.
 
     Returned vector is indexed by the compressed cell index of ``mask``.
+    Trailing axes of ``p`` (columns of a 2**n-row array) are kept.
     """
+    p = np.asarray(p, dtype=np.float64)
     if mask == (1 << n) - 1:
-        return np.asarray(p, dtype=np.float64).copy()
-    cube = np.asarray(p, dtype=np.float64).reshape((2,) * n)
+        return p.copy()
+    cube = p.reshape((2,) * n + p.shape[1:])
     # C-order reshape puts bit k on axis n-1-k.
     drop_axes = tuple(n - 1 - k for k in range(n) if not (mask >> k) & 1)
-    return cube.sum(axis=drop_axes).reshape(-1)
+    return cube.sum(axis=drop_axes).reshape((-1,) + p.shape[1:])
 
 
 def marginalize(t: JointTable, mask: int) -> JointTable:

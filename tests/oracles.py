@@ -2,7 +2,8 @@
 
 Everything here works cell by cell, subset by subset, with explicit Python
 loops and no transforms, deliberately sharing no code with the package
-internals.
+internals; :func:`brute_jacobian` alone reads the package's derivative
+kernel, so that the fast Jacobian can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from mllp.mll import MLLSpec, lambda_array
+from mllp.mll import MLLSpec, lambda_array, margin_kernel_array
 from mllp.tables import EtaVector, JointTable, table_from_eta
 
 
@@ -111,6 +112,21 @@ def fd_jacobian(t: JointTable, spec: MLLSpec, h: float = 1e-5) -> np.ndarray:
         out[:, K - 1] = (
             lambda_array(p_up, t.n, spec) - lambda_array(p_dn, t.n, spec)
         ) / (2 * h)
+    return out
+
+
+def brute_jacobian(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
+    """Jacobian entry by entry: 1 or 0 for coefficients inside the margin,
+    the kernel lookup g[K ^ effect] for the others."""
+    full = (1 << n) - 1
+    out = np.zeros((len(spec), full))
+    for i, (effect, margin) in enumerate(spec.pairs):
+        g = margin_kernel_array(p, n, margin) if margin != full else None
+        for K in range(1, full + 1):
+            if K & ~margin == 0:
+                out[i, K - 1] = 1.0 if K == effect else 0.0
+            else:
+                out[i, K - 1] = g[K ^ effect]
     return out
 
 

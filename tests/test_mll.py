@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mllp import catalog
+from mllp.classify import enumerate_complete
 from mllp.errors import SpecError, StructureError
 from mllp.mll import (
     MLLSpec,
@@ -14,6 +15,7 @@ from mllp.mll import (
     decompose_f,
     dlambda_deta,
     jacobian,
+    jacobian_array,
     kappa,
     lambda_value,
     lambda_vector,
@@ -36,7 +38,7 @@ from mllp.tables import (
 )
 
 from conftest import dirichlet_table, make_vars
-from oracles import brute_lambda, fd_jacobian
+from oracles import brute_jacobian, brute_lambda, fd_jacobian
 
 
 class TestLambda:
@@ -219,6 +221,23 @@ class TestDerivatives:
             want = np.zeros(7)
             want[effect - 1] = 1.0
             assert np.allclose(row, want, atol=1e-14)
+
+    def test_jacobian_equals_entrywise_loop(self, rng):
+        specs = enumerate_complete(3, up_to_symmetry=True)
+        for n in range(2, 7):
+            full = (1 << n) - 1
+            for _ in range(4):
+                proper = rng.choice(np.arange(1, full), size=min(3, full - 1),
+                                    replace=False)
+                pairs = []
+                for effect in range(1, full + 1):
+                    options = [int(m) for m in proper if effect & ~m == 0] + [full]
+                    pairs.append((effect, options[int(rng.integers(len(options)))]))
+                specs.append(MLLSpec(make_vars(n), tuple(pairs)))
+        for spec in specs:
+            p = dirichlet_table(spec.vars, rng).p
+            got = jacobian_array(p, spec.vars.n, spec)
+            assert np.array_equal(got, brute_jacobian(p, spec.vars.n, spec))
 
     @pytest.mark.parametrize(
         "spec",

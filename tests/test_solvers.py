@@ -32,6 +32,7 @@ from mllp.tables import (
     condition,
     eta_from_table,
     marginalize,
+    popcount,
     table_from_probs,
     uniform_table,
 )
@@ -157,11 +158,15 @@ class TestReconstructMixed:
             math.log(2.0), abs=1e-11
         )
 
-    def test_three_pair_margins_plus_top_coefficient(self, rng):
-        t = dirichlet_table(make_vars(3), rng)
-        margins = [marginalize(t, m) for m in (0b011, 0b101, 0b110)]
-        eta3 = eta_from_table(t).value(0b111)
-        got = reconstruct_mixed(t.vars, margins, {0b111: eta3})
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_drop_one_margins_plus_top_coefficient(self, n, rng):
+        # every (n-1)-variable margin, the shape the large-table benchmark
+        # inverts at n = 9; only the top coefficient is left uncovered
+        t = dirichlet_table(make_vars(n), rng)
+        full = t.vars.full_mask
+        margins = [marginalize(t, full ^ (1 << v)) for v in range(n)]
+        eta_top = eta_from_table(t).value(full)
+        got = reconstruct_mixed(t.vars, margins, {full: eta_top})
         assert float(np.max(np.abs(got.p - t.p))) < 1e-8
 
     def test_inconsistent_margins_rejected(self, rng):
@@ -200,6 +205,38 @@ class TestHierarchical:
         t = dirichlet_table(vs, rng)
         res = invert_hierarchical(spec, lambda_vector(t, spec))
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-10
+
+    def test_roundtrip_skewed_tables(self):
+        # Dirichlet(0.1) and (0.3) tables put cells near 1e-15, where
+        # moment-matching Newton steps lose the relative accuracy of the
+        # small cells; each table must still come back within 1e-8
+        rng = np.random.default_rng(3)
+        head = [2.6e-7, 1.98e-3, 1.77e-3, 6.2e-6, 9.5e-4, 0.2976, 3.3e-5]
+        cases = [(
+            MLLSpec.from_text("13: 1 3 13\n123: 2 12 23 123\n"),
+            np.array(head + [1.0 - sum(head)]),
+        )]
+        for n in (3, 4, 5):
+            full = (1 << n) - 1
+            for alpha in (0.1, 0.3):
+                for _ in range(4):
+                    proper = sorted(
+                        {int(m) for m in rng.integers(1, full, size=3)},
+                        key=lambda m: (popcount(m), m),
+                    )
+                    order = proper + [full]
+                    spec = MLLSpec(make_vars(n), tuple(
+                        (e, next(m for m in order if e & ~m == 0))
+                        for e in range(1, full + 1)
+                    ))
+                    p = rng.dirichlet(np.full(full + 1, alpha))
+                    while p.min() < 1e-15:
+                        p = rng.dirichlet(np.full(full + 1, alpha))
+                    cases.append((spec, p))
+        for spec, p in cases:
+            t = JointTable(spec.vars, p)
+            res = invert_hierarchical(spec, lambda_vector(t, spec))
+            assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
 
     def test_rejects_non_hierarchical(self):
         with pytest.raises(StructureError):

@@ -15,6 +15,7 @@ from mllp.tables import (
     eta_from_table,
     fwht,
     joint_from_conditional,
+    marginal_array,
     marginalize,
     parity,
     random_table,
@@ -183,6 +184,15 @@ class TestMarginalize:
             want = brute_marginal(t, mask)
             for key, val in want.items():
                 assert got.p[key] == pytest.approx(val, abs=1e-14)
+
+    def test_columns_marginalised_one_by_one(self, rng):
+        cols = rng.random((16, 3))
+        for mask in (0b0001, 0b0110, 0b1011, 0b1111):
+            got = marginal_array(cols, 4, mask)
+            for j in range(3):
+                # same sums, possibly in another order: a few ulps apart
+                want = marginal_array(cols[:, j], 4, mask)
+                assert np.allclose(got[:, j], want, rtol=16 * 2.0**-52, atol=0)
 
     def test_nested_projection(self, rng):
         t = dirichlet_table(make_vars(3), rng)
