@@ -425,16 +425,17 @@ def _two_anchor_warm_start(
 def model_member(
     embedding: MLLSpec,
     free_values: Mapping[Pair, float],
-    opts: solvers.SolveOptions = solvers.SolveOptions(),
     statements: Sequence[CIStatement] | None = None,
 ) -> JointTable:
     """Member table of the model: zero pairs at zero, free pairs at the
     given values.
 
-    Dispatches to the automatic inverter; embeddings with two disjoint
-    fully parameterised two-variable anchor margins get a warm start built
-    from the sweep stationary distribution before the Newton completion.
-    When ``statements`` are given the member is verified against them.
+    Embeddings with two disjoint fully parameterised two-variable anchor
+    margins first try Newton from a warm start built from the sweep
+    stationary distribution; otherwise, or when that fails, the automatic
+    inverter solves.  Its failure is NON_CONVERGENCE: the parameters are
+    variation dependent, so some free values have no member.  When
+    ``statements`` are given the member is verified against them.
     """
     if not embedding.is_complete():
         raise StructureError("model embeddings must be complete")
@@ -447,36 +448,18 @@ def model_member(
     warm = _two_anchor_warm_start(embedding, free_values)
     if warm is not None:
         try:
-            result = solvers.invert_newton(embedding, target, opts, init_eta=warm)
+            result = solvers.invert_newton(embedding, target, init_eta=warm)
         except SolverError:
             result = None
     if result is None:
         try:
-            result = solvers.invert(embedding, target, opts)
+            result = solvers.invert(embedding, target)
         except SolverError as exc:
-            # the classified route reports targets outside the model's
-            # parameter domain; retry by direct Newton before accepting that
-            rng = np.random.default_rng(opts.seed)
-            size = embedding.vars.n_cells
-            for attempt in range(4):
-                init = (
-                    None
-                    if attempt == 0
-                    else np.concatenate(([0.0], rng.normal(0.0, 0.2, size - 1)))
-                )
-                try:
-                    result = solvers.invert_newton(
-                        embedding, target, opts, init_eta=init
-                    )
-                    break
-                except SolverError:
-                    continue
-            if result is None:
-                raise SolverError(
-                    NON_CONVERGENCE,
-                    "no member found; the free values may lie outside the "
-                    f"model's parameter domain ({exc})",
-                ) from exc
+            raise SolverError(
+                NON_CONVERGENCE,
+                "no member found; the free values may lie outside the "
+                f"model's parameter domain ({exc})",
+            ) from exc
     table = result.table
     if statements is not None:
         for s in statements:

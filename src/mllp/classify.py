@@ -534,12 +534,7 @@ def _move_steps(path: tuple[Move, ...]) -> tuple[RuleStep, ...]:
     )
 
 
-def classify(
-    spec: MLLSpec,
-    *,
-    contraction_rule: bool = True,
-    move_limit: int = DEFAULT_MOVE_LIMIT,
-) -> ClassificationReport:
+def classify(spec: MLLSpec) -> ClassificationReport:
     """Apply the rules in fixed priority order.
 
     ``hierarchical`` and ``two_margin`` are checked on the collection as
@@ -549,14 +544,11 @@ def classify(
     relocation can lead back, through interchange moves, to a collection
     already on the recursion path; such a branch ends as not proven.
     """
-    return _classify(spec, contraction_rule, move_limit, frozenset())
+    return _classify(spec, frozenset())
 
 
 def _classify(
-    spec: MLLSpec,
-    contraction_rule: bool,
-    move_limit: int,
-    on_path: frozenset[tuple[Pair, ...]],
+    spec: MLLSpec, on_path: frozenset[tuple[Pair, ...]]
 ) -> ClassificationReport:
     if not spec.is_complete():
         return ClassificationReport(spec, NOT_SMOOTH_INCOMPLETE, (), ())
@@ -573,9 +565,8 @@ def _classify(
         return ClassificationReport(spec, UNKNOWN, (), ())
     on_path = on_path | {key}
 
-    closure = interchange_closure(spec, limit=move_limit)
-    rules = MOVABLE_RULES + ((CONTRACTION_RULE,) if contraction_rule else ())
-    for rule in rules:
+    closure = interchange_closure(spec)
+    for rule in (*MOVABLE_RULES, CONTRACTION_RULE):
         for state, path in closure:
             params = _RULE_FUNCS[rule](state)
             if params is None:
@@ -595,7 +586,7 @@ def _classify(
                     for v in params["candidates"]
                 )
             for step, reduced in reductions:
-                rec = _classify(reduced, contraction_rule, move_limit, on_path)
+                rec = _classify(reduced, on_path)
                 if rec.verdict == PROVEN_SMOOTH:
                     return ClassificationReport(
                         spec,
@@ -706,7 +697,7 @@ def enumerate_complete(n: int, up_to_symmetry: bool = False) -> list[MLLSpec]:
     return specs
 
 
-def census(n: int = 3, *, contraction_rule: bool = True) -> dict:
+def census(n: int = 3) -> dict:
     """Classify every complete collection on n variables up to relabeling
     and tabulate verdicts and first rules.  Only n = 3 is supported."""
     if n != 3:
@@ -718,7 +709,7 @@ def census(n: int = 3, *, contraction_rule: bool = True) -> dict:
     proven_total = 0
     unknown = 0
     for idx, spec in enumerate(reps):
-        report = classify(spec, contraction_rule=contraction_rule)
+        report = classify(spec)
         first = report.first_rule or "none"
         if report.verdict == PROVEN_SMOOTH:
             proven_total += 1

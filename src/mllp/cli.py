@@ -2,8 +2,8 @@
 
 All subcommands read the documented JSON/text file formats, print one JSON
 document (or CSV for the census with --csv) and exit with 0 on success,
-1 on a domain error (bad input, invalid structure), 2 on solver failure.
-Given the same arguments and seed the output is byte-identical.
+1 on a domain error (bad input or usage, invalid structure), 2 on solver
+failure.  Given the same arguments the output is byte-identical.
 """
 
 from __future__ import annotations
@@ -118,8 +118,7 @@ def _load_lambda(path: str) -> MLLVector:
 def _cmd_invert(args, out) -> int:
     target = _load_lambda(args.lam)
     opts = solvers.SolveOptions(
-        tol=args.tol, max_iter=args.max_iter, damping=args.damping,
-        method=args.method, seed=args.seed,
+        tol=args.tol, max_iter=args.max_iter, method=args.method
     )
     result = solvers.invert(target.spec, target, opts)
     _emit(result.to_json_obj(include_trace=args.trace), out)
@@ -237,10 +236,7 @@ def _cmd_model(args, out) -> int:
                 ms.embedding.vars.mask_of(item["margin"]),
             )
             free[pair] = float(item["value"])
-        opts = solvers.SolveOptions(seed=args.seed)
-        table = cimodels.model_member(
-            ms.embedding, free, opts, statements=ms.statements
-        )
+        table = cimodels.model_member(ms.embedding, free, statements=ms.statements)
         doc["member"] = {
             "variables": list(table.vars.names),
             "p": [float(x) for x in table.p],
@@ -286,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="AUTO", choices=solvers.METHODS)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--damping", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="include residual trace")
     p.set_defaults(func=_cmd_invert)
 
@@ -313,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci", required=True, help="statement file (text or JSON)")
     p.add_argument("--member", default=None,
                    help="JSON file of free values; solve for a member table")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_model)
 
     return ap
@@ -321,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, the solver-failure code
+        return 1 if exc.code else 0
     out = out if out is not None else sys.stdout
     try:
         return args.func(args, out)

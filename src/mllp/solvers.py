@@ -25,14 +25,14 @@ distribution that the already-known parameters pin down, and hands the
 rest of the chain to the inversion of the reduced collection, which the
 classifier proved with exactly that rest.
 
-Every solve is deterministic given (spec, target, options, seed); solves
-share no state and can run concurrently.
+Every solve is deterministic given (spec, target, options); solves share
+no state and can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -85,17 +85,13 @@ METHODS = ("AUTO", "FIXED_POINT", "HIERARCHICAL", "MARKOV", "NEWTON")
 class SolveOptions:
     tol: float = 1e-10
     max_iter: int = 10000
-    damping: float = 1.0
     method: str = "AUTO"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
             raise SpecError("tol must be positive")
         if self.max_iter < 1:
             raise SpecError("max_iter must be at least 1")
-        if not 0 < self.damping <= 1:
-            raise SpecError("damping must lie in (0, 1]")
         if self.method not in METHODS:
             raise SpecError(f"method must be one of {METHODS}")
 
@@ -184,7 +180,10 @@ def _finish_table(spec: MLLSpec, p: np.ndarray, trace: list[float]) -> JointTabl
 # ---------------------------------------------------------------------------
 
 def invert_fixed_point(
-    spec: MLLSpec, target: MLLVector, opts: SolveOptions = SolveOptions()
+    spec: MLLSpec,
+    target: MLLVector,
+    opts: SolveOptions = SolveOptions(),
+    damping: float = 1.0,
 ) -> SolveResult:
     """Iterate eta_L <- eta_L + damping * (target_LM - lam_LM(eta)) for
     every pair, sweeping margin blocks from the full margin downwards and
@@ -212,7 +211,7 @@ def invert_fixed_point(
             p = _probs_from_eta(eta)
             lam_m = margin_lambda_array(p, n, margin)
             for effect, idx in effects:
-                eta[effect] += opts.damping * (tmap[(effect, margin)] - lam_m[idx])
+                eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
         p = _probs_from_eta(eta)
         res = _residual(p, n, spec, target.values)
         trace.append(res)
@@ -359,8 +358,11 @@ def reconstruct_mixed(
             jac = np.concatenate(
                 [marginal_array(q[:, None] * chars, m, mask) for mask in sub_masks]
             )
-            jac /= qs[:, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                jac /= qs[:, None]
             jac -= fwht(q)[cov]
+            if not (np.isfinite(jac).all() and np.isfinite(r).all()):
+                break  # a margin underflowed to 0: the checks below decide
             try:
                 step = np.linalg.lstsq(jac, r)[0]
             except np.linalg.LinAlgError:
@@ -537,18 +539,16 @@ def stationary(chain: CycleChainSpec) -> JointTable:
     return JointTable(chain.vars.restrict(chain.blocks[0]), pi)
 
 
-def stationary_power(
-    chain: CycleChainSpec, tol: float = 1e-14, max_iter: int = 200000
-) -> JointTable:
+def stationary_power(chain: CycleChainSpec) -> JointTable:
     """Power iteration on the same transition matrix; the direct solve is
     authoritative, this exists as an independent cross-check."""
     m = _transition_matrix(chain)
     size = m.shape[0]
     v = np.full(size, 1.0 / size)
-    for _ in range(max_iter):
+    for _ in range(200000):
         nxt = v @ m
         nxt /= nxt.sum()
-        if float(np.max(np.abs(nxt - v))) < tol:
+        if float(np.max(np.abs(nxt - v))) < 1e-14:
             v = nxt
             break
         v = nxt
@@ -610,10 +610,9 @@ def invert_newton(
     target: MLLVector,
     opts: SolveOptions = SolveOptions(),
     init_eta: np.ndarray | None = None,
-    max_iter: int = 200,
 ) -> SolveResult:
-    """Newton iteration on F(eta) = lam(eta) - target with step-halving
-    line search on the sup-norm of F."""
+    """At most 200 Newton steps on F(eta) = lam(eta) - target, with a
+    step-halving line search on the sup-norm of F."""
     if not spec.is_complete():
         raise StructureError("Newton inversion needs a complete spec")
     _check_target(spec, target)
@@ -625,7 +624,7 @@ def invert_newton(
     fvec = lambda_array(p, n, spec) - target.values
     res = float(np.max(np.abs(fvec)))
     trace.append(res)
-    for it in range(1, max_iter + 1):
+    for it in range(1, 201):
         if res <= opts.tol:
             table = _finish_table(spec, p, trace)
             return SolveResult(table, it - 1, res, "newton", None, tuple(trace))
@@ -660,7 +659,7 @@ def invert_newton(
             )
     raise SolverError(
         NON_CONVERGENCE,
-        f"residual {res:.3e} above tol after {max_iter} Newton steps",
+        f"residual {res:.3e} above tol after 200 Newton steps",
         trace,
     )
 
@@ -809,7 +808,7 @@ def _invert_contraction(
         for e, m in relocate:
             lam_m = margin_lambda_array(p, n, m)
             delta = tmap[(e, m)] - float(lam_m[compress(e, m)])
-            eta[e] += opts.damping * delta
+            eta[e] += delta
             res = max(res, abs(delta))
         trace.append(res)
         if res <= opts.tol * 0.1:
@@ -900,15 +899,9 @@ def _invert_auto(
         raise StructureError("cannot invert an incomplete collection")
 
     failures: list[str] = []
-    damped = SolveOptions(
-        tol=opts.tol,
-        max_iter=min(opts.max_iter, 2000),
-        damping=opts.damping if opts.damping < 1 else 0.5,
-        method=opts.method,
-        seed=opts.seed,
-    )
+    damped = replace(opts, max_iter=min(opts.max_iter, 2000))
     try:
-        sub = invert_fixed_point(spec, target, damped)
+        sub = invert_fixed_point(spec, target, damped, damping=0.5)
         return SolveResult(
             sub.table,
             sub.iterations,
@@ -919,7 +912,7 @@ def _invert_auto(
         )
     except (SolverError, StructureError) as exc:
         failures.append(f"fixed_point: {exc}")
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(0)
     size = spec.vars.n_cells
     for attempt in range(6):
         init = (

@@ -15,6 +15,13 @@ def make_vars(n: int) -> VarSet:
     return VarSet(tuple(str(i + 1) for i in range(n)))
 
 
+def outside_domain_values() -> list[float]:
+    """Free values of the CI_LOOP_THREE model, in ``free_pairs`` order,
+    that no member table has."""
+    draws = np.random.default_rng(2026).uniform(-1.2, 1.2, (13, 32))
+    return [float(v) for v in draws[12, :9]]
+
+
 def dirichlet_table(vs: VarSet, rng: np.random.Generator) -> JointTable:
     return JointTable(vs, rng.dirichlet(np.ones(vs.n_cells)))
 

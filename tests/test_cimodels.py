@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from mllp.cimodels import (
     model_spec,
 )
 from mllp.classify import PROVEN_SMOOTH, classify
-from mllp.errors import SpecError
+from mllp.errors import NON_CONVERGENCE, SolverError, SpecError
 from mllp.mll import conditional_lambda_set, lambda_vector
 from mllp.solvers import chain_from_joint, stationary
 from mllp.tables import (
@@ -25,7 +27,7 @@ from mllp.tables import (
     uniform_table,
 )
 
-from conftest import dirichlet_table, make_vars
+from conftest import dirichlet_table, make_vars, outside_domain_values
 
 
 def product_table(vs, rng, mask_a, mask_b):
@@ -311,6 +313,20 @@ class TestModelMember:
         ms = model_spec(stmts)
         with pytest.raises(SpecError):
             model_member(ms.embedding, {(0b1, 0b1): 0.5})
+
+    def test_free_values_outside_domain_fail_cleanly(self, capfd):
+        # one of these margins underflows to 0 in the hierarchical route;
+        # the failure must not warn or reach LAPACK with non-finite input
+        vs = make_vars(4)
+        stmts = [CIStatement.from_text(vs, s) for s in catalog.CI_LOOP_THREE]
+        ms = model_spec(stmts)
+        free = dict(zip(ms.free_pairs, outside_domain_values()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as err:
+                model_member(ms.embedding, free, statements=stmts)
+        assert err.value.kind == NON_CONVERGENCE
+        assert capfd.readouterr().err == ""
 
 
 class TestZeroLambdaEquivalence:

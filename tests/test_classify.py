@@ -273,10 +273,6 @@ class TestClassify:
         assert report.verdict == PROVEN_SMOOTH
         assert report.first_rule == "contraction_reduce"
 
-    def test_contraction_rule_can_be_disabled(self):
-        report = classify(catalog.SINGLETON_FEEDERS, contraction_rule=False)
-        assert report.verdict == UNKNOWN
-
     def test_four_variable_embedding_chain(self):
         report = classify(catalog.PAIRED_SLICES_FOUR)
         assert report.verdict == PROVEN_SMOOTH

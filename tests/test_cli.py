@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from mllp import catalog
+from mllp.cimodels import CIStatement, model_spec
 from mllp.cli import main
 from mllp.mll import lambda_vector
 from mllp.solvers import chain_from_joint
 from mllp.tables import VarSet, random_table
 
-from conftest import dirichlet_table, make_vars
+from conftest import dirichlet_table, make_vars, outside_domain_values
 
 
 def run(argv):
@@ -206,6 +207,32 @@ class TestExitCodes:
         )
         rc, _ = run(
             ["invert", "--lambda", str(tmp_path / "lam.json"), "--max-iter", "50"]
+        )
+        assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--damping", "--bogus"])
+    def test_usage_error_is_domain_error(self, workdir, flag):
+        path, _, _ = workdir
+        rc, _ = run(["invert", "--lambda", str(path / "lam.json"), flag, "0.5"])
+        assert rc == 1
+
+    def test_help_exits_zero(self, capsys):
+        rc, _ = run(["invert", "--help"])
+        assert rc == 0
+        assert "--lambda" in capsys.readouterr().out
+
+    def test_member_outside_domain_is_exit_two(self, workdir):
+        path, _, _ = workdir
+        vs = make_vars(4)
+        ms = model_spec([CIStatement.from_text(vs, s) for s in catalog.CI_LOOP_THREE])
+        free = [
+            {"effect": list(vs.names_of(e)), "margin": list(vs.names_of(m)),
+             "value": v}
+            for (e, m), v in zip(ms.free_pairs, outside_domain_values())
+        ]
+        (path / "free.json").write_text(json.dumps(free))
+        rc, _ = run(
+            ["model", "--ci", str(path / "ci.txt"), "--member", str(path / "free.json")]
         )
         assert rc == 2
 
