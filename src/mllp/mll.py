@@ -34,6 +34,7 @@ Key analytic facts implemented here:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -293,14 +294,30 @@ def margin_lambda_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
         return fwht(np.log(pm)) / pm.size
 
 
+@functools.lru_cache(maxsize=1024)
+def _gather_plan(
+    pairs: tuple[Pair, ...],
+) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """Per margin, in order of first use: the positions of its pairs in
+    ``pairs`` and their margin-compressed effect indices (read-only)."""
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i, (effect, margin) in enumerate(pairs):
+        pos, idx = groups.setdefault(margin, ([], []))
+        pos.append(i)
+        idx.append(compress(effect, margin))
+    plan = []
+    for margin, (pos, idx) in groups.items():
+        pos_a, idx_a = np.array(pos), np.array(idx)
+        pos_a.flags.writeable = idx_a.flags.writeable = False
+        plan.append((margin, pos_a, idx_a))
+    return tuple(plan)
+
+
 def lambda_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
     """Raw-array variant of :func:`lambda_vector` used by the solvers."""
-    cache: dict[int, np.ndarray] = {}
-    out = np.zeros(len(spec))
-    for i, (effect, margin) in enumerate(spec.pairs):
-        if margin not in cache:
-            cache[margin] = margin_lambda_array(p, n, margin)
-        out[i] = cache[margin][compress(effect, margin)]
+    out = np.empty(len(spec))
+    for margin, pos, idx in _gather_plan(spec.pairs):
+        out[pos] = margin_lambda_array(p, n, margin)[idx]
     return out
 
 

@@ -30,6 +30,7 @@ to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -77,23 +78,12 @@ def bit_positions(mask: int) -> list[int]:
 
 def compress(cell: int, mask: int) -> int:
     """Pack the bits of ``cell`` at the positions of ``mask`` into a dense
-    index (ascending bit order).  Inverse of :func:`expand`."""
+    index (ascending bit order)."""
     out = 0
     j = 0
     for i in bit_positions(mask):
         if cell >> i & 1:
             out |= 1 << j
-        j += 1
-    return out
-
-
-def expand(index: int, mask: int) -> int:
-    """Scatter the low bits of ``index`` onto the positions of ``mask``."""
-    out = 0
-    j = 0
-    for i in bit_positions(mask):
-        if index >> j & 1:
-            out |= 1 << i
         j += 1
     return out
 
@@ -116,25 +106,50 @@ def parity_signs(mask: int, n_cells: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(overlap).astype(np.float64) % 2.0)
 
 
+# Below this many cells one product a @ H_n beats the two-factor split: a
+# single BLAS call costs less than the saved arithmetic (measured with one
+# BLAS thread, x86-64: 1.4-1.6 us against 3.4-5.3 us at 8-64 cells).
+_ONE_FACTOR_CELLS = 64
+
+
+@functools.lru_cache(maxsize=None)
+def _hadamard(size: int) -> np.ndarray:
+    """Read-only Sylvester matrix H[k, x] = (-1)**|k & x| of order ``size``."""
+    x = np.arange(size, dtype=np.uint32)
+    h = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & x[None, :]) & 1)
+    h.flags.writeable = False
+    return h
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis, Sylvester ordering.
 
     Returns b with b[..., k] = sum_x (-1)**|k & x| * a[..., x].  The
     transform is its own inverse up to the factor 2**n.
+
+    Computed as Hadamard matrix products.  With the length n = r * c and
+    the cell index x = i * c + j, the sign (-1)**|k & x| splits over the
+    high and low bits, so H_n = H_r kron H_c and, row-major,
+
+        fwht(a) = H_r @ a.reshape(..., r, c) @ H_c.
+
+    Up to 64 cells r = 1, one product a @ H_n; above that r and c are the
+    balanced powers of two, both at most 256 for the 2**16 cells of
+    ``MAX_VARS`` variables.  The matrices are built once per order.  Sums
+    add in another order than in a radix-2 butterfly, so the results are
+    not bit-identical to one: on standard normal draws of 1 to 2**16 cells
+    they differ by at most 1.5e-15 of the largest output.
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     n = a.shape[-1]
-    if n & (n - 1):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
-    h = 1
-    lead = a.shape[:-1]
-    while h < n:
-        a = a.reshape(lead + (n // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack([top, bot], axis=-2).reshape(lead + (n,))
-        h *= 2
-    return a
+    if n <= _ONE_FACTOR_CELLS:
+        return a @ _hadamard(n)
+    r = 1 << ((n.bit_length() - 1) // 2)
+    c = n // r
+    b = _hadamard(r) @ a.reshape(a.shape[:-1] + (r, c)) @ _hadamard(c)
+    return b.reshape(a.shape)
 
 
 def _logsumexp(v: np.ndarray) -> float:

@@ -3,7 +3,9 @@
 Everything here works cell by cell, subset by subset, with explicit Python
 loops and no transforms, deliberately sharing no code with the package
 internals; :func:`brute_jacobian` alone reads the package's derivative
-kernel, so that the fast Jacobian can be held to it bit for bit.
+kernel, so that the fast Jacobian can be held to it bit for bit, and
+:func:`brute_fwht` sums each output's signed cells with NumPy, so that
+lengths up to 2**12 stay cheap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,22 @@ def popcount(x: int) -> int:
 
 def sign(effect: int, cell: int) -> float:
     return -1.0 if popcount(effect & cell) % 2 else 1.0
+
+
+def brute_fwht(a: np.ndarray, outputs=None) -> np.ndarray:
+    """Walsh-Hadamard transform as the +-1 double sum
+    b[..., k] = sum_x (-1)**|k & x| * a[..., x], one output k at a time
+    (only the listed ``outputs`` when given, in that order); the sum over
+    the cells x is a plain NumPy sum of the signed row."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[-1]
+    ks = range(n) if outputs is None else list(outputs)
+    cells = np.arange(n)
+    out = np.empty(a.shape[:-1] + (len(ks),))
+    for j, k in enumerate(ks):
+        signs = 1.0 - 2.0 * (np.bitwise_count(cells & k) % 2)
+        out[..., j] = (a * signs).sum(axis=-1)
+    return out
 
 
 def brute_eta(t: JointTable) -> dict[int, float]:

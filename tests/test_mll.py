@@ -17,8 +17,10 @@ from mllp.mll import (
     jacobian,
     jacobian_array,
     kappa,
+    lambda_array,
     lambda_value,
     lambda_vector,
+    margin_lambda_array,
     row_norm_bound_check,
     sign_matrix,
 )
@@ -26,6 +28,7 @@ from mllp.tables import (
     EtaVector,
     JointTable,
     VarSet,
+    compress,
     condition,
     eta_from_table,
     joint_from_conditional,
@@ -39,6 +42,24 @@ from mllp.tables import (
 
 from conftest import dirichlet_table, make_vars
 from oracles import brute_jacobian, brute_lambda, fd_jacobian
+
+
+def census_and_seeded_specs(rng: np.random.Generator) -> list[MLLSpec]:
+    """The 104 census orbits at n = 3, then four seeded complete collections
+    for each n = 2-6: up to three random proper margins plus the full one,
+    each effect in a random margin that contains it."""
+    specs = enumerate_complete(3, up_to_symmetry=True)
+    for n in range(2, 7):
+        full = (1 << n) - 1
+        for _ in range(4):
+            proper = rng.choice(np.arange(1, full), size=min(3, full - 1),
+                                replace=False)
+            pairs = []
+            for effect in range(1, full + 1):
+                options = [int(m) for m in proper if effect & ~m == 0] + [full]
+                pairs.append((effect, options[int(rng.integers(len(options)))]))
+            specs.append(MLLSpec(make_vars(n), tuple(pairs)))
+    return specs
 
 
 class TestLambda:
@@ -69,6 +90,21 @@ class TestLambda:
                 assert lambda_value(t, effect, margin) == pytest.approx(
                     brute_lambda(t, effect, margin), abs=1e-12
                 )
+
+    def test_gather_equals_per_pair_lookup(self, rng):
+        specs = census_and_seeded_specs(rng)
+        # the same pairs over other variable names, and in another order
+        specs.append(MLLSpec(VarSet(("x", "y", "z")), catalog.CHAIN_THREE.pairs))
+        specs.append(MLLSpec(catalog.CHAIN_THREE.vars, catalog.CHAIN_THREE.pairs[::-1]))
+        specs.append(catalog.CHAIN_THREE)
+        for spec in specs:
+            n = spec.vars.n
+            p = dirichlet_table(spec.vars, rng).p
+            want = [
+                margin_lambda_array(p, n, margin)[compress(effect, margin)]
+                for effect, margin in spec.pairs
+            ]
+            assert np.array_equal(lambda_array(p, n, spec), want)
 
     def test_rejects_effect_outside_margin(self, rng):
         t = dirichlet_table(make_vars(3), rng)
@@ -223,18 +259,7 @@ class TestDerivatives:
             assert np.allclose(row, want, atol=1e-14)
 
     def test_jacobian_equals_entrywise_loop(self, rng):
-        specs = enumerate_complete(3, up_to_symmetry=True)
-        for n in range(2, 7):
-            full = (1 << n) - 1
-            for _ in range(4):
-                proper = rng.choice(np.arange(1, full), size=min(3, full - 1),
-                                    replace=False)
-                pairs = []
-                for effect in range(1, full + 1):
-                    options = [int(m) for m in proper if effect & ~m == 0] + [full]
-                    pairs.append((effect, options[int(rng.integers(len(options)))]))
-                specs.append(MLLSpec(make_vars(n), tuple(pairs)))
-        for spec in specs:
+        for spec in census_and_seeded_specs(rng):
             p = dirichlet_table(spec.vars, rng).p
             got = jacobian_array(p, spec.vars.n, spec)
             assert np.array_equal(got, brute_jacobian(p, spec.vars.n, spec))

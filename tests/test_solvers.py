@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mllp import catalog
+from mllp.cimodels import CIStatement, model_member, model_spec
 from mllp.errors import (
     INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
@@ -83,6 +84,27 @@ class TestFixedPoint:
             )
         assert err.value.kind == NON_CONVERGENCE
         assert len(err.value.trace) == 2
+
+    def test_stall_stops_failing_member(self):
+        # a CI_FIVE_VAR member outside the parameter domain: the damped
+        # fixed point of AUTO bottoms out at sweep 89 and, without the stall
+        # stop, sweeps on for over a thousand more until a cell underflows
+        vs = make_vars(5)
+        stmts = [CIStatement.from_text(vs, s) for s in catalog.CI_FIVE_VAR]
+        ms = model_spec(stmts)
+        draw = np.random.default_rng(2026).uniform(-1.2, 1.2, 32)
+        free = dict(zip(ms.free_pairs, (float(v) for v in draw)))
+        values = [free.get(pair, 0.0) for pair in ms.embedding.pairs]
+        target = MLLVector(ms.embedding, np.array(values))
+        with pytest.raises(SolverError, match="stalled") as err:
+            invert_fixed_point(
+                ms.embedding, target, SolveOptions(max_iter=2000), damping=0.5
+            )
+        assert err.value.kind == NON_CONVERGENCE
+        assert len(err.value.trace) <= 150
+        with pytest.raises(SolverError) as err:
+            model_member(ms.embedding, free, statements=stmts)
+        assert err.value.kind == NON_CONVERGENCE
 
     def test_incomplete_spec_rejected(self):
         with pytest.raises(StructureError):

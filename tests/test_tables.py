@@ -25,7 +25,22 @@ from mllp.tables import (
 )
 
 from conftest import dirichlet_table, make_vars
-from oracles import brute_conditional, brute_eta, brute_marginal, sign
+from oracles import (
+    brute_conditional,
+    brute_eta,
+    brute_fwht,
+    brute_marginal,
+)
+
+
+def assert_fwht_close(got: np.ndarray, want: np.ndarray, a: np.ndarray) -> None:
+    """Each output within log2(n) rounding units of its row's sum of
+    magnitudes: the first-order error bound of a summation tree of that
+    depth (the kernel and the oracle add in different orders)."""
+    n = a.shape[-1]
+    tol = max(n.bit_length() - 1, 1) * np.finfo(np.float64).eps
+    bound = tol * np.abs(a).sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= bound)
 
 
 class TestBitAlgebra:
@@ -40,20 +55,40 @@ class TestBitAlgebra:
         assert parity(0b101, 0b001) == -1
 
     def test_fwht_matches_sign_sum(self, rng):
-        for n in (1, 2, 3):
-            v = rng.normal(size=1 << n)
-            got = fwht(v)
-            want = [
-                sum(sign(k, x) * v[x] for x in range(1 << n))
-                for k in range(1 << n)
-            ]
-            assert np.allclose(got, want, atol=1e-12)
+        for k in range(13):
+            v = rng.normal(size=1 << k)
+            assert_fwht_close(fwht(v), brute_fwht(v), v)
+        # 2**16 cells, the MAX_VARS table: a sample of outputs
+        v = rng.normal(size=1 << 16)
+        outputs = [0, (1 << 16) - 1, *rng.choice(1 << 16, 62, replace=False)]
+        assert_fwht_close(fwht(v)[outputs], brute_fwht(v, outputs), v)
 
-    def test_fwht_batched(self, rng):
-        batch = rng.normal(size=(5, 8))
-        got = fwht(batch)
-        for i in range(5):
-            assert np.allclose(got[i], fwht(batch[i]))
+    def test_fwht_stacks_match_oracle(self, rng):
+        for shape in [(5, 8), (3, 128), (2, 3, 32), (2, 2, 1024)]:
+            batch = rng.normal(size=shape)
+            got = fwht(batch)
+            assert got.shape == shape
+            assert_fwht_close(got, brute_fwht(batch), batch)
+
+    def test_fwht_rejects_non_power_of_two(self):
+        for n in (0, 3, 6, 12, 1000):
+            with pytest.raises(ValueError, match="power of two"):
+                fwht(np.ones(n))
+        with pytest.raises(ValueError, match="power of two"):
+            fwht(np.ones((4, 24)))
+
+    def test_fwht_non_finite_where_oracle_is(self, rng):
+        batch = rng.normal(size=(6, 64))
+        batch[1, 5] = -np.inf  # a log of an underflowed cell
+        batch[2, [0, 9]] = -np.inf
+        batch[3, 17] = np.nan
+        batch[4, [3, 40]] = [np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):
+            for stack in (batch, batch.reshape(2, 3, 64), batch[:, :16]):
+                got, want = fwht(stack), brute_fwht(stack)
+                assert np.array_equal(np.isfinite(got), np.isfinite(want))
+                rows = np.isfinite(stack).all(axis=-1)
+                assert_fwht_close(got[rows], want[rows], stack[rows])
 
 
 class TestJointTable:
