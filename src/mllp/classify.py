@@ -52,7 +52,10 @@ wins, which makes census bucket counts well defined.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -98,11 +101,24 @@ class RuleStep:
 
 
 @dataclass(frozen=True)
+class SearchRecord:
+    """Size of one classification's search: the distinct collections whose
+    interchange closure it ran, the distinct collections in those closures,
+    and the closures cut at the move limit.  A nonzero cut count means the
+    verdict may depend on that limit."""
+
+    specs_expanded: int = 0
+    closure_states: int = 0
+    closures_truncated: int = 0
+
+
+@dataclass(frozen=True)
 class ClassificationReport:
     spec: MLLSpec
     verdict: str
     rule_chain: tuple[RuleStep, ...]
     reduced_specs: tuple[MLLSpec, ...]
+    search: SearchRecord = SearchRecord()
 
     @property
     def first_rule(self) -> str | None:
@@ -123,6 +139,7 @@ class ClassificationReport:
                 for s in self.rule_chain
             ],
             "reduced_specs": [s.to_json_obj() for s in self.reduced_specs],
+            "search": dataclasses.asdict(self.search),
         }
 
 
@@ -149,9 +166,22 @@ def hierarchy_order(spec: MLLSpec) -> tuple[int, ...] | None:
     containing that effect; a topological sort of that precedence relation
     is returned (ties broken by margin size, then mask value).
     """
-    margins = list(spec.margins)
+    return _hierarchy_order(spec.pairs)
+
+
+def _margins(pairs: Sequence[Pair]) -> list[int]:
+    """Distinct margins in order of first appearance (as ``MLLSpec.margins``)."""
+    out: list[int] = []
+    for _, m in pairs:
+        if m not in out:
+            out.append(m)
+    return out
+
+
+def _hierarchy_order(pairs: Sequence[Pair]) -> tuple[int, ...] | None:
+    margins = _margins(pairs)
     succ: dict[int, set[int]] = {m: set() for m in margins}
-    for effect, margin in spec.pairs:
+    for effect, margin in pairs:
         for other in margins:
             if other != margin and (effect & ~other) == 0:
                 succ[margin].add(other)
@@ -228,35 +258,46 @@ def interchange_moves(spec: MLLSpec) -> list[Move]:
 
     The block {(K, X) : K inside X, K meets A} lies wholly in the spec
     exactly when A avoids bad(X), the union of the nonempty K inside X for
-    which (K, X) is not a pair.  A variable of X is outside bad(X) when all
-    2**(|X|-1) subsets of X containing it are effects in margin X, so
-    free(X) = X minus bad(X) is found once per margin by counting.  Downward
-    moves of (L, M) are then the nonempty submasks of M minus L within
-    free(M); upward moves go to the margins X strictly above M with X minus
-    M inside free(X) (a set that is no margin has bad(X) = X).
+    which (K, X) is not a pair, so free(X) = X minus bad(X) is found once
+    per margin from the subsets of X missing there.  Downward moves of
+    (L, M) are then the nonempty submasks of M minus L within free(M);
+    upward moves go to the margins X strictly above M with X minus M inside
+    free(X) (a set that is no margin has bad(X) = X).
     """
-    effects_in: dict[int, list[int]] = {}
-    for effect, margin in spec.pairs:
-        effects_in.setdefault(margin, []).append(effect)
+    return [(pair, new_margin) for pair, new_margin, _ in _moves(spec.pairs)]
+
+
+def _moves(pairs: Sequence[Pair]) -> list[tuple[Pair, int, int]]:
+    """The moves of :func:`interchange_moves`, in its order, each with the
+    position of its pair in ``pairs``."""
+    effects_in: dict[int, set[int]] = {}
+    for effect, margin in pairs:
+        effects_in.setdefault(margin, set()).add(effect)
     free: dict[int, int] = {}
     for margin, effects in effects_in.items():
-        half = 1 << (popcount(margin) - 1)
-        free[margin] = 0
-        for b in bit_positions(margin):
-            if sum(1 for e in effects if e >> b & 1) == half:
-                free[margin] |= 1 << b
+        bad = 0
+        for k in _nonempty_submask_set(margin).difference(effects):
+            bad |= k
+        free[margin] = margin & ~bad
     up: dict[int, list[int]] = {
         m: [x for x in free if x != m and m & ~x == 0 and x & ~m & ~free[x] == 0]
         for m in free
     }
-    out: list[Move] = []
-    for (L, M) in spec.pairs:
-        for A in nonempty_submasks(M & ~L & free[M]):
-            out.append(((L, M), M & ~A))
+    out: list[tuple[Pair, int, int]] = []
+    for i, (L, M) in enumerate(pairs):
+        down = M & ~L & free[M]
+        if down:
+            for A in nonempty_submasks(down):
+                out.append(((L, M), M & ~A, i))
         for X in up[M]:
-            out.append(((L, M), X))
+            out.append(((L, M), X, i))
     out.sort()
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _nonempty_submask_set(mask: int) -> frozenset[int]:
+    return frozenset(nonempty_submasks(mask))
 
 
 def apply_interchange(spec: MLLSpec, move: Move) -> MLLSpec:
@@ -275,73 +316,64 @@ def interchange_closure(
     """Breadth-first closure of interchange moves, original spec first.
 
     Returns (reached spec, move path) pairs; exploration stops after
-    ``limit`` distinct collections (distinct by exact pair set).
+    ``limit`` distinct collections (distinct by exact pair set).  This is
+    the closure that :func:`classify` runs from every collection it
+    expands.
     """
-    seen = {frozenset(spec.pairs)}
-    frontier: list[tuple[MLLSpec, tuple[Move, ...]]] = [(spec, ())]
-    out = [(spec, ())]
-    while frontier and len(seen) < limit:
-        nxt: list[tuple[MLLSpec, tuple[Move, ...]]] = []
-        for s, path in frontier:
-            # a move's key follows from the state's; only unseen keys are
-            # built (and validated) as specs
-            key = frozenset(s.pairs)
-            for mv in interchange_moves(s):
-                pair, new_margin = mv
-                key2 = key - {pair} | {(pair[0], new_margin)}
-                if key2 in seen:
-                    continue
-                seen.add(key2)
-                entry = (apply_interchange(s, mv), path + (mv,))
-                out.append(entry)
-                nxt.append(entry)
-                if len(seen) >= limit:
-                    break
-            if len(seen) >= limit:
-                break
-        frontier = nxt
+    search = _Search(spec, limit)
+    parent: list[int] = []
+    order = search.closure(search.root, parent)
+    paths: list[tuple[Move, ...]] = []
+    out = []
+    for s, i in zip(order, parent):
+        path = () if i < 0 else paths[i] + (search.move(order[i], s),)
+        paths.append(path)
+        out.append((search.spec(s), path))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Individual rules (structural applicability only)
 # ---------------------------------------------------------------------------
+# Each rule reads the pairs of a complete collection, in spec order, and the
+# full variable mask.
 
-def _rule_hierarchical(spec: MLLSpec) -> dict | None:
-    order = hierarchy_order(spec)
+def _rule_hierarchical(pairs: Sequence[Pair], full: int) -> dict | None:
+    order = _hierarchy_order(pairs)
     if order is None:
         return None
     return {"order": order}
 
 
-def _rule_two_margin(spec: MLLSpec) -> dict | None:
-    margins = spec.margins
+def _rule_two_margin(pairs: Sequence[Pair], full: int) -> dict | None:
+    margins = _margins(pairs)
     if len(margins) == 2:
         return {"margins": tuple(sorted(margins))}
     return None
 
 
-def _rule_three_margin(spec: MLLSpec) -> dict | None:
-    margins = spec.margins
+def _rule_three_margin(pairs: Sequence[Pair], full: int) -> dict | None:
+    margins = _margins(pairs)
     if len(margins) <= 3:
         return {"margins": tuple(sorted(margins))}
     return None
 
 
-def _rule_variable_removal(spec: MLLSpec) -> dict | None:
+def _rule_variable_removal(pairs: Sequence[Pair], full: int) -> dict | None:
     used = 0
-    for m in spec.proper_margins:
-        used |= m
-    free = spec.vars.full_mask & ~used
-    cands = [1 << b for b in bit_positions(free)]
+    for _, m in pairs:
+        if m != full:
+            used |= m
+    cands = [1 << b for b in bit_positions(full & ~used)]
     if not cands:
         return None
     return {"v": cands[0], "candidates": tuple(cands)}
 
 
-def _slice_split_candidates(spec: MLLSpec, strict: bool) -> list[int]:
-    full = spec.vars.full_mask
-    em = {e: m for e, m in spec.pairs}
+def _slice_split_candidates(
+    pairs: Sequence[Pair], full: int, strict: bool
+) -> list[int]:
+    em = dict(pairs)
     out = []
     for b in bit_positions(full):
         v = 1 << b
@@ -362,24 +394,24 @@ def _slice_split_candidates(spec: MLLSpec, strict: bool) -> list[int]:
     return out
 
 
-def _rule_slice_split(spec: MLLSpec) -> dict | None:
-    cands = _slice_split_candidates(spec, strict=True)
+def _rule_slice_split(pairs: Sequence[Pair], full: int) -> dict | None:
+    cands = _slice_split_candidates(pairs, full, strict=True)
     if not cands:
         return None
     return {"v": cands[0], "candidates": tuple(cands)}
 
 
-def _rule_slice_split_general(spec: MLLSpec) -> dict | None:
-    cands = _slice_split_candidates(spec, strict=False)
+def _rule_slice_split_general(pairs: Sequence[Pair], full: int) -> dict | None:
+    cands = _slice_split_candidates(pairs, full, strict=False)
     if not cands:
         return None
     return {"v": cands[0], "candidates": tuple(cands)}
 
 
-def _rule_single_feedback(spec: MLLSpec) -> dict | None:
-    proper = spec.proper_margins
-    for effect, margin in spec.pairs:
-        if margin == spec.vars.full_mask:
+def _rule_single_feedback(pairs: Sequence[Pair], full: int) -> dict | None:
+    proper = [m for m in _margins(pairs) if m != full]
+    for effect, margin in pairs:
+        if margin == full:
             continue
         others = [n for n in proper if n != margin and (effect & ~n)]
         if len(others) > 1:
@@ -387,16 +419,15 @@ def _rule_single_feedback(spec: MLLSpec) -> dict | None:
     return {}
 
 
-def _rule_cyclic(spec: MLLSpec) -> dict | None:
+def _rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
     """Match: proper margins are exactly the conditional blocks of one cycle
     of disjoint groups A_1, ..., A_k (k >= 3), every remaining effect in the
     full margin."""
-    full = spec.vars.full_mask
-    proper = list(spec.proper_margins)
+    proper = [m for m in _margins(pairs) if m != full]
     k = len(proper)
     if k < 3 or k > 8:
         return None
-    by_margin = {m: {e for e, mm in spec.pairs if mm == m} for m in proper}
+    by_margin = {m: {e for e, mm in pairs if mm == m} for m in proper}
     first = proper[0]
     for rest in itertools.permutations(proper[1:]):
         order = [first, *rest]
@@ -447,7 +478,7 @@ def relocate_pairs(spec: MLLSpec, pairs: Iterable[Pair]) -> MLLSpec:
     )
 
 
-def _rule_contraction_reduce(spec: MLLSpec) -> dict | None:
+def _rule_contraction_reduce(pairs: Sequence[Pair], full: int) -> dict | None:
     """Find a self-contained fixed-point subsystem U of proper-margin pairs.
 
     Requirements on U:
@@ -464,33 +495,48 @@ def _rule_contraction_reduce(spec: MLLSpec) -> dict | None:
     upward and (ii) only tightens as U grows, so the dependency closure of
     any member of an admissible U is itself admissible and inside U: every
     smallest admissible U is the closure of each of its pairs, and one
-    closure per pair finds them all.  Collections with more than 14 proper
-    pairs get no answer: the verdicts are defined with that cap, and
-    lifting it gives some of those collections a relocation, so it would
-    change verdicts.
+    closure per pair finds them all.  A pair's closure is the pair plus the
+    closure of its margin's needs, found once per margin.  Collections with
+    more than 14 proper pairs get no answer: the verdicts are defined with
+    that cap, and lifting it gives some of those collections a relocation,
+    so it would change verdicts.
     """
-    full = spec.vars.full_mask
-    proper_pairs = [p for p in spec.pairs if p[1] != full]
+    proper_pairs = [p for p in pairs if p[1] != full]
     if not proper_pairs or len(proper_pairs) > 14:
         return None
-    # needs[i]: the proper pairs whose effects lie outside pair i's margin
-    needs = [
-        sum(1 << j for j, (k, _) in enumerate(proper_pairs) if k & ~margin)
-        for _, margin in proper_pairs
-    ]
+    margin_of = [m for _, m in proper_pairs]
+    margins = list(dict.fromkeys(margin_of))
+    bit = {m: 1 << b for b, m in enumerate(margins)}
+    # needs[a]: the proper pairs whose effects lie outside margin a, and
+    # reach[a]: their margins, as bits; outside[j]: the other margins, as
+    # bits, that pair j's effect is not inside
+    needs, reach = [0] * len(margins), [0] * len(margins)
+    outside = [0] * len(proper_pairs)
+    for a, m in enumerate(margins):
+        for j, (k, n) in enumerate(proper_pairs):
+            if k & ~m:
+                needs[a] |= 1 << j
+                reach[a] |= bit[n]
+                if n != m:
+                    outside[j] |= 1 << a
+    for b in range(len(margins)):  # transitive closure of reach
+        for a in range(len(margins)):
+            if reach[a] >> b & 1:
+                reach[a] |= reach[b]
+    closed = {}
+    for a, m in enumerate(margins):
+        u = needs[a]
+        for b in range(len(margins)):
+            if reach[a] >> b & 1:
+                u |= needs[b]
+        closed[m] = u
     admissible: list[list[int]] = []
-    for i in range(len(proper_pairs)):
-        u, todo = 1 << i, [i]
-        while todo:
-            new = needs[todo.pop()] & ~u
-            u |= new
-            todo.extend(bit_positions(new))
+    for u in {1 << i | closed[m] for i, m in enumerate(margin_of)}:
         members = bit_positions(u)
-        u_margins = {proper_pairs[j][1] for j in members}
-        if all(
-            sum(1 for n in u_margins if n != margin and effect & ~n) <= 1
-            for effect, margin in (proper_pairs[j] for j in members)
-        ):
+        u_margins = 0
+        for j in members:
+            u_margins |= bit[margin_of[j]]
+        if all((outside[j] & u_margins).bit_count() <= 1 for j in members):
             admissible.append(members)
     if not admissible:
         return None
@@ -517,7 +563,7 @@ def rule_applies(spec: MLLSpec, rule: str) -> dict | None:
         raise SpecError(f"unknown rule {rule!r}")
     if not spec.is_complete():
         raise IncompleteSpecError("rules apply to complete specs only")
-    return _RULE_FUNCS[rule](spec)
+    return _RULE_FUNCS[rule](spec.pairs, spec.vars.full_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -539,62 +585,417 @@ def classify(spec: MLLSpec) -> ClassificationReport:
 
     ``hierarchical`` and ``two_margin`` are checked on the collection as
     given; every later rule is checked on the whole interchange closure
-    (original collection first), and reducing rules fire only when the
-    recursive classification of their reduced collection succeeds.  A
-    relocation can lead back, through interchange moves, to a collection
-    already on the recursion path; such a branch ends as not proven.
+    (original collection first), and a reducing rule fires only when its
+    reduced collection is proven in turn.  The report is the chain that a
+    depth-first search in that priority order returns when it ends every
+    branch that repeats a collection (by pair set) of its own recursion
+    path.
+
+    A collection is provable exactly when some finite chain of reductions
+    from it ends in a base rule, so the provable collections are the least
+    fixpoint of the reduction graph over distinct collections.  The search
+    computes it lazily: one :class:`_Search` per call expands each distinct
+    collection (variable names and pairs) at most once, depth first in
+    priority order, and stops as soon as the given collection is proven,
+    or answers ``UNKNOWN`` once everything reachable from it is expanded.
+    The chain is then extracted in priority order under the path guard,
+    skipping collections whose reachable part was exhausted without a
+    proof; those fail under any guard.  The memo, closure states included,
+    lives only for the call.
     """
-    return _classify(spec, frozenset())
-
-
-def _classify(
-    spec: MLLSpec, on_path: frozenset[tuple[Pair, ...]]
-) -> ClassificationReport:
     if not spec.is_complete():
         return ClassificationReport(spec, NOT_SMOOTH_INCOMPLETE, (), ())
-
     for rule in DIRECT_RULES:
-        params = _RULE_FUNCS[rule](spec)
+        params = _RULE_FUNCS[rule](spec.pairs, spec.vars.full_mask)
         if params is not None:
             return ClassificationReport(
                 spec, PROVEN_SMOOTH, (RuleStep(rule, params),), ()
             )
+    search = _Search(spec)
+    chain = search.chain() if search.resolve(search.root) else None
+    if chain is None:
+        return ClassificationReport(spec, UNKNOWN, (), (), search.record())
+    steps, reduced = search.report_chain(chain)
+    return ClassificationReport(spec, PROVEN_SMOOTH, steps, reduced, search.record())
 
-    key = tuple(sorted(spec.pairs))
-    if key in on_path:
-        return ClassificationReport(spec, UNKNOWN, (), ())
-    on_path = on_path | {key}
 
-    closure = interchange_closure(spec)
-    for rule in (*MOVABLE_RULES, CONTRACTION_RULE):
-        for state, path in closure:
-            params = _RULE_FUNCS[rule](state)
-            if params is None:
-                continue
-            prefix = _move_steps(path)
-            if rule in BASE_RULES:
-                return ClassificationReport(
-                    spec, PROVEN_SMOOTH, (*prefix, RuleStep(rule, params)), ()
-                )
-            if rule == CONTRACTION_RULE:
-                reductions = [
-                    (RuleStep(rule, params), relocate_pairs(state, params["relocate"]))
-                ]
+_SEARCH_RULES = (*MOVABLE_RULES, CONTRACTION_RULE)
+_PROOF = "proof"  # rule output on a state where a base rule applies
+
+
+class _Context:
+    """One variable set met by a search: its pair order, and the states over
+    it, keyed by their margins in that order (``bytes`` up to eight
+    variables)."""
+
+    __slots__ = ("vars", "full", "effects", "pack", "ids", "children")
+
+    def __init__(self, vars: VarSet, effects: tuple[int, ...]):
+        self.vars = vars
+        self.full = vars.full_mask
+        self.effects = effects
+        self.pack = bytes if self.full < 256 else tuple
+        self.ids: dict = {}
+        # removed variable -> (context, kept positions, margin compression)
+        self.children: dict[int, tuple] = {}
+
+
+class _Node:
+    """A collection the search has entered: the direct rule proving it, or
+    its options so far, as targets (-1 marks a base-rule proof) and rule
+    indices, the generator of the rest, and the set of listed targets while
+    that generator needs it."""
+
+    __slots__ = ("direct", "targets", "rules", "more", "listed")
+
+    def __init__(self, direct: str | None):
+        self.direct = direct
+        self.targets = array("i")
+        self.rules = bytearray()
+        self.more = None
+        self.listed: set[int] | None = None
+
+
+class _Search:
+    """Lazy least-fixpoint search of one top-level :func:`classify` call.
+
+    A *state* is one collection, held as an integer id with its context and
+    margin key; its interchange neighbours and each rule's output on it are
+    computed once, and only the returned chain is built as specs.  A *node*
+    is a state the search enters.  Its options, in priority order, are
+    (target, rule index) pairs: the target is the reduced node, or -1 for a
+    base rule, whose option ends the list.  A target already listed is not
+    listed again; it would recurse into the same collection under the same
+    path.  The given collection is one that no direct rule proves:
+    :func:`classify` checks those first.
+    """
+
+    def __init__(self, spec: MLLSpec, limit: int = DEFAULT_MOVE_LIMIT):
+        self.limit = limit
+        self.root_spec = spec
+        self.ctx: list[_Context] = []
+        self.keys: list = []
+        self.neighbours: list = []
+        # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset
+        self.outs: list[list] = [[] for _ in _SEARCH_RULES]
+        self.in_closure = bytearray()
+        self.nodes: dict[int, _Node] = {}
+        self.status: dict[int, bool] = {}  # True proven, False unprovable
+        self.expanded = 0
+        self.truncated = 0
+        root = _Context(spec.vars, tuple(e for e, _ in spec.pairs))
+        self.contexts = {spec.vars.names: root}
+        self.root = self._state(root, root.pack(m for _, m in spec.pairs))
+        self.nodes[self.root] = node = _Node(None)
+        node.more = self._options(self.root, node)
+
+    def record(self) -> SearchRecord:
+        return SearchRecord(self.expanded, sum(self.in_closure), self.truncated)
+
+    # -- states -------------------------------------------------------------
+
+    def _state(self, ctx: _Context, key) -> int:
+        s = ctx.ids.get(key)
+        if s is None:
+            s = ctx.ids[key] = len(self.keys)
+            self.ctx.append(ctx)
+            self.keys.append(key)
+            self.neighbours.append(None)
+            for row in self.outs:
+                row.append(True)
+            self.in_closure.append(0)
+        return s
+
+    def pairs(self, s: int) -> tuple[Pair, ...]:
+        return tuple(zip(self.ctx[s].effects, self.keys[s]))
+
+    def spec(self, s: int) -> MLLSpec:
+        if s == self.root:
+            return self.root_spec
+        return MLLSpec(self.ctx[s].vars, self.pairs(s))
+
+    def move(self, s: int, t: int) -> Move:
+        """The interchange move from state ``s`` to its neighbour ``t``."""
+        a, b = self.keys[s], self.keys[t]
+        i = next(i for i in range(len(a)) if a[i] != b[i])
+        return ((self.ctx[s].effects[i], a[i]), b[i])
+
+    def _neighbours(self, s: int) -> tuple[int, ...]:
+        """States one interchange move away, in move order."""
+        out = self.neighbours[s]
+        if out is None:
+            ctx, key = self.ctx[s], self.keys[s]
+            out = self.neighbours[s] = tuple(
+                self._state(ctx, key[:i] + ctx.pack((m,)) + key[i + 1:])
+                for _, m, i in _moves(self.pairs(s))
+            )
+        return out
+
+    def closure(self, entry: int, parent: list[int] | None = None) -> list[int]:
+        """States of the breadth-first closure from ``entry``, ordered as by
+        :func:`interchange_closure`; ``parent``, when given, receives the
+        index of each one's parent (-1 for ``entry``)."""
+        limit, neighbours = self.limit, self.neighbours
+        seen = {entry}
+        order = [entry]
+        if parent is not None:
+            parent.append(-1)
+        frontier: Iterable[int] = [0]
+        while frontier and len(order) < limit:
+            start = len(order)
+            for i in frontier:
+                s = order[i]
+                nb = neighbours[s]
+                if nb is None:
+                    nb = self._neighbours(s)
+                new = [t for t in nb if t not in seen]
+                if new:
+                    del new[limit - len(order):]
+                    seen.update(new)
+                    order.extend(new)
+                    if parent is not None:
+                        parent.extend([i] * len(new))
+                    if len(order) >= limit:
+                        break
+            frontier = range(start, len(order))
+        for s in order:
+            self.in_closure[s] = 1
+        return order
+
+    def _output(self, s: int, r: int):
+        """Output of rule ``_SEARCH_RULES[r]`` on state ``s``: None, _PROOF,
+        or the reduced states, one per candidate."""
+        ctx, key = self.ctx[s], self.keys[s]
+        rule = _SEARCH_RULES[r]
+        params = _RULE_FUNCS[rule](self.pairs(s), ctx.full)
+        if params is None:
+            out = None
+        elif rule in BASE_RULES:
+            out = _PROOF
+        elif rule == CONTRACTION_RULE:
+            moved = {ctx.effects.index(e) for e, _ in params["relocate"]}
+            full = ctx.full
+            out = (self._state(ctx, ctx.pack(
+                full if i in moved else m for i, m in enumerate(key)
+            )),)
+        else:
+            out = tuple(self._removed(s, v) for v in params["candidates"])
+        self.outs[r][s] = out
+        return out
+
+    def _removed(self, s: int, v: int) -> int:
+        """State of :func:`reduce_minus_v` applied to state ``s``."""
+        ctx = self.ctx[s]
+        child = ctx.children.get(v)
+        if child is None:
+            keep = ctx.full & ~v
+            names = ctx.vars.restrict(keep)
+            kept = tuple(i for i, e in enumerate(ctx.effects) if not e & v)
+            sub = self.contexts.get(names.names)
+            if sub is None:
+                effects = tuple(compress(ctx.effects[i], keep) for i in kept)
+                sub = self.contexts[names.names] = _Context(names, effects)
+            cmap = [compress(m, keep) for m in range(ctx.full + 1)]
+            child = ctx.children[v] = (sub, kept, cmap)
+        sub, kept, cmap = child
+        key = self.keys[s]
+        return self._state(sub, sub.pack(cmap[key[i]] for i in kept))
+
+    # -- nodes --------------------------------------------------------------
+
+    def _node(self, v: int) -> _Node:
+        node = self.nodes.get(v)
+        if node is None:
+            pairs, full = self.pairs(v), self.ctx[v].full
+            direct = next(
+                (r for r in DIRECT_RULES if _RULE_FUNCS[r](pairs, full) is not None),
+                None,
+            )
+            node = self.nodes[v] = _Node(direct)
+            if direct is None:
+                node.more = self._options(v, node)
+        return node
+
+    def _options(self, v: int, node: _Node):
+        """Generate the options of node ``v`` in priority order: append each
+        to the node's lists and yield its target.  The set of targets listed
+        so far is ``node.listed``; the search drops it while it works below
+        this node, and it is rebuilt from the list when needed again."""
+        order = array("i", self.closure(v))
+        self.expanded += 1
+        self.truncated += len(order) >= self.limit
+        targets, rules = node.targets, node.rules
+        for r, row in enumerate(self.outs):
+            # states whose output is unset (True) or a hit, skipped in C
+            for s in itertools.compress(order, map(row.__getitem__, order)):
+                out = row[s]
+                if out is True:
+                    out = self._output(s, r)
+                    if out is None:
+                        continue
+                if out is _PROOF:
+                    targets.append(-1)
+                    rules.append(r)
+                    node.listed = None
+                    yield -1
+                    return
+                for t in out:  # no local holds the set across a yield
+                    if node.listed is None:
+                        node.listed = set(targets)
+                    if t not in node.listed:
+                        node.listed.add(t)
+                        targets.append(t)
+                        rules.append(r)
+                        yield t
+        node.listed = None
+
+    def _target(self, node: _Node, k: int) -> int | None:
+        """Target of the k-th option of ``node``, or None past the last."""
+        if k == len(node.targets) and node.more is not None:
+            if next(node.more, None) is None:
+                node.more = None
+        return node.targets[k] if k < len(node.targets) else None
+
+    # -- verdicts -----------------------------------------------------------
+
+    def resolve(self, start: int) -> bool:
+        """Whether node ``start`` is provable, by Tarjan's depth-first
+        search over unresolved nodes in priority order.
+
+        A proof met proves every node on the Tarjan stack, since each one
+        reaches the proving node through options already examined; ``start``
+        is among them, so the search stops there.  A strongly connected
+        component completed without a proof reaches no proof at all, and
+        its nodes are unprovable.  Either way every node entered here is
+        resolved on return."""
+        status = self.status
+        if start in status:
+            return status[start]
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        calls: list[tuple[int, _Node]] = []
+
+        def enter(v: int) -> None:
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            calls.append((v, self._node(v)))
+
+        enter(start)
+        while calls:
+            v, node = calls[-1]
+            if node.direct:
+                break  # a proof
+            low_v = low[v]
+            for t in node.more:
+                if t < 0 or status.get(t):
+                    break  # a proof
+                if t in status:
+                    continue  # unprovable
+                if t in index:  # on the Tarjan stack
+                    if index[t] < low_v:
+                        low_v = index[t]
+                    continue
+                low[v] = low_v
+                node.listed = None
+                enter(t)
+                break
             else:
-                reductions = (
-                    (RuleStep(rule, {"v": v}), reduce_minus_v(state, v))
-                    for v in params["candidates"]
-                )
-            for step, reduced in reductions:
-                rec = _classify(reduced, on_path)
-                if rec.verdict == PROVEN_SMOOTH:
-                    return ClassificationReport(
-                        spec,
-                        PROVEN_SMOOTH,
-                        (*prefix, step, *rec.rule_chain),
-                        (reduced, *rec.reduced_specs),
-                    )
-    return ClassificationReport(spec, UNKNOWN, (), ())
+                node.more = None
+                calls.pop()
+                low[v] = low_v
+                if calls and low_v < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low_v
+                if low_v == index[v]:
+                    while True:
+                        w = stack.pop()
+                        status[w] = False
+                        failed = self.nodes[w]  # never entered again
+                        failed.targets = failed.rules = None
+                        if w == v:
+                            break
+                continue
+            if calls[-1][0] == v:
+                break  # a proof, not a descent
+        else:
+            return False
+        for w in stack:
+            status[w] = True
+        return True
+
+    def chain(self) -> list[tuple[int, int | None]] | None:
+        """(node, option index) steps of the chain that the depth-first
+        search with the recursion-path guard returns, or None when the
+        guard blocks every proof; index None closes by the node's direct
+        rule.  Only provable nodes are entered."""
+        frames: list[list] = []  # [node, next option index, guard key]
+        on_path: set = set()
+
+        def enter(v: int) -> bool:
+            if self._node(v).direct:
+                return True
+            guard = frozenset(self.pairs(v))
+            if guard not in on_path:
+                on_path.add(guard)
+                frames.append([v, 0, guard])
+            return False
+
+        if enter(self.root):
+            return [(self.root, None)]
+        while frames:
+            frame = frames[-1]
+            v, k, guard = frame
+            t = self._target(self.nodes[v], k)
+            if t is None:
+                frames.pop()
+                on_path.remove(guard)
+                continue
+            frame[1] = k + 1
+            if t < 0:
+                return [(f[0], f[1] - 1) for f in frames]
+            if self.resolve(t) and enter(t):
+                return [(f[0], f[1] - 1) for f in frames] + [(t, None)]
+        return None
+
+    def report_chain(
+        self, chain: list[tuple[int, int | None]]
+    ) -> tuple[tuple[RuleStep, ...], tuple[MLLSpec, ...]]:
+        """Rule steps and reduced specs of a chain from :meth:`chain`."""
+        steps: list[RuleStep] = []
+        reduced: list[MLLSpec] = []
+        for v, k in chain:
+            full = self.ctx[v].full
+            if k is None:
+                rule = self.nodes[v].direct
+                steps.append(RuleStep(rule, _RULE_FUNCS[rule](self.pairs(v), full)))
+                break
+            node = self.nodes[v]
+            t, r = node.targets[k], node.rules[k]
+            row = self.outs[r]
+
+            def lists(s: int) -> bool:  # whether the option came from state s
+                out = row[s]
+                return out is _PROOF if t < 0 else type(out) is tuple and t in out
+
+            s = v
+            if not lists(v):
+                parent: list[int] = []
+                order = self.closure(v, parent)
+                i = next(i for i, s in enumerate(order) if lists(s))
+                s = order[i]
+                path: list[Move] = []
+                while parent[i] >= 0:
+                    path.append(self.move(order[parent[i]], order[i]))
+                    i = parent[i]
+                steps.extend(_move_steps(tuple(reversed(path))))
+            rule = _SEARCH_RULES[r]
+            params = _RULE_FUNCS[rule](self.pairs(s), full)
+            if t >= 0 and rule != CONTRACTION_RULE:
+                params = {"v": params["candidates"][row[s].index(t)]}
+            steps.append(RuleStep(rule, params))
+            if t >= 0:
+                reduced.append(self.spec(t))
+        return tuple(steps), tuple(reduced)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ loops and no transforms, deliberately sharing no code with the package
 internals; :func:`brute_jacobian` alone reads the package's derivative
 kernel, so that the fast Jacobian can be held to it bit for bit, and
 :func:`brute_fwht` sums each output's signed cells with NumPy, so that
-lengths up to 2**12 stay cheap.
+lengths up to 2**12 stay cheap.  :func:`brute_classify` is the classifier's
+plain recursive search over every path, one spec per collection; it calls
+the package's rules, moves and reductions, which have their own checks.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 
 import numpy as np
 
+from mllp import classify as cls
+from mllp.classify import ClassificationReport, RuleStep
 from mllp.mll import MLLSpec, lambda_array, margin_kernel_array
 from mllp.tables import EtaVector, JointTable, table_from_eta
 
@@ -193,3 +197,97 @@ def brute_contraction_reduce(spec: MLLSpec) -> dict | None:
             ):
                 return {"relocate": combo}
     return None
+
+
+def brute_interchange_closure(spec: MLLSpec, limit: int = cls.DEFAULT_MOVE_LIMIT):
+    """Breadth-first closure of interchange moves with a spec per reached
+    collection, original first; stops after ``limit`` distinct pair sets."""
+    seen = {frozenset(spec.pairs)}
+    frontier = [(spec, ())]
+    out = [(spec, ())]
+    while frontier and len(seen) < limit:
+        nxt = []
+        for s, path in frontier:
+            key = frozenset(s.pairs)
+            for mv in cls.interchange_moves(s):
+                pair, new_margin = mv
+                key2 = key - {pair} | {(pair[0], new_margin)}
+                if key2 in seen:
+                    continue
+                seen.add(key2)
+                entry = (cls.apply_interchange(s, mv), path + (mv,))
+                out.append(entry)
+                nxt.append(entry)
+                if len(seen) >= limit:
+                    break
+            if len(seen) >= limit:
+                break
+        frontier = nxt
+    return out
+
+
+def _move_steps(path) -> tuple[RuleStep, ...]:
+    return tuple(
+        RuleStep(
+            "interchange",
+            {"effect": mv[0][0], "from_margin": mv[0][1], "to_margin": mv[1]},
+        )
+        for mv in path
+    )
+
+
+def brute_classify(spec: MLLSpec) -> ClassificationReport:
+    """Classification by recursion along every path of the reduction
+    graph, in rule priority order; a branch ends when it repeats a
+    collection (by pair set) of its own recursion path.  Exponential in
+    paths, so it may not finish where :func:`mllp.classify.classify` does."""
+    return _brute_classify(spec, frozenset())
+
+
+def _brute_classify(spec: MLLSpec, on_path: frozenset) -> ClassificationReport:
+    if not spec.is_complete():
+        return ClassificationReport(spec, cls.NOT_SMOOTH_INCOMPLETE, (), ())
+
+    for rule in cls.DIRECT_RULES:
+        params = cls.rule_applies(spec, rule)
+        if params is not None:
+            return ClassificationReport(
+                spec, cls.PROVEN_SMOOTH, (RuleStep(rule, params),), ()
+            )
+
+    key = tuple(sorted(spec.pairs))
+    if key in on_path:
+        return ClassificationReport(spec, cls.UNKNOWN, (), ())
+    on_path = on_path | {key}
+
+    closure = brute_interchange_closure(spec)
+    for rule in (*cls.MOVABLE_RULES, cls.CONTRACTION_RULE):
+        for state, path in closure:
+            params = cls.rule_applies(state, rule)
+            if params is None:
+                continue
+            prefix = _move_steps(path)
+            if rule in cls.BASE_RULES:
+                return ClassificationReport(
+                    spec, cls.PROVEN_SMOOTH, (*prefix, RuleStep(rule, params)), ()
+                )
+            if rule == cls.CONTRACTION_RULE:
+                reductions = [
+                    (RuleStep(rule, params),
+                     cls.relocate_pairs(state, params["relocate"]))
+                ]
+            else:
+                reductions = (
+                    (RuleStep(rule, {"v": v}), cls.reduce_minus_v(state, v))
+                    for v in params["candidates"]
+                )
+            for step, reduced in reductions:
+                rec = _brute_classify(reduced, on_path)
+                if rec.verdict == cls.PROVEN_SMOOTH:
+                    return ClassificationReport(
+                        spec,
+                        cls.PROVEN_SMOOTH,
+                        (*prefix, step, *rec.rule_chain),
+                        (reduced, *rec.reduced_specs),
+                    )
+    return ClassificationReport(spec, cls.UNKNOWN, (), ())

@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -25,11 +26,21 @@ from mllp.classify import (
     reduce_minus_v,
     rule_applies,
     verify_hierarchy_order,
+    _Node,
+    _Search,
 )
 from mllp.errors import IncompleteSpecError, SpecError
-from mllp.mll import MLLSpec
+from mllp.mll import MLLSpec, lambda_vector
+from mllp.solvers import invert
 from mllp.tables import VarSet, popcount
-from oracles import brute_contraction_reduce, brute_interchange_moves
+
+from conftest import dirichlet_table
+from oracles import (
+    brute_classify,
+    brute_contraction_reduce,
+    brute_interchange_closure,
+    brute_interchange_moves,
+)
 
 
 RELOCATION_CYCLE = (
@@ -48,6 +59,47 @@ def few_margin_complete(n: int, rng) -> MLLSpec:
         options = [int(m) for m in proper if effect & ~m == 0] + [full]
         pairs.append((effect, options[int(rng.integers(len(options)))]))
     return MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), tuple(pairs))
+
+
+def full_margin_rest(listed: str, n: int) -> MLLSpec:
+    """Complete collection with the listed ``MARGIN: EFFECT ...`` groups
+    (separated by ``;``) and every other effect in the full margin, pairs in
+    effect order."""
+    vs = VarSet(tuple(str(i + 1) for i in range(n)))
+    margin_of = {}
+    for group in listed.split(";"):
+        margin, effects = group.split(":")
+        for effect in effects.split():
+            margin_of[vs.mask(effect)] = vs.mask(margin.strip())
+    full = vs.full_mask
+    return MLLSpec(vs, tuple((e, margin_of.get(e, full)) for e in range(1, full + 1)))
+
+
+class _Stopped(Exception):
+    pass
+
+
+def within(seconds: float, fn, *args):
+    """``fn(*args)``, or None when it runs longer than ``seconds``."""
+    def stop(signum, frame):
+        raise _Stopped
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    except _Stopped:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def report_obj(report) -> dict:
+    """JSON form of a report without its search record."""
+    obj = report.to_json_obj()
+    del obj["search"]
+    return obj
 
 
 def random_pairs(n: int, rng) -> MLLSpec:
@@ -227,6 +279,18 @@ class TestInterchange:
         for spec in closure_states + incomplete:
             assert interchange_moves(spec) == brute_interchange_moves(spec)
 
+    def test_closure_matches_spec_by_spec_search(self):
+        rng = np.random.default_rng(2024)
+        starts = enumerate_complete(3, up_to_symmetry=True)
+        starts += [few_margin_complete(4, rng) for _ in range(8)]
+        for spec in starts:
+            for limit in (5, 256):
+                got = interchange_closure(spec, limit)
+                want = brute_interchange_closure(spec, limit)
+                assert [(s.vars, s.pairs, path) for s, path in got] == [
+                    (s.vars, s.pairs, path) for s, path in want
+                ]
+
     def test_truncated_closure_is_a_prefix(self):
         spec = MLLSpec.from_text(SATURATED_FOUR)
         whole = interchange_closure(spec, limit=256)
@@ -292,6 +356,28 @@ class TestClassify:
         report = classify(MLLSpec.from_text(RELOCATION_CYCLE))
         assert report.verdict == UNKNOWN
 
+    @pytest.mark.parametrize("listed, specs", [
+        ("14: 1; 12: 2; 4: 4", 9),  # brute_classify does not finish on these
+        ("12: 1; 34: 4; 24: 24", 8),
+    ])
+    def test_former_hangs_end_unknown(self, listed, specs):
+        report = classify(full_margin_rest(listed, 4))
+        assert report.verdict == UNKNOWN
+        assert report.search.specs_expanded == specs
+        assert report.search.closures_truncated == 0
+
+    def test_search_record(self):
+        report = classify(catalog.CROSS_SINGLE)
+        assert report.search.specs_expanded >= 1
+        assert report.search.closure_states >= 1
+        assert report.to_json_obj()["search"] == {
+            "specs_expanded": report.search.specs_expanded,
+            "closure_states": report.search.closure_states,
+            "closures_truncated": report.search.closures_truncated,
+        }
+        # a direct rule on the given collection needs no search
+        assert classify(catalog.CHAIN_THREE).search.specs_expanded == 0
+
     def test_permutation_equivariance(self):
         specs = [catalog.CHAIN_THREE, catalog.NESTED_SKIP, catalog.PAIRED_SLICES,
                  catalog.CYCLE_THREE, catalog.TWO_BLOCK_FIXPOINT,
@@ -303,6 +389,110 @@ class TestClassify:
                 report = classify(other)
                 assert report.verdict == base_report.verdict
                 assert report.first_rule == base_report.first_rule
+
+
+class TestSearchMatchesOracle:
+    """The memoized search returns the report of the recursive search over
+    every path, wherever that one finishes."""
+
+    def test_census_orbits(self):
+        for spec in enumerate_complete(3, up_to_symmetry=True):
+            assert report_obj(classify(spec)) == report_obj(brute_classify(spec))
+
+    @pytest.mark.parametrize("listed, n", [
+        # reductions reach the same pair set over different variable names
+        ("1234: 1 12 3 13 123 4 14 24 124 34 134 234 1234; 24: 2; 23: 23", 4),
+        ("12: 1; 24: 2", 4),
+        ("12: 1; 2: 2", 4),
+        ("13: 1; 12: 2; 124: 14 124", 4),
+        ("35: 3; 34: 4 34", 5),
+    ])
+    def test_reductions_keep_variable_names(self, listed, n):
+        spec = full_margin_rest(listed, n)
+        report = classify(spec)
+        assert report.verdict == PROVEN_SMOOTH
+        assert report_obj(report) == report_obj(brute_classify(spec))
+
+    def test_seeded_few_margin_collections(self):
+        rng = np.random.default_rng(7)
+        specs = [few_margin_complete(4, rng) for _ in range(40)]
+        specs += [few_margin_complete(5, rng) for _ in range(20)]
+        compared = 0
+        for spec in specs:
+            want = within(0.5, brute_classify, spec)
+            if want is not None:
+                assert report_obj(classify(spec)) == report_obj(want)
+                compared += 1
+        assert compared >= 45
+
+    def test_proven_collections_invert_by_auto(self):
+        # PROVEN_SMOOTH must mean that AUTO inversion recovers the table
+        rng = np.random.default_rng(11)
+        specs = [few_margin_complete(4, rng) for _ in range(30)]
+        specs += [few_margin_complete(5, rng) for _ in range(15)]
+        first_rules = set()
+        for spec in specs:
+            report = within(5.0, classify, spec)
+            assert report is not None
+            if report.verdict != PROVEN_SMOOTH:
+                continue
+            first_rules.add(report.first_rule)
+            table = dirichlet_table(spec.vars, rng)
+            res = invert(spec, lambda_vector(table, spec))
+            assert np.max(np.abs(res.table.p - table.p)) < 1e-8
+        assert {"variable_removal", "three_margin", "contraction_reduce"} <= first_rules
+
+
+def graph_search(graph: dict[int, list[int]]) -> _Search:
+    """A search whose nodes are those of ``graph``: node -> option targets,
+    -1 marking a base-rule proof."""
+    search = _Search(catalog.CROSS_SINGLE)
+    search.nodes = {}
+
+    def node(v):
+        if v not in search.nodes:
+            n = search.nodes[v] = _Node(None)
+
+            def options():
+                for t in graph[v]:
+                    n.targets.append(t)
+                    n.rules.append(0)
+                    yield t
+
+            n.more = options()
+        return search.nodes[v]
+
+    search._node = node
+    return search
+
+
+class TestLeastFixpoint:
+    def test_cycle_member_proven_through_an_ancestor(self):
+        # node 1 can be proven only through node 0, still open when 1's
+        # options run out; 0 is then proven through 3
+        search = graph_search({0: [1, 3], 1: [0, 2], 2: [], 3: [-1]})
+        assert search.resolve(0)
+        assert search.status == {0: True, 1: True, 2: False, 3: True}
+
+    def test_cycle_without_proof_fails_as_a_whole(self):
+        search = graph_search({0: [1], 1: [2, 0], 2: [1]})
+        assert not search.resolve(0)
+        assert search.status == {0: False, 1: False, 2: False}
+
+    def test_resolved_nodes_are_not_entered_again(self):
+        search = graph_search({0: [1], 1: [], 2: [1, 0, -1]})
+        assert not search.resolve(0)
+        assert search.resolve(2)
+        assert search.status == {0: False, 1: False, 2: True}
+
+    def test_removals_of_different_variables_stay_apart(self):
+        # removing variable 1 or 2 leaves the same pairs over other names
+        spec = full_margin_rest("34: 3 4 34", 4)
+        search = _Search(spec)
+        one, two = (search.spec(search._removed(search.root, v)) for v in (1, 2))
+        assert one.pairs == two.pairs
+        assert one.vars.names == ("2", "3", "4")
+        assert two.vars.names == ("1", "3", "4")
 
 
 class TestCanonicalForm:

@@ -60,6 +60,21 @@ class TestSubcommands:
         assert rc == 0
         assert json.loads(out)["verdict"] == "UNKNOWN"
 
+    @pytest.mark.parametrize("text, specs, states", [
+        ("14: 1\n12: 2\n4: 4\n1234: 12 3 13 23 123 14 24 124 34 134 234 1234\n", 9, 17),
+        ("12: 1\n34: 4\n24: 24\n1234: 2 12 3 13 23 123 14 124 34 134 234 1234\n", 8, 16),
+    ])
+    def test_classify_former_hangs_end_unknown(self, tmp_path, text, specs, states):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(text)
+        rc, out = run(["classify", "--spec", str(spec)])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "UNKNOWN"
+        assert doc["search"] == {
+            "specs_expanded": specs, "closure_states": states, "closures_truncated": 0
+        }
+
     def test_enumerate(self, workdir):
         rc, out = run(["enumerate", "--vars", "3", "--orbits"])
         doc = json.loads(out)
