@@ -7,9 +7,10 @@ Four routes, dispatched automatically from the classification chain:
   the log-linear coefficients assigned to it (a mixed mean/natural
   coordinate problem solved by one damped Newton solve);
 * the *fixed-point* iteration eta <- eta + damping * (target - lam(eta)),
-  swept margin block by margin block, with a contraction certificate from
-  the derivative-column bounds when the collection has the single-feedback
-  structure;
+  swept margin block by margin block through a plan compiled once per spec,
+  with the full-margin block in closed form (its coefficients are eta
+  itself), and a contraction certificate from the derivative-column bounds
+  when the collection has the single-feedback structure;
 * *Markov-chain* recovery for cyclic conditionals: the composed transition
   matrix of the cycle has the missing group marginal as its unique
   stationary distribution (direct linear solve, power iteration as a
@@ -32,6 +33,7 @@ no state and can run concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -53,12 +55,12 @@ from .mll import (
     MLLSpec,
     MLLVector,
     Pair,
+    _gather_plan,
     conditional_from_lambda,
     decompose_f,
     jacobian_array,
     lambda_array,
     margin_kernel_array,
-    margin_lambda_array,
 )
 from .tables import (
     ConditionalTable,
@@ -189,6 +191,51 @@ STALL_WINDOW = 100
 STALL_FACTOR = 0.9
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The pairs of one margin: their positions in the spec, their effects,
+    their margin-compressed effect indices, and the axes of the (2,)*n
+    cell cube that marginalising onto the margin sums out."""
+
+    margin: int
+    pos: np.ndarray
+    effects: np.ndarray
+    idx: np.ndarray
+    drop: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _block_plan(pairs: tuple[Pair, ...], n: int) -> tuple[_Block, ...]:
+    """Margin blocks of ``pairs`` over n variables, largest margin first,
+    then by mask; a complete spec's first block is the full margin."""
+    blocks = []
+    for margin, pos, idx in _gather_plan(pairs):
+        effects = np.array([pairs[i][0] for i in pos])
+        effects.flags.writeable = False
+        # C-order reshape puts bit k on axis n-1-k
+        drop = tuple(n - 1 - k for k in range(n) if not margin >> k & 1)
+        blocks.append(_Block(margin, pos, effects, idx, drop))
+    blocks.sort(key=lambda b: (-popcount(b.margin), b.margin))
+    return tuple(blocks)
+
+
+def _weights(eta: np.ndarray) -> np.ndarray:
+    """Cell weights exp(s - max s) with s = fwht(eta), not normalised."""
+    s = fwht(eta)
+    if not np.isfinite(s).all():
+        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
+    return np.exp(s - s.max())
+
+
+def _block_lambda(w: np.ndarray, n: int, block: _Block) -> np.ndarray:
+    """The block's parameters, in block order, at cell weights ``w``.  The
+    normaliser of w shifts only the margin's empty-effect coefficient, so
+    w need not sum to one.  A margin cell that underflows to zero gives
+    non-finite values, which the next weights reject."""
+    marg = w.reshape((2,) * n).sum(axis=block.drop).reshape(-1)
+    return fwht(np.log(marg))[block.idx] / marg.size
+
+
 def invert_fixed_point(
     spec: MLLSpec,
     target: MLLVector,
@@ -196,65 +243,74 @@ def invert_fixed_point(
     damping: float = 1.0,
 ) -> SolveResult:
     """Iterate eta_L <- eta_L + damping * (target_LM - lam_LM(eta)) for
-    every pair, sweeping margin blocks from the full margin downwards and
-    refreshing the table between blocks.  Starts from the uniform table.
+    every pair, Gauss-Seidel over margin blocks from the full margin
+    downwards: each block updates its effects at once from the table left
+    by the blocks before it.  Starts from the uniform table.
+
+    The blocks come from a plan compiled once per spec (``_block_plan``).
+    The full-margin block needs no table: its coefficients are eta itself,
+    so its update is eta_L <- eta_L + damping * (target_L - eta_L).  Every
+    other block reads its margin's transform from the unnormalised cell
+    weights of the current eta.  The residual after a sweep is the largest
+    block difference at the weights of the sweep's result.
 
     Raises NON_CONVERGENCE when the residual is still above tol after
     max_iter sweeps, or when its running minimum has not dropped below
     STALL_FACTOR times its value STALL_WINDOW sweeps earlier; DIVERGENCE
-    when it grows tenfold above its running minimum.
+    when it grows tenfold above its running minimum, or when the log scale
+    overflows.
     """
     if not spec.is_complete():
         raise StructureError("fixed-point inversion needs a complete spec")
     _check_target(spec, target)
     n = spec.vars.n
-    tmap = _target_dict(target)
-    margins = sorted(spec.margins, key=lambda m: (-popcount(m), m))
-    by_margin = [
-        (m, [(e, compress(e, m)) for e, mm in spec.pairs if mm == m])
-        for m in margins
-    ]
+    whole, *blocks = _block_plan(spec.pairs, n)
+    t_whole = target.values[whole.pos]
+    t_blocks = [target.values[b.pos] for b in blocks]
     eta = np.zeros(spec.vars.n_cells)
     trace: list[float] = []
     lows: list[float] = []  # running minimum of the residual after each sweep
     best = math.inf
-    for it in range(1, opts.max_iter + 1):
-        for margin, effects in by_margin:
-            p = _probs_from_eta(eta)
-            lam_m = margin_lambda_array(p, n, margin)
-            for effect, idx in effects:
-                eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
-        p = _probs_from_eta(eta)
-        res = _residual(p, n, spec, target.values)
-        trace.append(res)
-        if res <= opts.tol:
-            table = _finish_table(spec, p, trace)
-            cert = None
-            if cls.rule_applies(spec, "single_feedback") is not None:
-                cert = contraction_certificate(spec, table)
-            return SolveResult(table, it, res, "fixed_point", cert, tuple(trace))
-        best = min(best, res)
-        lows.append(best)
-        if it > 3 and res > 10.0 * best:
-            raise SolverError(
-                DIVERGENCE,
-                f"residual {res:.3e} grew tenfold over its minimum {best:.3e}",
-                trace,
-            )
-        if it > STALL_WINDOW and best >= STALL_FACTOR * lows[-1 - STALL_WINDOW]:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, opts.max_iter + 1):
+            eta[whole.effects] += damping * (t_whole - eta[whole.effects])
+            for b, t in zip(blocks, t_blocks):
+                eta[b.effects] += damping * (t - _block_lambda(_weights(eta), n, b))
+            w = _weights(eta)
+            diffs = [t_whole - eta[whole.effects]]
+            diffs += [t - _block_lambda(w, n, b) for b, t in zip(blocks, t_blocks)]
+            res = float(np.max(np.abs(np.concatenate(diffs))))
+            trace.append(res)
+            if res <= opts.tol:
+                break
+            best = min(best, res)
+            lows.append(best)
+            if it > 3 and res > 10.0 * best:
+                raise SolverError(
+                    DIVERGENCE,
+                    f"residual {res:.3e} grew tenfold over its minimum {best:.3e}",
+                    trace,
+                )
+            if it > STALL_WINDOW and best >= STALL_FACTOR * lows[-1 - STALL_WINDOW]:
+                raise SolverError(
+                    NON_CONVERGENCE,
+                    f"residual stalled: its minimum {best:.3e} is not below "
+                    f"{STALL_FACTOR} times the {lows[-1 - STALL_WINDOW]:.3e} of "
+                    f"{STALL_WINDOW} sweeps earlier",
+                    trace,
+                )
+        else:
             raise SolverError(
                 NON_CONVERGENCE,
-                f"residual stalled: its minimum {best:.3e} is not below "
-                f"{STALL_FACTOR} times the {lows[-1 - STALL_WINDOW]:.3e} of "
-                f"{STALL_WINDOW} sweeps earlier",
+                f"residual {trace[-1]:.3e} above tol {opts.tol:.1e} after "
+                f"{opts.max_iter} sweeps",
                 trace,
             )
-    raise SolverError(
-        NON_CONVERGENCE,
-        f"residual {trace[-1]:.3e} above tol {opts.tol:.1e} after "
-        f"{opts.max_iter} sweeps",
-        trace,
-    )
+    table = _finish_table(spec, w / w.sum(), trace)
+    cert = None
+    if cls.rule_applies(spec, "single_feedback") is not None:
+        cert = contraction_certificate(spec, table)
+    return SolveResult(table, it, res, "fixed_point", cert, tuple(trace))
 
 
 def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
@@ -822,22 +878,26 @@ def _invert_contraction(
     for e, m in spec.pairs:
         if m == full:
             eta[e] = tmap[(e, m)]
+    targets = np.array([tmap[pair] for pair in relocate])
+    blocks = _block_plan(relocate, n)
     trace: list[float] = []
-    for _ in range(opts.max_iter):
-        p = _probs_from_eta(eta)
-        res = 0.0
-        for e, m in relocate:
-            lam_m = margin_lambda_array(p, n, m)
-            delta = tmap[(e, m)] - float(lam_m[compress(e, m)])
-            eta[e] += delta
-            res = max(res, abs(delta))
-        trace.append(res)
-        if res <= opts.tol * 0.1:
-            break
-    else:
-        raise SolverError(
-            NON_CONVERGENCE, "subsystem fixed point did not converge", trace
-        )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(opts.max_iter):
+            # Jacobi within a sweep: every block reads the same table
+            w = _weights(eta)
+            deltas = []
+            for b in blocks:
+                delta = targets[b.pos] - _block_lambda(w, n, b)
+                eta[b.effects] += delta
+                deltas.append(delta)
+            res = float(np.max(np.abs(np.concatenate(deltas))))
+            trace.append(res)
+            if res <= opts.tol * 0.1:
+                break
+        else:
+            raise SolverError(
+                NON_CONVERGENCE, "subsystem fixed point did not converge", trace
+            )
     relocated = cls.relocate_pairs(spec, relocate)
     new_tmap = dict(tmap)
     for e, m in relocate:

@@ -88,16 +88,20 @@ def compress(cell: int, mask: int) -> int:
     return out
 
 
+def _pack_bits(n_bits: int, positions: Iterable[int]) -> np.ndarray:
+    """Array c over x in range(2**n_bits) with bit j of c[x] equal to the
+    bit of x at ``positions[j]``."""
+    x = np.arange(1 << n_bits)
+    out = np.zeros(1 << n_bits, dtype=np.int64)
+    for j, i in enumerate(positions):
+        out |= ((x >> i) & 1) << j
+    return out
+
+
 def compress_map(n_bits: int, mask: int) -> np.ndarray:
     """Vectorised :func:`compress`: array c with c[x] = compress(x, mask)
     for all x in range(2**n_bits)."""
-    x = np.arange(1 << n_bits)
-    out = np.zeros(1 << n_bits, dtype=np.int64)
-    j = 0
-    for i in bit_positions(mask):
-        out |= ((x >> i) & 1) << j
-        j += 1
-    return out
+    return _pack_bits(n_bits, bit_positions(mask))
 
 
 def parity_signs(mask: int, n_cells: int) -> np.ndarray:
@@ -511,11 +515,7 @@ def condition(t: JointTable, target_mask: int, given_mask: int) -> ConditionalTa
 def packed_indices(vars: VarSet, names: tuple[str, ...]) -> np.ndarray:
     """For every cell x of ``vars``, the index obtained by packing the bits
     of the listed ``names`` (in list order: first name at bit 0)."""
-    x = np.arange(vars.n_cells)
-    out = np.zeros(vars.n_cells, dtype=np.int64)
-    for j, nm in enumerate(names):
-        out |= ((x >> vars.position(nm)) & 1) << j
-    return out
+    return _pack_bits(vars.n, [vars.position(nm) for nm in names])
 
 
 def joint_from_conditional(

@@ -8,6 +8,9 @@ kernel, so that the fast Jacobian can be held to it bit for bit, and
 lengths up to 2**12 stay cheap.  :func:`brute_classify` is the classifier's
 plain recursive search over every path, one spec per collection; it calls
 the package's rules, moves and reductions, which have their own checks.
+:func:`brute_fixed_point` is the fixed-point inversion as a loop over
+pairs, with a fresh table and margin transform per block; it reads the
+package's forward map and contraction certificate.
 """
 
 from __future__ import annotations
@@ -19,8 +22,23 @@ import numpy as np
 
 from mllp import classify as cls
 from mllp.classify import ClassificationReport, RuleStep
-from mllp.mll import MLLSpec, lambda_array, margin_kernel_array
-from mllp.tables import EtaVector, JointTable, table_from_eta
+from mllp.errors import DIVERGENCE, NON_CONVERGENCE, SolverError, StructureError
+from mllp.mll import (
+    MLLSpec,
+    MLLVector,
+    lambda_array,
+    margin_kernel_array,
+    margin_lambda_array,
+)
+from mllp.solvers import (
+    STALL_FACTOR,
+    STALL_WINDOW,
+    SolveOptions,
+    SolveResult,
+    _finish_table,
+    contraction_certificate,
+)
+from mllp.tables import EtaVector, JointTable, compress, fwht, table_from_eta
 
 
 def popcount(x: int) -> int:
@@ -291,3 +309,60 @@ def _brute_classify(spec: MLLSpec, on_path: frozenset) -> ClassificationReport:
                         (reduced, *rec.reduced_specs),
                     )
     return ClassificationReport(spec, cls.UNKNOWN, (), ())
+
+
+def _brute_probs(eta: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = fwht(eta)
+    if not np.all(np.isfinite(s)):
+        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
+    p = np.exp(s - s.max())
+    return p / p.sum()
+
+
+def brute_fixed_point(
+    spec: MLLSpec,
+    target: MLLVector,
+    opts: SolveOptions = SolveOptions(),
+    damping: float = 1.0,
+) -> SolveResult:
+    """Fixed-point inversion one pair at a time: per margin block, largest
+    first, the normalised table from eta, the margin's transform, and one
+    scalar update per pair; after each sweep the table again and the
+    residual of the whole forward map.  Same stops and errors as
+    :func:`mllp.solvers.invert_fixed_point`."""
+    if not spec.is_complete():
+        raise StructureError("fixed-point inversion needs a complete spec")
+    n = spec.vars.n
+    tmap = {p: float(v) for p, v in zip(target.spec.pairs, target.values)}
+    margins = sorted(spec.margins, key=lambda m: (-popcount(m), m))
+    by_margin = [
+        (m, [(e, compress(e, m)) for e, mm in spec.pairs if mm == m])
+        for m in margins
+    ]
+    eta = np.zeros(spec.vars.n_cells)
+    trace: list[float] = []
+    lows: list[float] = []
+    best = math.inf
+    for it in range(1, opts.max_iter + 1):
+        for margin, effects in by_margin:
+            p = _brute_probs(eta)
+            lam_m = margin_lambda_array(p, n, margin)
+            for effect, idx in effects:
+                eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
+        p = _brute_probs(eta)
+        res = float(np.max(np.abs(lambda_array(p, n, spec) - target.values)))
+        trace.append(res)
+        if res <= opts.tol:
+            table = _finish_table(spec, p, trace)
+            cert = None
+            if cls.rule_applies(spec, "single_feedback") is not None:
+                cert = contraction_certificate(spec, table)
+            return SolveResult(table, it, res, "fixed_point", cert, tuple(trace))
+        best = min(best, res)
+        lows.append(best)
+        if it > 3 and res > 10.0 * best:
+            raise SolverError(DIVERGENCE, "residual grew tenfold", trace)
+        if it > STALL_WINDOW and best >= STALL_FACTOR * lows[-1 - STALL_WINDOW]:
+            raise SolverError(NON_CONVERGENCE, "residual stalled", trace)
+    raise SolverError(NON_CONVERGENCE, "residual above tol", trace)

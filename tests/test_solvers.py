@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from mllp import catalog
+from mllp import solvers
+from mllp.classify import UNKNOWN, census, classify, rule_applies
 from mllp.cimodels import CIStatement, model_member, model_spec
 from mllp.errors import (
     INCONSISTENT_MARGINS,
@@ -28,17 +30,20 @@ from mllp.solvers import (
     stationary_power,
 )
 from mllp.tables import (
+    EtaVector,
     JointTable,
     VarSet,
     condition,
     eta_from_table,
     marginalize,
     popcount,
+    table_from_eta,
     table_from_probs,
     uniform_table,
 )
 
 from conftest import dirichlet_table, make_vars
+from oracles import brute_fixed_point
 
 
 def zero_target(spec: MLLSpec) -> MLLVector:
@@ -102,6 +107,9 @@ class TestFixedPoint:
             )
         assert err.value.kind == NON_CONVERGENCE
         assert len(err.value.trace) <= 150
+        assert_same_as_oracle(
+            ms.embedding, target, SolveOptions(max_iter=2000), damping=0.5
+        )
         with pytest.raises(SolverError) as err:
             model_member(ms.embedding, free, statements=stmts)
         assert err.value.kind == NON_CONVERGENCE
@@ -111,6 +119,130 @@ class TestFixedPoint:
             invert_fixed_point(
                 catalog.REPEATED_EFFECT, zero_target(catalog.REPEATED_EFFECT)
             )
+
+
+# Collections proven through a fixed-point base rule at 4 and 5 variables
+# (the rule chain after the #); AUTO inversion runs the fixed point on them
+# or, after the reductions, on a smaller collection.
+FIXED_POINT_RULES = {"two_margin", "three_margin", "single_feedback"}
+FIXED_POINT_ROUTES_N45 = [
+    "1234: 1 2 13 23 123 134 234 1234; 124: 12 14 24 124; 134: 3 4 34",  # three_margin
+    "1234: 1 2 12 13 123 4 14 124 34 134 234 1234; 234: 3 23 24",  # two_margin
+    "12: 1; 23: 2 23; 1234: 12 3 13 123 4 14 24 124 34 134 234 1234",  # variable_removal>three_margin
+    "134: 1 14 134; 234: 2 24 234; 1234: 12 3 13 23 123 124 34 1234; 34: 4",  # contraction_reduce>two_margin
+    "12345: 1 3 13 4 14 124 34 134 234 1234 5 15 25 35 135 1235 45 145 245 1245 "
+    "345 1345 2345 12345; 234: 2 24; 1235: 12 23 123 125 235",  # three_margin
+    "124: 1 14 124; 12345: 2 12 3 13 23 123 4 24 34 134 234 1234 5 15 25 125 35 "
+    "135 235 1235 45 145 245 1245 345 1345 2345 12345",  # two_margin
+    "145: 1 45; 12345: 2 12 23 123 4 24 124 34 134 234 1234 5 15 25 125 35 135 "
+    "235 1235 145 245 1245 345 1345 2345 12345; 1345: 3 13 14",  # variable_removal>two_margin
+]
+
+
+def _spec_line(text: str) -> MLLSpec:
+    return MLLSpec.from_text(text.replace("; ", "\n"))
+
+
+def _skewed_table(vs, rng) -> JointTable:
+    """Dirichlet(0.3) draw, floored at 1e-9 so that every cell is valid."""
+    p = np.maximum(rng.dirichlet(np.full(vs.n_cells, 0.3)), 1e-9)
+    return JointTable(vs, p / p.sum())
+
+
+def _outcome(solve, spec, target, opts, damping):
+    try:
+        return solve(spec, target, opts, damping=damping)
+    except (SolverError, StructureError) as exc:
+        return exc
+
+
+def assert_same_as_oracle(spec, target, opts=SolveOptions(), damping=1.0):
+    """The compiled sweep and the per-pair oracle: the same sweeps and
+    residuals, the same error class and kind, tables within 1e-12."""
+    got = _outcome(invert_fixed_point, spec, target, opts, damping)
+    want = _outcome(brute_fixed_point, spec, target, opts, damping)
+    assert type(got) is type(want)
+    if isinstance(want, StructureError):
+        return want
+    np.testing.assert_allclose(got.trace, want.trace, rtol=1e-9, atol=1e-12)
+    if isinstance(want, SolverError):
+        assert got.kind == want.kind
+        return want
+    assert got.iterations == want.iterations
+    assert float(np.max(np.abs(got.table.p - want.table.p))) <= 1e-12
+    if want.contraction_certificate is None:
+        assert got.contraction_certificate is None
+    else:
+        assert abs(got.contraction_certificate - want.contraction_certificate) <= 1e-12
+    return want
+
+
+class TestCompiledSweep:
+    def test_undecided_orbits_damped_match_oracle(self):
+        rng = np.random.default_rng(8)
+        rows = [r for r in census(3)["rows"] if r["verdict"] == UNKNOWN]
+        assert len(rows) == 43
+        opts = SolveOptions(max_iter=2000)
+        kinds = set()
+        for row in rows:
+            spec = _spec_line(row["spec"])
+            for draw in (dirichlet_table, _skewed_table):
+                target = lambda_vector(draw(spec.vars, rng), spec)
+                want = assert_same_as_oracle(spec, target, opts, damping=0.5)
+                kinds.add(getattr(want, "kind", "converged"))
+        assert "converged" in kinds
+
+    def test_route_stages_match_oracle(self, monkeypatch):
+        # every fixed-point stage that AUTO inversion runs on the census
+        # orbits proven through a fixed-point rule and on the collections
+        # above, with its own spec and target
+        stages = []
+
+        def record(spec, target, opts=SolveOptions(), damping=1.0):
+            stages.append((spec, target, opts, damping))
+            return brute_fixed_point(spec, target, opts, damping)
+
+        specs = [
+            spec for spec in (_spec_line(r["spec"]) for r in census(3)["rows"])
+            if FIXED_POINT_RULES & {s.rule for s in classify(spec).rule_chain}
+        ]
+        specs += [_spec_line(text) for text in FIXED_POINT_ROUTES_N45]
+        rng = np.random.default_rng(9)
+        monkeypatch.setattr(solvers, "invert_fixed_point", record)
+        for spec in specs:
+            for draw in (dirichlet_table, _skewed_table):
+                table = draw(spec.vars, rng)
+                res = invert(spec, lambda_vector(table, spec))
+                assert float(np.max(np.abs(res.table.p - table.p))) < 1e-8
+        monkeypatch.undo()
+        for rule in FIXED_POINT_RULES:
+            assert any(rule_applies(s, rule) is not None for s, *_ in stages)
+        assert {s.vars.n for s, *_ in stages} == {3, 4, 5}
+        for stage in stages:
+            assert_same_as_oracle(*stage)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_full_margin_coefficients_are_eta(self, n, rng):
+        # the closed-form full-margin block: lam(L, V) = eta_L exactly
+        vs = make_vars(n)
+        full = vs.full_mask
+        spec = MLLSpec(vs, tuple((e, full) for e in range(1, vs.n_cells)))
+        for scale in (0.1, 1.0, 4.0):  # about the spread of the log cells
+            sd = scale / math.sqrt(vs.n_cells)
+            eta = np.concatenate(([0.0], rng.normal(0.0, sd, vs.n_cells - 1)))
+            p = table_from_eta(EtaVector(vs, eta)).p
+            lam = lambda_vector(JointTable(vs, p), spec).values
+            assert float(np.max(np.abs(lam - eta[1:]))) <= 1e-13
+
+    def test_full_margin_only_converges_in_one_sweep(self, rng):
+        for n in (2, 3, 4, 5):
+            vs = make_vars(n)
+            full = vs.full_mask
+            spec = MLLSpec(vs, tuple((e, full) for e in range(1, vs.n_cells)))
+            table = dirichlet_table(vs, rng)
+            res = invert_fixed_point(spec, lambda_vector(table, spec))
+            assert res.iterations == 1
+            assert float(np.max(np.abs(res.table.p - table.p))) < 1e-12
 
 
 class TestContractionCertificate:

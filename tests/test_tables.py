@@ -10,6 +10,8 @@ from mllp.tables import (
     EtaVector,
     JointTable,
     VarSet,
+    compress,
+    compress_map,
     condition,
     eta_from_dict,
     eta_from_table,
@@ -17,6 +19,7 @@ from mllp.tables import (
     joint_from_conditional,
     marginal_array,
     marginalize,
+    packed_indices,
     parity,
     random_table,
     table_from_eta,
@@ -53,6 +56,21 @@ class TestBitAlgebra:
 
     def test_parity_odd_overlap(self):
         assert parity(0b101, 0b001) == -1
+
+    def test_bit_packing_maps(self, rng):
+        for n in range(1, 6):
+            cells = range(1 << n)
+            for mask in range(1 << n):
+                want = [compress(x, mask) for x in cells]
+                assert compress_map(n, mask).tolist() == want
+            vs = make_vars(n)
+            for k in range(n + 1):
+                names = tuple(rng.permutation(vs.names)[:k])
+                want = [
+                    sum((x >> vs.position(nm) & 1) << j for j, nm in enumerate(names))
+                    for x in cells
+                ]
+                assert packed_indices(vs, names).tolist() == want
 
     def test_fwht_matches_sign_sum(self, rng):
         for k in range(13):
