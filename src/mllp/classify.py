@@ -422,48 +422,55 @@ def _rule_single_feedback(pairs: Sequence[Pair], full: int) -> dict | None:
 def _rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
     """Match: proper margins are exactly the conditional blocks of one cycle
     of disjoint groups A_1, ..., A_k (k >= 3), every remaining effect in the
-    full margin."""
+    full margin.
+
+    In such a cycle each margin overlaps exactly its two neighbours, so the
+    only candidate orders are the two walks along the overlaps from the
+    first margin; they are tried in the order of ``itertools.permutations``
+    over the other margins, and the first that passes the checks is kept."""
     proper = [m for m in _margins(pairs) if m != full]
     k = len(proper)
     if k < 3 or k > 8:
         return None
-    by_margin = {m: {e for e, mm in pairs if mm == m} for m in proper}
+    overlaps = {m: [o for o in proper if o != m and o & m] for m in proper}
     first = proper[0]
-    for rest in itertools.permutations(proper[1:]):
-        order = [first, *rest]
-        blocks = []
-        ok = True
-        for i in range(k):
-            a = order[i] & order[(i + 1) % k]
-            if a == 0:
-                ok = False
+    if len(overlaps[first]) != 2:
+        return None
+    by_margin = {m: {e for e, mm in pairs if mm == m} for m in proper}
+    for nb in overlaps[first]:
+        order = [first, nb]
+        while len(order) < k:
+            ahead = [o for o in overlaps[order[-1]] if o != order[-2]]
+            if len(ahead) != 1 or ahead[0] in order:
                 break
-            blocks.append(a)
-        if not ok:
-            continue
-        union = 0
-        for a in blocks:
-            if union & a:
-                ok = False
-                break
-            union |= a
-        if not ok:
-            continue
-        for i in range(k):
-            margin = order[i]
-            a_i = blocks[i]
-            a_prev = blocks[(i - 1) % k]
-            if margin != (a_prev | a_i):
-                ok = False
-                break
-            want = {Lm for Lm in nonempty_submasks(margin) if Lm & a_i}
-            if by_margin[margin] != want:
-                ok = False
-                break
-        if not ok:
-            continue
-        return {"blocks": tuple(blocks), "margins": tuple(order)}
+            order.append(ahead[0])
+        else:
+            match = _cycle_match(order, by_margin)
+            if match is not None:
+                return match
     return None
+
+
+def _cycle_match(order: list[int], by_margin: dict[int, set[int]]) -> dict | None:
+    """The cyclic rule's record for the margins in cycle ``order``: the
+    overlaps of neighbouring margins are nonempty disjoint blocks, each
+    margin is the union of its two blocks and holds exactly its effects
+    that meet the next block.  None when any of that fails."""
+    k = len(order)
+    blocks = [order[i] & order[(i + 1) % k] for i in range(k)]
+    union = 0
+    for a in blocks:
+        if a == 0 or union & a:
+            return None
+        union |= a
+    for i in range(k):
+        margin = order[i]
+        a_i = blocks[i]
+        if margin != (blocks[i - 1] | a_i):
+            return None
+        if by_margin[margin] != {Lm for Lm in nonempty_submasks(margin) if Lm & a_i}:
+            return None
+    return {"blocks": tuple(blocks), "margins": tuple(order)}
 
 
 def relocate_pairs(spec: MLLSpec, pairs: Iterable[Pair]) -> MLLSpec:

@@ -349,6 +349,15 @@ def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
 # Mixed mean/natural-coordinate reconstruction
 # ---------------------------------------------------------------------------
 
+def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``jac @ step = r`` for a tall ``jac`` of
+    full column rank: Householder QR of [jac | r], whose last column of R
+    is Q^T r, then the triangular k x k system; Q is never formed."""
+    k = jac.shape[1]
+    tri = np.linalg.qr(np.column_stack([jac, r]), mode="r")
+    return np.linalg.solve(tri[:k, :k], tri[:k, k])
+
+
 def reconstruct_mixed(
     vars_m: VarSet,
     margins: Sequence[JointTable],
@@ -361,6 +370,9 @@ def reconstruct_mixed(
     the sub-margins' own coefficients: Armijo steps on the convex dual
     log Z(theta) - theta . mu* while it resolves progress, then Gauss-Newton
     steps on the log margin ratios, which keep tiny cells' relative accuracy.
+    Each Gauss-Newton step is a QR least-squares solve, not an SVD: the
+    mixed parameterization is smooth and variation independent, so the
+    Jacobian has full column rank at every positive table.
     Raises INCONSISTENT_MARGINS when the given margins contradict each
     other, NON_CONVERGENCE when the result misses a margin or a coefficient.
     """
@@ -441,7 +453,7 @@ def reconstruct_mixed(
             if not (np.isfinite(jac).all() and np.isfinite(r).all()):
                 break  # a margin underflowed to 0: the checks below decide
             try:
-                step = np.linalg.lstsq(jac, r)[0]
+                step = _least_squares_step(jac, r)
             except np.linalg.LinAlgError:
                 break
             slope = -2.0 * float(r @ (jac @ step))
@@ -504,10 +516,9 @@ def invert_hierarchical(
             donor = next(e for e in built if (s & ~e) == 0)
             dt = built[donor]
             subs.append(marginalize(dt, dt.vars.mask_of(spec.vars.names_of(s))))
+        cmap = compress_map(spec.vars.n, margin)
         eta_targets = {
-            compress(e, margin): tmap[(e, m)]
-            for e, m in spec.pairs
-            if m == margin
+            int(cmap[e]): tmap[(e, m)] for e, m in spec.pairs if m == margin
         }
         built[margin] = reconstruct_mixed(vars_m, subs, eta_targets)
     result = built[spec.vars.full_mask]

@@ -10,22 +10,25 @@ plain recursive search over every path, one spec per collection; it calls
 the package's rules, moves and reductions, which have their own checks.
 :func:`brute_fixed_point` is the fixed-point inversion as a loop over
 pairs, with a fresh table and margin transform per block; it reads the
-package's forward map and contraction certificate.
+package's forward map and contraction certificate.  :func:`brute_rule_cyclic`
+is the cyclic rule tried over every ordering of the proper margins.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from mllp import classify as cls
-from mllp.classify import ClassificationReport, RuleStep
+from mllp.classify import ClassificationReport, RuleStep, _margins
 from mllp.errors import DIVERGENCE, NON_CONVERGENCE, SolverError, StructureError
 from mllp.mll import (
     MLLSpec,
     MLLVector,
+    Pair,
     lambda_array,
     margin_kernel_array,
     margin_lambda_array,
@@ -38,7 +41,14 @@ from mllp.solvers import (
     _finish_table,
     contraction_certificate,
 )
-from mllp.tables import EtaVector, JointTable, compress, fwht, table_from_eta
+from mllp.tables import (
+    EtaVector,
+    JointTable,
+    compress,
+    fwht,
+    nonempty_submasks,
+    table_from_eta,
+)
 
 
 def popcount(x: int) -> int:
@@ -242,6 +252,53 @@ def brute_interchange_closure(spec: MLLSpec, limit: int = cls.DEFAULT_MOVE_LIMIT
                 break
         frontier = nxt
     return out
+
+
+def brute_rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
+    """Match: proper margins are exactly the conditional blocks of one cycle
+    of disjoint groups A_1, ..., A_k (k >= 3), every remaining effect in the
+    full margin."""
+    proper = [m for m in _margins(pairs) if m != full]
+    k = len(proper)
+    if k < 3 or k > 8:
+        return None
+    by_margin = {m: {e for e, mm in pairs if mm == m} for m in proper}
+    first = proper[0]
+    for rest in itertools.permutations(proper[1:]):
+        order = [first, *rest]
+        blocks = []
+        ok = True
+        for i in range(k):
+            a = order[i] & order[(i + 1) % k]
+            if a == 0:
+                ok = False
+                break
+            blocks.append(a)
+        if not ok:
+            continue
+        union = 0
+        for a in blocks:
+            if union & a:
+                ok = False
+                break
+            union |= a
+        if not ok:
+            continue
+        for i in range(k):
+            margin = order[i]
+            a_i = blocks[i]
+            a_prev = blocks[(i - 1) % k]
+            if margin != (a_prev | a_i):
+                ok = False
+                break
+            want = {Lm for Lm in nonempty_submasks(margin) if Lm & a_i}
+            if by_margin[margin] != want:
+                ok = False
+                break
+        if not ok:
+            continue
+        return {"blocks": tuple(blocks), "margins": tuple(order)}
+    return None
 
 
 def _move_steps(path) -> tuple[RuleStep, ...]:

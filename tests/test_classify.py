@@ -28,6 +28,7 @@ from mllp.classify import (
     verify_hierarchy_order,
     _Node,
     _Search,
+    _rule_cyclic,
 )
 from mllp.errors import IncompleteSpecError, SpecError
 from mllp.mll import MLLSpec, lambda_vector
@@ -40,6 +41,7 @@ from oracles import (
     brute_contraction_reduce,
     brute_interchange_closure,
     brute_interchange_moves,
+    brute_rule_cyclic,
 )
 
 
@@ -259,6 +261,78 @@ class TestRules:
     def test_unknown_rule_name_rejected(self):
         with pytest.raises(SpecError):
             rule_applies(catalog.CHAIN_THREE, "nope")
+
+
+def cycle_pairs(groups: list[int], n: int) -> list[tuple[int, int]]:
+    """Pairs of the cycle over the disjoint variable ``groups``: margin
+    A_{i-1} | A_i holds its effects that meet A_i, every other effect sits
+    in the full margin."""
+    full = (1 << n) - 1
+    k = len(groups)
+    margin_of = {}
+    for i in range(k):
+        margin = groups[i - 1] | groups[i]
+        for e in range(1, margin + 1):
+            if e & ~margin == 0 and e & groups[i]:
+                margin_of[e] = margin
+    return [(e, margin_of.get(e, full)) for e in range(1, full + 1)]
+
+
+def shuffled_cycle(k: int, rng) -> tuple[list[tuple[int, int]], int]:
+    """A cycle of ``k`` groups of one or two variables, with the variables
+    relabeled and the pairs (hence the margins' first appearances)
+    shuffled."""
+    sizes = [1 + int(rng.random() < 0.25) for _ in range(k)]
+    n = sum(sizes)
+    bits = [int(b) for b in rng.permutation(n)]
+    groups = []
+    for size in sizes:
+        groups.append(sum(1 << bits.pop() for _ in range(size)))
+    pairs = cycle_pairs(groups, n)
+    return [pairs[int(i)] for i in rng.permutation(len(pairs))], (1 << n) - 1
+
+
+class TestCyclicRule:
+    """The overlap walk returns what the search over every ordering of the
+    proper margins returns."""
+
+    def test_census_orbits(self, closure_states):
+        specs = enumerate_complete(3, up_to_symmetry=True)
+        assert len(specs) == 104
+        for spec in specs + closure_states:
+            full = spec.vars.full_mask
+            assert _rule_cyclic(spec.pairs, full) == brute_rule_cyclic(spec.pairs, full)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_shuffled_true_cycles(self, k):
+        rng = np.random.default_rng(900 + k)
+        for _ in range(6):
+            pairs, full = shuffled_cycle(k, rng)
+            want = brute_rule_cyclic(pairs, full)
+            assert want is not None
+            assert _rule_cyclic(pairs, full) == want
+            # one effect moved to the full margin or into another margin
+            i = int(rng.integers(len(pairs)))
+            margins = sorted({m for _, m in pairs})
+            for m in (full, margins[int(rng.integers(len(margins)))]):
+                moved = pairs[:i] + [(pairs[i][0], m)] + pairs[i + 1:]
+                assert _rule_cyclic(moved, full) == brute_rule_cyclic(moved, full)
+
+    def test_seeded_random_collections(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(4, 7))
+            full = (1 << n) - 1
+            k = int(rng.integers(3, 9))
+            proper = [int(m) for m in rng.choice(np.arange(1, full), size=k, replace=False)]
+            pairs = []
+            for e in range(1, full + 1):
+                options = [m for m in proper if e & ~m == 0] + [full]
+                pairs.append((e, options[int(rng.integers(len(options)))]))
+            checked += len({m for _, m in pairs} - {full}) >= 3
+            assert _rule_cyclic(pairs, full) == brute_rule_cyclic(pairs, full)
+        assert checked > 200
 
 
 class TestInterchange:

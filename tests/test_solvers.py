@@ -5,7 +5,7 @@ import pytest
 
 from mllp import catalog
 from mllp import solvers
-from mllp.classify import UNKNOWN, census, classify, rule_applies
+from mllp.classify import UNKNOWN, census, classify, hierarchy_order, rule_applies
 from mllp.cimodels import CIStatement, model_member, model_spec
 from mllp.errors import (
     INCONSISTENT_MARGINS,
@@ -33,6 +33,7 @@ from mllp.tables import (
     EtaVector,
     JointTable,
     VarSet,
+    compress,
     condition,
     eta_from_table,
     marginalize,
@@ -323,6 +324,23 @@ class TestReconstructMixed:
         got = reconstruct_mixed(t.vars, margins, {full: eta_top})
         assert float(np.max(np.abs(got.p - t.p))) < 1e-8
 
+    @pytest.mark.parametrize("rows, cols", [
+        (8, 7), (16, 11), (64, 40), (128, 127), (256, 200), (512, 383),
+    ])
+    def test_qr_step_matches_svd_least_squares(self, rows, cols):
+        # tall full-rank matrices with singular values spread evenly on a
+        # log scale from 1 down to 1 / cond, and a generic right-hand side
+        rng = np.random.default_rng(rows * 1000 + cols)
+        for cond in (1.0, 1e2, 1e4, 1e6, 1e8):
+            u = np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+            v = np.linalg.qr(rng.normal(size=(cols, cols)))[0]
+            jac = (u * np.logspace(0.0, -math.log10(cond), cols)) @ v.T
+            r = rng.normal(size=rows)
+            want = np.linalg.lstsq(jac, r)[0]
+            got = solvers._least_squares_step(jac, r)
+            rel = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert rel <= cond * 1e-13
+
     def test_inconsistent_margins_rejected(self, rng):
         vs = make_vars(2)
         p1a = table_from_probs(VarSet(("1",)), [0.9, 0.1])
@@ -391,6 +409,42 @@ class TestHierarchical:
             t = JointTable(spec.vars, p)
             res = invert_hierarchical(spec, lambda_vector(t, spec))
             assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
+    def test_roundtrip_large_table_shape(self):
+        # the large-table benchmark's inversion: n = 9, two margins that
+        # each drop one variable, then the full margin (a 512 x 383 solve)
+        n = 9
+        full = (1 << n) - 1
+        order = [full ^ (1 << 2), full ^ (1 << 6), full]
+        spec = MLLSpec(make_vars(n), tuple(
+            (e, next(m for m in order if e & ~m == 0)) for e in range(1, full + 1)
+        ))
+        rng = np.random.default_rng(9)
+        for t in (dirichlet_table(spec.vars, rng), _skewed_table(spec.vars, rng)):
+            res = invert_hierarchical(spec, lambda_vector(t, spec))
+            assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
+    def test_eta_targets_keyed_by_compressed_effect(self, rng, monkeypatch):
+        # each margin's targets: compress(effect, margin) -> value, in the
+        # order of the spec's pairs
+        spec = catalog.CYCLE_THREE_RESOLVED
+        target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+        seen = []
+        real = solvers.reconstruct_mixed
+
+        def record(vars_m, margins, eta_targets):
+            seen.append(list(eta_targets.items()))
+            return real(vars_m, margins, eta_targets)
+
+        monkeypatch.setattr(solvers, "reconstruct_mixed", record)
+        invert_hierarchical(spec, target)
+        values = dict(zip(spec.pairs, target.values))
+        want = [
+            [(compress(e, margin), values[(e, m)]) for e, m in spec.pairs if m == margin]
+            for margin in hierarchy_order(spec)
+        ]
+        assert seen == want
+        assert all(type(key) is int for items in seen for key, _ in items)
 
     def test_rejects_non_hierarchical(self):
         with pytest.raises(StructureError):
