@@ -84,6 +84,9 @@ BASE_RULES = frozenset(
 )
 
 DEFAULT_MOVE_LIMIT = 256
+# Collections one classification may expand before it answers UNKNOWN
+# (scripts/search_sizes.py prints the sizes this value is chosen from).
+SEARCH_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -104,12 +107,15 @@ class RuleStep:
 class SearchRecord:
     """Size of one classification's search: the distinct collections whose
     interchange closure it ran, the distinct collections in those closures,
-    and the closures cut at the move limit.  A nonzero cut count means the
-    verdict may depend on that limit."""
+    the closures cut at the move limit, and whether it ended without a proof
+    after expanding everything reachable.  A nonzero cut count means the
+    verdict may depend on that limit; an ``UNKNOWN`` that is not exhausted
+    was stopped at :data:`SEARCH_LIMIT`."""
 
     specs_expanded: int = 0
     closure_states: int = 0
     closures_truncated: int = 0
+    exhausted: bool = False
 
 
 @dataclass(frozen=True)
@@ -598,28 +604,17 @@ def classify(spec: MLLSpec) -> ClassificationReport:
     branch that repeats a collection (by pair set) of its own recursion
     path.
 
-    A collection is provable exactly when some finite chain of reductions
-    from it ends in a base rule, so the provable collections are the least
-    fixpoint of the reduction graph over distinct collections.  The search
-    computes it lazily: one :class:`_Search` per call expands each distinct
-    collection (variable names and pairs) at most once, depth first in
-    priority order, and stops as soon as the given collection is proven,
-    or answers ``UNKNOWN`` once everything reachable from it is expanded.
-    The chain is then extracted in priority order under the path guard,
-    skipping collections whose reachable part was exhausted without a
-    proof; those fail under any guard.  The memo, closure states included,
-    lives only for the call.
+    One :class:`_Search` per call finds that chain by a depth-first search
+    that enters each distinct collection (variable names and pairs) at most
+    once; :meth:`_Search.prove` argues that the chain is the same.  It
+    answers ``UNKNOWN`` when it expands everything reachable without a proof
+    (``search.exhausted``), or when it would expand more than
+    :data:`SEARCH_LIMIT` collections.
     """
     if not spec.is_complete():
         return ClassificationReport(spec, NOT_SMOOTH_INCOMPLETE, (), ())
-    for rule in DIRECT_RULES:
-        params = _RULE_FUNCS[rule](spec.pairs, spec.vars.full_mask)
-        if params is not None:
-            return ClassificationReport(
-                spec, PROVEN_SMOOTH, (RuleStep(rule, params),), ()
-            )
     search = _Search(spec)
-    chain = search.chain() if search.resolve(search.root) else None
+    chain = search.prove()
     if chain is None:
         return ClassificationReport(spec, UNKNOWN, (), (), search.record())
     steps, reduced = search.report_chain(chain)
@@ -647,34 +642,15 @@ class _Context:
         self.children: dict[int, tuple] = {}
 
 
-class _Node:
-    """A collection the search has entered: the direct rule proving it, or
-    its options so far, as targets (-1 marks a base-rule proof) and rule
-    indices, the generator of the rest, and the set of listed targets while
-    that generator needs it."""
-
-    __slots__ = ("direct", "targets", "rules", "more", "listed")
-
-    def __init__(self, direct: str | None):
-        self.direct = direct
-        self.targets = array("i")
-        self.rules = bytearray()
-        self.more = None
-        self.listed: set[int] | None = None
-
-
 class _Search:
-    """Lazy least-fixpoint search of one top-level :func:`classify` call.
+    """Depth-first proof search of one top-level :func:`classify` call.
 
     A *state* is one collection, held as an integer id with its context and
     margin key; its interchange neighbours and each rule's output on it are
     computed once, and only the returned chain is built as specs.  A *node*
-    is a state the search enters.  Its options, in priority order, are
-    (target, rule index) pairs: the target is the reduced node, or -1 for a
-    base rule, whose option ends the list.  A target already listed is not
-    listed again; it would recurse into the same collection under the same
-    path.  The given collection is one that no direct rule proves:
-    :func:`classify` checks those first.
+    is a state the search enters; :meth:`_options` lists its options in
+    priority order.  The memo, closure states included, lives only for the
+    call.
     """
 
     def __init__(self, spec: MLLSpec, limit: int = DEFAULT_MOVE_LIMIT):
@@ -686,18 +662,17 @@ class _Search:
         # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset
         self.outs: list[list] = [[] for _ in _SEARCH_RULES]
         self.in_closure = bytearray()
-        self.nodes: dict[int, _Node] = {}
-        self.status: dict[int, bool] = {}  # True proven, False unprovable
         self.expanded = 0
         self.truncated = 0
+        self.exhausted = False
         root = _Context(spec.vars, tuple(e for e, _ in spec.pairs))
         self.contexts = {spec.vars.names: root}
         self.root = self._state(root, root.pack(m for _, m in spec.pairs))
-        self.nodes[self.root] = node = _Node(None)
-        node.more = self._options(self.root, node)
 
     def record(self) -> SearchRecord:
-        return SearchRecord(self.expanded, sum(self.in_closure), self.truncated)
+        return SearchRecord(
+            self.expanded, sum(self.in_closure), self.truncated, self.exhausted
+        )
 
     # -- states -------------------------------------------------------------
 
@@ -808,30 +783,23 @@ class _Search:
         key = self.keys[s]
         return self._state(sub, sub.pack(cmap[key[i]] for i in kept))
 
-    # -- nodes --------------------------------------------------------------
+    # -- the search ---------------------------------------------------------
 
-    def _node(self, v: int) -> _Node:
-        node = self.nodes.get(v)
-        if node is None:
-            pairs, full = self.pairs(v), self.ctx[v].full
-            direct = next(
-                (r for r in DIRECT_RULES if _RULE_FUNCS[r](pairs, full) is not None),
-                None,
-            )
-            node = self.nodes[v] = _Node(direct)
-            if direct is None:
-                node.more = self._options(v, node)
-        return node
+    def _direct(self, v: int) -> str | None:
+        """The first direct rule that proves state ``v``, or None."""
+        pairs, full = self.pairs(v), self.ctx[v].full
+        return next(
+            (r for r in DIRECT_RULES if _RULE_FUNCS[r](pairs, full) is not None),
+            None,
+        )
 
-    def _options(self, v: int, node: _Node):
-        """Generate the options of node ``v`` in priority order: append each
-        to the node's lists and yield its target.  The set of targets listed
-        so far is ``node.listed``; the search drops it while it works below
-        this node, and it is rebuilt from the list when needed again."""
+    def _options(self, v: int):
+        """Generate the options of node ``v`` in priority order, as (target,
+        rule index) pairs: the target is a reduced state, or -1 for a base
+        rule, whose option ends the list.  A target may come more than
+        once."""
         order = array("i", self.closure(v))
-        self.expanded += 1
         self.truncated += len(order) >= self.limit
-        targets, rules = node.targets, node.rules
         for r, row in enumerate(self.outs):
             # states whose output is unset (True) or a hit, skipped in C
             for s in itertools.compress(order, map(row.__getitem__, order)):
@@ -841,162 +809,92 @@ class _Search:
                     if out is None:
                         continue
                 if out is _PROOF:
-                    targets.append(-1)
-                    rules.append(r)
-                    node.listed = None
-                    yield -1
+                    yield -1, r
                     return
-                for t in out:  # no local holds the set across a yield
-                    if node.listed is None:
-                        node.listed = set(targets)
-                    if t not in node.listed:
-                        node.listed.add(t)
-                        targets.append(t)
-                        rules.append(r)
-                        yield t
-        node.listed = None
+                for t in out:
+                    yield t, r
 
-    def _target(self, node: _Node, k: int) -> int | None:
-        """Target of the k-th option of ``node``, or None past the last."""
-        if k == len(node.targets) and node.more is not None:
-            if next(node.more, None) is None:
-                node.more = None
-        return node.targets[k] if k < len(node.targets) else None
+    def prove(self) -> list[tuple[int, int, str]] | None:
+        """The chain of the path-guarded search of :func:`classify`, as
+        (node, target, rule) steps, or None for ``UNKNOWN``.
 
-    # -- verdicts -----------------------------------------------------------
+        This search goes depth first through each node's options in
+        priority order, enters each state at most once, and returns its
+        stack at the first proof; the last step closes with target -1, by a
+        base rule or a direct rule of its node.  The path-guarded recursion
+        takes the same steps, since every target skipped here fails there:
 
-    def resolve(self, start: int) -> bool:
-        """Whether node ``start`` is provable, by Tarjan's depth-first
-        search over unresolved nodes in priority order.
+        - Reductions only remove variables and the pair count fixes how many
+          remain, so nodes with equal pairs on one path have equal names:
+          the pairs-only guard agrees with the (names, pairs) state key and
+          ends every target on the current stack.
+        - A node finished here reaches only finished nodes and nodes on the
+          stack: true when it finishes, and kept when the stack shrinks, as
+          the node popped is finished.  No finished node has a proof option
+          and the guard ends every branch back into the stack, so the
+          recursion fails at a finished node too.
 
-        A proof met proves every node on the Tarjan stack, since each one
-        reaches the proving node through options already examined; ``start``
-        is among them, so the search stops there.  A strongly connected
-        component completed without a proof reaches no proof at all, and
-        its nodes are unprovable.  Either way every node entered here is
-        resolved on return."""
-        status = self.status
-        if start in status:
-            return status[start]
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        calls: list[tuple[int, _Node]] = []
-
-        def enter(v: int) -> None:
-            index[v] = low[v] = len(index)
-            stack.append(v)
-            calls.append((v, self._node(v)))
-
-        enter(start)
-        while calls:
-            v, node = calls[-1]
-            if node.direct:
-                break  # a proof
-            low_v = low[v]
-            for t in node.more:
-                if t < 0 or status.get(t):
-                    break  # a proof
-                if t in status:
-                    continue  # unprovable
-                if t in index:  # on the Tarjan stack
-                    if index[t] < low_v:
-                        low_v = index[t]
+        After :data:`SEARCH_LIMIT` expansions the search answers None instead
+        of entering another node; ``exhausted`` is set when it ends without
+        a proof after expanding everything reachable.
+        """
+        direct = self._direct(self.root)
+        if direct is not None:
+            return [(self.root, -1, direct)]
+        seen = {self.root}
+        stack = [(self.root, self._options(self.root))]
+        chain: list[tuple[int, int, str]] = []  # the options the stack took
+        self.expanded = 1
+        while stack:
+            v, options = stack[-1]
+            for t, r in options:
+                if t < 0:
+                    return chain + [(v, t, _SEARCH_RULES[r])]
+                if t in seen:
                     continue
-                low[v] = low_v
-                node.listed = None
-                enter(t)
+                seen.add(t)
+                chain.append((v, t, _SEARCH_RULES[r]))
+                direct = self._direct(t)
+                if direct is not None:
+                    return chain + [(t, -1, direct)]
+                if self.expanded >= SEARCH_LIMIT:
+                    return None
+                self.expanded += 1
+                stack.append((t, self._options(t)))
                 break
             else:
-                node.more = None
-                calls.pop()
-                low[v] = low_v
-                if calls and low_v < low[calls[-1][0]]:
-                    low[calls[-1][0]] = low_v
-                if low_v == index[v]:
-                    while True:
-                        w = stack.pop()
-                        status[w] = False
-                        failed = self.nodes[w]  # never entered again
-                        failed.targets = failed.rules = None
-                        if w == v:
-                            break
-                continue
-            if calls[-1][0] == v:
-                break  # a proof, not a descent
-        else:
-            return False
-        for w in stack:
-            status[w] = True
-        return True
-
-    def chain(self) -> list[tuple[int, int | None]] | None:
-        """(node, option index) steps of the chain that the depth-first
-        search with the recursion-path guard returns, or None when the
-        guard blocks every proof; index None closes by the node's direct
-        rule.  Only provable nodes are entered."""
-        frames: list[list] = []  # [node, next option index, guard key]
-        on_path: set = set()
-
-        def enter(v: int) -> bool:
-            if self._node(v).direct:
-                return True
-            guard = frozenset(self.pairs(v))
-            if guard not in on_path:
-                on_path.add(guard)
-                frames.append([v, 0, guard])
-            return False
-
-        if enter(self.root):
-            return [(self.root, None)]
-        while frames:
-            frame = frames[-1]
-            v, k, guard = frame
-            t = self._target(self.nodes[v], k)
-            if t is None:
-                frames.pop()
-                on_path.remove(guard)
-                continue
-            frame[1] = k + 1
-            if t < 0:
-                return [(f[0], f[1] - 1) for f in frames]
-            if self.resolve(t) and enter(t):
-                return [(f[0], f[1] - 1) for f in frames] + [(t, None)]
+                stack.pop()
+                if stack:
+                    chain.pop()
+        self.exhausted = True
         return None
 
     def report_chain(
-        self, chain: list[tuple[int, int | None]]
+        self, chain: list[tuple[int, int, str]]
     ) -> tuple[tuple[RuleStep, ...], tuple[MLLSpec, ...]]:
-        """Rule steps and reduced specs of a chain from :meth:`chain`."""
+        """Rule steps and reduced specs of a chain from :meth:`prove`."""
         steps: list[RuleStep] = []
         reduced: list[MLLSpec] = []
-        for v, k in chain:
-            full = self.ctx[v].full
-            if k is None:
-                rule = self.nodes[v].direct
-                steps.append(RuleStep(rule, _RULE_FUNCS[rule](self.pairs(v), full)))
-                break
-            node = self.nodes[v]
-            t, r = node.targets[k], node.rules[k]
-            row = self.outs[r]
+        for v, t, rule in chain:
+            s = v  # the state whose rule output gives the option
+            if rule not in DIRECT_RULES:
+                row = self.outs[_SEARCH_RULES.index(rule)]
 
-            def lists(s: int) -> bool:  # whether the option came from state s
-                out = row[s]
-                return out is _PROOF if t < 0 else type(out) is tuple and t in out
+                def lists(s: int) -> bool:  # whether the option came from s
+                    out = row[s]
+                    return out is _PROOF if t < 0 else type(out) is tuple and t in out
 
-            s = v
-            if not lists(v):
-                parent: list[int] = []
-                order = self.closure(v, parent)
-                i = next(i for i, s in enumerate(order) if lists(s))
-                s = order[i]
-                path: list[Move] = []
-                while parent[i] >= 0:
-                    path.append(self.move(order[parent[i]], order[i]))
-                    i = parent[i]
-                steps.extend(_move_steps(tuple(reversed(path))))
-            rule = _SEARCH_RULES[r]
-            params = _RULE_FUNCS[rule](self.pairs(s), full)
+                if not lists(v):
+                    parent: list[int] = []
+                    order = self.closure(v, parent)
+                    i = next(i for i, s in enumerate(order) if lists(s))
+                    s = order[i]
+                    path: list[Move] = []
+                    while parent[i] >= 0:
+                        path.append(self.move(order[parent[i]], order[i]))
+                        i = parent[i]
+                    steps.extend(_move_steps(tuple(reversed(path))))
+            params = _RULE_FUNCS[rule](self.pairs(s), self.ctx[v].full)
             if t >= 0 and rule != CONTRACTION_RULE:
                 params = {"v": params["candidates"][row[s].index(t)]}
             steps.append(RuleStep(rule, params))

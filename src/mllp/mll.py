@@ -119,9 +119,6 @@ class MLLSpec:
         full = self.vars.full_mask
         return tuple(m for m in self.margins if m != full)
 
-    def pairs_of_margin(self, margin: int) -> tuple[Pair, ...]:
-        return tuple(p for p in self.pairs if p[1] == margin)
-
     def effect_margins(self) -> dict[int, list[int]]:
         """Margins used by each effect (a complete spec has one per effect)."""
         out: dict[int, list[int]] = {}
@@ -135,13 +132,6 @@ class MLLSpec:
         return len(em) == full and all(
             len(ms) == 1 for ms in em.values()
         ) and len(self.pairs) == full
-
-    def margin_of(self, effect: int) -> int:
-        """Margin of an effect in a complete spec."""
-        ms = self.effect_margins().get(effect)
-        if not ms or len(ms) != 1:
-            raise SpecError(f"effect {effect:#x} does not occur exactly once")
-        return ms[0]
 
     # -- formats ----------------------------------------------------------
 
@@ -230,17 +220,6 @@ class MLLSpec:
             for eff_s in effects:
                 pairs.append((vs.mask_of(eff_s), margin))
         return MLLSpec(vs, tuple(pairs))
-
-
-def spec_from_compact(variables: str, lines: Mapping[str, Sequence[str]]) -> MLLSpec:
-    """Convenience constructor: ``spec_from_compact("123", {"12": ["1", "2", "12"], ...})``."""
-    vs = VarSet(tuple(variables))
-    pairs = []
-    for margin_s, effects in lines.items():
-        margin = vs.mask_of(margin_s)
-        for eff in effects:
-            pairs.append((vs.mask_of(eff), margin))
-    return MLLSpec(vs, tuple(pairs))
 
 
 @dataclass(frozen=True)

@@ -473,17 +473,19 @@ def reconstruct_mixed(
                 break  # no step helps: the checks below decide
             polish = True
 
-    miss = float(np.max(np.abs(qs - p_all), initial=0.0))
-    if miss > 1e-10:
-        raise SolverError(
-            NON_CONVERGENCE, f"margin mismatch {miss:.3e} after reconstruction"
-        )
-    theta_check = fwht(np.log(q)) / size
-    for L, v in eta_targets.items():
-        if abs(float(theta_check[L]) - v) > 1e-10:
+    # written so that a NaN fails: a cell underflowed to 0 makes log(q) -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = float(np.max(np.abs(qs - p_all), initial=0.0))
+        if not miss <= 1e-10:
             raise SolverError(
-                NON_CONVERGENCE, "coefficient targets missed after reconstruction"
+                NON_CONVERGENCE, f"margin mismatch {miss:.3e} after reconstruction"
             )
+        theta_check = fwht(np.log(q)) / size
+        for L, v in eta_targets.items():
+            if not abs(float(theta_check[L]) - v) <= 1e-10:
+                raise SolverError(
+                    NON_CONVERGENCE, "coefficient targets missed after reconstruction"
+                )
     return JointTable(vars_m, q / q.sum())
 
 

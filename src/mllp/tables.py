@@ -224,10 +224,6 @@ class VarSet:
         return VarSet(self.names_of(mask))
 
 
-def varset(labels: Iterable[str] | str) -> VarSet:
-    return VarSet(tuple(labels))
-
-
 # ---------------------------------------------------------------------------
 # Joint tables
 # ---------------------------------------------------------------------------
@@ -462,14 +458,6 @@ class ConditionalTable:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    @property
-    def n_target(self) -> int:
-        return len(self.target)
-
-    @property
-    def n_given(self) -> int:
-        return len(self.given)
 
     def to_json_obj(self) -> dict:
         return {

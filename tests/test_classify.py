@@ -8,6 +8,7 @@ from mllp import catalog
 from mllp.classify import (
     NOT_SMOOTH_INCOMPLETE,
     PROVEN_SMOOTH,
+    SEARCH_LIMIT,
     UNKNOWN,
     apply_interchange,
     burnside_orbit_count,
@@ -26,7 +27,6 @@ from mllp.classify import (
     reduce_minus_v,
     rule_applies,
     verify_hierarchy_order,
-    _Node,
     _Search,
     _rule_cyclic,
 )
@@ -439,6 +439,13 @@ class TestClassify:
         assert report.verdict == UNKNOWN
         assert report.search.specs_expanded == specs
         assert report.search.closures_truncated == 0
+        assert report.search.exhausted
+
+    def test_search_stops_at_the_limit(self):
+        report = classify(full_margin_rest("1: 1; 24: 24; 5: 5", 5))
+        assert report.verdict == UNKNOWN
+        assert report.search.specs_expanded == SEARCH_LIMIT
+        assert not report.search.exhausted
 
     def test_search_record(self):
         report = classify(catalog.CROSS_SINGLE)
@@ -448,6 +455,7 @@ class TestClassify:
             "specs_expanded": report.search.specs_expanded,
             "closure_states": report.search.closure_states,
             "closures_truncated": report.search.closures_truncated,
+            "exhausted": False,
         }
         # a direct rule on the given collection needs no search
         assert classify(catalog.CHAIN_THREE).search.specs_expanded == 0
@@ -517,47 +525,46 @@ class TestSearchMatchesOracle:
         assert {"variable_removal", "three_margin", "contraction_reduce"} <= first_rules
 
 
-def graph_search(graph: dict[int, list[int]]) -> _Search:
-    """A search whose nodes are those of ``graph``: node -> option targets,
-    -1 marking a base-rule proof."""
+def graph_search(graph: dict[int, list[int]], root: int = 0) -> tuple[_Search, list]:
+    """A search whose nodes are those of ``graph`` (node -> option targets,
+    -1 marking a base-rule proof), none proven by a direct rule, and the
+    list of the nodes it expands, in order."""
     search = _Search(catalog.CROSS_SINGLE)
-    search.nodes = {}
+    search.root = root
+    entered = []
 
-    def node(v):
-        if v not in search.nodes:
-            n = search.nodes[v] = _Node(None)
+    def options(v):
+        entered.append(v)
+        for t in graph[v]:
+            yield t, 0
 
-            def options():
-                for t in graph[v]:
-                    n.targets.append(t)
-                    n.rules.append(0)
-                    yield t
-
-            n.more = options()
-        return search.nodes[v]
-
-    search._node = node
-    return search
+    search._direct = lambda v: None
+    search._options = options
+    return search, entered
 
 
 class TestLeastFixpoint:
-    def test_cycle_member_proven_through_an_ancestor(self):
-        # node 1 can be proven only through node 0, still open when 1's
-        # options run out; 0 is then proven through 3
-        search = graph_search({0: [1, 3], 1: [0, 2], 2: [], 3: [-1]})
-        assert search.resolve(0)
-        assert search.status == {0: True, 1: True, 2: False, 3: True}
+    def test_proof_past_a_cycle_member_that_fails_on_the_path(self):
+        # node 1 could be proven only through node 0, its ancestor on the
+        # path, so it fails; 0 is then proven through 3
+        search, entered = graph_search({0: [1, 3], 1: [0, 2], 2: [], 3: [-1]})
+        rule = "variable_removal"
+        assert search.prove() == [(0, 3, rule), (3, -1, rule)]
+        assert entered == [0, 1, 2, 3]
+        assert not search.exhausted
 
     def test_cycle_without_proof_fails_as_a_whole(self):
-        search = graph_search({0: [1], 1: [2, 0], 2: [1]})
-        assert not search.resolve(0)
-        assert search.status == {0: False, 1: False, 2: False}
+        search, entered = graph_search({0: [1], 1: [2, 0], 2: [1]})
+        assert search.prove() is None
+        assert entered == [0, 1, 2]
+        assert search.exhausted
+        assert search.expanded == 3
 
     def test_resolved_nodes_are_not_entered_again(self):
-        search = graph_search({0: [1], 1: [], 2: [1, 0, -1]})
-        assert not search.resolve(0)
-        assert search.resolve(2)
-        assert search.status == {0: False, 1: False, 2: True}
+        # node 1 is reached from 2 and from 0, and entered once
+        search, entered = graph_search({0: [1], 1: [], 2: [1, 0, -1]}, root=2)
+        assert search.prove() == [(2, -1, "variable_removal")]
+        assert entered == [2, 1, 0]
 
     def test_removals_of_different_variables_stay_apart(self):
         # removing variable 1 or 2 leaves the same pairs over other names

@@ -11,7 +11,7 @@ from mllp.mll import lambda_vector
 from mllp.solvers import chain_from_joint
 from mllp.tables import VarSet, random_table
 
-from conftest import dirichlet_table, make_vars, outside_domain_values
+from conftest import dirichlet_table, make_vars, outside_domain_values, underflow_case
 
 
 def run(argv):
@@ -72,7 +72,8 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["verdict"] == "UNKNOWN"
         assert doc["search"] == {
-            "specs_expanded": specs, "closure_states": states, "closures_truncated": 0
+            "specs_expanded": specs, "closure_states": states, "closures_truncated": 0,
+            "exhausted": True,
         }
 
     def test_enumerate(self, workdir):
@@ -223,6 +224,16 @@ class TestExitCodes:
         rc, _ = run(
             ["invert", "--lambda", str(tmp_path / "lam.json"), "--max-iter", "50"]
         )
+        assert rc == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_cell_is_exit_two(self, tmp_path):
+        spec, table = underflow_case()
+        values = [float(v) for v in lambda_vector(table, spec).values]
+        (tmp_path / "lam.json").write_text(
+            json.dumps({"spec": spec.to_json_obj(), "values": values})
+        )
+        rc, _ = run(["invert", "--lambda", str(tmp_path / "lam.json")])
         assert rc == 2
 
     @pytest.mark.parametrize("flag", ["--damping", "--bogus"])

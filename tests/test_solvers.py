@@ -43,7 +43,7 @@ from mllp.tables import (
     uniform_table,
 )
 
-from conftest import dirichlet_table, make_vars
+from conftest import dirichlet_table, make_vars, underflow_case
 from oracles import brute_fixed_point
 
 
@@ -556,6 +556,13 @@ class TestInvertAuto:
             res = invert(spec, lambda_vector(t, spec))
             assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8, name
             assert res.final_residual <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_cell_is_a_solver_failure(self):
+        # the final checks of reconstruct_mixed fail on a NaN coefficient
+        spec, t = underflow_case()
+        with pytest.raises(SolverError, match="NON_CONVERGENCE"):
+            invert(spec, lambda_vector(t, spec))
 
     def test_zero_target_uniform_everywhere(self):
         for name in ("CHAIN_THREE", "PAIRED_SLICES", "CYCLE_THREE",
