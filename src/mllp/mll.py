@@ -279,14 +279,14 @@ def _gather_plan(
 ) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """Per margin, in order of first use: the positions of its pairs in
     ``pairs`` and their margin-compressed effect indices (read-only)."""
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i, (effect, margin) in enumerate(pairs):
-        pos, idx = groups.setdefault(margin, ([], []))
-        pos.append(i)
-        idx.append(compress(effect, margin))
+    groups: dict[int, list[int]] = {}
+    for i, (_, margin) in enumerate(pairs):
+        groups.setdefault(margin, []).append(i)
+    effects = np.array([effect for effect, _ in pairs])
     plan = []
-    for margin, (pos, idx) in groups.items():
-        pos_a, idx_a = np.array(pos), np.array(idx)
+    for margin, pos in groups.items():
+        pos_a = np.array(pos)
+        idx_a = compress_map(margin.bit_length(), margin)[effects[pos_a]]
         pos_a.flags.writeable = idx_a.flags.writeable = False
         plan.append((margin, pos_a, idx_a))
     return tuple(plan)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .mll import (
     margin_kernel_array,
 )
 from .tables import (
+    _ONE_FACTOR_CELLS,
     ConditionalTable,
     JointTable,
     VarSet,
@@ -128,20 +129,22 @@ class SolveResult:
 # Raw-array helpers
 # ---------------------------------------------------------------------------
 
-def _probs_and_log_z(eta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cell probabilities of ``eta`` and log Z, from the shifted exponent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = fwht(eta)
-    if not np.all(np.isfinite(s)):
-        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
+def _weights(eta: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unnormalised cell weights exp(s - max s) of ``eta``, s = fwht(eta),
+    and max s.  Raises DIVERGENCE unless s is finite: max keeps a NaN, so
+    a finite max and min mean a finite s.  The transform may overflow, so
+    callers run this under ``np.errstate(over="ignore", invalid="ignore")``."""
+    s = fwht(eta)
     top = s.max()
-    p = np.exp(s - top)
-    z = p.sum()
-    return p / z, float(top) + math.log(z)
+    if not (math.isfinite(top) and math.isfinite(s.min())):
+        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
+    return np.exp(s - top), float(top)
 
 
 def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
-    return _probs_and_log_z(eta)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weights(eta)[0]
+    return w / w.sum()
 
 
 def _target_dict(target: MLLVector) -> dict[Pair, float]:
@@ -193,47 +196,72 @@ STALL_FACTOR = 0.9
 
 @dataclass(frozen=True)
 class _Block:
-    """The pairs of one margin: their positions in the spec, their effects,
-    their margin-compressed effect indices, and the axes of the (2,)*n
-    cell cube that marginalising onto the margin sums out."""
+    """The pairs of one proper margin M and the margin's two constant maps.
 
-    margin: int
+    ``cells[x]`` is the margin cell of table cell x: the 0/1 matrix A_M
+    with A_M[cells[x], x] = 1, applied as ``np.bincount(cells, w)``.  The
+    pairs' parameters at unnormalised cell weights w are the margin's
+    Walsh-Hadamard transform of log(A_M @ w) at their compressed effects,
+    over 2**|M|: the normaliser of w shifts only the margin's empty-effect
+    coefficient, which no pair reads.  ``params`` maps log(A_M @ w) to
+    them (see ``_block_plan``)."""
+
     pos: np.ndarray
     effects: np.ndarray
-    idx: np.ndarray
-    drop: tuple[int, ...]
+    cells: np.ndarray
+    params: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A spec's pairs compiled for the fixed point (read-only arrays).  The
+    full-margin pairs need no table, their parameters are eta itself; the
+    ``blocks`` are the proper margins, largest first, then by mask."""
+
+    full_pos: np.ndarray
+    full_effects: np.ndarray
+    blocks: tuple[_Block, ...]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _transform_at(idx: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    return fwht(logs)[idx] / logs.size
 
 
 @functools.lru_cache(maxsize=1024)
-def _block_plan(pairs: tuple[Pair, ...], n: int) -> tuple[_Block, ...]:
-    """Margin blocks of ``pairs`` over n variables, largest margin first,
-    then by mask; a complete spec's first block is the full margin."""
+def _block_plan(pairs: tuple[Pair, ...], n: int) -> _Plan:
+    """The fixed-point plan of ``pairs`` over n variables.
+
+    Up to the size where ``fwht`` is the single product a @ H, a block's
+    ``params`` is that product restricted to the pairs' effects idx, the
+    dense G_M = H[idx] / 2**|M|, at most 64 x 64.  Above it the block runs
+    ``fwht``, whose two-factor form needs no matrix of the margin's order,
+    and picks idx.  So a plan holds at most 32 kB per margin besides its
+    index arrays: three integers per pair and, per proper margin, one per
+    table cell."""
+    full = (1 << n) - 1
+    effects_of = np.array([e for e, _ in pairs], dtype=np.int64)
+    full_pos = _frozen(np.zeros(0, dtype=np.int64))
     blocks = []
     for margin, pos, idx in _gather_plan(pairs):
-        effects = np.array([pairs[i][0] for i in pos])
-        effects.flags.writeable = False
-        # C-order reshape puts bit k on axis n-1-k
-        drop = tuple(n - 1 - k for k in range(n) if not margin >> k & 1)
-        blocks.append(_Block(margin, pos, effects, idx, drop))
-    blocks.sort(key=lambda b: (-popcount(b.margin), b.margin))
-    return tuple(blocks)
-
-
-def _weights(eta: np.ndarray) -> np.ndarray:
-    """Cell weights exp(s - max s) with s = fwht(eta), not normalised."""
-    s = fwht(eta)
-    if not np.isfinite(s).all():
-        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
-    return np.exp(s - s.max())
-
-
-def _block_lambda(w: np.ndarray, n: int, block: _Block) -> np.ndarray:
-    """The block's parameters, in block order, at cell weights ``w``.  The
-    normaliser of w shifts only the margin's empty-effect coefficient, so
-    w need not sum to one.  A margin cell that underflows to zero gives
-    non-finite values, which the next weights reject."""
-    marg = w.reshape((2,) * n).sum(axis=block.drop).reshape(-1)
-    return fwht(np.log(marg))[block.idx] / marg.size
+        if margin == full:
+            full_pos = pos
+            continue
+        size = 1 << popcount(margin)
+        if size <= _ONE_FACTOR_CELLS:
+            params = _frozen(fwht(np.eye(size)[idx]) / size).__matmul__
+        else:
+            params = functools.partial(_transform_at, idx)
+        cells = _frozen(compress_map(n, margin))
+        blocks.append((margin, _Block(pos, _frozen(effects_of[pos]), cells, params)))
+    blocks.sort(key=lambda mb: (-popcount(mb[0]), mb[0]))
+    return _Plan(
+        full_pos, _frozen(effects_of[full_pos]), tuple(b for _, b in blocks)
+    )
 
 
 def invert_fixed_point(
@@ -250,9 +278,14 @@ def invert_fixed_point(
     The blocks come from a plan compiled once per spec (``_block_plan``).
     The full-margin block needs no table: its coefficients are eta itself,
     so its update is eta_L <- eta_L + damping * (target_L - eta_L).  Every
-    other block reads its margin's transform from the unnormalised cell
-    weights of the current eta.  The residual after a sweep is the largest
-    block difference at the weights of the sweep's result.
+    other block M is two constant maps of the unnormalised cell weights
+    w = exp(s - max s), s = fwht(eta): the 0/1 matrix A_M sums the cells
+    onto the margin's cells (applied by ``np.bincount``), and
+    G_M = H_M[idx] / 2**|M| takes their logs to the block's parameters, so
+    the update is eta_L <- eta_L + damping * (target - G_M @ log(A_M @ w)).
+    G_M is a dense matrix up to 64 margin cells and the Hadamard transform
+    followed by a pick of idx above.  The residual after a sweep is the
+    largest difference of all blocks at the weights of the sweep's result.
 
     Raises NON_CONVERGENCE when the residual is still above tol after
     max_iter sweeps, or when its running minimum has not dropped below
@@ -263,23 +296,27 @@ def invert_fixed_point(
     if not spec.is_complete():
         raise StructureError("fixed-point inversion needs a complete spec")
     _check_target(spec, target)
-    n = spec.vars.n
-    whole, *blocks = _block_plan(spec.pairs, n)
-    t_whole = target.values[whole.pos]
-    t_blocks = [target.values[b.pos] for b in blocks]
+    plan = _block_plan(spec.pairs, spec.vars.n)
+    full = plan.full_effects
+    sweep = [(b.effects, b.cells, b.params, target.values[b.pos]) for b in plan.blocks]
+    t_full = target.values[plan.full_pos]
+    t_all = np.concatenate([t_full] + [t for *_, t in sweep])
     eta = np.zeros(spec.vars.n_cells)
     trace: list[float] = []
     lows: list[float] = []  # running minimum of the residual after each sweep
     best = math.inf
+    # A margin cell that underflows to zero gives its block non-finite
+    # parameters, which the next weights reject.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(1, opts.max_iter + 1):
-            eta[whole.effects] += damping * (t_whole - eta[whole.effects])
-            for b, t in zip(blocks, t_blocks):
-                eta[b.effects] += damping * (t - _block_lambda(_weights(eta), n, b))
-            w = _weights(eta)
-            diffs = [t_whole - eta[whole.effects]]
-            diffs += [t - _block_lambda(w, n, b) for b, t in zip(blocks, t_blocks)]
-            res = float(np.max(np.abs(np.concatenate(diffs))))
+            eta[full] += damping * (t_full - eta[full])
+            for effects, cells, params, t in sweep:
+                w = _weights(eta)[0]
+                eta[effects] += damping * (t - params(np.log(np.bincount(cells, w))))
+            w = _weights(eta)[0]
+            lams = [eta[full]]
+            lams += [params(np.log(np.bincount(c, w))) for _, c, params, _ in sweep]
+            res = float(np.abs(t_all - np.concatenate(lams)).max())
             trace.append(res)
             if res <= opts.tol:
                 break
@@ -419,7 +456,10 @@ def reconstruct_mixed(
     chars = 1 - 2 * parity.astype(np.int8)  # chars[x, i] = (-1)**|x & cov[i]|
 
     def state(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        qq, log_z = _probs_and_log_z(th)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, top = _weights(th)
+        z = w.sum()
+        qq, log_z = w / z, top + math.log(z)
         qs = np.concatenate([marginal_array(qq, m, mask) for mask in sub_masks]
                             or [np.zeros(0)])
         with np.errstate(divide="ignore", over="ignore"):
@@ -874,6 +914,43 @@ def _invert_slice_split(
     return _glue_slices(vars, v_mask, pv, q0, q1)
 
 
+def _contraction_subsystem(
+    spec: MLLSpec,
+    tmap: dict[Pair, float],
+    relocate: tuple[Pair, ...],
+    opts: SolveOptions,
+) -> tuple[np.ndarray, list[float]]:
+    """The certified fixed point of the self-contained subsystem for the
+    relocated effects: eta with the full-margin coefficients fixed, and the
+    residual after each sweep."""
+    vars = spec.vars
+    full = vars.full_mask
+    eta = np.zeros(vars.n_cells)
+    for e, m in spec.pairs:
+        if m == full:
+            eta[e] = tmap[(e, m)]
+    targets = np.array([tmap[pair] for pair in relocate])
+    blocks = [
+        (b.effects, b.cells, b.params, targets[b.pos])
+        for b in _block_plan(relocate, vars.n).blocks
+    ]
+    trace: list[float] = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(opts.max_iter):
+            # Jacobi within a sweep: every block reads the same table
+            w = _weights(eta)[0]
+            deltas = []
+            for effects, cells, params, t in blocks:
+                delta = t - params(np.log(np.bincount(cells, w)))
+                eta[effects] += delta
+                deltas.append(delta)
+            res = float(np.max(np.abs(np.concatenate(deltas))))
+            trace.append(res)
+            if res <= opts.tol * 0.1:
+                return eta, trace
+    raise SolverError(NON_CONVERGENCE, "subsystem fixed point did not converge", trace)
+
+
 def _invert_contraction(
     spec: MLLSpec,
     tmap: dict[Pair, float],
@@ -884,33 +961,8 @@ def _invert_contraction(
     """Solve the self-contained subsystem for the relocated effects by the
     certified fixed point, then invert the relocated collection by
     ``sub_chain``."""
-    vars = spec.vars
-    n = vars.n
-    full = vars.full_mask
-    eta = np.zeros(vars.n_cells)
-    for e, m in spec.pairs:
-        if m == full:
-            eta[e] = tmap[(e, m)]
-    targets = np.array([tmap[pair] for pair in relocate])
-    blocks = _block_plan(relocate, n)
-    trace: list[float] = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(opts.max_iter):
-            # Jacobi within a sweep: every block reads the same table
-            w = _weights(eta)
-            deltas = []
-            for b in blocks:
-                delta = targets[b.pos] - _block_lambda(w, n, b)
-                eta[b.effects] += delta
-                deltas.append(delta)
-            res = float(np.max(np.abs(np.concatenate(deltas))))
-            trace.append(res)
-            if res <= opts.tol * 0.1:
-                break
-        else:
-            raise SolverError(
-                NON_CONVERGENCE, "subsystem fixed point did not converge", trace
-            )
+    eta, _ = _contraction_subsystem(spec, tmap, relocate, opts)
+    full = spec.vars.full_mask
     relocated = cls.relocate_pairs(spec, relocate)
     new_tmap = dict(tmap)
     for e, m in relocate:

@@ -12,6 +12,8 @@ the package's rules, moves and reductions, which have their own checks.
 pairs, with a fresh table and margin transform per block; it reads the
 package's forward map and contraction certificate.  :func:`brute_rule_cyclic`
 is the cyclic rule tried over every ordering of the proper margins.
+:func:`brute_contraction_subsystem` is the contraction subsystem's Jacobi
+sweep with each margin summed out of the cell cube and transformed anew.
 """
 
 from __future__ import annotations
@@ -423,3 +425,57 @@ def brute_fixed_point(
         if it > STALL_WINDOW and best >= STALL_FACTOR * lows[-1 - STALL_WINDOW]:
             raise SolverError(NON_CONVERGENCE, "residual stalled", trace)
     raise SolverError(NON_CONVERGENCE, "residual above tol", trace)
+
+
+def _brute_blocks(pairs: tuple[Pair, ...], n: int) -> list:
+    """Per margin, largest first, then by mask: the pairs' positions, their
+    effects, their margin-compressed effects and the summed-out axes of the
+    (2,)*n cell cube (bit k is axis n-1-k)."""
+    blocks = []
+    for margin in sorted({m for _, m in pairs}, key=lambda m: (-popcount(m), m)):
+        pos = [i for i, (_, m) in enumerate(pairs) if m == margin]
+        effects = [pairs[i][0] for i in pos]
+        idx = [compress(e, margin) for e in effects]
+        drop = tuple(n - 1 - k for k in range(n) if not margin >> k & 1)
+        blocks.append((np.array(pos), np.array(effects), np.array(idx), drop))
+    return blocks
+
+
+def brute_contraction_subsystem(
+    spec: MLLSpec,
+    tmap: dict[Pair, float],
+    relocate: tuple[Pair, ...],
+    opts: SolveOptions,
+) -> tuple[np.ndarray, list[float]]:
+    """The contraction subsystem's Jacobi sweep, block by block: each
+    block's margin summed out of the cube of unnormalised weights, then its
+    transform.  Returns eta and the residual trace, like
+    :func:`mllp.solvers._contraction_subsystem`, with the same errors."""
+    vars = spec.vars
+    n = vars.n
+    full = vars.full_mask
+    eta = np.zeros(vars.n_cells)
+    for e, m in spec.pairs:
+        if m == full:
+            eta[e] = tmap[(e, m)]
+    targets = np.array([tmap[pair] for pair in relocate])
+    blocks = _brute_blocks(relocate, n)
+    trace: list[float] = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(opts.max_iter):
+            # Jacobi within a sweep: every block reads the same table
+            s = fwht(eta)
+            if not np.isfinite(s).all():
+                raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
+            w = np.exp(s - s.max())
+            deltas = []
+            for pos, effects, idx, drop in blocks:
+                marg = w.reshape((2,) * n).sum(axis=drop).reshape(-1)
+                delta = targets[pos] - fwht(np.log(marg))[idx] / marg.size
+                eta[effects] += delta
+                deltas.append(delta)
+            res = float(np.max(np.abs(np.concatenate(deltas))))
+            trace.append(res)
+            if res <= opts.tol * 0.1:
+                return eta, trace
+    raise SolverError(NON_CONVERGENCE, "subsystem fixed point did not converge", trace)

@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mllp import catalog
 from mllp import solvers
-from mllp.classify import UNKNOWN, census, classify, hierarchy_order, rule_applies
+from mllp.classify import (
+    CONTRACTION_RULE,
+    UNKNOWN,
+    census,
+    classify,
+    hierarchy_order,
+    rule_applies,
+)
 from mllp.cimodels import CIStatement, model_member, model_spec
 from mllp.errors import (
+    DIVERGENCE,
     INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
     SolverError,
@@ -44,7 +53,7 @@ from mllp.tables import (
 )
 
 from conftest import dirichlet_table, make_vars, underflow_case
-from oracles import brute_fixed_point
+from oracles import brute_contraction_subsystem, brute_fixed_point
 
 
 def zero_target(spec: MLLSpec) -> MLLVector:
@@ -144,6 +153,16 @@ def _spec_line(text: str) -> MLLSpec:
     return MLLSpec.from_text(text.replace("; ", "\n"))
 
 
+def _drop_one_spec(n: int, dropped: tuple[int, ...]) -> MLLSpec:
+    """Each effect in the first of the margins that drop one of the
+    ``dropped`` variables, or else in the full margin."""
+    full = (1 << n) - 1
+    order = [full ^ (1 << v) for v in dropped] + [full]
+    return MLLSpec(make_vars(n), tuple(
+        (e, next(m for m in order if e & ~m == 0)) for e in range(1, full + 1)
+    ))
+
+
 def _skewed_table(vs, rng) -> JointTable:
     """Dirichlet(0.3) draw, floored at 1e-9 so that every cell is valid."""
     p = np.maximum(rng.dirichlet(np.full(vs.n_cells, 0.3)), 1e-9)
@@ -221,6 +240,89 @@ class TestCompiledSweep:
         assert {s.vars.n for s, *_ in stages} == {3, 4, 5}
         for stage in stages:
             assert_same_as_oracle(*stage)
+
+    def test_log_scale_overflow_diverges_at_the_oracles_sweep(self):
+        # targets far outside the parameter domain: a block's transform
+        # overflows in sweep 4
+        spec = _spec_line("1: 1; 12: 2 12; 13: 3; 23: 23; 123: 13 123")
+        values = np.random.default_rng(2).uniform(-300.0, 300.0, len(spec))
+        target = MLLVector(spec, values)
+        for max_iter in (4, 50):
+            opts = SolveOptions(max_iter=max_iter)
+            err = assert_same_as_oracle(spec, target, opts, damping=0.5)
+            assert err.kind == DIVERGENCE and "log scale" in str(err)
+        # one sweep fewer ends in the residual stop.  A margin cell of that
+        # sweep's weights underflows to 0: one -inf log makes the block's
+        # parameters infinite, not NaN.  The oracle's normalised table loses
+        # more cells and reads NaN.
+        opts = SolveOptions(max_iter=3)
+        got = _outcome(invert_fixed_point, spec, target, opts, 0.5)
+        want = _outcome(brute_fixed_point, spec, target, opts, 0.5)
+        assert got.kind == want.kind == NON_CONVERGENCE
+        assert len(got.trace) == len(want.trace) == 3
+        assert got.trace[2] == math.inf and math.isnan(want.trace[2])
+
+    def test_contraction_subsystem_matches_oracle(self, monkeypatch):
+        # every subsystem that AUTO inversion solves for the census orbits
+        # and the collections above proven through the contraction rule,
+        # with its own spec, targets and relocated pairs
+        calls = []
+        subsystem = solvers._contraction_subsystem
+
+        def record(spec, tmap, relocate, opts):
+            calls.append((spec, dict(tmap), relocate, opts))
+            return subsystem(spec, tmap, relocate, opts)
+
+        texts = [r["spec"] for r in census(3)["rows"]] + FIXED_POINT_ROUTES_N45
+        specs = [
+            spec for spec in map(_spec_line, texts)
+            if CONTRACTION_RULE in {s.rule for s in classify(spec).rule_chain}
+        ]
+        assert {s.vars.n for s in specs} == {3, 4}
+        rng = np.random.default_rng(10)
+        monkeypatch.setattr(solvers, "_contraction_subsystem", record)
+        for spec in specs:
+            for draw in (dirichlet_table, _skewed_table):
+                table = draw(spec.vars, rng)
+                res = invert(spec, lambda_vector(table, spec))
+                assert float(np.max(np.abs(res.table.p - table.p))) < 1e-8
+        monkeypatch.undo()
+        assert len(calls) == 2 * len(specs)
+        for call in calls:
+            eta, trace = subsystem(*call)
+            want_eta, want_trace = brute_contraction_subsystem(*call)
+            assert len(trace) == len(want_trace)
+            np.testing.assert_allclose(trace, want_trace, rtol=1e-9, atol=1e-12)
+            assert float(np.max(np.abs(eta - want_eta))) <= 1e-12
+
+    def test_margins_above_one_product_size_match_oracle(self):
+        # two drop-one margins of 128 cells: their blocks run the transform
+        # instead of a dense matrix
+        spec = _drop_one_spec(8, (2, 6))
+        blocks = solvers._block_plan(spec.pairs, 8).blocks
+        assert [b.params.func for b in blocks] == [solvers._transform_at] * 2
+        rng = np.random.default_rng(12)
+        for draw in (dirichlet_table, _skewed_table):
+            assert_same_as_oracle(spec, lambda_vector(draw(spec.vars, rng), spec))
+
+    def test_plan_stays_small_at_twelve_variables(self):
+        # per proper margin one index per table cell, plus the pairs' three
+        # integers: no matrix grows with the square of the margin, and
+        # building one allocates no such matrix on the way
+        n = 12
+        spec = _drop_one_spec(n, (2, 6))
+        tracemalloc.start()
+        plan = solvers._block_plan.__wrapped__(spec.pairs, n)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        indices = 8 * (3 * len(spec.pairs) + len(plan.blocks) * (1 << n))
+        assert kept <= 2 * indices and peak <= 4 * indices
+        # and it sweeps: twenty sweeps cut the residual a hundredfold
+        t = dirichlet_table(spec.vars, np.random.default_rng(13))
+        with pytest.raises(SolverError) as info:
+            invert_fixed_point(spec, lambda_vector(t, spec), SolveOptions(max_iter=20))
+        assert info.value.kind == NON_CONVERGENCE
+        assert info.value.trace[-1] < 1e-2 * info.value.trace[0]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_full_margin_coefficients_are_eta(self, n, rng):
