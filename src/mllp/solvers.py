@@ -5,7 +5,8 @@ Four routes, dispatched automatically from the classification chain:
 * sequential *hierarchical* reconstruction: margins are rebuilt in the
   witness order, each one solved from its already-known sub-margins plus
   the log-linear coefficients assigned to it (a mixed mean/natural
-  coordinate problem solved by one damped Newton solve);
+  coordinate problem solved by proportional fitting, then a damped Newton
+  solve if the fit stalls);
 * the *fixed-point* iteration eta <- eta + damping * (target - lam(eta)),
   swept margin block by margin block through a plan compiled once per spec,
   with the full-margin block in closed form (its coefficients are eta
@@ -395,6 +396,71 @@ def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(tri[:k, :k], tri[:k, k])
 
 
+# Proportional fitting hands over to Newton when, at the contraction of its
+# last FIT_WINDOW sweeps, it would need more than FIT_SWEEPS further sweeps
+# to bring the largest log margin ratio below 1e-12.  At n = 9 a sweep
+# costs about 35 us and a Newton finish 40-70 ms, so 1 500 sweeps is about
+# where the two break even.  The window keeps the early sweeps, which often
+# contract by only 0.9-0.99 before the fit settles, from handing over: on
+# the 36 n = 9 solves of a large-table pass (seeds 1601, 13201-13220), a
+# one-sweep rule (stop below a contraction of 0.9) handed 9-24 to Newton,
+# this rule 0-3.
+FIT_SWEEPS = 1500
+FIT_WINDOW = 20
+# A reconstructed table must match its sub-margins to this relative error
+# (largest |log(p_S / q_S)|).  The Gauss-Newton phase drives the ratios
+# below 1e-12 and so does fitting that converges; a relative miss of 1e-10
+# moves the margin's log-linear coefficients by at most 1e-10, well inside
+# the 1e-9 reassembly check of the hierarchical route.
+MARGIN_RTOL = 1e-10
+
+
+def _proportional_fit(q: np.ndarray, cells: Sequence[np.ndarray],
+                      sub_p: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Iterative proportional fitting of the positive table q to the
+    sub-margins ``sub_p``; ``cells[i]`` maps each cell of q to its cell of
+    margin i.  Scaling q by a function of x_S moves only the log-linear
+    coefficients of effects inside S, so every sweep keeps the coefficients
+    that no sub-margin covers.
+
+    Sweeps until the largest log ratio |log(p_S / q_S)| is below 1e-12,
+    until a sweep leaves a cell at 0, or, from sweep FIT_WINDOW + 1 on,
+    until the last FIT_WINDOW sweeps did not cut the ratio or, at their
+    contraction, would leave it above 1e-12 after FIT_SWEEPS more sweeps.
+    Returns the sweep with the smallest ratio, or None when no sweep
+    improves on q.  The last sub-margin of a sweep matches to rounding, so
+    only the others are measured, and the first one's ratios start the
+    next sweep."""
+
+    def ratios(t: np.ndarray, k: int) -> list[np.ndarray]:
+        return [ps / np.bincount(c, t, minlength=ps.size)
+                for c, ps in zip(cells[:k], sub_p[:k])]
+
+    def worst(rs: list[np.ndarray]) -> float:
+        return max((float(np.max(np.abs(np.log(r)))) for r in rs), default=0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rs = ratios(q, len(cells))
+        fit, fitted, best, trail = q, None, worst(rs), []
+        while best >= 1e-12:
+            fit = fit * rs[0][cells[0]]
+            for c, ps in zip(cells[1:], sub_p[1:]):
+                fit *= (ps / np.bincount(c, fit, minlength=ps.size))[c]
+            if not fit.min() > 0.0:  # a NaN stops too
+                break
+            rs = ratios(fit, len(cells) - 1)
+            res = worst(rs)
+            if res < best:
+                fitted, best = fit, res
+            trail.append(res)
+            if len(trail) > FIT_WINDOW:
+                ago = trail[-1 - FIT_WINDOW]
+                if not (res < ago and
+                        res * (res / ago) ** (FIT_SWEEPS / FIT_WINDOW) <= 1e-12):
+                    break
+    return fitted
+
+
 def reconstruct_mixed(
     vars_m: VarSet,
     margins: Sequence[JointTable],
@@ -403,24 +469,30 @@ def reconstruct_mixed(
     """Table over ``vars_m`` matching every given sub-margin table and the
     log-linear coefficients of the effects no sub-margin covers.
 
-    One damped Newton solve for the covered coefficients, warm-started from
-    the sub-margins' own coefficients: Armijo steps on the convex dual
-    log Z(theta) - theta . mu* while it resolves progress, then Gauss-Newton
-    steps on the log margin ratios, which keep tiny cells' relative accuracy.
-    Each Gauss-Newton step is a QR least-squares solve, not an SVD: the
-    mixed parameterization is smooth and variation independent, so the
-    Jacobian has full column rank at every positive table.
+    Warm-started from the sub-margins' own coefficients, then fitted to the
+    sub-margins by proportional fitting (``_proportional_fit``), which keeps
+    the uncovered coefficients.  If the fit stalls, one damped Newton solve
+    for the covered coefficients takes over from the fitted table: Armijo
+    steps on the convex dual log Z(theta) - theta . mu* while it resolves
+    progress, then Gauss-Newton steps on the log margin ratios, which keep
+    tiny cells' relative accuracy.  Each Gauss-Newton step is a QR
+    least-squares solve, not an SVD: the mixed parameterization is smooth
+    and variation independent, so the Jacobian has full column rank at
+    every positive table.
     Raises INCONSISTENT_MARGINS when the given margins contradict each
-    other, NON_CONVERGENCE when the result misses a margin or a coefficient.
+    other, NON_CONVERGENCE when the result misses a margin by more than
+    MARGIN_RTOL relative or a coefficient by more than 1e-10.
     """
     m = vars_m.n
     size = vars_m.n_cells
     sub_masks: list[int] = []
     sub_p: list[np.ndarray] = []
+    cells: list[np.ndarray] = []
     for tbl in margins:
         mask = vars_m.mask_of(tbl.vars.names)
         sub_p.append(tbl.p[packed_indices(vars_m.restrict(mask), tbl.vars.names)])
         sub_masks.append(mask)
+        cells.append(compress_map(m, mask))
 
     covered: set[int] = set()
     for mask in sub_masks:
@@ -437,9 +509,9 @@ def reconstruct_mixed(
     cov = np.array(sorted(covered), dtype=np.int64)
     mu_star = np.zeros(len(cov))
     seen = np.zeros(len(cov), dtype=bool)
-    for mask, ps in zip(sub_masks, sub_p):
+    for mask, ps, cell in zip(sub_masks, sub_p, cells):
         at = np.flatnonzero((cov & ~mask) == 0)
-        idx = compress_map(m, mask)[cov[at]]
+        idx = cell[cov[at]]
         mu_sub = fwht(ps)[idx]
         clash = float(np.max(np.abs(mu_star[at] - mu_sub)[seen[at]], initial=0.0))
         if clash > 1e-9:
@@ -452,8 +524,6 @@ def reconstruct_mixed(
         theta[cov[at]] = (fwht(np.log(ps)) / ps.size)[idx]
 
     p_all = np.concatenate(sub_p or [np.zeros(0)])
-    parity = np.bitwise_count(np.arange(size)[:, None] & cov) % 2
-    chars = 1 - 2 * parity.astype(np.int8)  # chars[x, i] = (-1)**|x & cov[i]|
 
     def state(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -466,7 +536,12 @@ def reconstruct_mixed(
             return qq, qs, np.log(p_all / qs), log_z - float(th[cov] @ mu_star)
 
     q, qs, r, f = state(theta)
+    fitted = _proportional_fit(q, cells, sub_p)
+    if fitted is not None:
+        theta[cov] = (fwht(np.log(fitted)) / size)[cov]
+        q, qs, r, f = state(theta)
     polish = False
+    chars = None
     for _ in range(200):  # solves that converge take 2-25 steps
         if float(np.max(np.abs(r), initial=0.0)) < 1e-12:
             break
@@ -484,6 +559,9 @@ def reconstruct_mixed(
         if polish:
             # Gauss-Newton: least squares J step = r, where the rows of J,
             # the Jacobian of log q_S, are E[chi | x_S] - E[chi]
+            if chars is None:  # chars[x, i] = (-1)**|x & cov[i]|
+                parity = np.bitwise_count(np.arange(size)[:, None] & cov) % 2
+                chars = 1 - 2 * parity.astype(np.int8)
             jac = np.concatenate(
                 [marginal_array(q[:, None] * chars, m, mask) for mask in sub_masks]
             )
@@ -515,10 +593,11 @@ def reconstruct_mixed(
 
     # written so that a NaN fails: a cell underflowed to 0 makes log(q) -inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        miss = float(np.max(np.abs(qs - p_all), initial=0.0))
-        if not miss <= 1e-10:
+        miss = float(np.max(np.abs(r), initial=0.0))
+        if not miss <= MARGIN_RTOL:
             raise SolverError(
-                NON_CONVERGENCE, f"margin mismatch {miss:.3e} after reconstruction"
+                NON_CONVERGENCE,
+                f"relative margin mismatch {miss:.3e} after reconstruction",
             )
         theta_check = fwht(np.log(q)) / size
         for L, v in eta_targets.items():

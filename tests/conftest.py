@@ -30,7 +30,8 @@ def dirichlet_table(vs: VarSet, rng: np.random.Generator) -> JointTable:
 def underflow_case() -> tuple[MLLSpec, JointTable]:
     """Hierarchical collection and skewed table (case 182 of
     scripts/skewed_roundtrip.py: Dirichlet(0.05) floored at 1e-14) whose
-    margin-by-margin reconstruction drives a cell to 0."""
+    margin-by-margin reconstruction by Newton steps alone drives a cell
+    to 0."""
     spec = MLLSpec.from_text(
         "123: 1 2 12 3 13 23 123\n4: 4\n134: 14 34 134\n1234: 24 124 234 1234\n"
     )

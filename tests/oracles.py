@@ -9,31 +9,40 @@ lengths up to 2**12 stay cheap.  :func:`brute_classify` is the classifier's
 plain recursive search over every path, one spec per collection; it calls
 the package's rules, moves and reductions, which have their own checks.
 :func:`brute_fixed_point` is the fixed-point inversion as a loop over
-pairs, with a fresh table and margin transform per block; it reads the
-package's forward map and contraction certificate.  :func:`brute_rule_cyclic`
+pairs, with fresh unnormalised weights and margin transform per block; it
+reads the package's contraction certificate.  :func:`brute_rule_cyclic`
 is the cyclic rule tried over every ordering of the proper margins.
 :func:`brute_contraction_subsystem` is the contraction subsystem's Jacobi
 sweep with each margin summed out of the cell cube and transformed anew.
+:func:`brute_reconstruct_mixed` is the mixed-coordinate solve as Newton
+steps alone, without proportional fitting; it reads the package's weights
+and least-squares step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from mllp import classify as cls
 from mllp.classify import ClassificationReport, RuleStep, _margins
-from mllp.errors import DIVERGENCE, NON_CONVERGENCE, SolverError, StructureError
+from mllp.errors import (
+    DIVERGENCE,
+    INCONSISTENT_MARGINS,
+    NON_CONVERGENCE,
+    SolverError,
+    SpecError,
+    StructureError,
+)
 from mllp.mll import (
     MLLSpec,
     MLLVector,
     Pair,
     lambda_array,
     margin_kernel_array,
-    margin_lambda_array,
 )
 from mllp.solvers import (
     STALL_FACTOR,
@@ -41,14 +50,20 @@ from mllp.solvers import (
     SolveOptions,
     SolveResult,
     _finish_table,
+    _least_squares_step,
+    _weights,
     contraction_certificate,
 )
 from mllp.tables import (
     EtaVector,
     JointTable,
+    VarSet,
     compress,
+    compress_map,
     fwht,
+    marginal_array,
     nonempty_submasks,
+    packed_indices,
     table_from_eta,
 )
 
@@ -370,13 +385,27 @@ def _brute_classify(spec: MLLSpec, on_path: frozenset) -> ClassificationReport:
     return ClassificationReport(spec, cls.UNKNOWN, (), ())
 
 
-def _brute_probs(eta: np.ndarray) -> np.ndarray:
+def _brute_weights(eta: np.ndarray) -> np.ndarray:
+    """Unnormalised cell weights exp(s - max s), s = fwht(eta)."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = fwht(eta)
     if not np.all(np.isfinite(s)):
         raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
-    p = np.exp(s - s.max())
-    return p / p.sum()
+    return np.exp(s - s.max())
+
+
+def _brute_margin_lambdas(eta: np.ndarray, n: int, margin: int) -> np.ndarray:
+    """The margin's coefficients at eta, indexed by compressed effect: eta
+    itself for the full margin; else the transform of log(sum of the
+    unnormalised weights over the other variables) over its cell count,
+    whose entry 0 is off by the log scale."""
+    if margin == (1 << n) - 1:
+        return eta
+    w = _brute_weights(eta)
+    drop = tuple(n - 1 - k for k in range(n) if not margin >> k & 1)
+    marg = w.reshape((2,) * n).sum(axis=drop).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return fwht(np.log(marg)) / marg.size
 
 
 def brute_fixed_point(
@@ -386,10 +415,12 @@ def brute_fixed_point(
     damping: float = 1.0,
 ) -> SolveResult:
     """Fixed-point inversion one pair at a time: per margin block, largest
-    first, the normalised table from eta, the margin's transform, and one
-    scalar update per pair; after each sweep the table again and the
-    residual of the whole forward map.  Same stops and errors as
-    :func:`mllp.solvers.invert_fixed_point`."""
+    first, the unnormalised weights from eta, the margin's transform, and
+    one scalar update per pair; after each sweep the weights again and the
+    residual of every pair.  Margins are summed from the unnormalised
+    weights, as :func:`mllp.solvers.invert_fixed_point` does, so a tiny
+    cell underflows in the same sweep on both sides.  Same stops and
+    errors as :func:`mllp.solvers.invert_fixed_point`."""
     if not spec.is_complete():
         raise StructureError("fixed-point inversion needs a complete spec")
     n = spec.vars.n
@@ -405,15 +436,18 @@ def brute_fixed_point(
     best = math.inf
     for it in range(1, opts.max_iter + 1):
         for margin, effects in by_margin:
-            p = _brute_probs(eta)
-            lam_m = margin_lambda_array(p, n, margin)
+            lam_m = _brute_margin_lambdas(eta.copy(), n, margin)
             for effect, idx in effects:
                 eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
-        p = _brute_probs(eta)
-        res = float(np.max(np.abs(lambda_array(p, n, spec) - target.values)))
+        w = _brute_weights(eta)
+        misses = []
+        for margin, effects in by_margin:
+            lam_m = _brute_margin_lambdas(eta, n, margin)
+            misses += [tmap[(effect, margin)] - lam_m[idx] for effect, idx in effects]
+        res = float(np.max(np.abs(misses)))  # keeps a NaN
         trace.append(res)
         if res <= opts.tol:
-            table = _finish_table(spec, p, trace)
+            table = _finish_table(spec, w / w.sum(), trace)
             cert = None
             if cls.rule_applies(spec, "single_feedback") is not None:
                 cert = contraction_certificate(spec, table)
@@ -479,3 +513,139 @@ def brute_contraction_subsystem(
             if res <= opts.tol * 0.1:
                 return eta, trace
     raise SolverError(NON_CONVERGENCE, "subsystem fixed point did not converge", trace)
+
+
+def brute_reconstruct_mixed(
+    vars_m: VarSet,
+    margins: Sequence[JointTable],
+    eta_targets: Mapping[int, float],
+) -> JointTable:
+    """The mixed-coordinate solve before proportional fitting, kept verbatim
+    as the reference: table over ``vars_m`` matching every given sub-margin
+    table and the log-linear coefficients of the effects no sub-margin
+    covers.
+
+    One damped Newton solve for the covered coefficients, warm-started from
+    the sub-margins' own coefficients: Armijo steps on the convex dual
+    log Z(theta) - theta . mu* while it resolves progress, then Gauss-Newton
+    steps on the log margin ratios, which keep tiny cells' relative accuracy.
+    Each Gauss-Newton step is a QR least-squares solve, not an SVD: the
+    mixed parameterization is smooth and variation independent, so the
+    Jacobian has full column rank at every positive table.
+    Raises INCONSISTENT_MARGINS when the given margins contradict each
+    other, NON_CONVERGENCE when the result misses a margin or a coefficient.
+    """
+    m = vars_m.n
+    size = vars_m.n_cells
+    sub_masks: list[int] = []
+    sub_p: list[np.ndarray] = []
+    for tbl in margins:
+        mask = vars_m.mask_of(tbl.vars.names)
+        sub_p.append(tbl.p[packed_indices(vars_m.restrict(mask), tbl.vars.names)])
+        sub_masks.append(mask)
+
+    covered: set[int] = set()
+    for mask in sub_masks:
+        covered.update(nonempty_submasks(mask))
+    uncovered = [L for L in range(1, size) if L not in covered]
+    if set(eta_targets) != set(uncovered):
+        raise SpecError(
+            "eta targets must cover exactly the effects outside the given margins"
+        )
+
+    theta = np.zeros(size)
+    theta[list(eta_targets)] = list(eta_targets.values())
+    # target moments, overlap check and warm start, margin by margin
+    cov = np.array(sorted(covered), dtype=np.int64)
+    mu_star = np.zeros(len(cov))
+    seen = np.zeros(len(cov), dtype=bool)
+    for mask, ps in zip(sub_masks, sub_p):
+        at = np.flatnonzero((cov & ~mask) == 0)
+        idx = compress_map(m, mask)[cov[at]]
+        mu_sub = fwht(ps)[idx]
+        clash = float(np.max(np.abs(mu_star[at] - mu_sub)[seen[at]], initial=0.0))
+        if clash > 1e-9:
+            raise SolverError(
+                INCONSISTENT_MARGINS,
+                f"given margins disagree on a shared moment by {clash:.3e}",
+            )
+        mu_star[at] = mu_sub
+        seen[at] = True
+        theta[cov[at]] = (fwht(np.log(ps)) / ps.size)[idx]
+
+    p_all = np.concatenate(sub_p or [np.zeros(0)])
+    parity = np.bitwise_count(np.arange(size)[:, None] & cov) % 2
+    chars = 1 - 2 * parity.astype(np.int8)  # chars[x, i] = (-1)**|x & cov[i]|
+
+    def state(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, top = _weights(th)
+        z = w.sum()
+        qq, log_z = w / z, top + math.log(z)
+        qs = np.concatenate([marginal_array(qq, m, mask) for mask in sub_masks]
+                            or [np.zeros(0)])
+        with np.errstate(divide="ignore", over="ignore"):
+            return qq, qs, np.log(p_all / qs), log_z - float(th[cov] @ mu_star)
+
+    q, qs, r, f = state(theta)
+    polish = False
+    for _ in range(200):  # solves that converge take 2-25 steps
+        if float(np.max(np.abs(r), initial=0.0)) < 1e-12:
+            break
+        if not polish:
+            mu = fwht(q)
+            grad = mu[cov] - mu_star
+            try:
+                hess = mu[cov[:, None] ^ cov] - np.outer(mu[cov], mu[cov])
+                step = np.linalg.solve(hess, -grad)
+                slope = float(grad @ step)
+                # a Newton decrement this small is below what the dual resolves
+                polish = slope > -1e-10
+            except np.linalg.LinAlgError:
+                polish = True
+        if polish:
+            # Gauss-Newton: least squares J step = r, where the rows of J,
+            # the Jacobian of log q_S, are E[chi | x_S] - E[chi]
+            jac = np.concatenate(
+                [marginal_array(q[:, None] * chars, m, mask) for mask in sub_masks]
+            )
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                jac /= qs[:, None]
+            jac -= fwht(q)[cov]
+            if not (np.isfinite(jac).all() and np.isfinite(r).all()):
+                break  # a margin underflowed to 0: the checks below decide
+            try:
+                step = _least_squares_step(jac, r)
+            except np.linalg.LinAlgError:
+                break
+            slope = -2.0 * float(r @ (jac @ step))
+        for scale in 0.5 ** np.arange(40.0):
+            trial = theta.copy()
+            trial[cov] += scale * step
+            try:
+                q_try, qs_try, r_try, f_try = state(trial)
+            except SolverError:
+                continue
+            new, old = (r_try @ r_try, r @ r) if polish else (f_try, f)
+            if new < old + 1e-4 * scale * slope:
+                theta, q, qs, r, f = trial, q_try, qs_try, r_try, f_try
+                break
+        else:
+            if polish:
+                break  # no step helps: the checks below decide
+            polish = True
+
+    # written so that a NaN fails: a cell underflowed to 0 makes log(q) -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss = float(np.max(np.abs(qs - p_all), initial=0.0))
+        if not miss <= 1e-10:
+            raise SolverError(
+                NON_CONVERGENCE, f"margin mismatch {miss:.3e} after reconstruction"
+            )
+        theta_check = fwht(np.log(q)) / size
+        for L, v in eta_targets.items():
+            if not abs(float(theta_check[L]) - v) <= 1e-10:
+                raise SolverError(
+                    NON_CONVERGENCE, "coefficient targets missed after reconstruction"
+                )
+    return JointTable(vars_m, q / q.sum())
