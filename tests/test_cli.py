@@ -226,6 +226,16 @@ class TestExitCodes:
         )
         assert rc == 2
 
+    def test_nan_tol_is_domain_error(self, tmp_path, rng):
+        spec = catalog.OPEN_FOUR_MARGIN
+        table = dirichlet_table(spec.vars, rng)
+        values = [float(v) for v in lambda_vector(table, spec).values]
+        (tmp_path / "lam.json").write_text(
+            json.dumps({"spec": spec.to_json_obj(), "values": values})
+        )
+        rc, _ = run(["invert", "--lambda", str(tmp_path / "lam.json"), "--tol", "nan"])
+        assert rc == 1
+
     @pytest.mark.filterwarnings("error")
     def test_underflow_case_exits_zero_or_two(self, tmp_path):
         # the table within 1e-8 (exit 0) or a solver failure (exit 2), never

@@ -19,6 +19,7 @@ from mllp.classify import (
 )
 from mllp.cimodels import CIStatement, model_member, model_spec
 from mllp.errors import (
+    ALL_METHODS_FAILED,
     DIVERGENCE,
     INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
@@ -809,20 +810,61 @@ class TestInvertAuto:
         assert res.method_used in ("fixed_point_damped", "newton")
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
 
-    def test_newton_restart_rescues(self):
-        # the damped fixed point and the zero-start Newton both fail here;
-        # the first restart drawn from default_rng(0) succeeds in 37 steps
-        # (other seeds take other step counts)
+    @staticmethod
+    def fallback_case():
+        # a collection without a proof whose target both the damped fixed
+        # point and Newton from the uniform table fail to invert
         spec = MLLSpec.from_text("1: 1\n2: 2\n12: 12\n13: 13\n23: 23\n123: 3 123")
         p = np.random.default_rng(2).dirichlet(np.full(8, 0.1))
         t = table_from_probs(spec.vars, p / p.sum())
-        target = lambda_vector(t, spec)
+        return spec, lambda_vector(t, spec)
+
+    def test_newton_restart_rescues(self):
+        # no restart rescues the fallback: both stages fail, and the error
+        # names each of them once
+        spec, target = self.fallback_case()
+        with pytest.raises(SolverError) as info:
+            invert(spec, target)
+        assert info.value.kind == ALL_METHODS_FAILED
+        message = str(info.value)
+        assert message.count("fixed_point:") == 1
+        assert message.count("newton:") == 1
+
+    def test_fallback_runs_newton_once(self, monkeypatch):
+        spec, target = self.fallback_case()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("init_eta"))
+            return invert_newton(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "invert_newton", counting)
         with pytest.raises(SolverError):
-            invert_newton(spec, target)
-        res = invert(spec, target)
-        assert res.method_used == "newton"
-        assert res.iterations == 37
-        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+            invert(spec, target)
+        assert calls == [None]
+
+    def test_newton_line_search_tries_at_most_the_cap(self, monkeypatch):
+        # each step evaluates one Jacobian and then at most NEWTON_TRIALS
+        # trial points; this solve stalls, so one step uses them all
+        spec, target = self.fallback_case()
+        trials: list[int] = []  # trial points after each Jacobian
+        jacobian, probs = solvers.jacobian_array, solvers._probs_from_eta
+
+        def counting_jacobian(*args):
+            trials.append(0)
+            return jacobian(*args)
+
+        def counting_probs(eta):
+            if trials:
+                trials[-1] += 1
+            return probs(eta)
+
+        monkeypatch.setattr(solvers, "jacobian_array", counting_jacobian)
+        monkeypatch.setattr(solvers, "_probs_from_eta", counting_probs)
+        with pytest.raises(SolverError) as info:
+            invert(spec, target, SolveOptions(method="NEWTON"))
+        assert "line search stalled" in str(info.value)
+        assert max(trials) == solvers.NEWTON_TRIALS
 
     def test_variable_removal_split_reassembles(self, rng):
         # removing the variable confined to the full margin splits the
@@ -892,8 +934,9 @@ class TestInvertAuto:
 
 class TestSolveOptions:
     def test_validation(self):
-        with pytest.raises(SpecError):
-            SolveOptions(tol=0)
+        for tol in (0, -1e-10, math.inf, math.nan):
+            with pytest.raises(SpecError):
+                SolveOptions(tol=tol)
         with pytest.raises(SpecError):
             SolveOptions(max_iter=0)
         with pytest.raises(SpecError):
