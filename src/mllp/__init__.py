@@ -10,7 +10,8 @@ Submodules:
 * :mod:`mllp.solvers`  -- inversion back to joint tables: hierarchical
   reconstruction, fixed-point contraction, Markov-chain recovery, Newton.
 * :mod:`mllp.cimodels` -- conditional-independence statements as zero
-  constraints, model embeddings and cyclic/Gibbs recovery.
+  constraints, model embeddings and members, Gibbs sweep kernels and
+  their stationary distributions.
 * :mod:`mllp.cli`      -- batch command-line front end.
 """
 

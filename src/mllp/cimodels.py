@@ -5,8 +5,8 @@ holds in a strictly positive table exactly when every parameter of the
 margin a+b+c whose effect meets both a and b is zero.  This module turns
 statement lists into zero-pair collections, embeds them into complete
 collections, verifies statements on tables, reconstructs conditionals from
-their parameter blocks, composes sweep kernels for cyclic update schemes,
-and produces member tables of a model from the free parameters.
+their parameter blocks, composes Gibbs sweep kernels and their stationary
+distributions, and produces member tables of a model from the free values.
 """
 
 from __future__ import annotations
@@ -24,17 +24,13 @@ from .tables import (
     ConditionalTable,
     JointTable,
     VarSet,
-    compress,
     compress_map,
-    condition,
-    eta_from_dict,
-    fwht,
+    fwht,  # noqa: F401 (unused; bench/tests/test_bench.py traces it by this name)
     marginal_array,
     marginalize,
     nonempty_submasks,
     packed_indices,
     popcount,
-    table_from_eta,
 )
 
 
@@ -166,33 +162,6 @@ class GibbsCycleSpec:
                 raise SpecError(f"step {i}: conditional names do not match blocks")
             available |= tgt
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "GibbsCycleSpec":
-        vs = VarSet(tuple(obj["variables"]))
-        steps = tuple(
-            (
-                vs.mask_of(s["target"]),
-                vs.mask_of(s.get("given", [])),
-                ConditionalTable.from_json_obj(s["table"]),
-            )
-            for s in obj["steps"]
-        )
-        return GibbsCycleSpec(vs, steps, vs.mask_of(obj["state"]))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "variables": list(self.vars.names),
-            "state": list(self.vars.names_of(self.state)),
-            "steps": [
-                {
-                    "target": list(self.vars.names_of(t)),
-                    "given": list(self.vars.names_of(g)),
-                    "table": c.to_json_obj(),
-                }
-                for t, g, c in self.steps
-            ],
-        }
-
 
 def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
     """Transition matrix of one full sweep on the state cells: row = state
@@ -201,49 +170,40 @@ def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
     Between steps only the variables still needed (future conditioning
     sets, plus state variables never redrawn) are retained; dropping the
     rest is what makes each step's conditional exact for the retained
-    marginal.
+    marginal.  Column j of the carried array is the distribution reached
+    from start state j, so every start is swept at once.
     """
     vars = g.vars
     k = len(g.steps)
-    state_names = vars.names_of(g.state)
-    n_state = 1 << popcount(g.state)
     # needed[i]: variables whose pre-step-i value is still used at or after
-    # step i (a redraw makes the old value obsolete)
+    # step i (a redraw makes the old value obsolete, so no step's target is
+    # live when it is drawn)
     needed = [0] * (k + 1)
     needed[k] = g.state
     for i in range(k - 1, -1, -1):
         tgt, giv, _ = g.steps[i]
         needed[i] = giv | (needed[i + 1] & ~tgt)
 
-    kernel = np.zeros((n_state, n_state))
-    for start in range(n_state):
-        live = g.state
-        dist = np.zeros(n_state)
-        dist[start] = 1.0
-        for i, (tgt, giv, cond) in enumerate(g.steps):
-            keep = live & needed[i]
-            if keep != live:
-                sub_vars = vars.restrict(live)
-                keep_in = sub_vars.mask_of(vars.names_of(keep))
-                dist = marginal_array(dist, sub_vars.n, keep_in)
-                live = keep
-            if tgt & live:
-                raise SpecError(
-                    "a step redraws a variable that is still needed later"
-                )
-            new_live = live | tgt
-            nv = vars.restrict(new_live)
-            rows = packed_indices(nv, cond.target)
-            cols = packed_indices(nv, cond.given)
-            old_idx = packed_indices(nv, vars.names_of(live))
-            dist = cond.values[rows, cols] * dist[old_idx]
-            live = new_live
-        nv = vars.restrict(live)
-        out_idx = packed_indices(nv, state_names)
-        row = np.zeros(n_state)
-        np.add.at(row, out_idx, dist)
-        kernel[start] = row / row.sum()
-    return kernel
+    def drop_to(dist: np.ndarray, live: int, keep: int) -> np.ndarray:
+        sub_vars = vars.restrict(live)
+        return marginal_array(dist, sub_vars.n, sub_vars.mask_of(vars.names_of(keep)))
+
+    live = g.state
+    dist = np.eye(1 << popcount(g.state))
+    for i, (tgt, giv, cond) in enumerate(g.steps):
+        keep = live & needed[i]
+        if keep != live:
+            dist = drop_to(dist, live, keep)
+            live = keep
+        new_live = live | tgt
+        nv = vars.restrict(new_live)
+        rows = packed_indices(nv, cond.target)
+        cols = packed_indices(nv, cond.given)
+        old_idx = packed_indices(nv, vars.names_of(live))
+        dist = cond.values[rows, cols][:, None] * dist[old_idx]
+        live = new_live
+    kernel = drop_to(dist, live, g.state).T
+    return kernel / kernel.sum(axis=1, keepdims=True)
 
 
 def gibbs_stationary(g: GibbsCycleSpec) -> JointTable:
@@ -361,64 +321,26 @@ def _two_anchor_warm_start(
     """Warm start for four-variable embeddings carrying two disjoint fully
     parameterised two-variable anchor margins.
 
-    The anchors pin their own tables; collapsing the sweep of their four
-    within-anchor conditionals gives the state marginal as a stationary
-    distribution, and a product assembly of that marginal with the anchor
-    conditionals is a model member up to the top-order effects, which the
-    Newton completion then fixes.
+    The warm start is the product of the two anchor tables, which is also
+    what a Gibbs sweep of the four within-anchor conditionals assembles (the
+    two anchor chains run independently, each keeping its own marginal
+    stationary).  Its coefficients are the anchors' values, and zero on the
+    effects that meet both anchors, which the Newton completion then fixes.
     """
-    vars = embedding.vars
-    if vars.n != 4:
+    if embedding.vars.n != 4:
         return None
     anchors = []
     for m in embedding.proper_margins:
-        if popcount(m) != 2:
-            continue
-        block = [e for e, mm in embedding.pairs if mm == m]
-        if sorted(block) == sorted(nonempty_submasks(m)) and all(
-            (e, m) in free_values for e in block
-        ):
+        block = sorted(e for e, mm in embedding.pairs if mm == m)
+        full = popcount(m) == 2 and block == sorted(nonempty_submasks(m))
+        if full and all((e, m) in free_values for e in block):
             anchors.append(m)
     if len(anchors) != 2 or (anchors[0] & anchors[1]):
         return None
-    tables = []
+    eta = np.zeros(embedding.vars.n_cells)
     for m in anchors:
-        sub = vars.restrict(m)
-        entries = {compress(e, m): free_values[(e, m)] for e in nonempty_submasks(m)}
-        tables.append(table_from_eta(eta_from_dict(sub, entries)))
-    v0, w0 = (1 << b for b in range(vars.n) if anchors[0] >> b & 1)
-    v1, w1 = (1 << b for b in range(vars.n) if anchors[1] >> b & 1)
-    state = v0 | v1
-
-    def cond_of(tbl: JointTable, tgt_bit: int, giv_bit: int) -> ConditionalTable:
-        sub = tbl.vars
-        return condition(
-            tbl,
-            sub.mask_of(vars.names_of(tgt_bit)),
-            sub.mask_of(vars.names_of(giv_bit)),
-        )
-
-    sweep = GibbsCycleSpec(
-        vars,
-        (
-            (w0, v0, cond_of(tables[0], w0, v0)),
-            (w1, v1, cond_of(tables[1], w1, v1)),
-            (v0, w0, cond_of(tables[0], v0, w0)),
-            (v1, w1, cond_of(tables[1], v1, w1)),
-        ),
-        state,
-    )
-    pi = gibbs_stationary(sweep)
-    c0 = cond_of(tables[0], w0, v0)
-    c1 = cond_of(tables[1], w1, v1)
-    p = (
-        pi.p[packed_indices(vars, pi.vars.names)]
-        * c0.values[packed_indices(vars, c0.target), packed_indices(vars, c0.given)]
-        * c1.values[packed_indices(vars, c1.target), packed_indices(vars, c1.given)]
-    )
-    p /= p.sum()
-    eta = fwht(np.log(p)) / p.size
-    eta[0] = 0.0
+        for e in nonempty_submasks(m):
+            eta[e] = free_values[(e, m)]
     return eta
 
 
@@ -431,11 +353,11 @@ def model_member(
     given values.
 
     Embeddings with two disjoint fully parameterised two-variable anchor
-    margins first try Newton from a warm start built from the sweep
-    stationary distribution; otherwise, or when that fails, the automatic
-    inverter solves.  Its failure is NON_CONVERGENCE: the parameters are
-    variation dependent, so some free values have no member.  When
-    ``statements`` are given the member is verified against them.
+    margins first try Newton from the product of the two anchor tables;
+    otherwise, or when that fails, the automatic inverter solves.  Its
+    failure is NON_CONVERGENCE: the parameters are variation dependent, so
+    some free values have no member.  When ``statements`` are given the
+    member is verified against them.
     """
     if not embedding.is_complete():
         raise StructureError("model embeddings must be complete")

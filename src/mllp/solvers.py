@@ -148,10 +148,6 @@ def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _target_dict(target: MLLVector) -> dict[Pair, float]:
-    return {p: float(v) for p, v in zip(target.spec.pairs, target.values)}
-
-
 def _residual(p: np.ndarray, n: int, spec: MLLSpec, tvals: np.ndarray) -> float:
     return float(np.max(np.abs(lambda_array(p, n, spec) - tvals)))
 
@@ -624,7 +620,7 @@ def invert_hierarchical(
     order = cls.hierarchy_order(spec)
     if order is None:
         raise StructureError("spec is not hierarchical")
-    tmap = _target_dict(target)
+    tmap = target.as_dict()
     built: dict[int, JointTable] = {}
     for margin in order:
         vars_m = spec.vars.restrict(margin)
@@ -780,7 +776,7 @@ def invert_cyclic(
             raise StructureError("spec does not have the cyclic block structure")
         blocks = params["blocks"]
     _check_target(spec, target)
-    tmap = _target_dict(target)
+    tmap = target.as_dict()
     k = len(blocks)
     conds = []
     for i in range(k):
@@ -1070,7 +1066,7 @@ def _invert_via_chain(
     other rule inverts, and a reducing rule passes the rest of the chain on
     to its reduced collection."""
     cur_spec = spec
-    tmap = _target_dict(target)
+    tmap = target.as_dict()
     method = ">".join(s.rule for s in chain if s.rule != "interchange")
     for i, step in enumerate(chain):
         rule = step.rule

@@ -16,7 +16,9 @@ is the cyclic rule tried over every ordering of the proper margins.
 sweep with each margin summed out of the cell cube and transformed anew.
 :func:`brute_reconstruct_mixed` is the mixed-coordinate solve as Newton
 steps alone, without proportional fitting; it reads the package's weights
-and least-squares step.
+and least-squares step.  :func:`brute_sweep_kernel` is the Gibbs sweep
+kernel carried one start state at a time; it reads the package's marginal
+and cell-packing helpers.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from mllp import classify as cls
+from mllp.cimodels import GibbsCycleSpec
 from mllp.classify import ClassificationReport, RuleStep, _margins
 from mllp.errors import (
     DIVERGENCE,
@@ -649,3 +652,50 @@ def brute_reconstruct_mixed(
                     NON_CONVERGENCE, "coefficient targets missed after reconstruction"
                 )
     return JointTable(vars_m, q / q.sum())
+
+
+def brute_sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
+    """The sweep kernel one start state at a time, kept verbatim as the
+    reference: row = state before the sweep, column = state after, each row
+    the point mass at its start carried through the steps, with the
+    variables no later step needs summed out before each step and the
+    final cells added into their state cell one by one."""
+    vars = g.vars
+    k = len(g.steps)
+    state_names = vars.names_of(g.state)
+    n_state = 1 << popcount(g.state)
+    needed = [0] * (k + 1)
+    needed[k] = g.state
+    for i in range(k - 1, -1, -1):
+        tgt, giv, _ = g.steps[i]
+        needed[i] = giv | (needed[i + 1] & ~tgt)
+
+    kernel = np.zeros((n_state, n_state))
+    for start in range(n_state):
+        live = g.state
+        dist = np.zeros(n_state)
+        dist[start] = 1.0
+        for i, (tgt, giv, cond) in enumerate(g.steps):
+            keep = live & needed[i]
+            if keep != live:
+                sub_vars = vars.restrict(live)
+                keep_in = sub_vars.mask_of(vars.names_of(keep))
+                dist = marginal_array(dist, sub_vars.n, keep_in)
+                live = keep
+            if tgt & live:
+                raise SpecError(
+                    "a step redraws a variable that is still needed later"
+                )
+            new_live = live | tgt
+            nv = vars.restrict(new_live)
+            rows = packed_indices(nv, cond.target)
+            cols = packed_indices(nv, cond.given)
+            old_idx = packed_indices(nv, vars.names_of(live))
+            dist = cond.values[rows, cols] * dist[old_idx]
+            live = new_live
+        nv = vars.restrict(live)
+        out_idx = packed_indices(nv, state_names)
+        row = np.zeros(n_state)
+        np.add.at(row, out_idx, dist)
+        kernel[start] = row / row.sum()
+    return kernel

@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from mllp import catalog
+from mllp import catalog, solvers
 from mllp.cimodels import (
     CIStatement,
     GibbsCycleSpec,
+    _sweep_kernel,
+    _two_anchor_warm_start,
     ci_holds,
     ci_to_zero_params,
     conditional_from_lambda,
@@ -21,13 +23,20 @@ from mllp.solvers import chain_from_joint, stationary
 from mllp.tables import (
     JointTable,
     VarSet,
+    compress,
+    compress_map,
     condition,
+    eta_from_dict,
+    fwht,
     marginalize,
+    nonempty_submasks,
+    table_from_eta,
     table_from_probs,
     uniform_table,
 )
 
 from conftest import dirichlet_table, make_vars, outside_domain_values
+from oracles import brute_sweep_kernel
 
 
 def product_table(vs, rng, mask_a, mask_b):
@@ -180,6 +189,55 @@ def _spec_of(vs, pairs):
     return MLLSpec(vs, tuple(pairs))
 
 
+# the carried kernel sums its final cells in another order than the oracle
+KERNEL_TOL = 4 * np.finfo(float).eps
+
+
+def _pair_sweep(t):
+    """The alternating sweep of acceptance criterion 11 on a four-variable
+    table, with state variables 1 and 2."""
+    m = t.vars.mask
+    return GibbsCycleSpec(
+        t.vars,
+        (
+            (m("4"), m("12"), condition(t, m("4"), m("12"))),
+            (m("3"), m("24"), condition(t, m("3"), m("24"))),
+            (m("1"), m("34"), condition(t, m("1"), m("34"))),
+            (m("2"), m("13"), condition(t, m("2"), m("13"))),
+        ),
+        m("12"),
+    )
+
+
+def _sweeps(t):
+    """The sweeps of the Gibbs tests on a table of two to four variables,
+    plus a three-variable sweep that draws a two-variable block."""
+    vs = t.vars
+    if vs.n == 2:
+        steps = ((0b10, 0b01), (0b01, 0b10))
+        return [
+            GibbsCycleSpec(vs, [(a, b, condition(t, a, b)) for a, b in steps], 0b01)
+        ]
+    if vs.n == 3:
+        chain = ((0b010, 0b001), (0b100, 0b010), (0b001, 0b100))
+        block = ((0b110, 0b001), (0b001, 0b110))
+        return [
+            GibbsCycleSpec(vs, [(a, b, condition(t, a, b)) for a, b in chain], 0b001),
+            GibbsCycleSpec(vs, [(a, b, condition(t, a, b)) for a, b in block], 0b011),
+        ]
+    return [_pair_sweep(t)]
+
+
+def _two_anchor_free(rng):
+    """Criterion 11's statements and free values of ``TWO_ANCHOR_CYCLE``
+    drawn within +-0.6."""
+    vs = make_vars(4)
+    stmts = [CIStatement.from_text(vs, s) for s in catalog.CI_LOOP_FOUR]
+    zero = {p for s in stmts for p in ci_to_zero_params(s)}
+    free_pairs = [p for p in catalog.TWO_ANCHOR_CYCLE.pairs if p not in zero]
+    return stmts, {p: float(rng.uniform(-0.6, 0.6)) for p in free_pairs}
+
+
 class TestGibbs:
     def test_independent_steps_give_product(self, rng):
         vs = make_vars(2)
@@ -218,22 +276,29 @@ class TestGibbs:
     def test_four_step_sweep_recovers_pair_marginal(self, rng):
         # the alternating pair sweep keeps the pair marginal invariant for
         # any positive table
-        vs = make_vars(4)
-        t = dirichlet_table(vs, rng)
-        m = vs.mask
-        sweep = GibbsCycleSpec(
-            vs,
-            (
-                (m("4"), m("12"), condition(t, m("4"), m("12"))),
-                (m("3"), m("24"), condition(t, m("3"), m("24"))),
-                (m("1"), m("34"), condition(t, m("1"), m("34"))),
-                (m("2"), m("13"), condition(t, m("2"), m("13"))),
-            ),
-            m("12"),
-        )
-        pi = gibbs_stationary(sweep)
-        want = marginalize(t, m("12"))
+        t = dirichlet_table(make_vars(4), rng)
+        pi = gibbs_stationary(_pair_sweep(t))
+        want = marginalize(t, 0b0011)
         assert float(np.max(np.abs(pi.p - want.p))) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kernel_matches_per_start_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 4):
+            for sweep in _sweeps(dirichlet_table(make_vars(n), rng)):
+                np.testing.assert_allclose(
+                    _sweep_kernel(sweep), brute_sweep_kernel(sweep), rtol=0, atol=KERNEL_TOL
+                )
+
+    def test_kernel_matches_oracle_on_criterion_11_members(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            stmts, free = _two_anchor_free(rng)
+            t = model_member(catalog.TWO_ANCHOR_CYCLE, free, statements=stmts)
+            sweep = _pair_sweep(t)
+            np.testing.assert_allclose(
+                _sweep_kernel(sweep), brute_sweep_kernel(sweep), rtol=0, atol=KERNEL_TOL
+            )
 
     def test_rejects_unavailable_conditioning(self, rng):
         vs = make_vars(3)
@@ -327,6 +392,48 @@ class TestModelMember:
                 model_member(ms.embedding, free, statements=stmts)
         assert err.value.kind == NON_CONVERGENCE
         assert capfd.readouterr().err == ""
+
+
+class TestTwoAnchorWarmStart:
+    def test_is_the_product_of_the_anchor_tables(self, rng):
+        emb = catalog.TWO_ANCHOR_CYCLE
+        vs = emb.vars
+        _, free = _two_anchor_free(rng)
+        p = np.ones(vs.n_cells)
+        for m in (vs.mask("14"), vs.mask("23")):
+            entries = {compress(e, m): free[(e, m)] for e in nonempty_submasks(m)}
+            anchor = table_from_eta(eta_from_dict(vs.restrict(m), entries))
+            p *= anchor.p[compress_map(vs.n, m)]
+        want = fwht(np.log(p)) / vs.n_cells
+        got = _two_anchor_warm_start(emb, free)
+        assert got[0] == 0.0
+        assert float(np.max(np.abs(got[1:] - want[1:]))) < 1e-12
+
+    def test_missing_anchor_coefficient_gives_none(self, rng):
+        _, free = _two_anchor_free(rng)
+        assert _two_anchor_warm_start(catalog.TWO_ANCHOR_CYCLE, free) is not None
+        del free[(0b1001, 0b1001)]
+        assert _two_anchor_warm_start(catalog.TWO_ANCHOR_CYCLE, free) is None
+
+    def test_members_take_one_warm_newton_solve(self, rng, monkeypatch):
+        calls = []
+        invert, invert_newton = solvers.invert, solvers.invert_newton
+
+        def newton(*args, **kwargs):
+            calls.append(("invert_newton", kwargs.get("init_eta") is not None))
+            return invert_newton(*args, **kwargs)
+
+        def auto(*args, **kwargs):
+            calls.append(("invert", False))
+            return invert(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "invert_newton", newton)
+        monkeypatch.setattr(solvers, "invert", auto)
+        for _ in range(5):
+            stmts, free = _two_anchor_free(rng)
+            calls.clear()
+            model_member(catalog.TWO_ANCHOR_CYCLE, free, statements=stmts)
+            assert calls == [("invert_newton", True)]
 
 
 class TestZeroLambdaEquivalence:

@@ -6,7 +6,7 @@ import pytest
 
 from mllp import catalog
 from mllp.cimodels import CIStatement, model_spec
-from mllp.cli import main
+from mllp.cli import _emit, main
 from mllp.mll import lambda_vector
 from mllp.solvers import chain_from_joint
 from mllp.tables import VarSet, random_table
@@ -250,6 +250,37 @@ class TestExitCodes:
         if rc == 0:
             got = np.array(json.loads(out)["table"]["p"])
             assert float(np.max(np.abs(got - table.p))) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--vars", "12"], ["--vars", "0"], ["--vars", "-1"], ["--vars", "8", "--orbits"]],
+        ids=["vars-12", "vars-0", "vars-minus-1", "orbits-8"],
+    )
+    def test_enumerate_out_of_range_is_domain_error(self, capsys, args):
+        rc, out = run(["enumerate", *args])
+        assert rc == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_enumerate_largest_count(self):
+        rc, out = run(["enumerate", "--vars", "11"])
+        assert rc == 0
+        assert json.loads(out)["labeled_complete"] == 2 ** (11 * 1023)
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_smooth_test_without_samples_is_domain_error(self, workdir, capsys, samples):
+        path, _, _ = workdir
+        spec = str(path / "spec.txt")
+        rc, out = run(["smooth-test", "--spec", spec, "--samples", samples])
+        assert rc == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_emit_writes_nothing_it_cannot_serialise(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            _emit({"count": 10**5000}, buf)
+        assert buf.getvalue() == ""
 
     @pytest.mark.parametrize("flag", ["--damping", "--bogus"])
     def test_usage_error_is_domain_error(self, workdir, flag):
