@@ -20,7 +20,7 @@ import numpy as np
 from . import classify as cls
 from . import cimodels, solvers
 from .errors import MllpError, SolverError, SpecError
-from .mll import MLLSpec, MLLVector, jacobian_array, lambda_vector
+from .mll import MLLSpec, MLLVector, jacobian, jacobian_array, lambda_vector
 from .tables import JointTable, VarSet, random_table
 
 
@@ -134,7 +134,7 @@ def _cmd_invert(args, out) -> int:
 def _cmd_jacobian(args, out) -> int:
     table = _load_table(args.table)
     spec = _load_spec(args.spec)
-    jac = jacobian_array(table.p, table.n, spec)
+    jac = jacobian(table, spec)
     doc = {
         "rows": [
             {"effect": list(spec.vars.names_of(e)), "margin": list(spec.vars.names_of(m))}

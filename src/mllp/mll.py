@@ -119,19 +119,11 @@ class MLLSpec:
         full = self.vars.full_mask
         return tuple(m for m in self.margins if m != full)
 
-    def effect_margins(self) -> dict[int, list[int]]:
-        """Margins used by each effect (a complete spec has one per effect)."""
-        out: dict[int, list[int]] = {}
-        for effect, margin in self.pairs:
-            out.setdefault(effect, []).append(margin)
-        return out
-
     def is_complete(self) -> bool:
-        em = self.effect_margins()
+        """Every nonempty effect in exactly one pair: as many pairs as
+        effects, all distinct (effects are nonempty subsets of V)."""
         full = self.vars.full_mask
-        return len(em) == full and all(
-            len(ms) == 1 for ms in em.values()
-        ) and len(self.pairs) == full
+        return len(self.pairs) == full and len({e for e, _ in self.pairs}) == full
 
     # -- formats ----------------------------------------------------------
 
@@ -422,20 +414,32 @@ def dlambda_deta(t: JointTable, effect: int, margin: int, wrt: int) -> float:
     return float(g[wrt ^ effect])
 
 
+_JACOBIAN_CHUNK = 128  # rows gathered at once; bounds the index array
+
+
 def jacobian_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
-    """Raw-array variant of :func:`jacobian` used by the solvers."""
+    """Raw-array variant of :func:`jacobian` used by the solvers.
+
+    Row (L, M) of a proper margin M reads ``g_M[K ^ L]`` at column K, where
+    ``g_M`` is the margin's kernel with its entries on the subsets of M set
+    to 0: a column K inside M gives K ^ L inside M and so reads 0, the
+    others read the kernel.  Each margin's rows are filled by whole-row
+    gathers in chunks of ``_JACOBIAN_CHUNK`` rows; then every row gets a 1
+    at its own effect's column.
+    """
     full = (1 << n) - 1
     cols = np.arange(1, full + 1)
-    kernels: dict[int, np.ndarray] = {}
+    effects = np.array([effect for effect, _ in spec.pairs])
     out = np.zeros((len(spec), full))
-    for i, (effect, margin) in enumerate(spec.pairs):
-        if margin != full:
-            if margin not in kernels:
-                kernels[margin] = margin_kernel_array(p, n, margin)
-            # one gather per row: off-margin columns read the kernel, the
-            # columns inside the margin are 0 except the effect's own
-            out[i] = np.where(cols & ~margin, kernels[margin][cols ^ effect], 0.0)
-        out[i, effect - 1] = 1.0
+    for margin, pos, _ in _gather_plan(spec.pairs):
+        if margin == full:
+            continue
+        g = margin_kernel_array(p, n, margin)
+        g[(np.arange(full + 1) & ~margin) == 0] = 0.0
+        for start in range(0, len(pos), _JACOBIAN_CHUNK):
+            rows = pos[start:start + _JACOBIAN_CHUNK]
+            out[rows] = g[effects[rows][:, None] ^ cols]
+    out[np.arange(len(spec)), effects - 1] = 1.0
     return out
 
 

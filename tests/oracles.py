@@ -2,8 +2,9 @@
 
 Everything here works cell by cell, subset by subset, with explicit Python
 loops and no transforms, deliberately sharing no code with the package
-internals; :func:`brute_jacobian` alone reads the package's derivative
-kernel, so that the fast Jacobian can be held to it bit for bit, and
+internals; :func:`brute_jacobian` and :func:`rowwise_jacobian` alone read
+the package's derivative kernel, so that the fast Jacobian can be held to
+them bit for bit (the second is the Jacobian as one gather per row), and
 :func:`brute_fwht` sums each output's signed cells with NumPy, so that
 lengths up to 2**12 stay cheap.  :func:`brute_classify` is the classifier's
 plain recursive search over every path, one spec per collection; it calls
@@ -18,7 +19,8 @@ sweep with each margin summed out of the cell cube and transformed anew.
 steps alone, without proportional fitting; it reads the package's weights
 and least-squares step.  :func:`brute_sweep_kernel` is the Gibbs sweep
 kernel carried one start state at a time; it reads the package's marginal
-and cell-packing helpers.
+and cell-packing helpers.  :func:`brute_is_complete` is completeness read
+from the list of margins of each effect.
 """
 
 from __future__ import annotations
@@ -198,6 +200,37 @@ def brute_jacobian(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
             else:
                 out[i, K - 1] = g[K ^ effect]
     return out
+
+
+def rowwise_jacobian(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
+    """Jacobian as one gather per row: off-margin columns read the kernel,
+    the columns inside the margin are 0 except the effect's own."""
+    full = (1 << n) - 1
+    cols = np.arange(1, full + 1)
+    kernels: dict[int, np.ndarray] = {}
+    out = np.zeros((len(spec), full))
+    for i, (effect, margin) in enumerate(spec.pairs):
+        if margin != full:
+            if margin not in kernels:
+                kernels[margin] = margin_kernel_array(p, n, margin)
+            out[i] = np.where(cols & ~margin, kernels[margin][cols ^ effect], 0.0)
+        out[i, effect - 1] = 1.0
+    return out
+
+
+def brute_is_complete(spec: MLLSpec) -> bool:
+    """Completeness through the margins of each effect: every nonempty
+    effect appears, each in exactly one margin, and there are no other
+    pairs."""
+    margins_of: dict[int, list[int]] = {}
+    for effect, margin in spec.pairs:
+        margins_of.setdefault(effect, []).append(margin)
+    full = spec.vars.full_mask
+    return (
+        len(margins_of) == full
+        and all(len(ms) == 1 for ms in margins_of.values())
+        and len(spec.pairs) == full
+    )
 
 
 def _subsets(mask: int) -> list[int]:

@@ -200,6 +200,9 @@ class TestSubcommands:
         assert abs(sum(doc["member"]["p"]) - 1) < 1e-9
 
 
+_FOUR_VAR_SPEC = "123: 1 2 12 3 13 23 123\n1234: 4 14 24 124 34 134 234 1234\n"
+
+
 class TestExitCodes:
     def test_missing_file_is_domain_error(self):
         rc, _ = run(["classify", "--spec", "/nonexistent/spec.txt"])
@@ -272,6 +275,30 @@ class TestExitCodes:
         path, _, _ = workdir
         spec = str(path / "spec.txt")
         rc, out = run(["smooth-test", "--spec", spec, "--samples", samples])
+        assert rc == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "table_vars, spec_text, extra",
+        [
+            ("1234", "12: 1 2 12\n23: 3 23\n123: 13 123\n", []),
+            ("123", _FOUR_VAR_SPEC, []),
+            ("xyz", "ab: a b ab\nbc: c bc\nabc: ac abc\n", []),
+            ("123", _FOUR_VAR_SPEC, ["--check-fd"]),
+        ],
+        ids=["table-4-spec-3", "table-3-spec-4", "other-names", "check-fd"],
+    )
+    def test_jacobian_variable_mismatch_is_domain_error(
+        self, tmp_path, rng, capsys, table_vars, spec_text, extra
+    ):
+        table = dirichlet_table(VarSet(tuple(table_vars)), rng)
+        (tmp_path / "table.json").write_text(table.to_json())
+        (tmp_path / "spec.txt").write_text(spec_text)
+        rc, out = run(
+            ["jacobian", "--table", str(tmp_path / "table.json"), "--spec",
+             str(tmp_path / "spec.txt"), *extra]
+        )
         assert rc == 1
         assert out == ""
         assert capsys.readouterr().err.startswith("error:")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,13 @@ from mllp.tables import (
 )
 
 from conftest import dirichlet_table, make_vars
-from oracles import brute_jacobian, brute_lambda, fd_jacobian
+from oracles import (
+    brute_is_complete,
+    brute_jacobian,
+    brute_lambda,
+    fd_jacobian,
+    rowwise_jacobian,
+)
 
 
 def census_and_seeded_specs(rng: np.random.Generator) -> list[MLLSpec]:
@@ -59,6 +66,24 @@ def census_and_seeded_specs(rng: np.random.Generator) -> list[MLLSpec]:
                 options = [int(m) for m in proper if effect & ~m == 0] + [full]
                 pairs.append((effect, options[int(rng.integers(len(options)))]))
             specs.append(MLLSpec(make_vars(n), tuple(pairs)))
+    return specs
+
+
+def wide_margin_specs(rng: np.random.Generator) -> list[MLLSpec]:
+    """Hierarchical collections at n = 8, 9 and 10 with 1-3 proper margins
+    that each drop one variable; every effect sits in the first margin
+    holding it."""
+    specs = []
+    for n in (8, 9, 10):
+        full = (1 << n) - 1
+        for k in (1, 2, 3):
+            dropped = rng.choice(n, size=k, replace=False)
+            order = [full ^ (1 << int(v)) for v in dropped] + [full]
+            pairs = tuple(
+                (effect, next(m for m in order if effect & ~m == 0))
+                for effect in range(1, full + 1)
+            )
+            specs.append(MLLSpec(make_vars(n), pairs))
     return specs
 
 
@@ -264,6 +289,26 @@ class TestDerivatives:
             got = jacobian_array(p, spec.vars.n, spec)
             assert np.array_equal(got, brute_jacobian(p, spec.vars.n, spec))
 
+    def test_jacobian_equals_rowwise_gather_on_wide_margins(self, rng):
+        for spec in wide_margin_specs(rng):
+            p = dirichlet_table(spec.vars, rng).p
+            got = jacobian_array(p, spec.vars.n, spec)
+            assert np.array_equal(got, rowwise_jacobian(p, spec.vars.n, spec))
+
+    def test_jacobian_peak_memory_beyond_output(self, rng):
+        # the gathers are chunked so that the index array stays small: at
+        # n = 10 the output is 8 MB and the chunked fill needs about 2 MB
+        spec = wide_margin_specs(rng)[-1]
+        p = dirichlet_table(spec.vars, rng).p
+        jacobian_array(p, spec.vars.n, spec)  # warm the plan cache
+        tracemalloc.start()
+        try:
+            out = jacobian_array(p, spec.vars.n, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 2.5 * 2**20
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -392,6 +437,20 @@ class TestSpecFormats:
         spec = catalog.CHAIN_THREE
         with pytest.raises(SpecError):
             MLLVector(spec, np.zeros(3))
+
+    def test_is_complete_agrees_with_margins_per_effect(self, rng):
+        specs = census_and_seeded_specs(rng)
+        # an effect missing, and an effect in two margins (with and without
+        # another effect missing to keep the pair count)
+        specs += [
+            MLLSpec.from_text("12: 1 2 12\n123: 3 13 123\n"),
+            MLLSpec.from_text("12: 1 2 12\n23: 3 23\n123: 13 123 23\n"),
+            catalog.REPEATED_EFFECT,
+        ]
+        verdicts = [spec.is_complete() for spec in specs]
+        assert verdicts == [brute_is_complete(spec) for spec in specs]
+        assert verdicts[-3:] == [False, False, False]
+        assert all(verdicts[:-3])
 
     def test_pairs_normalised_to_int_tuples(self):
         # (int, int) tuples are kept as given; other forms become them
