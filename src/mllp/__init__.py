@@ -7,8 +7,13 @@ Submodules:
 * :mod:`mllp.mll`      -- effect-margin parameters, their decomposition,
   analytic derivatives and norm bounds.
 * :mod:`mllp.classify` -- smoothness rules, orbit enumeration and the census.
+* :mod:`mllp.mixed`    -- a table from its sub-margins and the log-linear
+  coefficients no sub-margin covers (the mixed-coordinate solve).
+* :mod:`mllp.markov`   -- cycles of conditionals and the stationary
+  distribution of their composed transition matrix.
 * :mod:`mllp.solvers`  -- inversion back to joint tables: hierarchical
-  reconstruction, fixed-point contraction, Markov-chain recovery, Newton.
+  reconstruction, fixed-point contraction, Markov-chain recovery, Newton,
+  and the automatic dispatch that replays a classification chain.
 * :mod:`mllp.cimodels` -- conditional-independence statements as zero
   constraints, model embeddings and members, Gibbs sweep kernels and
   their stationary distributions.

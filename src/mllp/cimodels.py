@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import solvers
+from .markov import stationary_distribution
 from .errors import NON_CONVERGENCE, SolverError, SpecError, StructureError
 from .mll import MLLSpec, MLLVector, Pair, conditional_from_lambda  # noqa: F401 (re-export)
 from .tables import (
@@ -209,7 +210,7 @@ def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
 def gibbs_stationary(g: GibbsCycleSpec) -> JointTable:
     """Stationary distribution of the composed sweep kernel on the state
     variables, by direct linear solve."""
-    pi = solvers.stationary_distribution(_sweep_kernel(g))
+    pi = stationary_distribution(_sweep_kernel(g))
     return JointTable(g.vars.restrict(g.state), pi)
 
 

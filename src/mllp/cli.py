@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify as cls
-from . import cimodels, solvers
+from . import cimodels, markov, solvers
 from .errors import MllpError, SolverError, SpecError
 from .mll import MLLSpec, MLLVector, jacobian, jacobian_array, lambda_vector
 from .tables import JointTable, VarSet, random_table
@@ -203,9 +203,9 @@ def _cmd_smooth_test(args, out) -> int:
 
 def _cmd_markov(args, out) -> int:
     obj = json.loads(Path(args.chain).read_text())
-    chain = solvers.CycleChainSpec.from_json_obj(obj)
-    pi = solvers.stationary(chain)
-    power = solvers.stationary_power(chain)
+    chain = markov.CycleChainSpec.from_json_obj(obj)
+    pi = markov.stationary(chain)
+    power = markov.stationary_power(chain)
     _emit(
         {
             "variables": list(pi.vars.names),

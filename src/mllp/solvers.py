@@ -4,9 +4,8 @@ Four routes, dispatched automatically from the classification chain:
 
 * sequential *hierarchical* reconstruction: margins are rebuilt in the
   witness order, each one solved from its already-known sub-margins plus
-  the log-linear coefficients assigned to it (a mixed mean/natural
-  coordinate problem solved by proportional fitting, then a damped Newton
-  solve if the fit stalls);
+  the log-linear coefficients assigned to it (the mixed mean/natural
+  coordinate solve of :mod:`mllp.mixed`);
 * the *fixed-point* iteration eta <- eta + damping * (target - lam(eta)),
   swept margin block by margin block through a plan compiled once per spec,
   with the full-margin block in closed form (its coefficients are eta
@@ -14,8 +13,8 @@ Four routes, dispatched automatically from the classification chain:
   when the collection has the single-feedback structure;
 * *Markov-chain* recovery for cyclic conditionals: the composed transition
   matrix of the cycle has the missing group marginal as its unique
-  stationary distribution (direct linear solve, power iteration as a
-  cross-check);
+  stationary distribution (the stationary solve of :mod:`mllp.markov`),
+  and the rest is rebuilt hierarchically;
 * for collections without a proven route, up to 2 000 sweeps of a damped
   fixed point, stopped when its residual stalls, then one *Newton* solve
   with the analytic Jacobian from the uniform table.
@@ -37,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,12 +45,13 @@ from .errors import (
     ALL_METHODS_FAILED,
     InvalidTableError,
     DIVERGENCE,
-    INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
     SolverError,
     SpecError,
     StructureError,
 )
+from .markov import CycleChainSpec, stationary
+from .mixed import reconstruct_mixed, weights
 from .mll import (
     MLLSpec,
     MLLVector,
@@ -65,20 +65,16 @@ from .mll import (
 )
 from .tables import (
     _ONE_FACTOR_CELLS,
-    ConditionalTable,
     JointTable,
     VarSet,
     bit_positions,
     compress,
     compress_map,
-    condition,
     eta_from_dict,
     fwht,
     joint_from_conditional,
-    marginal_array,
     marginalize,
     nonempty_submasks,
-    packed_indices,
     popcount,
     table_from_eta,
 )
@@ -130,21 +126,9 @@ class SolveResult:
 # Raw-array helpers
 # ---------------------------------------------------------------------------
 
-def _weights(eta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalised cell weights exp(s - max s) of ``eta``, s = fwht(eta),
-    and max s.  Raises DIVERGENCE unless s is finite: max keeps a NaN, so
-    a finite max and min mean a finite s.  The transform may overflow, so
-    callers run this under ``np.errstate(over="ignore", invalid="ignore")``."""
-    s = fwht(eta)
-    top = s.max()
-    if not (math.isfinite(top) and math.isfinite(s.min())):
-        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
-    return np.exp(s - top), float(top)
-
-
 def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _weights(eta)[0]
+        w = weights(eta)[0]
     return w / w.sum()
 
 
@@ -308,9 +292,9 @@ def invert_fixed_point(
         for it in range(1, opts.max_iter + 1):
             eta[full] += damping * (t_full - eta[full])
             for effects, cells, params, t in sweep:
-                w = _weights(eta)[0]
+                w = weights(eta)[0]
                 eta[effects] += damping * (t - params(np.log(np.bincount(cells, w))))
-            w = _weights(eta)[0]
+            w = weights(eta)[0]
             lams = [eta[full]]
             lams += [params(np.log(np.bincount(c, w))) for _, c, params, _ in sweep]
             res = float(np.abs(t_all - np.concatenate(lams)).max())
@@ -380,231 +364,6 @@ def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Mixed mean/natural-coordinate reconstruction
-# ---------------------------------------------------------------------------
-
-def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Least-squares solution of ``jac @ step = r`` for a tall ``jac`` of
-    full column rank: Householder QR of [jac | r], whose last column of R
-    is Q^T r, then the triangular k x k system; Q is never formed."""
-    k = jac.shape[1]
-    tri = np.linalg.qr(np.column_stack([jac, r]), mode="r")
-    return np.linalg.solve(tri[:k, :k], tri[:k, k])
-
-
-# Proportional fitting hands over to Newton when, at the contraction of its
-# last FIT_WINDOW sweeps, it would need more than FIT_SWEEPS further sweeps
-# to bring the largest log margin ratio below 1e-12.  At n = 9 a sweep
-# costs about 35 us and a Newton finish 40-70 ms, so 1 500 sweeps is about
-# where the two break even.  The window keeps the early sweeps, which often
-# contract by only 0.9-0.99 before the fit settles, from handing over: on
-# the 36 n = 9 solves of a large-table pass (seeds 1601, 13201-13220), a
-# one-sweep rule (stop below a contraction of 0.9) handed 9-24 to Newton,
-# this rule 0-3.
-FIT_SWEEPS = 1500
-FIT_WINDOW = 20
-# A reconstructed table must match its sub-margins to this relative error
-# (largest |log(p_S / q_S)|).  The Gauss-Newton phase drives the ratios
-# below 1e-12 and so does fitting that converges; a relative miss of 1e-10
-# moves the margin's log-linear coefficients by at most 1e-10, well inside
-# the 1e-9 reassembly check of the hierarchical route.
-MARGIN_RTOL = 1e-10
-
-
-def _proportional_fit(q: np.ndarray, cells: Sequence[np.ndarray],
-                      sub_p: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Iterative proportional fitting of the positive table q to the
-    sub-margins ``sub_p``; ``cells[i]`` maps each cell of q to its cell of
-    margin i.  Scaling q by a function of x_S moves only the log-linear
-    coefficients of effects inside S, so every sweep keeps the coefficients
-    that no sub-margin covers.
-
-    Sweeps until the largest log ratio |log(p_S / q_S)| is below 1e-12,
-    until a sweep leaves a cell at 0, or, from sweep FIT_WINDOW + 1 on,
-    until the last FIT_WINDOW sweeps did not cut the ratio or, at their
-    contraction, would leave it above 1e-12 after FIT_SWEEPS more sweeps.
-    Returns the sweep with the smallest ratio, or None when no sweep
-    improves on q.  The last sub-margin of a sweep matches to rounding, so
-    only the others are measured, and the first one's ratios start the
-    next sweep."""
-
-    def ratios(t: np.ndarray, k: int) -> list[np.ndarray]:
-        return [ps / np.bincount(c, t, minlength=ps.size)
-                for c, ps in zip(cells[:k], sub_p[:k])]
-
-    def worst(rs: list[np.ndarray]) -> float:
-        return max((float(np.max(np.abs(np.log(r)))) for r in rs), default=0.0)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rs = ratios(q, len(cells))
-        fit, fitted, best, trail = q, None, worst(rs), []
-        while best >= 1e-12:
-            fit = fit * rs[0][cells[0]]
-            for c, ps in zip(cells[1:], sub_p[1:]):
-                fit *= (ps / np.bincount(c, fit, minlength=ps.size))[c]
-            if not fit.min() > 0.0:  # a NaN stops too
-                break
-            rs = ratios(fit, len(cells) - 1)
-            res = worst(rs)
-            if res < best:
-                fitted, best = fit, res
-            trail.append(res)
-            if len(trail) > FIT_WINDOW:
-                ago = trail[-1 - FIT_WINDOW]
-                if not (res < ago and
-                        res * (res / ago) ** (FIT_SWEEPS / FIT_WINDOW) <= 1e-12):
-                    break
-    return fitted
-
-
-def reconstruct_mixed(
-    vars_m: VarSet,
-    margins: Sequence[JointTable],
-    eta_targets: Mapping[int, float],
-) -> JointTable:
-    """Table over ``vars_m`` matching every given sub-margin table and the
-    log-linear coefficients of the effects no sub-margin covers.
-
-    Warm-started from the sub-margins' own coefficients, then fitted to the
-    sub-margins by proportional fitting (``_proportional_fit``), which keeps
-    the uncovered coefficients.  If the fit stalls, one damped Newton solve
-    for the covered coefficients takes over from the fitted table: Armijo
-    steps on the convex dual log Z(theta) - theta . mu* while it resolves
-    progress, then Gauss-Newton steps on the log margin ratios, which keep
-    tiny cells' relative accuracy.  Each Gauss-Newton step is a QR
-    least-squares solve, not an SVD: the mixed parameterization is smooth
-    and variation independent, so the Jacobian has full column rank at
-    every positive table.
-    Raises INCONSISTENT_MARGINS when the given margins contradict each
-    other, NON_CONVERGENCE when the result misses a margin by more than
-    MARGIN_RTOL relative or a coefficient by more than 1e-10.
-    """
-    m = vars_m.n
-    size = vars_m.n_cells
-    sub_masks: list[int] = []
-    sub_p: list[np.ndarray] = []
-    cells: list[np.ndarray] = []
-    for tbl in margins:
-        mask = vars_m.mask_of(tbl.vars.names)
-        sub_p.append(tbl.p[packed_indices(vars_m.restrict(mask), tbl.vars.names)])
-        sub_masks.append(mask)
-        cells.append(compress_map(m, mask))
-
-    covered: set[int] = set()
-    for mask in sub_masks:
-        covered.update(nonempty_submasks(mask))
-    uncovered = [L for L in range(1, size) if L not in covered]
-    if set(eta_targets) != set(uncovered):
-        raise SpecError(
-            "eta targets must cover exactly the effects outside the given margins"
-        )
-
-    theta = np.zeros(size)
-    theta[list(eta_targets)] = list(eta_targets.values())
-    # target moments, overlap check and warm start, margin by margin
-    cov = np.array(sorted(covered), dtype=np.int64)
-    mu_star = np.zeros(len(cov))
-    seen = np.zeros(len(cov), dtype=bool)
-    for mask, ps, cell in zip(sub_masks, sub_p, cells):
-        at = np.flatnonzero((cov & ~mask) == 0)
-        idx = cell[cov[at]]
-        mu_sub = fwht(ps)[idx]
-        clash = float(np.max(np.abs(mu_star[at] - mu_sub)[seen[at]], initial=0.0))
-        if clash > 1e-9:
-            raise SolverError(
-                INCONSISTENT_MARGINS,
-                f"given margins disagree on a shared moment by {clash:.3e}",
-            )
-        mu_star[at] = mu_sub
-        seen[at] = True
-        theta[cov[at]] = (fwht(np.log(ps)) / ps.size)[idx]
-
-    p_all = np.concatenate(sub_p or [np.zeros(0)])
-
-    def state(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w, top = _weights(th)
-        z = w.sum()
-        qq, log_z = w / z, top + math.log(z)
-        qs = np.concatenate([marginal_array(qq, m, mask) for mask in sub_masks]
-                            or [np.zeros(0)])
-        with np.errstate(divide="ignore", over="ignore"):
-            return qq, qs, np.log(p_all / qs), log_z - float(th[cov] @ mu_star)
-
-    q, qs, r, f = state(theta)
-    fitted = _proportional_fit(q, cells, sub_p)
-    if fitted is not None:
-        theta[cov] = (fwht(np.log(fitted)) / size)[cov]
-        q, qs, r, f = state(theta)
-    polish = False
-    chars = None
-    for _ in range(200):  # solves that converge take 2-25 steps
-        if float(np.max(np.abs(r), initial=0.0)) < 1e-12:
-            break
-        if not polish:
-            mu = fwht(q)
-            grad = mu[cov] - mu_star
-            try:
-                hess = mu[cov[:, None] ^ cov] - np.outer(mu[cov], mu[cov])
-                step = np.linalg.solve(hess, -grad)
-                slope = float(grad @ step)
-                # a Newton decrement this small is below what the dual resolves
-                polish = slope > -1e-10
-            except np.linalg.LinAlgError:
-                polish = True
-        if polish:
-            # Gauss-Newton: least squares J step = r, where the rows of J,
-            # the Jacobian of log q_S, are E[chi | x_S] - E[chi]
-            if chars is None:  # chars[x, i] = (-1)**|x & cov[i]|
-                parity = np.bitwise_count(np.arange(size)[:, None] & cov) % 2
-                chars = 1 - 2 * parity.astype(np.int8)
-            jac = np.concatenate(
-                [marginal_array(q[:, None] * chars, m, mask) for mask in sub_masks]
-            )
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                jac /= qs[:, None]
-            jac -= fwht(q)[cov]
-            if not (np.isfinite(jac).all() and np.isfinite(r).all()):
-                break  # a margin underflowed to 0: the checks below decide
-            try:
-                step = _least_squares_step(jac, r)
-            except np.linalg.LinAlgError:
-                break
-            slope = -2.0 * float(r @ (jac @ step))
-        for scale in 0.5 ** np.arange(40.0):
-            trial = theta.copy()
-            trial[cov] += scale * step
-            try:
-                q_try, qs_try, r_try, f_try = state(trial)
-            except SolverError:
-                continue
-            new, old = (r_try @ r_try, r @ r) if polish else (f_try, f)
-            if new < old + 1e-4 * scale * slope:
-                theta, q, qs, r, f = trial, q_try, qs_try, r_try, f_try
-                break
-        else:
-            if polish:
-                break  # no step helps: the checks below decide
-            polish = True
-
-    # written so that a NaN fails: a cell underflowed to 0 makes log(q) -inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        miss = float(np.max(np.abs(r), initial=0.0))
-        if not miss <= MARGIN_RTOL:
-            raise SolverError(
-                NON_CONVERGENCE,
-                f"relative margin mismatch {miss:.3e} after reconstruction",
-            )
-        theta_check = fwht(np.log(q)) / size
-        for L, v in eta_targets.items():
-            if not abs(float(theta_check[L]) - v) <= 1e-10:
-                raise SolverError(
-                    NON_CONVERGENCE, "coefficient targets missed after reconstruction"
-                )
-    return JointTable(vars_m, q / q.sum())
-
-
-# ---------------------------------------------------------------------------
 # Hierarchical reconstruction
 # ---------------------------------------------------------------------------
 
@@ -644,122 +403,8 @@ def invert_hierarchical(
 
 
 # ---------------------------------------------------------------------------
-# Markov-chain recovery for cyclic conditionals
+# Cyclic conditionals
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CycleChainSpec:
-    """Cycle of conditional distributions over disjoint variable groups.
-
-    ``conditionals[i]`` is p(x_{blocks[i+1]} | x_{blocks[i]}) for
-    i = 0..k-2 and ``conditionals[k-1]`` is p(x_{blocks[0]} | x_{blocks[k-1]}).
-    """
-
-    vars: VarSet
-    blocks: tuple[int, ...]
-    conditionals: tuple[ConditionalTable, ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(int(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "conditionals", tuple(self.conditionals))
-        if len(blocks) < 2:
-            raise SpecError("a conditional cycle needs at least two blocks")
-        union = 0
-        for b in blocks:
-            if b == 0 or (b & union) or (b & ~self.vars.full_mask):
-                raise SpecError("blocks must be disjoint nonempty variable sets")
-            union |= b
-        if len(self.conditionals) != len(blocks):
-            raise SpecError("need exactly one conditional per block transition")
-        k = len(blocks)
-        for i, cond in enumerate(self.conditionals):
-            tgt = blocks[(i + 1) % k]
-            giv = blocks[i]
-            if set(cond.target) != set(self.vars.names_of(tgt)) or set(
-                cond.given
-            ) != set(self.vars.names_of(giv)):
-                raise SpecError(
-                    f"conditional {i} must map block {i} to block {(i + 1) % k}"
-                )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "variables": list(self.vars.names),
-            "blocks": [list(self.vars.names_of(b)) for b in self.blocks],
-            "conditionals": [c.to_json_obj() for c in self.conditionals],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "CycleChainSpec":
-        vs = VarSet(tuple(obj["variables"]))
-        blocks = tuple(vs.mask_of(b) for b in obj["blocks"])
-        conds = tuple(ConditionalTable.from_json_obj(c) for c in obj["conditionals"])
-        return CycleChainSpec(vs, blocks, conds)
-
-
-def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
-    """Extract the cycle of conditionals of a joint table along the given
-    disjoint blocks."""
-    k = len(blocks)
-    conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
-    return CycleChainSpec(t.vars, tuple(blocks), conds)
-
-
-def _transition_matrix(chain: CycleChainSpec) -> np.ndarray:
-    """Row-stochastic matrix on the first block's cells: one full trip
-    around the cycle."""
-    mat: np.ndarray | None = None
-    for cond in chain.conditionals:
-        step = cond.values.T  # rows: conditioning cell, cols: target cell
-        mat = step if mat is None else mat @ step
-    assert mat is not None
-    return mat
-
-
-def stationary_distribution(m: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of a row-stochastic matrix, by direct
-    linear solve of (M^T - I) pi = 0 with a normalisation row."""
-    size = m.shape[0]
-    a = m.T - np.eye(size)
-    a[-1, :] = 1.0
-    b = np.zeros(size)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(NON_CONVERGENCE, f"stationary solve failed: {exc}") from exc
-    if np.any(pi <= 0):
-        raise SolverError(
-            NON_CONVERGENCE, "stationary solve produced non-positive entries"
-        )
-    if float(np.max(np.abs(pi @ m - pi))) > 1e-12:
-        raise SolverError(NON_CONVERGENCE, "stationary vector fails invariance")
-    return pi / pi.sum()
-
-
-def stationary(chain: CycleChainSpec) -> JointTable:
-    """Unique stationary distribution of the cycle's transition matrix."""
-    pi = stationary_distribution(_transition_matrix(chain))
-    return JointTable(chain.vars.restrict(chain.blocks[0]), pi)
-
-
-def stationary_power(chain: CycleChainSpec) -> JointTable:
-    """Power iteration on the same transition matrix; the direct solve is
-    authoritative, this exists as an independent cross-check."""
-    m = _transition_matrix(chain)
-    size = m.shape[0]
-    v = np.full(size, 1.0 / size)
-    for _ in range(200000):
-        nxt = v @ m
-        nxt /= nxt.sum()
-        if float(np.max(np.abs(nxt - v))) < 1e-14:
-            v = nxt
-            break
-        v = nxt
-    vars_b = chain.vars.restrict(chain.blocks[0])
-    return JointTable(vars_b, v / v.sum())
-
 
 def invert_cyclic(
     spec: MLLSpec,
@@ -1017,7 +662,7 @@ def _contraction_subsystem(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(opts.max_iter):
             # Jacobi within a sweep: every block reads the same table
-            w = _weights(eta)[0]
+            w = weights(eta)[0]
             deltas = []
             for effects, cells, params, t in blocks:
                 delta = t - params(np.log(np.bincount(cells, w)))

@@ -42,6 +42,7 @@ from mllp.errors import (
     SpecError,
     StructureError,
 )
+from mllp.mixed import _least_squares_step, weights
 from mllp.mll import (
     MLLSpec,
     MLLVector,
@@ -55,8 +56,6 @@ from mllp.solvers import (
     SolveOptions,
     SolveResult,
     _finish_table,
-    _least_squares_step,
-    _weights,
     contraction_certificate,
 )
 from mllp.tables import (
@@ -615,7 +614,7 @@ def brute_reconstruct_mixed(
 
     def state(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         with np.errstate(over="ignore", invalid="ignore"):
-            w, top = _weights(th)
+            w, top = weights(th)
         z = w.sum()
         qq, log_z = w / z, top + math.log(z)
         qs = np.concatenate([marginal_array(qq, m, mask) for mask in sub_masks]

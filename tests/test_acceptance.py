@@ -29,14 +29,12 @@ from mllp.classify import (
 )
 from mllp.cli import pair_map_min_singular_value
 from mllp.mll import jacobian_array, lambda_vector
+from mllp.markov import chain_from_joint, stationary, stationary_power
 from mllp.solvers import (
     SolveOptions,
-    chain_from_joint,
     invert_cyclic,
     invert_fixed_point,
     invert_hierarchical,
-    stationary,
-    stationary_power,
 )
 from mllp.tables import (
     JointTable,

@@ -19,7 +19,7 @@ from mllp.cimodels import (
 from mllp.classify import PROVEN_SMOOTH, classify
 from mllp.errors import NON_CONVERGENCE, SolverError, SpecError
 from mllp.mll import conditional_lambda_set, lambda_vector
-from mllp.solvers import chain_from_joint, stationary
+from mllp.markov import chain_from_joint, stationary
 from mllp.tables import (
     JointTable,
     VarSet,

@@ -8,7 +8,7 @@ from mllp import catalog
 from mllp.cimodels import CIStatement, model_spec
 from mllp.cli import _emit, main
 from mllp.mll import lambda_vector
-from mllp.solvers import chain_from_joint
+from mllp.markov import chain_from_joint
 from mllp.tables import VarSet, random_table
 
 from conftest import dirichlet_table, make_vars, outside_domain_values, underflow_case

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mllp import catalog
-from mllp import solvers
+from mllp import mixed, solvers
 from mllp.classify import (
     CONTRACTION_RULE,
     UNKNOWN,
@@ -28,19 +28,21 @@ from mllp.errors import (
     StructureError,
 )
 from mllp.mll import MLLSpec, MLLVector, lambda_value, lambda_vector, dlambda_deta
-from mllp.solvers import (
+from mllp.markov import (
     CycleChainSpec,
-    SolveOptions,
     chain_from_joint,
+    stationary,
+    stationary_power,
+)
+from mllp.mixed import reconstruct_mixed
+from mllp.solvers import (
+    SolveOptions,
     contraction_certificate,
     invert,
     invert_cyclic,
     invert_fixed_point,
     invert_hierarchical,
     invert_newton,
-    reconstruct_mixed,
-    stationary,
-    stationary_power,
 )
 from mllp.tables import (
     EtaVector,
@@ -466,7 +468,7 @@ class TestReconstructMixed:
             jac = (u * np.logspace(0.0, -math.log10(cond), cols)) @ v.T
             r = rng.normal(size=rows)
             want = np.linalg.lstsq(jac, r)[0]
-            got = solvers._least_squares_step(jac, r)
+            got = mixed._least_squares_step(jac, r)
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel <= cond * 1e-13
 
@@ -476,13 +478,13 @@ class TestReconstructMixed:
         # benchmark's shape); every fit keeps the coefficients that no
         # sub-margin covers
         fits = []
-        fit = solvers._proportional_fit
+        fit = mixed._proportional_fit
 
         def spy(q, cells, sub_p):
             fits.append((q, fit(q, cells, sub_p)))
             return fits[-1][1]
 
-        monkeypatch.setattr(solvers, "_proportional_fit", spy)
+        monkeypatch.setattr(mixed, "_proportional_fit", spy)
         rng = np.random.default_rng(13)
         for n in range(3, 10):
             vs = make_vars(n)
@@ -516,7 +518,7 @@ class TestReconstructMixed:
         # them hand over to Newton; a one-sweep rule that stops below a
         # contraction of 0.9 hands over about two in five.
         ends = []
-        fit = solvers._proportional_fit
+        fit = mixed._proportional_fit
 
         def spy(q, cells, sub_p):
             got = fit(q, cells, sub_p)
@@ -527,7 +529,7 @@ class TestReconstructMixed:
             ))
             return got
 
-        monkeypatch.setattr(solvers, "_proportional_fit", spy)
+        monkeypatch.setattr(mixed, "_proportional_fit", spy)
         rng = np.random.default_rng(9)
         vs = make_vars(9)
         full = vs.full_mask
@@ -557,7 +559,7 @@ class TestReconstructMixed:
                 q = marginalize(got, vars_m.mask_of(sub.vars.names))
                 assert q.vars.names == sub.vars.names
                 rel = float(np.max(np.abs(np.log(sub.p / q.p))))
-                assert rel <= solvers.MARGIN_RTOL
+                assert rel <= mixed.MARGIN_RTOL
             returned.append(got)
             return got
 
