@@ -209,7 +209,7 @@ def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
 
 def gibbs_stationary(g: GibbsCycleSpec) -> JointTable:
     """Stationary distribution of the composed sweep kernel on the state
-    variables, by direct linear solve."""
+    variables, by the elimination of :func:`stationary_distribution`."""
     pi = stationary_distribution(_sweep_kernel(g))
     return JointTable(g.vars.restrict(g.state), pi)
 

@@ -161,10 +161,6 @@ def _jsonable(obj):
 # Structural predicates
 # ---------------------------------------------------------------------------
 
-def is_complete(spec: MLLSpec) -> bool:
-    return spec.is_complete()
-
-
 def hierarchy_order(spec: MLLSpec) -> tuple[int, ...] | None:
     """Witness margin order for a hierarchical spec, or None.
 

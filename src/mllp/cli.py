@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import classify as cls
 from . import cimodels, markov, solvers
 from .errors import MllpError, SolverError, SpecError
 from .mll import MLLSpec, MLLVector, jacobian, jacobian_array, lambda_vector
-from .tables import JointTable, VarSet, random_table
+from .tables import JointTable, VarSet, float_array, random_table
 
 
 def _emit(obj, out) -> None:
@@ -116,9 +115,10 @@ def _cmd_forward(args, out) -> int:
 
 def _load_lambda(path: str) -> MLLVector:
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise SpecError('parameter JSON needs "spec" and "values" fields')
     spec = MLLSpec.from_json_obj(obj["spec"])
-    values = np.asarray(obj["values"], dtype=np.float64)
-    return MLLVector(spec, values)
+    return MLLVector(spec, float_array(obj["values"], SpecError))
 
 
 def _cmd_invert(args, out) -> int:
@@ -217,6 +217,22 @@ def _cmd_markov(args, out) -> int:
     return 0
 
 
+def _load_member(path: str, vs: VarSet) -> dict:
+    """Free values from a list of {"effect", "margin", "value"} objects."""
+    free = {}
+    try:
+        for item in json.loads(Path(path).read_text()):
+            value = item["value"]
+            if not isinstance(value, (int, float)):
+                raise SpecError(f"member value {value!r} is not a number")
+            free[(vs.mask_of(item["effect"]), vs.mask_of(item["margin"]))] = value
+    except TypeError as exc:
+        raise SpecError(
+            f'member JSON needs a list of "effect", "margin", "value" objects: {exc}'
+        ) from None
+    return free
+
+
 def _cmd_model(args, out) -> int:
     statements = _load_statements(args.ci)
     ms = cimodels.model_spec(statements)
@@ -236,14 +252,7 @@ def _cmd_model(args, out) -> int:
     if args.member is not None:
         if ms.embedding is None:
             raise SolverError("NO_EMBEDDING", "model has no complete embedding")
-        values = json.loads(Path(args.member).read_text())
-        free = {}
-        for item in values:
-            pair = (
-                ms.embedding.vars.mask_of(item["effect"]),
-                ms.embedding.vars.mask_of(item["margin"]),
-            )
-            free[pair] = float(item["value"])
+        free = _load_member(args.member, ms.embedding.vars)
         table = cimodels.model_member(ms.embedding, free, statements=ms.statements)
         doc["member"] = {
             "variables": list(table.vars.names),

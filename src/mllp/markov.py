@@ -63,8 +63,17 @@ class CycleChainSpec:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "CycleChainSpec":
-        vs = VarSet(tuple(obj["variables"]))
-        blocks = tuple(vs.mask_of(b) for b in obj["blocks"])
+        fields = ("variables", "blocks", "conditionals")
+        if not (isinstance(obj, dict)
+                and all(isinstance(obj.get(f), list) for f in fields)):
+            raise SpecError(
+                'cycle JSON needs "variables", "blocks" and "conditionals" lists'
+            )
+        try:
+            vs = VarSet(tuple(obj["variables"]))
+            blocks = tuple(vs.mask_of(b) for b in obj["blocks"])
+        except TypeError as exc:
+            raise SpecError(f"blocks must be lists of variable names: {exc}") from None
         conds = tuple(ConditionalTable.from_json_obj(c) for c in obj["conditionals"])
         return CycleChainSpec(vs, blocks, conds)
 
@@ -89,24 +98,34 @@ def _transition_matrix(chain: CycleChainSpec) -> np.ndarray:
 
 
 def stationary_distribution(m: np.ndarray) -> np.ndarray:
-    """Unique stationary distribution of a row-stochastic matrix, by direct
-    linear solve of (M^T - I) pi = 0 with a normalisation row."""
-    size = m.shape[0]
-    a = m.T - np.eye(size)
-    a[-1, :] = 1.0
-    b = np.zeros(size)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(NON_CONVERGENCE, f"stationary solve failed: {exc}") from exc
-    if np.any(pi <= 0):
+    """Unique stationary distribution of a row-stochastic matrix, by the
+    elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1985).
+
+    States are censored last first: watched on states 0..k-1 only, the
+    chain moves from i to j with probability a_ij + a_ik a_kj / s_k, where
+    s_k = sum_{j<k} a_kj.  Back substitution then gives
+    pi_k = sum_{i<k} pi_i a_ik / s_k from pi_0 = 1.  The sum s_k stands in
+    for 1 - a_kk, so no step subtracts: each entry of pi keeps its relative
+    accuracy however slowly the chain mixes, where solving
+    (M^T - I) pi = 0 loses it to the cancellation in 1 - m_ii."""
+    a = np.array(m, dtype=np.float64)
+    size = a.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(size - 1, 0, -1):
+            a[:k, k] /= a[k, :k].sum()
+            a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+        pi = np.ones(size)
+        for k in range(1, size):
+            pi[k] = pi[:k] @ a[:k, k]
+    # written so that a NaN fails: a zero s_k leaves inf or NaN behind
+    if not (pi.min() > 0 and pi.max() < np.inf):
         raise SolverError(
             NON_CONVERGENCE, "stationary solve produced non-positive entries"
         )
+    pi /= pi.sum()
     if float(np.max(np.abs(pi @ m - pi))) > 1e-12:
         raise SolverError(NON_CONVERGENCE, "stationary vector fails invariance")
-    return pi / pi.sum()
+    return pi
 
 
 def stationary(chain: CycleChainSpec) -> JointTable:
@@ -116,7 +135,7 @@ def stationary(chain: CycleChainSpec) -> JointTable:
 
 
 def stationary_power(chain: CycleChainSpec) -> JointTable:
-    """Power iteration on the same transition matrix; the direct solve is
+    """Power iteration on the same transition matrix; the elimination is
     authoritative, this exists as an independent cross-check."""
     m = _transition_matrix(chain)
     size = m.shape[0]

@@ -156,14 +156,17 @@ class MLLSpec:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MLLSpec":
-        if "variables" not in obj or "pairs" not in obj:
+        if not isinstance(obj, dict) or "variables" not in obj or "pairs" not in obj:
             raise SpecError('spec JSON needs "variables" and "pairs" fields')
-        vs = VarSet(tuple(obj["variables"]))
-        pairs = []
-        for item in obj["pairs"]:
-            margin = vs.mask_of(item["margin"])
-            effect = vs.mask_of(item["effect"])
-            pairs.append((effect, margin))
+        try:
+            vs = VarSet(tuple(obj["variables"]))
+            pairs = []
+            for item in obj["pairs"]:
+                margin = vs.mask_of(item["margin"])
+                effect = vs.mask_of(item["effect"])
+                pairs.append((effect, margin))
+        except (KeyError, TypeError) as exc:
+            raise SpecError(f"malformed spec JSON: {exc!r}") from None
         return MLLSpec(vs, tuple(pairs))
 
     @staticmethod
@@ -227,6 +230,8 @@ class MLLVector:
             raise SpecError(
                 f"need {len(self.spec)} values for this spec, got {v.shape}"
             )
+        if not np.all(np.isfinite(v)):
+            raise SpecError("parameter values must be finite")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -383,23 +388,18 @@ def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:
 
 
 def margin_kernel_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
-    """Raw-array variant of :func:`margin_derivative_kernel`."""
-    if margin == (1 << n) - 1:
-        raise StructureError("kernel is only defined for proper margins")
-    pm = marginal_array(p, n, margin)
-    cols = compress_map(n, margin)
-    w = p / pm[cols]
-    return fwht(w) / (1 << popcount(margin))
-
-
-def margin_derivative_kernel(t: JointTable, margin: int) -> np.ndarray:
     """Vector g with g[S] = 2**-|margin| * sum_x (-1)**|x & S| * w(x) where
     w(x) = p(x outside margin | x inside margin).
 
     All off-margin parameter derivatives of this margin are lookups into g:
     d lam(L, margin) / d eta_K = g[K xor L] whenever K is not inside margin.
     """
-    return margin_kernel_array(t.p, t.n, margin)
+    if margin == (1 << n) - 1:
+        raise StructureError("kernel is only defined for proper margins")
+    pm = marginal_array(p, n, margin)
+    cols = compress_map(n, margin)
+    w = p / pm[cols]
+    return fwht(w) / (1 << popcount(margin))
 
 
 def dlambda_deta(t: JointTable, effect: int, margin: int, wrt: int) -> float:
@@ -410,7 +410,7 @@ def dlambda_deta(t: JointTable, effect: int, margin: int, wrt: int) -> float:
         raise SpecError("derivative index must be a nonempty subset of the variables")
     if (wrt & ~margin) == 0:
         return 1.0 if wrt == effect else 0.0
-    g = margin_derivative_kernel(t, margin)
+    g = margin_kernel_array(t.p, t.n, margin)
     return float(g[wrt ^ effect])
 
 
@@ -485,7 +485,7 @@ def column_norm_bound_check(
         raise StructureError("j must be inside the margin")
     if k_mask == 0 or (k_mask & margin) or (k_mask & ~t.vars.full_mask):
         raise StructureError("k must be a nonempty subset outside the margin")
-    g = margin_derivative_kernel(t, margin)
+    g = margin_kernel_array(t.p, t.n, margin)
     jk = j_mask | k_mask
     norm = float(sum(g[C ^ jk] ** 2 for C in nonempty_submasks(margin)))
     return norm, 1.0 - t.min_cell
@@ -500,7 +500,7 @@ def row_norm_bound_check(
         raise StructureError("c must be a nonempty subset of the margin")
     if k_mask == 0 or (k_mask & margin) or (k_mask & ~t.vars.full_mask):
         raise StructureError("k must be a nonempty subset outside the margin")
-    g = margin_derivative_kernel(t, margin)
+    g = margin_kernel_array(t.p, t.n, margin)
     norm = float(sum(g[c_mask ^ (J | k_mask)] ** 2 for J in submasks(margin)))
     return norm, 1.0 - t.min_cell
 

@@ -132,17 +132,13 @@ def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _residual(p: np.ndarray, n: int, spec: MLLSpec, tvals: np.ndarray) -> float:
-    return float(np.max(np.abs(lambda_array(p, n, spec) - tvals)))
-
-
 def _check_target(spec: MLLSpec, target: MLLVector) -> None:
     if target.spec.pairs != spec.pairs or target.spec.vars.names != spec.vars.names:
         raise SpecError("target vector does not match the spec")
 
 
 def _verify(spec: MLLSpec, target: MLLVector, p: np.ndarray, tol: float) -> float:
-    res = _residual(p, spec.vars.n, spec, target.values)
+    res = float(np.max(np.abs(lambda_array(p, spec.vars.n, spec) - target.values)))
     if res > tol:
         raise SolverError(
             NON_CONVERGENCE,

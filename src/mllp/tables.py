@@ -224,6 +224,15 @@ class VarSet:
         return VarSet(self.names_of(mask))
 
 
+def float_array(values, error: type[Exception]) -> np.ndarray:
+    """``values`` read from outside input as float64; raises ``error`` when
+    they are not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise error(f"values must be numbers: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Joint tables
 # ---------------------------------------------------------------------------
@@ -289,8 +298,11 @@ class JointTable:
             raise InvalidTableError(f"invalid table JSON: {exc}") from exc
         if not isinstance(obj, dict) or "variables" not in obj or "p" not in obj:
             raise InvalidTableError('table JSON needs "variables" and "p" fields')
-        vs = VarSet(tuple(obj["variables"]))
-        p = np.asarray(obj["p"], dtype=np.float64)
+        try:
+            vs = VarSet(tuple(obj["variables"]))
+        except TypeError as exc:
+            raise InvalidTableError(f'"variables" must be a list: {exc}') from None
+        p = float_array(obj["p"], InvalidTableError)
         if p.shape != (vs.n_cells,):
             raise InvalidTableError(
                 f'"p" must have length {vs.n_cells} for {vs.n} variables, '
@@ -468,9 +480,14 @@ class ConditionalTable:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ConditionalTable":
+        try:
+            target, given = tuple(obj["target"]), tuple(obj.get("given", ()))
+        except (KeyError, TypeError) as exc:
+            raise InvalidTableError(
+                f'a conditional needs "target" and "given" lists: {exc!r}'
+            ) from None
         return ConditionalTable(
-            tuple(obj["target"]), tuple(obj.get("given", ())),
-            np.asarray(obj["values"], dtype=np.float64),
+            target, given, float_array(obj["values"], InvalidTableError)
         )
 
 

@@ -20,7 +20,8 @@ steps alone, without proportional fitting; it reads the package's weights
 and least-squares step.  :func:`brute_sweep_kernel` is the Gibbs sweep
 kernel carried one start state at a time; it reads the package's marginal
 and cell-packing helpers.  :func:`brute_is_complete` is completeness read
-from the list of margins of each effect.
+from the list of margins of each effect.  :func:`brute_stationary` is the
+stationary distribution by a dense linear solve of (M^T - I) pi = 0.
 """
 
 from __future__ import annotations
@@ -731,3 +732,26 @@ def brute_sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
         np.add.at(row, out_idx, dist)
         kernel[start] = row / row.sum()
     return kernel
+
+
+def brute_stationary(m: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic matrix by a direct
+    linear solve of (M^T - I) pi = 0 with a normalisation row, kept
+    verbatim as the reference for the elimination; it loses relative
+    accuracy when the chain mixes slowly (1 - m_ii cancels)."""
+    size = m.shape[0]
+    a = m.T - np.eye(size)
+    a[-1, :] = 1.0
+    b = np.zeros(size)
+    b[-1] = 1.0
+    try:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(NON_CONVERGENCE, f"stationary solve failed: {exc}") from exc
+    if np.any(pi <= 0):
+        raise SolverError(
+            NON_CONVERGENCE, "stationary solve produced non-positive entries"
+        )
+    if float(np.max(np.abs(pi @ m - pi))) > 1e-12:
+        raise SolverError(NON_CONVERGENCE, "stationary vector fails invariance")
+    return pi / pi.sum()

@@ -20,7 +20,6 @@ from mllp.classify import (
     hierarchy_order,
     interchange_closure,
     interchange_moves,
-    is_complete,
     is_hierarchical,
     labeled_complete_count,
     permute_mask,
@@ -134,14 +133,14 @@ def relabel(spec: MLLSpec, perm):
 
 class TestCompleteness:
     def test_chain_is_complete(self):
-        assert is_complete(catalog.CHAIN_THREE)
+        assert catalog.CHAIN_THREE.is_complete()
 
     def test_missing_effect_incomplete(self):
         spec = MLLSpec.from_text("12: 1 2 12\n23: 3 23\n123: 13\n")
-        assert not is_complete(spec)
+        assert not spec.is_complete()
 
     def test_repeated_effect_incomplete(self):
-        assert not is_complete(catalog.REPEATED_EFFECT)
+        assert not catalog.REPEATED_EFFECT.is_complete()
 
 
 class TestHierarchy:
@@ -194,7 +193,7 @@ class TestReduce:
         for spec in (catalog.PAIRED_SLICES, catalog.NESTED_SKIP):
             for b in range(3):
                 red = reduce_minus_v(spec, 1 << b)
-                assert is_complete(red)
+                assert red.is_complete()
 
 
 class TestRules:
@@ -339,7 +338,7 @@ class TestInterchange:
     def test_moves_preserve_completeness(self):
         spec = catalog.CROSS_SINGLE
         for mv in interchange_moves(spec):
-            assert is_complete(apply_interchange(spec, mv))
+            assert apply_interchange(spec, mv).is_complete()
 
     def test_closure_contains_original_first(self):
         closure = interchange_closure(catalog.CROSS_SINGLE)
@@ -349,7 +348,7 @@ class TestInterchange:
     def test_moves_match_block_definition(self, closure_states):
         rng = np.random.default_rng(7)
         incomplete = [random_pairs(n, rng) for n in (2, 3, 4) for _ in range(40)]
-        assert sum(not is_complete(s) for s in incomplete) > 100
+        assert sum(not s.is_complete() for s in incomplete) > 100
         for spec in closure_states + incomplete:
             assert interchange_moves(spec) == brute_interchange_moves(spec)
 

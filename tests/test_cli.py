@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ def run(argv):
     buf = io.StringIO()
     rc = main(argv, out=buf)
     return rc, buf.getvalue()
+
+
+def assert_domain_error(argv, capsys):
+    """Exit 1 with an ``error:`` line and nothing on stdout."""
+    rc, out = run(argv)
+    assert (rc, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.fixture
@@ -202,6 +210,19 @@ class TestSubcommands:
 
 _FOUR_VAR_SPEC = "123: 1 2 12 3 13 23 123\n1234: 4 14 24 124 34 134 234 1234\n"
 
+# Malformed cycle files for `markov`, each made from a valid one.
+_BAD_CHAINS = {
+    "top-level-list": lambda c: [c],
+    "variables-5": lambda c: {**c, "variables": 5},
+    "conditionals-object": lambda c: {
+        **c, "conditionals": dict(enumerate(c["conditionals"]))
+    },
+    "values-x": lambda c: {
+        **c,
+        "conditionals": [{**c["conditionals"][0], "values": "x"}, *c["conditionals"][1:]],
+    },
+}
+
 
 class TestExitCodes:
     def test_missing_file_is_domain_error(self):
@@ -319,6 +340,73 @@ class TestExitCodes:
         rc, _ = run(["invert", "--help"])
         assert rc == 0
         assert "--lambda" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, value, at",
+        [
+            ("CHAIN_THREE", math.nan, -1),
+            ("CYCLE_THREE", math.nan, -1),
+            ("PAIRED_SLICES", math.nan, -1),
+            ("SINGLETON_FEEDERS", math.nan, -1),
+            ("TWO_BLOCK_FIXPOINT", math.nan, -1),
+            ("NESTED_SKIP", math.nan, 0),
+            ("CHAIN_THREE", math.inf, -1),
+            ("CHAIN_THREE", -math.inf, 0),
+        ],
+    )
+    def test_nonfinite_lambda_is_domain_error(self, tmp_path, capsys, name, value, at):
+        spec = getattr(catalog, name)
+        values = [0.0] * len(spec)
+        values[at] = value  # json writes the bare NaN / Infinity that it reads back
+        (tmp_path / "lam.json").write_text(
+            json.dumps({"spec": spec.to_json_obj(), "values": values})
+        )
+        assert_domain_error(["invert", "--lambda", str(tmp_path / "lam.json")], capsys)
+
+    @pytest.mark.parametrize("case", ["value-x", "spec-variables-5"])
+    def test_malformed_lambda_is_domain_error(self, workdir, capsys, case):
+        path, _, _ = workdir
+        doc = json.loads((path / "lam.json").read_text())
+        if case == "value-x":
+            doc["values"][0] = "x"
+        else:
+            doc["spec"]["variables"] = 5
+        (path / "lam.json").write_text(json.dumps(doc))
+        assert_domain_error(["invert", "--lambda", str(path / "lam.json")], capsys)
+
+    def test_non_numeric_table_is_domain_error(self, workdir, capsys):
+        path, _, _ = workdir
+        (path / "table.json").write_text('{"variables": ["1", "2", "3"], "p": "x"}')
+        assert_domain_error(
+            ["forward", "--table", str(path / "table.json"), "--spec",
+             str(path / "spec.txt")],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("value", [math.nan, "x"], ids=["nan", "x"])
+    def test_bad_member_value_is_domain_error(self, workdir, capsys, value):
+        path, _, _ = workdir
+        vs = make_vars(4)
+        ms = model_spec([CIStatement.from_text(vs, s) for s in catalog.CI_LOOP_THREE])
+        # the last free pair: a NaN there reached the solvers and exited 2
+        last = len(ms.free_pairs) - 1
+        free = [
+            {"effect": list(vs.names_of(e)), "margin": list(vs.names_of(m)),
+             "value": value if i == last else 0.25}
+            for i, (e, m) in enumerate(ms.free_pairs)
+        ]
+        (path / "free.json").write_text(json.dumps(free))
+        assert_domain_error(
+            ["model", "--ci", str(path / "ci.txt"), "--member", str(path / "free.json")],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("case", sorted(_BAD_CHAINS))
+    def test_malformed_chain_is_domain_error(self, workdir, capsys, case):
+        path, _, _ = workdir
+        chain = json.loads((path / "chain.json").read_text())
+        (path / "chain.json").write_text(json.dumps(_BAD_CHAINS[case](chain)))
+        assert_domain_error(["markov", "--chain", str(path / "chain.json")], capsys)
 
     def test_member_outside_domain_is_exit_two(self, workdir):
         path, _, _ = workdir

@@ -32,6 +32,7 @@ from mllp.markov import (
     CycleChainSpec,
     chain_from_joint,
     stationary,
+    stationary_distribution,
     stationary_power,
 )
 from mllp.mixed import reconstruct_mixed
@@ -65,6 +66,7 @@ from oracles import (
     brute_contraction_subsystem,
     brute_fixed_point,
     brute_reconstruct_mixed,
+    brute_stationary,
 )
 
 
@@ -731,6 +733,24 @@ class TestStationary:
             np.max(np.abs(stationary(chain).p - stationary_power(chain).p))
         ) < 1e-10
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 16, 32])
+    def test_elimination_matches_direct_solve(self, size):
+        # well-conditioned chains: Dirichlet(1) rows mix within a few steps
+        rng = np.random.default_rng(4100 + size)
+        for _ in range(20):
+            m = rng.dirichlet(np.ones(size), size=size)
+            got = stationary_distribution(m)
+            want = brute_stationary(m)
+            assert float(np.max(np.abs(got - want) / want)) < 1e-12
+
+    def test_slow_chain_keeps_relative_accuracy(self):
+        # two states that stay put with probability 1 - 1e-9 and 1 - 3e-9:
+        # pi = (3, 1) / 4, which 1 - m_ii rounds away in a direct solve
+        eps = np.array([1e-9, 3e-9])
+        m = np.array([[1 - eps[0], eps[0]], [eps[1], 1 - eps[1]]])
+        got = stationary_distribution(m)
+        assert float(np.max(np.abs(got / np.array([0.75, 0.25]) - 1))) < 1e-15
+
 
 class TestCyclic:
     def test_roundtrip(self, rng):
@@ -748,6 +768,19 @@ class TestCyclic:
     def test_requires_cycle_structure(self):
         with pytest.raises(StructureError):
             invert_cyclic(catalog.CHAIN_THREE, zero_target(catalog.CHAIN_THREE))
+
+    @pytest.mark.parametrize("alpha, draw", [(0.05, 7), (0.05, 45), (0.1, 176)])
+    def test_auto_inverts_skewed_tables(self, alpha, draw):
+        # draws (from 0) of Dirichlet(alpha) tables from default_rng(2024),
+        # floored at 1e-12: their block chains mix so slowly that solving
+        # (M^T - I) pi = 0 missed the marginal by up to 5e-5 relative
+        spec = catalog.CYCLE_THREE
+        draws = np.random.default_rng(2024).dirichlet(np.full(8, alpha), draw + 1)
+        p = np.maximum(draws[draw], 1e-12)
+        t = JointTable(spec.vars, p / p.sum())
+        res = invert(spec, lambda_vector(t, spec))
+        assert res.method_used == "cyclic"
+        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
 
 
 class TestNewton:
