@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import solvers
-from .markov import stationary_distribution
 from .errors import NON_CONVERGENCE, SolverError, SpecError, StructureError
+from .markov import stationary_distribution
 from .mll import MLLSpec, MLLVector, Pair, conditional_from_lambda  # noqa: F401 (re-export)
 from .tables import (
     ConditionalTable,

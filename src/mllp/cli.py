@@ -45,10 +45,13 @@ def _load_statements(path: str) -> list[cimodels.CIStatement]:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        vs = VarSet(tuple(obj["variables"]))
-        return [
-            cimodels.CIStatement.from_json_obj(vs, s) for s in obj["statements"]
-        ]
+        try:
+            vs = VarSet(tuple(obj["variables"]))
+            return [
+                cimodels.CIStatement.from_json_obj(vs, s) for s in obj["statements"]
+            ]
+        except TypeError as exc:
+            raise SpecError(f"malformed statement JSON: {exc}") from None
     lines = [
         ln.split("#", 1)[0].strip() for ln in text.splitlines()
     ]

@@ -69,8 +69,8 @@ class CycleChainSpec:
             raise SpecError(
                 'cycle JSON needs "variables", "blocks" and "conditionals" lists'
             )
+        vs = VarSet(tuple(obj["variables"]))
         try:
-            vs = VarSet(tuple(obj["variables"]))
             blocks = tuple(vs.mask_of(b) for b in obj["blocks"])
         except TypeError as exc:
             raise SpecError(f"blocks must be lists of variable names: {exc}") from None

@@ -166,7 +166,7 @@ class MLLSpec:
                 effect = vs.mask_of(item["effect"])
                 pairs.append((effect, margin))
         except (KeyError, TypeError) as exc:
-            raise SpecError(f"malformed spec JSON: {exc!r}") from None
+            raise SpecError(f"malformed spec JSON: {exc}") from None
         return MLLSpec(vs, tuple(pairs))
 
     @staticmethod

@@ -484,7 +484,7 @@ class ConditionalTable:
             target, given = tuple(obj["target"]), tuple(obj.get("given", ()))
         except (KeyError, TypeError) as exc:
             raise InvalidTableError(
-                f'a conditional needs "target" and "given" lists: {exc!r}'
+                f'a conditional needs "target" and "given" lists: {exc}'
             ) from None
         return ConditionalTable(
             target, given, float_array(obj["values"], InvalidTableError)

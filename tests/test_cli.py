@@ -408,6 +408,19 @@ class TestExitCodes:
         (path / "chain.json").write_text(json.dumps(_BAD_CHAINS[case](chain)))
         assert_domain_error(["markov", "--chain", str(path / "chain.json")], capsys)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"variables": 5, "statements": []},
+            {"variables": ["1", "2", "3"], "statements": 5},
+            {"variables": ["1", "2", "3"], "statements": [5]},
+        ],
+        ids=["variables-5", "statements-5", "statement-5"],
+    )
+    def test_malformed_statements_is_domain_error(self, tmp_path, capsys, doc):
+        (tmp_path / "ci.json").write_text(json.dumps(doc))
+        assert_domain_error(["model", "--ci", str(tmp_path / "ci.json")], capsys)
+
     def test_member_outside_domain_is_exit_two(self, workdir):
         path, _, _ = workdir
         vs = make_vars(4)
