@@ -31,21 +31,27 @@ SEED = 7777
 SIZES = ((4, 400), (5, 150))  # (variables, collections)
 
 
-def main() -> int:
+def sample() -> list[MLLSpec]:
+    """The collections, in drawing order."""
     rng = np.random.default_rng(SEED)
+    specs = []
+    for n, count in SIZES:
+        vs = VarSet(tuple(str(i + 1) for i in range(n)))
+        specs += [MLLSpec(vs, few_margin_collection(rng, n)) for _ in range(count)]
+    return specs
+
+
+def main() -> int:
     sizes: dict[str, Counter] = {PROVEN_SMOOTH: Counter(), "UNKNOWN": Counter()}
     stopped = 0
     slowest = 0.0
-    for n, count in SIZES:
-        vs = VarSet(tuple(str(i + 1) for i in range(n)))
-        for _ in range(count):
-            spec = MLLSpec(vs, few_margin_collection(rng, n))
-            t0 = time.perf_counter()
-            report = classify(spec)
-            slowest = max(slowest, time.perf_counter() - t0)
-            verdict = report.verdict if report.verdict == PROVEN_SMOOTH else "UNKNOWN"
-            sizes[verdict][report.search.specs_expanded] += 1
-            stopped += verdict == "UNKNOWN" and not report.search.exhausted
+    for spec in sample():
+        t0 = time.perf_counter()
+        report = classify(spec)
+        slowest = max(slowest, time.perf_counter() - t0)
+        verdict = report.verdict if report.verdict == PROVEN_SMOOTH else "UNKNOWN"
+        sizes[verdict][report.search.specs_expanded] += 1
+        stopped += verdict == "UNKNOWN" and not report.search.exhausted
     print(f"SEARCH_LIMIT = {SEARCH_LIMIT}")
     for verdict, counts in sizes.items():
         print(f"{verdict}: {sum(counts.values())} collections")

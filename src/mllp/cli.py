@@ -29,11 +29,16 @@ def _emit(obj, out) -> None:
 
 
 def _load_spec(path: str) -> MLLSpec:
+    """The JSON form when the file parses as JSON or opens with ``{``, else
+    the text form, whose parser would read JSON punctuation as labels."""
     text = Path(path).read_text()
     try:
-        return MLLSpec.from_json(text)
-    except MllpError:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        if text.lstrip().startswith("{"):
+            raise SpecError(f"invalid spec JSON: {exc}") from None
         return MLLSpec.from_text(text)
+    return MLLSpec.from_json_obj(obj)
 
 
 def _load_table(path: str) -> JointTable:

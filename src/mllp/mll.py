@@ -47,6 +47,7 @@ from .tables import (
     ConditionalTable,
     JointTable,
     VarSet,
+    _hadamard,
     compress,
     compress_map,
     condition,
@@ -507,7 +508,4 @@ def row_norm_bound_check(
 
 def sign_matrix(k: int) -> np.ndarray:
     """Orthogonal 2**k x 2**k matrix with entries 2**(-k/2) * (-1)**|A & B|."""
-    size = 1 << k
-    a = np.arange(size, dtype=np.uint32)
-    overlap = np.bitwise_count(a[:, None] & a[None, :]).astype(np.float64)
-    return (1.0 - 2.0 * (overlap % 2.0)) * 2.0 ** (-k / 2.0)
+    return _hadamard(1 << k) * 2.0 ** (-k / 2)

@@ -25,7 +25,9 @@ interchanges, subsystem relocation) are replayed exactly: each transforms
 the target vector using the margin-change term of the conditional
 distribution that the already-known parameters pin down, and hands the
 rest of the chain to the inversion of the reduced collection, which the
-classifier proved with exactly that rest.
+classifier proved with exactly that rest.  The replay carries the target
+as one map from pair to value, and the reassembled table is checked once,
+against the caller's target.
 
 Every solve is deterministic given (spec, target, options); solves share
 no state and can run concurrently.
@@ -403,19 +405,16 @@ def invert_hierarchical(
 # ---------------------------------------------------------------------------
 
 def invert_cyclic(
-    spec: MLLSpec,
-    target: MLLVector,
-    opts: SolveOptions = SolveOptions(),
-    blocks: tuple[int, ...] | None = None,
+    spec: MLLSpec, target: MLLVector, opts: SolveOptions = SolveOptions()
 ) -> SolveResult:
     """Invert a cyclic-conditional collection: build each block conditional
     from its margin parameters, recover the first block's marginal as the
-    chain's stationary distribution, then finish hierarchically."""
-    if blocks is None:
-        params = cls.rule_applies(spec, "cyclic")
-        if params is None:
-            raise StructureError("spec does not have the cyclic block structure")
-        blocks = params["blocks"]
+    chain's stationary distribution, then finish hierarchically.  The
+    blocks are those the classifier's cyclic rule reads off ``spec``."""
+    params = cls.rule_applies(spec, "cyclic")
+    if params is None:
+        raise StructureError("spec does not have the cyclic block structure")
+    blocks = params["blocks"]
     _check_target(spec, target)
     tmap = target.as_dict()
     k = len(blocks)
@@ -591,9 +590,7 @@ def _invert_variable_removal(
         for e, m in spec.pairs
         if not e & v_mask
     ]
-    sub = _invert_via_chain(
-        reduced, MLLVector(reduced, np.array(red_vals)), sub_chain, opts
-    )
+    sub = _invert_via_chain(reduced, dict(zip(reduced.pairs, red_vals)), sub_chain, opts)
     return joint_from_conditional(vars, cond, sub.table).p
 
 
@@ -618,9 +615,7 @@ def _invert_slice_split(
             for e, m in spec.pairs
             if not e & v_mask
         ]
-        sub = _invert_via_chain(
-            reduced, MLLVector(reduced, np.array(vals)), sub_chain, opts
-        )
+        sub = _invert_via_chain(reduced, dict(zip(reduced.pairs, vals)), sub_chain, opts)
         slices.append(sub.table)
     q0, q1 = slices
     margin_v = em[v_mask]
@@ -683,14 +678,12 @@ def _invert_contraction(
     ``sub_chain``."""
     eta, _ = _contraction_subsystem(spec, tmap, relocate, opts)
     full = spec.vars.full_mask
-    relocated = cls.relocate_pairs(spec, relocate)
-    new_tmap = dict(tmap)
+    tmap = dict(tmap)
     for e, m in relocate:
-        new_tmap.pop((e, m))
-        new_tmap[(e, full)] = float(eta[e])
-    vals = np.array([new_tmap[pair] for pair in relocated.pairs])
-    sub = _invert_via_chain(relocated, MLLVector(relocated, vals), sub_chain, opts)
-    return sub.table.p
+        del tmap[(e, m)]
+        tmap[(e, full)] = float(eta[e])
+    relocated = cls.relocate_pairs(spec, relocate)
+    return _invert_via_chain(relocated, tmap, sub_chain, opts).table.p
 
 
 # ---------------------------------------------------------------------------
@@ -699,59 +692,40 @@ def _invert_contraction(
 
 def _invert_via_chain(
     spec: MLLSpec,
-    target: MLLVector,
+    tmap: dict[Pair, float],
     chain: tuple[cls.RuleStep, ...],
     opts: SolveOptions,
 ) -> SolveResult:
-    """Replay a proof chain: interchanges rewrite the target, the first
-    other rule inverts, and a reducing rule passes the rest of the chain on
-    to its reduced collection."""
-    cur_spec = spec
-    tmap = target.as_dict()
-    method = ">".join(s.rule for s in chain if s.rule != "interchange")
+    """Replay a proof chain on the target map ``{pair: value}``:
+    interchanges rewrite the map, the first other rule inverts, and a
+    reducing rule passes the rest of the chain on to its reduced
+    collection.  The table is checked against the target by the caller."""
     for i, step in enumerate(chain):
-        rule = step.rule
+        rule, details = step.rule, step.details
         if rule == "interchange":
-            cur_spec, tmap = _apply_interchange_to_target(
-                cur_spec,
-                tmap,
-                step.details["effect"],
-                step.details["from_margin"],
-                step.details["to_margin"],
+            spec, tmap = _apply_interchange_to_target(
+                spec, tmap, details["effect"], details["from_margin"],
+                details["to_margin"],
             )
             continue
-        cur_target = MLLVector(
-            cur_spec, np.array([tmap[pair] for pair in cur_spec.pairs])
-        )
         rest = chain[i + 1:]
-        if rule == "hierarchical":
-            sub = invert_hierarchical(cur_spec, cur_target, opts)
-        elif rule in ("two_margin", "three_margin", "single_feedback"):
-            sub = invert_fixed_point(cur_spec, cur_target, opts)
-        elif rule == "variable_removal":
-            p = _invert_variable_removal(cur_spec, tmap, step.details["v"], rest, opts)
-            sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, rule)
+        if rule == "variable_removal":
+            p = _invert_variable_removal(spec, tmap, details["v"], rest, opts)
         elif rule in ("slice_split", "slice_split_general"):
-            p = _invert_slice_split(cur_spec, tmap, step.details["v"], rest, opts)
-            sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, rule)
-        elif rule == "cyclic":
-            sub = invert_cyclic(cur_spec, cur_target, opts, blocks=step.details["blocks"])
+            p = _invert_slice_split(spec, tmap, details["v"], rest, opts)
         elif rule == cls.CONTRACTION_RULE:
-            p = _invert_contraction(
-                cur_spec, tmap, step.details["relocate"], rest, opts
-            )
-            sub = SolveResult(JointTable(cur_spec.vars, p), 0, 0.0, rule)
+            p = _invert_contraction(spec, tmap, details["relocate"], rest, opts)
         else:
+            target = MLLVector(spec, np.array([tmap[pair] for pair in spec.pairs]))
+            if rule == "hierarchical":
+                return invert_hierarchical(spec, target, opts)
+            if rule in ("two_margin", "three_margin", "single_feedback"):
+                return invert_fixed_point(spec, target, opts)
+            if rule == "cyclic":
+                return invert_cyclic(spec, target, opts)
             raise StructureError(f"no inversion route for rule {rule!r}")
-        res = _verify(spec, target, sub.table.p, max(opts.tol, 1e-9))
-        return SolveResult(
-            JointTable(spec.vars, sub.table.p),
-            sub.iterations,
-            res,
-            method,
-            sub.contraction_certificate,
-            sub.trace,
-        )
+        # a reduction did its work in the sub-solves it handed on to
+        return SolveResult(JointTable(spec.vars, p), 0, 0.0, rule)
     raise StructureError("classification chain carried no terminal rule")
 
 
@@ -760,7 +734,13 @@ def _invert_auto(
 ) -> SolveResult:
     report = cls.classify(spec)
     if report.verdict == cls.PROVEN_SMOOTH:
-        return _invert_via_chain(spec, target, report.rule_chain, opts)
+        chain = report.rule_chain
+        sub = _invert_via_chain(spec, target.as_dict(), chain, opts)
+        return replace(
+            sub,
+            final_residual=_verify(spec, target, sub.table.p, max(opts.tol, 1e-9)),
+            method_used=">".join(s.rule for s in chain if s.rule != "interchange"),
+        )
     if report.verdict == cls.NOT_SMOOTH_INCOMPLETE:
         raise StructureError("cannot invert an incomplete collection")
 

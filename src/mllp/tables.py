@@ -278,13 +278,6 @@ class JointTable:
     def log_p(self) -> np.ndarray:
         return np.log(self.p)
 
-    def cell(self, assignment: Mapping[str, int]) -> float:
-        idx = 0
-        for name, value in assignment.items():
-            if value:
-                idx |= 1 << self.vars.position(name)
-        return float(self.p[idx])
-
     def to_json(self) -> str:
         return json.dumps(
             {"variables": list(self.vars.names), "p": [float(x) for x in self.p]}
@@ -359,13 +352,6 @@ class EtaVector:
         if effect == 0:
             raise InvalidTableError("the empty effect is not a parameter")
         return float(self.values[effect])
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        for mask in range(1, self.vars.n_cells):
-            yield mask, float(self.values[mask])
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.items())
 
 
 def eta_from_dict(vars: VarSet, entries: Mapping[int, float]) -> EtaVector:

@@ -1,11 +1,14 @@
+import importlib.util
 import itertools
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mllp import catalog
 from mllp.classify import (
+    BASE_RULES,
     NOT_SMOOTH_INCOMPLETE,
     PROVEN_SMOOTH,
     SEARCH_LIMIT,
@@ -74,6 +77,15 @@ def full_margin_rest(listed: str, n: int) -> MLLSpec:
             margin_of[vs.mask(effect)] = vs.mask(margin.strip())
     full = vs.full_mask
     return MLLSpec(vs, tuple((e, margin_of.get(e, full)) for e in range(1, full + 1)))
+
+
+def search_sizes_sample() -> list[MLLSpec]:
+    """The 550 collections of ``scripts/search_sizes.py`` (seed 7777)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "search_sizes.py"
+    loader = importlib.util.spec_from_file_location("search_sizes", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    return script.sample()
 
 
 class _Stopped(Exception):
@@ -507,21 +519,31 @@ class TestSearchMatchesOracle:
         assert compared >= 45
 
     def test_proven_collections_invert_by_auto(self):
-        # PROVEN_SMOOTH must mean that AUTO inversion recovers the table
+        # PROVEN_SMOOTH must mean that AUTO inversion recovers the table:
+        # one Dirichlet table for each of the 488 proven collections of the
+        # search-size sample, whose longest chain has 8 reducing steps
         rng = np.random.default_rng(11)
-        specs = [few_margin_complete(4, rng) for _ in range(30)]
-        specs += [few_margin_complete(5, rng) for _ in range(15)]
         first_rules = set()
-        for spec in specs:
+        proven = deepest = 0
+        for spec in search_sizes_sample():
             report = within(5.0, classify, spec)
             assert report is not None
             if report.verdict != PROVEN_SMOOTH:
                 continue
+            proven += 1
             first_rules.add(report.first_rule)
+            deepest = max(deepest, sum(
+                s.rule not in BASE_RULES and s.rule != "interchange"
+                for s in report.rule_chain
+            ))
             table = dirichlet_table(spec.vars, rng)
             res = invert(spec, lambda_vector(table, spec))
             assert np.max(np.abs(res.table.p - table.p)) < 1e-8
-        assert {"variable_removal", "three_margin", "contraction_reduce"} <= first_rules
+        assert proven >= 488 and deepest >= 8
+        assert {
+            "hierarchical", "two_margin", "three_margin", "variable_removal",
+            "contraction_reduce",
+        } <= first_rules
 
 
 def graph_search(graph: dict[int, list[int]], root: int = 0) -> tuple[_Search, list]:

@@ -21,11 +21,13 @@ def run(argv):
     return rc, buf.getvalue()
 
 
-def assert_domain_error(argv, capsys):
-    """Exit 1 with an ``error:`` line and nothing on stdout."""
+def assert_domain_error(argv, capsys) -> str:
+    """Exit 1 with an ``error:`` line and nothing on stdout; returns stderr."""
     rc, out = run(argv)
     assert (rc, out) == (1, "")
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    return err
 
 
 @pytest.fixture
@@ -420,6 +422,27 @@ class TestExitCodes:
     def test_malformed_statements_is_domain_error(self, tmp_path, capsys, doc):
         (tmp_path / "ci.json").write_text(json.dumps(doc))
         assert_domain_error(["model", "--ci", str(tmp_path / "ci.json")], capsys)
+
+    @pytest.mark.parametrize("command", ["classify", "forward"])
+    @pytest.mark.parametrize(
+        "pair, cut, named",
+        [
+            ({"margin": ["1", "3"], "effect": ["1"]}, 0, "unknown variable '3'"),
+            ({"margin": ["1"], "effect": ["2"]}, 0, "is not contained in margin"),
+            ({"margin": ["1"], "effect": ["1"]}, 2, "invalid spec JSON"),
+        ],
+        ids=["unknown-variable", "effect-outside-margin", "truncated"],
+    )
+    def test_bad_json_spec_is_named(self, workdir, capsys, command, pair, cut, named):
+        # a JSON spec is never re-read as text, whose parser would take
+        # the JSON punctuation for variable labels
+        path, _, _ = workdir
+        text = json.dumps({"variables": ["1", "2"], "pairs": [pair]})
+        (path / "bad.json").write_text(text[:len(text) - cut])
+        argv = [command, "--spec", str(path / "bad.json")]
+        if command == "forward":
+            argv += ["--table", str(path / "table.json")]
+        assert named in assert_domain_error(argv, capsys)
 
     def test_member_outside_domain_is_exit_two(self, workdir):
         path, _, _ = workdir

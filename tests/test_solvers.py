@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -940,6 +941,36 @@ class TestInvertAuto:
         res = invert(spec, lambda_vector(t, spec))
         assert top_level_calls == 1
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "text, method",
+        [
+            ("12: 1; 23: 2 23; 1234: 12 3 13 123 4 14 24 124 34 134 234 1234",
+             "variable_removal>three_margin"),
+            ("134: 1 14 134; 234: 2 24 234; 1234: 12 3 13 23 123 124 34 1234; 34: 4",
+             "contraction_reduce>two_margin"),
+        ],
+    )
+    def test_nested_miss_fails_the_reassembly_check(self, text, method, rng, monkeypatch):
+        # the replay checks only the reassembled table, against the caller's
+        # target; a nested fixed point that misses its reduced target by a
+        # relative 1e-3 in one cell must still fail that check
+        spec = _spec_line(text)
+        target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+        assert invert(spec, target).method_used == method
+        exact = solvers.invert_fixed_point
+
+        def off(*args, **kwargs):
+            res = exact(*args, **kwargs)
+            p = res.table.p.copy()
+            p[0] *= 1.001
+            return replace(res, table=JointTable(res.table.vars, p / p.sum()))
+
+        monkeypatch.setattr(solvers, "invert_fixed_point", off)
+        with pytest.raises(SolverError) as info:
+            invert(spec, target)
+        assert info.value.kind == NON_CONVERGENCE
+        assert "reassembled table misses the target" in str(info.value)
 
     def test_forced_methods(self, rng):
         spec = catalog.CHAIN_THREE
