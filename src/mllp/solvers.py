@@ -21,13 +21,16 @@ Four routes, dispatched automatically from the classification chain:
 
 AUTO inversion classifies the collection once and replays the rule chain.
 Reduction steps (variable removal, per-slice removal, parameter
-interchanges, subsystem relocation) are replayed exactly: each transforms
-the target vector using the margin-change term of the conditional
-distribution that the already-known parameters pin down, and hands the
+interchanges, subsystem relocation) are replayed exactly, with nothing but
+the forward map and the fixed point: each reads the margin-change term of
+the conditional that the already-known parameters pin down as a difference
+of forward parameters at a table built from that block alone, or solves
+the relocated subsystem as a single-feedback collection, and hands the
 rest of the chain to the inversion of the reduced collection, which the
 classifier proved with exactly that rest.  The replay carries the target
 as one map from pair to value, and the reassembled table is checked once,
-against the caller's target.
+against the caller's target.  A table that falls outside the positivity
+floor on the way means the target has no member: SolverError.
 
 Every solve is deterministic given (spec, target, options); solves share
 no state and can run concurrently.
@@ -60,10 +63,10 @@ from .mll import (
     Pair,
     _gather_plan,
     conditional_from_lambda,
-    decompose_f,
     jacobian_array,
     lambda_array,
     margin_kernel_array,
+    margin_lambda_array,
 )
 from .tables import (
     _ONE_FACTOR_CELLS,
@@ -72,13 +75,11 @@ from .tables import (
     bit_positions,
     compress,
     compress_map,
-    eta_from_dict,
     fwht,
-    joint_from_conditional,
+    marginal_array,
     marginalize,
     nonempty_submasks,
     popcount,
-    table_from_eta,
 )
 
 METHODS = ("AUTO", "FIXED_POINT", "HIERARCHICAL", "MARKOV", "NEWTON")
@@ -528,11 +529,24 @@ def _glue_slices(
     return p / p.sum()
 
 
+def _block_table(vars: VarSet, entries: dict[int, float]) -> np.ndarray:
+    """Cells of the table over ``vars`` whose log-linear coefficients are
+    ``entries`` (effect mask to value) and zero elsewhere.  When the
+    entries are the parameter block of a conditional p(x_A | x_N), the
+    table has that conditional, so a margin-change term, which depends on
+    the conditional alone, is a difference of forward parameters here."""
+    eta = np.zeros(vars.n_cells)
+    eta[list(entries)] = list(entries.values())
+    return JointTable(vars, _probs_from_eta(eta)).p
+
+
 def _apply_interchange_to_target(
     spec: MLLSpec, tmap: dict[Pair, float], effect: int, from_m: int, to_m: int
 ) -> tuple[MLLSpec, dict[Pair, float]]:
     """Rewrite one coordinate between margins using the margin-change term
-    of the conditional pinned by the block parameters."""
+    f = lam(effect, big) - lam(effect, small) of the conditional pinned by
+    the block parameters: at the block's table lam(effect, big) is 0, so f
+    is -lam(effect, small) there."""
     if (to_m & ~from_m) and (from_m & ~to_m):
         raise StructureError("interchange margins must be nested")
     down = (to_m & ~from_m) == 0  # moving into a smaller margin
@@ -548,11 +562,9 @@ def _apply_interchange_to_target(
     if set(block) != want:
         raise StructureError("interchange block parameters are not all present")
     sub_vars = spec.vars.restrict(big)
-    entries = {compress(e, big): val for e, val in block.items()}
-    t_big = table_from_eta(eta_from_dict(sub_vars, entries))
-    f = decompose_f(
-        t_big, compress(effect, big), compress(small, big), compress(a_mask, big)
-    )
+    t_big = _block_table(sub_vars, {compress(e, big): v for e, v in block.items()})
+    lam_small = margin_lambda_array(t_big, sub_vars.n, compress(small, big))
+    f = -float(lam_small[compress(effect, small)])
     old = tmap.pop((effect, from_m))
     new_val = old - f if down else old + f
     new_spec = MLLSpec(
@@ -573,25 +585,27 @@ def _invert_variable_removal(
 ) -> np.ndarray:
     """Split off the conditional of X_v given the rest (all effects
     containing v sit in the full margin), invert the reduced collection by
-    ``sub_chain``, and glue the conditional back on."""
+    ``sub_chain``, and glue the conditional back on.
+
+    The effects containing v pin the conditional; the table t of that block
+    alone has it.  A full-margin effect e without v has the margin-change
+    term lam_t(e, full) - lam_t(e, rest) = -lam_t(e, rest), so its reduced
+    target is its target plus lam_t(e, rest)."""
     vars = spec.vars
     full = vars.full_mask
     rest = full & ~v_mask
-    cond_vals = {e: tmap[(e, full)] for e, m in spec.pairs if e & v_mask}
-    cond = conditional_from_lambda(vars, v_mask, rest, cond_vals)
-    # a table with that conditional and uniform rest pins the margin-change
-    # terms of the full-margin effects not containing v
-    t_pin = joint_from_conditional(
-        vars, cond, table_from_eta(eta_from_dict(vars.restrict(rest), {}))
-    )
+    t = _block_table(vars, {e: tmap[(e, full)] for e, _ in spec.pairs if e & v_mask})
+    lam_rest = margin_lambda_array(t, vars.n, rest)
     reduced = cls.reduce_minus_v(spec, v_mask)
     red_vals = [
-        tmap[(e, m)] - decompose_f(t_pin, e, rest, v_mask) if m == full else tmap[(e, m)]
+        tmap[(e, m)] + lam_rest[compress(e, rest)] if m == full else tmap[(e, m)]
         for e, m in spec.pairs
         if not e & v_mask
     ]
     sub = _invert_via_chain(reduced, dict(zip(reduced.pairs, red_vals)), sub_chain, opts)
-    return joint_from_conditional(vars, cond, sub.table).p
+    cols = compress_map(vars.n, rest)
+    p = t / marginal_array(t, vars.n, rest)[cols] * sub.table.p[cols]
+    return p / p.sum()
 
 
 def _invert_slice_split(
@@ -604,7 +618,7 @@ def _invert_slice_split(
     """Per-slice reduction: for each value of X_v the slice parameters are
     lam(A, M) +/- lam(A|v, M); invert both slices by ``sub_chain``, then
     recover the X_v marginal from the effect {v} and its margin-change
-    term."""
+    term, read at the table that weighs both slices by 1/2."""
     vars = spec.vars
     em = {e: m for e, m in spec.pairs}
     reduced = cls.reduce_minus_v(spec, v_mask)
@@ -619,51 +633,14 @@ def _invert_slice_split(
         slices.append(sub.table)
     q0, q1 = slices
     margin_v = em[v_mask]
-    n_margin = margin_v & ~v_mask
     half = _glue_slices(vars, v_mask, np.array([0.5, 0.5]), q0, q1)
-    t_half = JointTable(vars, half)
-    f = decompose_f(t_half, v_mask, v_mask, n_margin) if n_margin else 0.0
+    f = (margin_lambda_array(half, vars.n, margin_v)[compress(v_mask, margin_v)]
+         - margin_lambda_array(half, vars.n, v_mask)[1])
     eta_v = tmap[(v_mask, margin_v)] - f
-    pv = np.exp([eta_v, -eta_v])
-    pv /= pv.sum()
+    # the two-point law exp(+/- eta_v), scaled so that neither side
+    # overflows; the glue normalises it
+    pv = np.exp(np.array([eta_v, -eta_v]) - abs(eta_v))
     return _glue_slices(vars, v_mask, pv, q0, q1)
-
-
-def _contraction_subsystem(
-    spec: MLLSpec,
-    tmap: dict[Pair, float],
-    relocate: tuple[Pair, ...],
-    opts: SolveOptions,
-) -> tuple[np.ndarray, list[float]]:
-    """The certified fixed point of the self-contained subsystem for the
-    relocated effects: eta with the full-margin coefficients fixed, and the
-    residual after each sweep."""
-    vars = spec.vars
-    full = vars.full_mask
-    eta = np.zeros(vars.n_cells)
-    for e, m in spec.pairs:
-        if m == full:
-            eta[e] = tmap[(e, m)]
-    targets = np.array([tmap[pair] for pair in relocate])
-    blocks = [
-        (b.effects, b.cells, b.params, targets[b.pos])
-        for b in _block_plan(relocate, vars.n).blocks
-    ]
-    trace: list[float] = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(opts.max_iter):
-            # Jacobi within a sweep: every block reads the same table
-            w = weights(eta)[0]
-            deltas = []
-            for effects, cells, params, t in blocks:
-                delta = t - params(np.log(np.bincount(cells, w)))
-                eta[effects] += delta
-                deltas.append(delta)
-            res = float(np.max(np.abs(np.concatenate(deltas))))
-            trace.append(res)
-            if res <= opts.tol * 0.1:
-                return eta, trace
-    raise SolverError(NON_CONVERGENCE, "subsystem fixed point did not converge", trace)
 
 
 def _invert_contraction(
@@ -674,10 +651,24 @@ def _invert_contraction(
     opts: SolveOptions,
 ) -> np.ndarray:
     """Solve the self-contained subsystem for the relocated effects by the
-    certified fixed point, then invert the relocated collection by
-    ``sub_chain``."""
-    eta, _ = _contraction_subsystem(spec, tmap, relocate, opts)
-    full = spec.vars.full_mask
+    fixed point, then invert the relocated collection by ``sub_chain``.
+
+    The subsystem is the complete collection that keeps the relocated pairs
+    in their margins and puts every other effect in the full margin, at its
+    target there and at 0 for the other proper pairs: by condition (i) of
+    the contraction rule no relocated pair reads those.  Condition (ii)
+    gives it the single-feedback structure.  It is solved to a tenth of
+    tol, and the relocated coefficients are read off its table."""
+    vars = spec.vars
+    full = vars.full_mask
+    moved = set(spec.pairs) - set(relocate)
+    system = cls.relocate_pairs(spec, moved)
+    values = [0.0 if pair in moved and pair[1] != full else tmap[pair]
+              for pair in spec.pairs]
+    sub = invert_fixed_point(
+        system, MLLVector(system, np.array(values)), replace(opts, tol=0.1 * opts.tol)
+    )
+    eta = margin_lambda_array(sub.table.p, vars.n, full)
     tmap = dict(tmap)
     for e, m in relocate:
         del tmap[(e, m)]
@@ -767,19 +758,26 @@ def invert(
     fixed point, stopped when its residual stalls, then one Newton solve
     from the uniform table; when both fail it raises ALL_METHODS_FAILED
     (CLI exit 2).  The other method values force one route and fail if its
-    structural preconditions are unmet.
+    structural preconditions are unmet.  On every route a target whose
+    solve builds a table outside the positivity floor raises
+    NON_CONVERGENCE (CLI exit 2).
     """
     if not spec.is_complete():
         raise StructureError("inversion needs a complete collection")
     _check_target(spec, target)
-    if opts.method == "AUTO":
-        return _invert_auto(spec, target, opts)
-    if opts.method == "FIXED_POINT":
-        return invert_fixed_point(spec, target, opts)
-    if opts.method == "HIERARCHICAL":
-        return invert_hierarchical(spec, target, opts)
-    if opts.method == "NEWTON":
-        return invert_newton(spec, target, opts)
-    if opts.method == "MARKOV":
-        return invert_cyclic(spec, target, opts)
-    raise SpecError(f"unsupported method {opts.method}")
+    # spec and target are valid here, so an invalid table below is one the
+    # solve built: the target lies outside the parameter domain
+    try:
+        if opts.method == "AUTO":
+            return _invert_auto(spec, target, opts)
+        if opts.method == "FIXED_POINT":
+            return invert_fixed_point(spec, target, opts)
+        if opts.method == "HIERARCHICAL":
+            return invert_hierarchical(spec, target, opts)
+        if opts.method == "NEWTON":
+            return invert_newton(spec, target, opts)
+        return invert_cyclic(spec, target, opts)  # MARKOV, checked by SolveOptions
+    except InvalidTableError as exc:
+        raise SolverError(
+            NON_CONVERGENCE, f"the solve left the table domain: {exc}"
+        ) from exc

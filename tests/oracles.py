@@ -13,8 +13,9 @@ the package's rules, moves and reductions, which have their own checks.
 pairs, with fresh unnormalised weights and margin transform per block; it
 reads the package's contraction certificate.  :func:`brute_rule_cyclic`
 is the cyclic rule tried over every ordering of the proper margins.
-:func:`brute_contraction_subsystem` is the contraction subsystem's Jacobi
-sweep with each margin summed out of the cell cube and transformed anew.
+:func:`brute_contraction_subsystem` solves the contraction subsystem by a
+Jacobi sweep with each margin summed out of the cell cube and transformed
+anew.
 :func:`brute_reconstruct_mixed` is the mixed-coordinate solve as Newton
 steps alone, without proportional fitting; it reads the package's weights
 and least-squares step.  :func:`brute_sweep_kernel` is the Gibbs sweep
@@ -517,10 +518,12 @@ def brute_contraction_subsystem(
     relocate: tuple[Pair, ...],
     opts: SolveOptions,
 ) -> tuple[np.ndarray, list[float]]:
-    """The contraction subsystem's Jacobi sweep, block by block: each
-    block's margin summed out of the cube of unnormalised weights, then its
-    transform.  Returns eta and the residual trace, like
-    :func:`mllp.solvers._contraction_subsystem`, with the same errors."""
+    """The contraction subsystem of :func:`mllp.solvers._invert_contraction`
+    solved by a Jacobi sweep, block by block: eta starts at the full-margin
+    targets, and each block's margin is summed out of the cube of
+    unnormalised weights, then transformed.  Stops when no coefficient
+    moves by more than tol / 10 in a sweep; returns eta and the largest
+    move of each sweep."""
     vars = spec.vars
     n = vars.n
     full = vars.full_mask

@@ -460,6 +460,29 @@ class TestExitCodes:
         assert rc == 2
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, pair, value", [
+        ("CHAIN_THREE", ("1", "12"), 50.0),  # a chain margin below the floor
+        ("PAIRED_SLICES", ("1", "123"), 1000.0),  # exp(1000) would overflow
+    ])
+    def test_out_of_domain_target_is_exit_two(self, tmp_path, capsys, name, pair, value):
+        spec = getattr(catalog, name)
+        values = [0.0] * len(spec)
+        values[spec.pairs.index(tuple(map(spec.vars.mask, pair)))] = value
+        (tmp_path / "lam.json").write_text(
+            json.dumps({"spec": spec.to_json_obj(), "values": values})
+        )
+        assert run(["invert", "--lambda", str(tmp_path / "lam.json")]) == (2, "")
+        assert capsys.readouterr().err.startswith("solver failure:")
+
+    def test_member_below_the_floor_is_exit_two(self, workdir, capsys):
+        path, _, _ = workdir
+        free = [{"effect": ["1"], "margin": ["1", "2", "3"], "value": 60.0}]
+        (path / "free.json").write_text(json.dumps(free))
+        argv = ["model", "--ci", str(path / "ci.txt"), "--member", str(path / "free.json")]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err.startswith("solver failure:")
+
 class TestDeterminism:
     def test_census_byte_identical(self):
         _, out1 = run(["census", "--vars", "3", "--rows"])

@@ -296,14 +296,23 @@ class TestCompiledSweep:
 
     def test_contraction_subsystem_matches_oracle(self, monkeypatch):
         # every subsystem that AUTO inversion solves for the census orbits
-        # and the collections above proven through the contraction rule,
-        # with its own spec, targets and relocated pairs
-        calls = []
-        subsystem = solvers._contraction_subsystem
+        # and the collections above proven through the contraction rule: a
+        # single-feedback collection solved by the fixed point, whose
+        # relocated coefficients are the converged eta of the Jacobi oracle
+        # on the step's own spec, targets and relocated pairs
+        steps, solved = [], []
+        contraction = solvers._invert_contraction
+        fixed_point = solvers.invert_fixed_point
 
-        def record(spec, tmap, relocate, opts):
-            calls.append((spec, dict(tmap), relocate, opts))
-            return subsystem(spec, tmap, relocate, opts)
+        def record_step(spec, tmap, relocate, sub_chain, opts):
+            steps.append((spec, dict(tmap), relocate, opts))
+            return contraction(spec, tmap, relocate, sub_chain, opts)
+
+        def record_solve(spec, target, opts=SolveOptions(), damping=1.0):
+            res = fixed_point(spec, target, opts, damping)
+            if len(solved) < len(steps):  # the step's subsystem comes first
+                solved.append((spec, res))
+            return res
 
         texts = [r["spec"] for r in census(3)["rows"]] + FIXED_POINT_ROUTES_N45
         specs = [
@@ -312,20 +321,21 @@ class TestCompiledSweep:
         ]
         assert {s.vars.n for s in specs} == {3, 4}
         rng = np.random.default_rng(10)
-        monkeypatch.setattr(solvers, "_contraction_subsystem", record)
+        monkeypatch.setattr(solvers, "_invert_contraction", record_step)
+        monkeypatch.setattr(solvers, "invert_fixed_point", record_solve)
         for spec in specs:
             for draw in (dirichlet_table, _skewed_table):
                 table = draw(spec.vars, rng)
                 res = invert(spec, lambda_vector(table, spec))
                 assert float(np.max(np.abs(res.table.p - table.p))) < 1e-8
         monkeypatch.undo()
-        assert len(calls) == 2 * len(specs)
-        for call in calls:
-            eta, trace = subsystem(*call)
-            want_eta, want_trace = brute_contraction_subsystem(*call)
-            assert len(trace) == len(want_trace)
-            np.testing.assert_allclose(trace, want_trace, rtol=1e-9, atol=1e-12)
-            assert float(np.max(np.abs(eta - want_eta))) <= 1e-12
+        assert len(steps) == len(solved) == 2 * len(specs)
+        for step, (system, res) in zip(steps, solved):
+            assert rule_applies(system, "single_feedback") is not None
+            want_eta, _ = brute_contraction_subsystem(*step)
+            eta = fwht(np.log(res.table.p)) / res.table.vars.n_cells
+            relocated = [e for e, _ in step[2]]
+            assert float(np.max(np.abs(eta[relocated] - want_eta[relocated]))) <= 1e-10
 
     def test_margins_above_one_product_size_match_oracle(self):
         # two drop-one margins of 128 cells: their blocks run the transform
@@ -831,6 +841,26 @@ class TestInvertAuto:
         except SolverError:
             return
         assert float(np.max(np.abs(res.table.p - t.p))) <= 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_domain_targets_fail_as_solver_error(self):
+        # one pair at a time at 50, -50 or 400, the others at 0, on the
+        # catalog collections of every proven route: no member table has
+        # such parameters, and every route says so by SolverError, never by
+        # InvalidTableError or a warning
+        names = ["CHAIN_THREE", "NESTED_SKIP", "CROSS_SINGLE", "TWO_BLOCK_FIXPOINT",
+                 "PAIRED_SLICES", "SINGLETON_FEEDERS", "CYCLE_THREE",
+                 "CYCLE_THREE_RESOLVED", "PAIRED_SLICES_FOUR"]
+        count = 0
+        for name in names:
+            spec = getattr(catalog, name)
+            for i, value in itertools.product(range(len(spec)), (50.0, -50.0, 400.0)):
+                values = np.zeros(len(spec))
+                values[i] = value
+                with pytest.raises(SolverError):
+                    invert(spec, MLLVector(spec, values))
+                count += 1
+        assert count == 213
 
     def test_zero_target_uniform_everywhere(self):
         for name in ("CHAIN_THREE", "PAIRED_SLICES", "CYCLE_THREE",
