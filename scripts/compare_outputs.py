@@ -8,13 +8,17 @@ PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
 checkout's ``src/mllp`` and ``bench/workloads.py`` and runs every
 operation of each workload and seed once, in the benchmark's order.  Per
-operation it keeps the output table, ``method_used`` and the iteration
-count when the output has them, the error when the operation raised, and
-the result of the operation's own check.
+operation it keeps the output table, ``method_used``, the iteration count,
+``final_residual`` and ``contraction_certificate`` when the output has
+them, the error when the operation raised, and the result of the
+operation's own check.
 
 Prints, per workload and seed, the number of operations whose tables
-differ and the largest cell difference, then every operation whose
-``method_used``, iteration count, error or check result differs.  Exits 0.
+differ, the largest cell difference and the number of those whose
+``final_residual`` moved with the table, then every operation whose
+``method_used``, iteration count, error, check result or
+``contraction_certificate`` differs, or whose ``final_residual`` differs
+at an equal table.  Exits 0.
 """
 
 from __future__ import annotations
@@ -30,27 +34,26 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("invert-routes", "fallback-models", "large-tables")
-FIELDS = ("method_used", "iterations", "error", "check")
+FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
+REPORTED = ("method_used", "iterations", "final_residual", "contraction_certificate")
 
 
 def outcome(op) -> dict:
-    """What one operation returned: its table, method and iterations, or
-    the error it raised, and its check."""
+    """What one operation returned: its table and the ``REPORTED`` fields,
+    or the error it raised, and its check."""
     try:
         result = op.run()
     except Exception as exc:  # the workload's own failures are outputs here
         return {"table": None, "error": f"{type(exc).__name__}: {getattr(exc, 'kind', exc)}"}
     if isinstance(result, dict):  # a CLI document
         table = result.get("table", {}).get("p")
-        method, iterations = result.get("method_used"), result.get("iterations")
+        fields = {f: result.get(f) for f in REPORTED}
     else:
         table = getattr(getattr(result, "table", result), "p", None)
-        method = getattr(result, "method_used", None)
-        iterations = getattr(result, "iterations", None)
+        fields = {f: getattr(result, f, None) for f in REPORTED}
     return {
         "table": None if table is None else np.asarray(table, dtype=float),
-        "method_used": method,
-        "iterations": iterations,
+        **fields,
         "error": None,
         "check": op.check(result),
     }
@@ -86,22 +89,29 @@ def run_side(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
 
 def compare(parent: dict, change: dict) -> None:
     for key, ops in parent.items():
-        tables_differ, worst, lines = 0, 0.0, []
+        tables_differ, worst, moved, lines = 0, 0.0, 0, []
         for i, ((kind, a), (_, b)) in enumerate(zip(ops, change[key])):
             ta, tb = a["table"], b["table"]
+            same = True
             if (ta is None) != (tb is None) or (ta is not None and ta.shape != tb.shape):
-                tables_differ += 1
-                worst = float("inf")
+                same, worst = False, float("inf")
             elif ta is not None and not np.array_equal(ta, tb):
-                tables_differ += 1
-                worst = max(worst, float(np.max(np.abs(ta - tb))))
-            for field in FIELDS:
+                same, worst = False, max(worst, float(np.max(np.abs(ta - tb))))
+            tables_differ += not same
+            fields = FIELDS
+            if a.get("final_residual") != b.get("final_residual"):
+                if same:
+                    fields += ("final_residual",)
+                else:
+                    moved += 1
+            for field in fields:
                 if a.get(field) != b.get(field):
                     lines.append(f"  op {i} {kind}: {field} {a.get(field)!r} -> "
                                  f"{b.get(field)!r}")
         name, seed = key
         print(f"{name} seed {seed}: {len(ops)} ops ({len(change[key])} in the change), "
               f"{tables_differ} tables differ, largest cell difference {worst:.3g}, "
+              f"{moved} residuals moved with their table, "
               f"{len(lines)} other differences")
         print("\n".join(lines), end="\n" if lines else "")
 

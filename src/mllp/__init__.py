@@ -3,7 +3,7 @@
 Submodules:
 
 * :mod:`mllp.tables`   -- bit-lattice algebra, joint/marginal/conditional tables,
-  the transform between tables and log-linear coefficients.
+  the transform between tables and log-linear coefficients (fwht, weights).
 * :mod:`mllp.mll`      -- effect-margin parameters, their decomposition,
   analytic derivatives and norm bounds.
 * :mod:`mllp.classify` -- smoothness rules, orbit enumeration and the census.
@@ -13,7 +13,7 @@ Submodules:
   distribution of their composed transition matrix.
 * :mod:`mllp.solvers`  -- inversion back to joint tables: hierarchical
   reconstruction, fixed-point contraction, Markov-chain recovery, Newton,
-  and the automatic dispatch that replays a classification chain.
+  and the replay of a classification chain, which checks each table once.
 * :mod:`mllp.cimodels` -- conditional-independence statements as zero
   constraints, model embeddings and members, Gibbs sweep kernels and
   their stationary distributions.

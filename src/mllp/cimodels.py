@@ -4,9 +4,9 @@ A statement "X_a independent of X_b given X_c" over disjoint blocks a, b, c
 holds in a strictly positive table exactly when every parameter of the
 margin a+b+c whose effect meets both a and b is zero.  This module turns
 statement lists into zero-pair collections, embeds them into complete
-collections, verifies statements on tables, reconstructs conditionals from
-their parameter blocks, composes Gibbs sweep kernels and their stationary
-distributions, and produces member tables of a model from the free values.
+collections, verifies statements on tables, composes Gibbs sweep kernels
+and their stationary distributions, and produces member tables of a model
+from the free values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import solvers
 from .errors import NON_CONVERGENCE, SolverError, SpecError, StructureError
 from .markov import stationary_distribution
-from .mll import MLLSpec, MLLVector, Pair, conditional_from_lambda  # noqa: F401 (re-export)
+from .mll import MLLSpec, MLLVector, Pair
 from .tables import (
     ConditionalTable,
     JointTable,

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    DIVERGENCE,
     INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
     SolverError,
@@ -30,19 +29,8 @@ from .tables import (
     marginal_array,
     nonempty_submasks,
     packed_indices,
+    weights,
 )
-
-
-def weights(eta: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unnormalised cell weights exp(s - max s) of ``eta``, s = fwht(eta),
-    and max s.  Raises DIVERGENCE unless s is finite: max keeps a NaN, so
-    a finite max and min mean a finite s.  The transform may overflow, so
-    callers run this under ``np.errstate(over="ignore", invalid="ignore")``."""
-    s = fwht(eta)
-    top = s.max()
-    if not (math.isfinite(top) and math.isfinite(s.min())):
-        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
-    return np.exp(s - top), float(top)
 
 
 def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:

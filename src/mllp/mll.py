@@ -52,7 +52,6 @@ from .tables import (
     compress_map,
     condition,
     eta_from_dict,
-    eta_from_table,
     fwht,
     marginal_array,
     marginalize,
@@ -301,8 +300,7 @@ def lambda_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
 def lambda_value(t: JointTable, effect: int, margin: int) -> float:
     """The effect's log-linear coefficient inside the margin's table."""
     _check_pair(t.vars, effect, margin)
-    sub = marginalize(t, margin)
-    return eta_from_table(sub).value(compress(effect, margin))
+    return float(margin_lambda_array(t.p, t.n, margin)[compress(effect, margin)])
 
 
 def lambda_vector(t: JointTable, spec: MLLSpec) -> MLLVector:

@@ -19,18 +19,20 @@ Four routes, dispatched automatically from the classification chain:
   fixed point, stopped when its residual stalls, then one *Newton* solve
   with the analytic Jacobian from the uniform table.
 
-AUTO inversion classifies the collection once and replays the rule chain.
-Reduction steps (variable removal, per-slice removal, parameter
-interchanges, subsystem relocation) are replayed exactly, with nothing but
-the forward map and the fixed point: each reads the margin-change term of
-the conditional that the already-known parameters pin down as a difference
-of forward parameters at a table built from that block alone, or solves
-the relocated subsystem as a single-feedback collection, and hands the
-rest of the chain to the inversion of the reduced collection, which the
-classifier proved with exactly that rest.  The replay carries the target
-as one map from pair to value, and the reassembled table is checked once,
-against the caller's target.  A table that falls outside the positivity
-floor on the way means the target has no member: SolverError.
+AUTO inversion classifies the collection once and replays the rule chain
+on one map from pair to target value; every proven route is a step of that
+replay.  A reduction (variable removal, per-slice removal, interchange,
+subsystem relocation) uses only the forward map and the fixed point: it
+reads a margin-change term as a difference of forward parameters at a
+table built from the pinning block alone, or solves the relocated
+subsystem as a single-feedback collection, and hands the rest of the chain
+to the reduced collection.  The hierarchical and cyclic steps read the
+witness order or the cycle's blocks that the classifier recorded.  No step
+checks its own table: the reassembled table is checked once, against the
+caller's target, and the methods HIERARCHICAL and MARKOV are that checked
+replay of a one-step chain.  A table below the positivity floor on the way
+means the target has no member: SolverError.  Cells come from
+coefficients by the one kernel :func:`mllp.tables.weights`.
 
 Every solve is deterministic given (spec, target, options); solves share
 no state and can run concurrently.
@@ -56,7 +58,7 @@ from .errors import (
     StructureError,
 )
 from .markov import CycleChainSpec, stationary
-from .mixed import reconstruct_mixed, weights
+from .mixed import reconstruct_mixed
 from .mll import (
     MLLSpec,
     MLLVector,
@@ -75,11 +77,14 @@ from .tables import (
     bit_positions,
     compress,
     compress_map,
+    eta_from_dict,
     fwht,
     marginal_array,
     marginalize,
     nonempty_submasks,
     popcount,
+    table_from_eta,
+    weights,
 )
 
 METHODS = ("AUTO", "FIXED_POINT", "HIERARCHICAL", "MARKOV", "NEWTON")
@@ -128,12 +133,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # Raw-array helpers
 # ---------------------------------------------------------------------------
-
-def _probs_from_eta(eta: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = weights(eta)[0]
-    return w / w.sum()
-
 
 def _check_target(spec: MLLSpec, target: MLLVector) -> None:
     if target.spec.pairs != spec.pairs or target.spec.vars.names != spec.vars.names:
@@ -366,19 +365,12 @@ def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
 # Hierarchical reconstruction
 # ---------------------------------------------------------------------------
 
-def invert_hierarchical(
-    spec: MLLSpec, target: MLLVector, opts: SolveOptions = SolveOptions()
+def _hierarchical_step(
+    spec: MLLSpec, tmap: dict[Pair, float], order: tuple[int, ...]
 ) -> SolveResult:
-    """Rebuild the margins in a hierarchy witness order; each margin is the
+    """Rebuild the margins in the witness ``order``; each margin is the
     unique table matching its already-built sub-margins and the
-    coefficients assigned to it."""
-    if not spec.is_complete():
-        raise StructureError("hierarchical inversion needs a complete spec")
-    _check_target(spec, target)
-    order = cls.hierarchy_order(spec)
-    if order is None:
-        raise StructureError("spec is not hierarchical")
-    tmap = target.as_dict()
+    coefficients assigned to it.  The table is not checked."""
     built: dict[int, JointTable] = {}
     for margin in order:
         vars_m = spec.vars.restrict(margin)
@@ -388,63 +380,70 @@ def invert_hierarchical(
         ]
         subs = []
         for s in sorted(maximal):
-            donor = next(e for e in built if (s & ~e) == 0)
-            dt = built[donor]
+            dt = built[next(e for e in built if (s & ~e) == 0)]
             subs.append(marginalize(dt, dt.vars.mask_of(spec.vars.names_of(s))))
         cmap = compress_map(spec.vars.n, margin)
         eta_targets = {
             int(cmap[e]): tmap[(e, m)] for e, m in spec.pairs if m == margin
         }
         built[margin] = reconstruct_mixed(vars_m, subs, eta_targets)
-    result = built[spec.vars.full_mask]
-    res = _verify(spec, target, result.p, max(opts.tol, 1e-9))
-    return SolveResult(result, len(order), res, "hierarchical")
+    return SolveResult(built[spec.vars.full_mask], len(order), 0.0, "hierarchical")
+
+
+def invert_hierarchical(
+    spec: MLLSpec, target: MLLVector, opts: SolveOptions = SolveOptions()
+) -> SolveResult:
+    """Rebuild the margins in a hierarchy witness order: the replay of the
+    one-step chain of the ``hierarchical`` rule."""
+    if not spec.is_complete():
+        raise StructureError("hierarchical inversion needs a complete spec")
+    _check_target(spec, target)
+    record = cls.rule_applies(spec, "hierarchical")
+    if record is None:
+        raise StructureError("spec is not hierarchical")
+    return _replay(spec, target, (cls.RuleStep("hierarchical", record),), opts)
 
 
 # ---------------------------------------------------------------------------
 # Cyclic conditionals
 # ---------------------------------------------------------------------------
 
-def invert_cyclic(
-    spec: MLLSpec, target: MLLVector, opts: SolveOptions = SolveOptions()
+def _cyclic_step(
+    spec: MLLSpec, tmap: dict[Pair, float], blocks: tuple[int, ...]
 ) -> SolveResult:
-    """Invert a cyclic-conditional collection: build each block conditional
-    from its margin parameters, recover the first block's marginal as the
-    chain's stationary distribution, then finish hierarchically.  The
-    blocks are those the classifier's cyclic rule reads off ``spec``."""
-    params = cls.rule_applies(spec, "cyclic")
-    if params is None:
-        raise StructureError("spec does not have the cyclic block structure")
-    blocks = params["blocks"]
-    _check_target(spec, target)
-    tmap = target.as_dict()
-    k = len(blocks)
+    """Build each block conditional from its margin parameters, recover the
+    first block's marginal as the chain's stationary distribution, and hand
+    the resolved map to the hierarchical step.  The table is not checked."""
     conds = []
-    for i in range(k):
-        tgt = blocks[(i + 1) % k]
-        giv = blocks[i]
-        margin = tgt | giv
-        values = {e: tmap[(e, m)] for e, m in spec.pairs if m == margin}
+    for giv, tgt in zip(blocks, blocks[1:] + blocks[:1]):
+        values = {e: tmap[(e, m)] for e, m in spec.pairs if m == tgt | giv}
         conds.append(conditional_from_lambda(spec.vars, tgt, giv, values))
-    chain = CycleChainSpec(spec.vars, tuple(blocks), tuple(conds))
-    pi = stationary(chain)
+    pi = stationary(CycleChainSpec(spec.vars, blocks, tuple(conds)))
 
     first = blocks[0]
     first_margin = blocks[-1] | first
     eta_pi = fwht(np.log(pi.p)) / pi.vars.n_cells
-    new_pairs = []
-    new_vals = []
+    resolved_map: dict[Pair, float] = {}
     for e, m in spec.pairs:
         if m == first_margin and (e & ~first) == 0:
-            new_pairs.append((e, first))
-            new_vals.append(float(eta_pi[compress(e, first)]))
+            resolved_map[(e, first)] = float(eta_pi[compress(e, first)])
         else:
-            new_pairs.append((e, m))
-            new_vals.append(tmap[(e, m)])
-    resolved = MLLSpec(spec.vars, tuple(new_pairs))
-    sub = invert_hierarchical(resolved, MLLVector(resolved, np.array(new_vals)), opts)
-    res = _verify(spec, target, sub.table.p, max(opts.tol, 1e-9))
-    return SolveResult(sub.table, sub.iterations, res, "cyclic")
+            resolved_map[(e, m)] = tmap[(e, m)]
+    resolved = MLLSpec(spec.vars, tuple(resolved_map))
+    return _hierarchical_step(resolved, resolved_map, cls.hierarchy_order(resolved))
+
+
+def invert_cyclic(
+    spec: MLLSpec, target: MLLVector, opts: SolveOptions = SolveOptions()
+) -> SolveResult:
+    """Invert a cyclic-conditional collection by the replay of the one-step
+    chain of the ``cyclic`` rule: the blocks are those the rule reads off
+    ``spec``."""
+    record = cls.rule_applies(spec, "cyclic")
+    if record is None:
+        raise StructureError("spec does not have the cyclic block structure")
+    _check_target(spec, target)
+    return _replay(spec, target, (cls.RuleStep("cyclic", record),), opts)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +474,9 @@ def invert_newton(
     size = spec.vars.n_cells
     eta = np.zeros(size) if init_eta is None else np.asarray(init_eta, float).copy()
     trace: list[float] = []
-    p = _probs_from_eta(eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = weights(eta)[0]
+    p = w / w.sum()
     fvec = lambda_array(p, n, spec) - target.values
     res = float(np.max(np.abs(fvec)))
     trace.append(res)
@@ -494,9 +495,11 @@ def invert_newton(
             trial = eta.copy()
             trial[1:] += scale * step  # columns are the coefficient masks 1..
             try:
-                p_try = _probs_from_eta(trial)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = weights(trial)[0]
             except SolverError:
                 continue
+            p_try = w / w.sum()
             f_try = lambda_array(p_try, n, spec) - target.values
             r_try = float(np.max(np.abs(f_try)))
             if r_try < res:
@@ -529,17 +532,6 @@ def _glue_slices(
     return p / p.sum()
 
 
-def _block_table(vars: VarSet, entries: dict[int, float]) -> np.ndarray:
-    """Cells of the table over ``vars`` whose log-linear coefficients are
-    ``entries`` (effect mask to value) and zero elsewhere.  When the
-    entries are the parameter block of a conditional p(x_A | x_N), the
-    table has that conditional, so a margin-change term, which depends on
-    the conditional alone, is a difference of forward parameters here."""
-    eta = np.zeros(vars.n_cells)
-    eta[list(entries)] = list(entries.values())
-    return JointTable(vars, _probs_from_eta(eta)).p
-
-
 def _apply_interchange_to_target(
     spec: MLLSpec, tmap: dict[Pair, float], effect: int, from_m: int, to_m: int
 ) -> tuple[MLLSpec, dict[Pair, float]]:
@@ -562,7 +554,8 @@ def _apply_interchange_to_target(
     if set(block) != want:
         raise StructureError("interchange block parameters are not all present")
     sub_vars = spec.vars.restrict(big)
-    t_big = _block_table(sub_vars, {compress(e, big): v for e, v in block.items()})
+    entries = {compress(e, big): v for e, v in block.items()}
+    t_big = table_from_eta(eta_from_dict(sub_vars, entries)).p
     lam_small = margin_lambda_array(t_big, sub_vars.n, compress(small, big))
     f = -float(lam_small[compress(effect, small)])
     old = tmap.pop((effect, from_m))
@@ -594,7 +587,8 @@ def _invert_variable_removal(
     vars = spec.vars
     full = vars.full_mask
     rest = full & ~v_mask
-    t = _block_table(vars, {e: tmap[(e, full)] for e, _ in spec.pairs if e & v_mask})
+    block = {e: tmap[(e, full)] for e, _ in spec.pairs if e & v_mask}
+    t = table_from_eta(eta_from_dict(vars, block)).p
     lam_rest = margin_lambda_array(t, vars.n, rest)
     reduced = cls.reduce_minus_v(spec, v_mask)
     red_vals = [
@@ -690,7 +684,8 @@ def _invert_via_chain(
     """Replay a proof chain on the target map ``{pair: value}``:
     interchanges rewrite the map, the first other rule inverts, and a
     reducing rule passes the rest of the chain on to its reduced
-    collection.  The table is checked against the target by the caller."""
+    collection.  This is the only place that runs a proven route; the
+    table is checked once, by :func:`_replay`."""
     for i, step in enumerate(chain):
         rule, details = step.rule, step.details
         if rule == "interchange":
@@ -706,18 +701,31 @@ def _invert_via_chain(
             p = _invert_slice_split(spec, tmap, details["v"], rest, opts)
         elif rule == cls.CONTRACTION_RULE:
             p = _invert_contraction(spec, tmap, details["relocate"], rest, opts)
-        else:
+        elif rule == "hierarchical":
+            return _hierarchical_step(spec, tmap, details["order"])
+        elif rule == "cyclic":
+            return _cyclic_step(spec, tmap, details["blocks"])
+        elif rule in ("two_margin", "three_margin", "single_feedback"):
             target = MLLVector(spec, np.array([tmap[pair] for pair in spec.pairs]))
-            if rule == "hierarchical":
-                return invert_hierarchical(spec, target, opts)
-            if rule in ("two_margin", "three_margin", "single_feedback"):
-                return invert_fixed_point(spec, target, opts)
-            if rule == "cyclic":
-                return invert_cyclic(spec, target, opts)
+            return invert_fixed_point(spec, target, opts)
+        else:
             raise StructureError(f"no inversion route for rule {rule!r}")
         # a reduction did its work in the sub-solves it handed on to
         return SolveResult(JointTable(spec.vars, p), 0, 0.0, rule)
     raise StructureError("classification chain carried no terminal rule")
+
+
+def _replay(
+    spec: MLLSpec, target: MLLVector, chain: tuple[cls.RuleStep, ...], opts: SolveOptions
+) -> SolveResult:
+    """Run the proof chain on the target and check the reassembled table
+    once, against the caller's target."""
+    sub = _invert_via_chain(spec, target.as_dict(), chain, opts)
+    return replace(
+        sub,
+        final_residual=_verify(spec, target, sub.table.p, max(opts.tol, 1e-9)),
+        method_used=">".join(s.rule for s in chain if s.rule != "interchange"),
+    )
 
 
 def _invert_auto(
@@ -725,13 +733,7 @@ def _invert_auto(
 ) -> SolveResult:
     report = cls.classify(spec)
     if report.verdict == cls.PROVEN_SMOOTH:
-        chain = report.rule_chain
-        sub = _invert_via_chain(spec, target.as_dict(), chain, opts)
-        return replace(
-            sub,
-            final_residual=_verify(spec, target, sub.table.p, max(opts.tol, 1e-9)),
-            method_used=">".join(s.rule for s in chain if s.rule != "interchange"),
-        )
+        return _replay(spec, target, report.rule_chain, opts)
     if report.verdict == cls.NOT_SMOOTH_INCOMPLETE:
         raise StructureError("cannot invert an incomplete collection")
 

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidTableError
+from .errors import DIVERGENCE, InvalidTableError, SolverError
 
 POSITIVITY_FLOOR = 1e-15
 SUM_TOL = 1e-12
@@ -156,9 +156,16 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return b.reshape(a.shape)
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
+def weights(eta: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unnormalised cell weights exp(s - max s) of ``eta``, s = fwht(eta),
+    and max s.  Raises DIVERGENCE unless s is finite: max keeps a NaN, so
+    a finite max and min mean a finite s.  The transform may overflow, so
+    callers run this under ``np.errstate(over="ignore", invalid="ignore")``."""
+    s = fwht(eta)
+    top = s.max()
+    if not (math.isfinite(top) and math.isfinite(s.min())):
+        raise SolverError(DIVERGENCE, "log scale overflowed during iteration")
+    return np.exp(s - top), float(top)
 
 
 # ---------------------------------------------------------------------------
@@ -370,25 +377,25 @@ def eta_from_table(t: JointTable) -> EtaVector:
 
 
 def table_from_eta(e: EtaVector) -> JointTable:
-    """Inverse of :func:`eta_from_table`; the normalising constant is chosen
-    so the probabilities sum to one.
+    """Inverse of :func:`eta_from_table`: the :func:`weights` of the
+    coefficients, normalised to sum to one.
 
     Raises :class:`InvalidTableError` if the coefficients are so large that
     the log scale overflows or a cell falls below the positivity floor; the
     failure is reported, never silently clamped.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = fwht(e.values)
-    if not np.all(np.isfinite(s)):
-        raise InvalidTableError("log-probability scale overflowed; eta too large")
-    logp = s - _logsumexp(s)
-    p = np.exp(logp)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = weights(e.values)[0]
+    except SolverError:
+        raise InvalidTableError("log-probability scale overflowed; eta too large") from None
+    p = w / w.sum()
     if p.min() < POSITIVITY_FLOOR:
         raise InvalidTableError(
             f"eta vector implies a cell below the positivity floor "
             f"({float(p.min()):.3e} < {POSITIVITY_FLOOR})"
         )
-    return JointTable(e.vars, p / p.sum())
+    return JointTable(e.vars, p)
 
 
 # ---------------------------------------------------------------------------

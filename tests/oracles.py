@@ -44,7 +44,7 @@ from mllp.errors import (
     SpecError,
     StructureError,
 )
-from mllp.mixed import _least_squares_step, weights
+from mllp.mixed import _least_squares_step
 from mllp.mll import (
     MLLSpec,
     MLLVector,
@@ -71,6 +71,7 @@ from mllp.tables import (
     nonempty_submasks,
     packed_indices,
     table_from_eta,
+    weights,
 )
 
 

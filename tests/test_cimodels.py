@@ -11,14 +11,13 @@ from mllp.cimodels import (
     _two_anchor_warm_start,
     ci_holds,
     ci_to_zero_params,
-    conditional_from_lambda,
     gibbs_stationary,
     model_member,
     model_spec,
 )
 from mllp.classify import PROVEN_SMOOTH, classify
 from mllp.errors import NON_CONVERGENCE, SolverError, SpecError
-from mllp.mll import conditional_lambda_set, lambda_vector
+from mllp.mll import conditional_from_lambda, conditional_lambda_set, lambda_vector
 from mllp.markov import chain_from_joint, stationary
 from mllp.tables import (
     JointTable,

@@ -914,19 +914,19 @@ class TestInvertAuto:
         # trial points; this solve stalls, so one step uses them all
         spec, target = self.fallback_case()
         trials: list[int] = []  # trial points after each Jacobian
-        jacobian, probs = solvers.jacobian_array, solvers._probs_from_eta
+        jacobian, kernel = solvers.jacobian_array, solvers.weights
 
         def counting_jacobian(*args):
             trials.append(0)
             return jacobian(*args)
 
-        def counting_probs(eta):
+        def counting_weights(eta):
             if trials:
                 trials[-1] += 1
-            return probs(eta)
+            return kernel(eta)
 
         monkeypatch.setattr(solvers, "jacobian_array", counting_jacobian)
-        monkeypatch.setattr(solvers, "_probs_from_eta", counting_probs)
+        monkeypatch.setattr(solvers, "weights", counting_weights)
         with pytest.raises(SolverError) as info:
             invert(spec, target, SolveOptions(method="NEWTON"))
         assert "line search stalled" in str(info.value)
@@ -1001,6 +1001,37 @@ class TestInvertAuto:
             invert(spec, target)
         assert info.value.kind == NON_CONVERGENCE
         assert "reassembled table misses the target" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "name, method",
+        [
+            ("CHAIN_THREE", "AUTO"),
+            ("CYCLE_THREE", "AUTO"),
+            ("NESTED_SKIP", "AUTO"),
+            ("SINGLETON_FEEDERS", "AUTO"),
+            ("TWO_BLOCK_FIXPOINT", "AUTO"),
+            ("CHAIN_THREE", "HIERARCHICAL"),
+            ("CYCLE_THREE", "MARKOV"),
+        ],
+    )
+    def test_each_inversion_checks_the_table_once(self, name, method, rng, monkeypatch):
+        # one replay checks the reassembled table, against the caller's
+        # collection and target; no step of the chain checks its own
+        checked = []
+        verify = solvers._verify
+
+        def counting(spec, target, p, tol):
+            checked.append((spec, target))
+            return verify(spec, target, p, tol)
+
+        monkeypatch.setattr(solvers, "_verify", counting)
+        spec = getattr(catalog, name)
+        t = dirichlet_table(spec.vars, rng)
+        target = lambda_vector(t, spec)
+        res = invert(spec, target, SolveOptions(method=method))
+        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+        assert len(checked) == 1
+        assert checked[0][0] is spec and checked[0][1] is target
 
     def test_forced_methods(self, rng):
         spec = catalog.CHAIN_THREE
