@@ -2,21 +2,23 @@
 """Operation-by-operation outputs of two checkouts, side by side.
 
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --seeds 3 11 \\
-        [--workloads invert-routes fallback-models large-tables]
+        [--workloads classify-sweep invert-routes fallback-models large-tables]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
 checkout's ``src/mllp`` and ``bench/workloads.py`` and runs every
 operation of each workload and seed once, in the benchmark's order.  Per
-operation it keeps the output table, ``method_used``, the iteration count,
+operation it keeps the output table (or the parameter vector or Jacobian
+of a forward operation), ``method_used``, the iteration count,
 ``final_residual`` and ``contraction_certificate`` when the output has
-them, the error when the operation raised, and the result of the
-operation's own check.
+them, the whole JSON form of any other output (a classification
+report's ``to_json_obj()``, the census document), the error when the
+operation raised, and the result of the operation's own check.
 
 Prints, per workload and seed, the number of operations whose tables
 differ, the largest cell difference and the number of those whose
 ``final_residual`` moved with the table, then every operation whose
-``method_used``, iteration count, error, check result or
+``method_used``, iteration count, error, check result, JSON form or
 ``contraction_certificate`` differs, or whose ``final_residual`` differs
 at an equal table.  Exits 0.
 """
@@ -33,14 +35,15 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("invert-routes", "fallback-models", "large-tables")
-FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
+WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables")
+FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate",
+          "form")
 REPORTED = ("method_used", "iterations", "final_residual", "contraction_certificate")
 
 
 def outcome(op) -> dict:
     """What one operation returned: its table and the ``REPORTED`` fields,
-    or the error it raised, and its check."""
+    or else its JSON form, or the error it raised, and its check."""
     try:
         result = op.run()
     except Exception as exc:  # the workload's own failures are outputs here
@@ -48,12 +51,19 @@ def outcome(op) -> dict:
     if isinstance(result, dict):  # a CLI document
         table = result.get("table", {}).get("p")
         fields = {f: result.get(f) for f in REPORTED}
+        form = result
     else:
-        table = getattr(getattr(result, "table", result), "p", None)
+        out = getattr(result, "table", result)
+        # a table's cells, a parameter vector's values or a Jacobian
+        table = getattr(out, "p", getattr(out, "values", out))
+        if not isinstance(table, np.ndarray):
+            table = None
         fields = {f: getattr(result, f, None) for f in REPORTED}
+        form = result.to_json_obj() if hasattr(result, "to_json_obj") else None
     return {
         "table": None if table is None else np.asarray(table, dtype=float),
         **fields,
+        "form": None if table is not None else form,
         "error": None,
         "check": op.check(result),
     }
@@ -106,8 +116,9 @@ def compare(parent: dict, change: dict) -> None:
                     moved += 1
             for field in fields:
                 if a.get(field) != b.get(field):
-                    lines.append(f"  op {i} {kind}: {field} {a.get(field)!r} -> "
-                                 f"{b.get(field)!r}")
+                    shown = ("differs" if field == "form"  # too long to print
+                             else f"{a.get(field)!r} -> {b.get(field)!r}")
+                    lines.append(f"  op {i} {kind}: {field} {shown}")
         name, seed = key
         print(f"{name} seed {seed}: {len(ops)} ops ({len(change[key])} in the change), "
               f"{tables_differ} tables differ, largest cell difference {worst:.3g}, "

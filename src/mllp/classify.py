@@ -46,8 +46,8 @@ and preserve smoothness both ways, so every rule after the direct
 collection reachable by a sequence of interchange moves.  The move path is
 recorded in the rule chain and is replayed by the solvers.
 
-Rules are tried in the fixed order :data:`RULE_ORDER`; the first success
-wins, which makes census bucket counts well defined.
+Rules are tried in the fixed order ``DIRECT_RULES + MOVABLE_RULES``; the
+first success wins, which makes census bucket counts well defined.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ MOVABLE_RULES = (
     "slice_split_general",
 )
 CONTRACTION_RULE = "contraction_reduce"
-RULE_ORDER = DIRECT_RULES + MOVABLE_RULES
 # Rules that close a proof on their own; the others reduce and recurse.
 BASE_RULES = frozenset(
     {"hierarchical", "two_margin", "three_margin", "single_feedback", "cyclic"}
@@ -791,9 +790,10 @@ class _Search:
 
     def _options(self, v: int):
         """Generate the options of node ``v`` in priority order, as (target,
-        rule index) pairs: the target is a reduced state, or -1 for a base
-        rule, whose option ends the list.  A target may come more than
-        once."""
+        rule index, state) triples: the target is a reduced state, or -1
+        for a base rule, whose option ends the list; the state is the one
+        of ``v``'s closure whose rule output gives the option.  A target may
+        come more than once."""
         order = array("i", self.closure(v))
         self.truncated += len(order) >= self.limit
         for r, row in enumerate(self.outs):
@@ -805,14 +805,15 @@ class _Search:
                     if out is None:
                         continue
                 if out is _PROOF:
-                    yield -1, r
+                    yield -1, r, s
                     return
                 for t in out:
-                    yield t, r
+                    yield t, r, s
 
-    def prove(self) -> list[tuple[int, int, str]] | None:
+    def prove(self) -> list[tuple[int, int, str, int]] | None:
         """The chain of the path-guarded search of :func:`classify`, as
-        (node, target, rule) steps, or None for ``UNKNOWN``.
+        (node, target, rule, state) steps, or None for ``UNKNOWN``; the
+        state is the one of the node's closure whose rule gives the step.
 
         This search goes depth first through each node's options in
         priority order, enters each state at most once, and returns its
@@ -830,29 +831,33 @@ class _Search:
           and the guard ends every branch back into the stack, so the
           recursion fails at a finished node too.
 
+        A step's state is the first in closure order whose rule output lists
+        the target: an earlier one would have offered the target first, and
+        as ``seen`` only grows, the search would have skipped it then too.
+
         After :data:`SEARCH_LIMIT` expansions the search answers None instead
         of entering another node; ``exhausted`` is set when it ends without
         a proof after expanding everything reachable.
         """
         direct = self._direct(self.root)
         if direct is not None:
-            return [(self.root, -1, direct)]
+            return [(self.root, -1, direct, self.root)]
         seen = {self.root}
         stack = [(self.root, self._options(self.root))]
-        chain: list[tuple[int, int, str]] = []  # the options the stack took
+        chain: list[tuple[int, int, str, int]] = []  # the options the stack took
         self.expanded = 1
         while stack:
             v, options = stack[-1]
-            for t, r in options:
+            for t, r, s in options:
                 if t < 0:
-                    return chain + [(v, t, _SEARCH_RULES[r])]
+                    return chain + [(v, t, _SEARCH_RULES[r], s)]
                 if t in seen:
                     continue
                 seen.add(t)
-                chain.append((v, t, _SEARCH_RULES[r]))
+                chain.append((v, t, _SEARCH_RULES[r], s))
                 direct = self._direct(t)
                 if direct is not None:
-                    return chain + [(t, -1, direct)]
+                    return chain + [(t, -1, direct, t)]
                 if self.expanded >= SEARCH_LIMIT:
                     return None
                 self.expanded += 1
@@ -866,32 +871,26 @@ class _Search:
         return None
 
     def report_chain(
-        self, chain: list[tuple[int, int, str]]
+        self, chain: list[tuple[int, int, str, int]]
     ) -> tuple[tuple[RuleStep, ...], tuple[MLLSpec, ...]]:
-        """Rule steps and reduced specs of a chain from :meth:`prove`."""
+        """Rule steps and reduced specs of a chain from :meth:`prove`: the
+        interchange moves from each node to its step's state, then the
+        step's rule on that state."""
         steps: list[RuleStep] = []
         reduced: list[MLLSpec] = []
-        for v, t, rule in chain:
-            s = v  # the state whose rule output gives the option
-            if rule not in DIRECT_RULES:
-                row = self.outs[_SEARCH_RULES.index(rule)]
-
-                def lists(s: int) -> bool:  # whether the option came from s
-                    out = row[s]
-                    return out is _PROOF if t < 0 else type(out) is tuple and t in out
-
-                if not lists(v):
-                    parent: list[int] = []
-                    order = self.closure(v, parent)
-                    i = next(i for i, s in enumerate(order) if lists(s))
-                    s = order[i]
-                    path: list[Move] = []
-                    while parent[i] >= 0:
-                        path.append(self.move(order[parent[i]], order[i]))
-                        i = parent[i]
-                    steps.extend(_move_steps(tuple(reversed(path))))
+        for v, t, rule, s in chain:
+            if s != v:
+                parent: list[int] = []
+                order = self.closure(v, parent)
+                i = order.index(s)
+                path: list[Move] = []
+                while parent[i] >= 0:
+                    path.append(self.move(order[parent[i]], order[i]))
+                    i = parent[i]
+                steps.extend(_move_steps(tuple(reversed(path))))
             params = _RULE_FUNCS[rule](self.pairs(s), self.ctx[v].full)
             if t >= 0 and rule != CONTRACTION_RULE:
+                row = self.outs[_SEARCH_RULES.index(rule)]
                 params = {"v": params["candidates"][row[s].index(t)]}
             steps.append(RuleStep(rule, params))
             if t >= 0:

@@ -30,6 +30,10 @@ Key analytic facts implemented here:
 * Alternating sums of a conditional weight vector are bounded: the column
   and row sums of squared derivatives stay below 1 - min_cell; see
   :func:`column_norm_bound_check` / :func:`row_norm_bound_check`.
+
+A collection's pairs are grouped by margin once, in a cached plan
+(:func:`_plan`) that the forward map, the Jacobian and the solvers' fixed
+point and contraction certificate all read.
 """
 
 from __future__ import annotations
@@ -38,12 +42,13 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SpecError, StructureError
 from .tables import (
+    _ONE_FACTOR_CELLS,
     ConditionalTable,
     JointTable,
     VarSet,
@@ -236,10 +241,6 @@ class MLLVector:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def value(self, effect: int, margin: int) -> float:
-        idx = self.spec.pairs.index((effect, margin))
-        return float(self.values[idx])
-
     def as_dict(self) -> dict[Pair, float]:
         return {p: float(v) for p, v in zip(self.spec.pairs, self.values)}
 
@@ -270,30 +271,73 @@ def margin_lambda_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
         return fwht(np.log(pm)) / pm.size
 
 
+class _Margin(NamedTuple):
+    """One margin of a :func:`_plan` and its pairs (read-only arrays).
+
+    ``pos`` are the pairs' positions in the spec, ``effects`` their effect
+    masks and ``idx`` their margin-compressed effects.  ``cells[x]`` is the
+    margin cell of table cell x: the 0/1 matrix A_M with A_M[cells[x], x] =
+    1, applied as ``np.bincount(cells, w)``.  At unnormalised cell weights
+    w the pairs' parameters are the Walsh-Hadamard transform of
+    log(A_M @ w) at idx, over 2**|M|: the normaliser of w shifts only the
+    margin's empty-effect coefficient, which no pair reads.  ``params``
+    maps log(A_M @ w) to them.  The full margin has neither map: its
+    parameters are the table's coefficients themselves."""
+
+    margin: int
+    pos: np.ndarray
+    effects: np.ndarray
+    idx: np.ndarray
+    cells: np.ndarray | None
+    params: Callable[[np.ndarray], np.ndarray] | None
+
+
 @functools.lru_cache(maxsize=1024)
-def _gather_plan(
-    pairs: tuple[Pair, ...],
-) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """Per margin, in order of first use: the positions of its pairs in
-    ``pairs`` and their margin-compressed effect indices (read-only)."""
+def _plan(pairs: tuple[Pair, ...], n: int) -> tuple[_Margin, ...]:
+    """The margins of ``pairs`` over n variables, compiled once for the
+    forward map, the Jacobian, the fixed point and its certificate: the
+    full margin first, then the proper margins, largest first, then by
+    mask.
+
+    Up to the size where ``fwht`` is the single product a @ H, a proper
+    margin's ``params`` is that product restricted to idx, the dense
+    G_M = H[idx] / 2**|M|, at most 64 x 64.  Above it ``params`` runs
+    ``fwht``, whose two-factor form needs no matrix of the margin's order,
+    and picks idx.  So a plan holds at most 32 kB per margin besides its
+    index arrays: three integers per pair and, per proper margin, one per
+    table cell."""
+    full = (1 << n) - 1  # the largest margin, so it comes first
     groups: dict[int, list[int]] = {}
     for i, (_, margin) in enumerate(pairs):
         groups.setdefault(margin, []).append(i)
-    effects = np.array([effect for effect, _ in pairs])
+    effects_of = np.array([effect for effect, _ in pairs], dtype=np.int64)
     plan = []
-    for margin, pos in groups.items():
-        pos_a = np.array(pos)
-        idx_a = compress_map(margin.bit_length(), margin)[effects[pos_a]]
-        pos_a.flags.writeable = idx_a.flags.writeable = False
-        plan.append((margin, pos_a, idx_a))
+    for margin in sorted(groups, key=lambda m: (-popcount(m), m)):
+        pos = np.array(groups[margin], dtype=np.int64)
+        effects = effects_of[pos]
+        idx = compress_map(margin.bit_length(), margin)[effects]
+        cells = params = None
+        if margin != full:
+            cells = compress_map(n, margin)
+            cells.flags.writeable = False
+            size = 1 << popcount(margin)
+            if size <= _ONE_FACTOR_CELLS:
+                dense = fwht(np.eye(size)[idx]) / size
+                dense.flags.writeable = False
+                params = dense.__matmul__
+            else:
+                def params(logs: np.ndarray, idx: np.ndarray = idx) -> np.ndarray:
+                    return fwht(logs)[idx] / logs.size
+        pos.flags.writeable = effects.flags.writeable = idx.flags.writeable = False
+        plan.append(_Margin(margin, pos, effects, idx, cells, params))
     return tuple(plan)
 
 
 def lambda_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
     """Raw-array variant of :func:`lambda_vector` used by the solvers."""
     out = np.empty(len(spec))
-    for margin, pos, idx in _gather_plan(spec.pairs):
-        out[pos] = margin_lambda_array(p, n, margin)[idx]
+    for m in _plan(spec.pairs, n):
+        out[m.pos] = margin_lambda_array(p, n, m.margin)[m.idx]
     return out
 
 
@@ -428,17 +472,15 @@ def jacobian_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
     """
     full = (1 << n) - 1
     cols = np.arange(1, full + 1)
-    effects = np.array([effect for effect, _ in spec.pairs])
     out = np.zeros((len(spec), full))
-    for margin, pos, _ in _gather_plan(spec.pairs):
-        if margin == full:
-            continue
-        g = margin_kernel_array(p, n, margin)
-        g[(np.arange(full + 1) & ~margin) == 0] = 0.0
-        for start in range(0, len(pos), _JACOBIAN_CHUNK):
-            rows = pos[start:start + _JACOBIAN_CHUNK]
-            out[rows] = g[effects[rows][:, None] ^ cols]
-    out[np.arange(len(spec)), effects - 1] = 1.0
+    for m in _plan(spec.pairs, n):
+        if m.margin != full:
+            g = margin_kernel_array(p, n, m.margin)
+            g[(np.arange(full + 1) & ~m.margin) == 0] = 0.0
+            for start in range(0, len(m.pos), _JACOBIAN_CHUNK):
+                rows = slice(start, start + _JACOBIAN_CHUNK)
+                out[m.pos[rows]] = g[m.effects[rows, None] ^ cols]
+        out[m.pos, m.effects - 1] = 1.0
     return out
 
 

@@ -7,10 +7,11 @@ Four routes, dispatched automatically from the classification chain:
   the log-linear coefficients assigned to it (the mixed mean/natural
   coordinate solve of :mod:`mllp.mixed`);
 * the *fixed-point* iteration eta <- eta + damping * (target - lam(eta)),
-  swept margin block by margin block through a plan compiled once per spec,
-  with the full-margin block in closed form (its coefficients are eta
-  itself), and a contraction certificate from the derivative-column bounds
-  when the collection has the single-feedback structure;
+  swept margin block by margin block through the plan that the forward
+  map compiles once per spec (``mll._plan``), with the full-margin block
+  in closed form (its coefficients are eta itself), and a contraction
+  certificate from the derivative-column bounds when the collection has
+  the single-feedback structure;
 * *Markov-chain* recovery for cyclic conditionals: the composed transition
   matrix of the cycle has the missing group marginal as its unique
   stationary distribution (the stationary solve of :mod:`mllp.markov`),
@@ -40,10 +41,8 @@ no state and can run concurrently.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from .mll import (
     MLLSpec,
     MLLVector,
     Pair,
-    _gather_plan,
+    _plan,
     conditional_from_lambda,
     jacobian_array,
     lambda_array,
@@ -71,7 +70,6 @@ from .mll import (
     margin_lambda_array,
 )
 from .tables import (
-    _ONE_FACTOR_CELLS,
     JointTable,
     VarSet,
     bit_positions,
@@ -82,7 +80,6 @@ from .tables import (
     marginal_array,
     marginalize,
     nonempty_submasks,
-    popcount,
     table_from_eta,
     weights,
 )
@@ -173,76 +170,6 @@ STALL_WINDOW = 100
 STALL_FACTOR = 0.9
 
 
-@dataclass(frozen=True)
-class _Block:
-    """The pairs of one proper margin M and the margin's two constant maps.
-
-    ``cells[x]`` is the margin cell of table cell x: the 0/1 matrix A_M
-    with A_M[cells[x], x] = 1, applied as ``np.bincount(cells, w)``.  The
-    pairs' parameters at unnormalised cell weights w are the margin's
-    Walsh-Hadamard transform of log(A_M @ w) at their compressed effects,
-    over 2**|M|: the normaliser of w shifts only the margin's empty-effect
-    coefficient, which no pair reads.  ``params`` maps log(A_M @ w) to
-    them (see ``_block_plan``)."""
-
-    pos: np.ndarray
-    effects: np.ndarray
-    cells: np.ndarray
-    params: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """A spec's pairs compiled for the fixed point (read-only arrays).  The
-    full-margin pairs need no table, their parameters are eta itself; the
-    ``blocks`` are the proper margins, largest first, then by mask."""
-
-    full_pos: np.ndarray
-    full_effects: np.ndarray
-    blocks: tuple[_Block, ...]
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _transform_at(idx: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    return fwht(logs)[idx] / logs.size
-
-
-@functools.lru_cache(maxsize=1024)
-def _block_plan(pairs: tuple[Pair, ...], n: int) -> _Plan:
-    """The fixed-point plan of ``pairs`` over n variables.
-
-    Up to the size where ``fwht`` is the single product a @ H, a block's
-    ``params`` is that product restricted to the pairs' effects idx, the
-    dense G_M = H[idx] / 2**|M|, at most 64 x 64.  Above it the block runs
-    ``fwht``, whose two-factor form needs no matrix of the margin's order,
-    and picks idx.  So a plan holds at most 32 kB per margin besides its
-    index arrays: three integers per pair and, per proper margin, one per
-    table cell."""
-    full = (1 << n) - 1
-    effects_of = np.array([e for e, _ in pairs], dtype=np.int64)
-    full_pos = _frozen(np.zeros(0, dtype=np.int64))
-    blocks = []
-    for margin, pos, idx in _gather_plan(pairs):
-        if margin == full:
-            full_pos = pos
-            continue
-        size = 1 << popcount(margin)
-        if size <= _ONE_FACTOR_CELLS:
-            params = _frozen(fwht(np.eye(size)[idx]) / size).__matmul__
-        else:
-            params = functools.partial(_transform_at, idx)
-        cells = _frozen(compress_map(n, margin))
-        blocks.append((margin, _Block(pos, _frozen(effects_of[pos]), cells, params)))
-    blocks.sort(key=lambda mb: (-popcount(mb[0]), mb[0]))
-    return _Plan(
-        full_pos, _frozen(effects_of[full_pos]), tuple(b for _, b in blocks)
-    )
-
-
 def invert_fixed_point(
     spec: MLLSpec,
     target: MLLVector,
@@ -254,7 +181,8 @@ def invert_fixed_point(
     downwards: each block updates its effects at once from the table left
     by the blocks before it.  Starts from the uniform table.
 
-    The blocks come from a plan compiled once per spec (``_block_plan``).
+    The blocks come from the plan compiled once per spec for the forward
+    map as well (``mll._plan``), whose full margin comes first.
     The full-margin block needs no table: its coefficients are eta itself,
     so its update is eta_L <- eta_L + damping * (target_L - eta_L).  Every
     other block M is two constant maps of the unnormalised cell weights
@@ -275,10 +203,10 @@ def invert_fixed_point(
     if not spec.is_complete():
         raise StructureError("fixed-point inversion needs a complete spec")
     _check_target(spec, target)
-    plan = _block_plan(spec.pairs, spec.vars.n)
-    full = plan.full_effects
-    sweep = [(b.effects, b.cells, b.params, target.values[b.pos]) for b in plan.blocks]
-    t_full = target.values[plan.full_pos]
+    top, *blocks = _plan(spec.pairs, spec.vars.n)
+    full = top.effects
+    sweep = [(b.effects, b.cells, b.params, target.values[b.pos]) for b in blocks]
+    t_full = target.values[top.pos]
     t_all = np.concatenate([t_full] + [t for *_, t in sweep])
     eta = np.zeros(spec.vars.n_cells)
     trace: list[float] = []
@@ -323,9 +251,10 @@ def invert_fixed_point(
                 trace,
             )
     table = _finish_table(spec, w / w.sum(), trace)
-    cert = None
-    if cls.rule_applies(spec, "single_feedback") is not None:
+    try:
         cert = contraction_certificate(spec, table)
+    except StructureError:  # no single-feedback structure, no certificate
+        cert = None
     return SolveResult(table, it, res, "fixed_point", cert, tuple(trace))
 
 
@@ -342,22 +271,19 @@ def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
         raise StructureError(
             "contraction certificate needs the single-feedback margin structure"
         )
-    full = spec.vars.full_mask
-    proper = spec.proper_margins
+    proper = _plan(spec.pairs, t.n)[1:]  # a complete spec's full margin leads
     kernels: dict[int, np.ndarray] = {}
     worst = 0.0
-    for effect, margin in spec.pairs:
-        if margin == full:
-            continue
-        feeders = [nm for nm in proper if nm != margin and (effect & ~nm)]
-        if not feeders:
-            continue
-        nm = feeders[0]
-        if nm not in kernels:
-            kernels[nm] = margin_kernel_array(t.p, t.n, nm)
-        g = kernels[nm]
-        col = sum(g[effect ^ ce] ** 2 for ce, cm in spec.pairs if cm == nm)
-        worst = max(worst, float(col))
+    for m in proper:
+        for effect in m.effects.tolist():
+            feeder = next((f for f in proper if f is not m and effect & ~f.margin), None)
+            if feeder is None:
+                continue
+            if feeder.margin not in kernels:
+                kernels[feeder.margin] = margin_kernel_array(t.p, t.n, feeder.margin)
+            g = kernels[feeder.margin]
+            col = sum(g[effect ^ ce] ** 2 for ce in feeder.effects.tolist())
+            worst = max(worst, float(col))
     return worst
 
 

@@ -514,28 +514,3 @@ def packed_indices(vars: VarSet, names: tuple[str, ...]) -> np.ndarray:
     """For every cell x of ``vars``, the index obtained by packing the bits
     of the listed ``names`` (in list order: first name at bit 0)."""
     return _pack_bits(vars.n, [vars.position(nm) for nm in names])
-
-
-def joint_from_conditional(
-    vars: VarSet, cond: ConditionalTable, base: JointTable
-) -> JointTable:
-    """Joint table over ``vars`` equal to p(target | given) * base(given).
-
-    ``vars`` must consist exactly of the conditional's target and given
-    variables; ``base`` must be a table over the given variables (in any
-    listing order).  With an empty conditioning set ``base`` is ignored.
-    """
-    t_mask = vars.mask_of(cond.target)
-    g_mask = vars.mask_of(cond.given)
-    if (t_mask | g_mask) != vars.full_mask or (t_mask & g_mask):
-        raise InvalidTableError("vars must cover exactly target plus given")
-    rows = packed_indices(vars, cond.target)
-    cols = packed_indices(vars, cond.given)
-    if cond.given:
-        if set(base.vars.names) != set(cond.given):
-            raise InvalidTableError("base table must cover the conditioning set")
-        base_at = base.p[packed_indices(vars, base.vars.names)]
-    else:
-        base_at = np.ones(vars.n_cells)
-    p = cond.values[rows, cols] * base_at
-    return JointTable(vars, p / p.sum())

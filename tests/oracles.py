@@ -23,6 +23,8 @@ kernel carried one start state at a time; it reads the package's marginal
 and cell-packing helpers.  :func:`brute_is_complete` is completeness read
 from the list of margins of each effect.  :func:`brute_stationary` is the
 stationary distribution by a dense linear solve of (M^T - I) pi = 0.
+:func:`joint_from_conditional` glues a conditional table onto a table of
+its conditioning variables, cell by cell.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from mllp.classify import ClassificationReport, RuleStep, _margins
 from mllp.errors import (
     DIVERGENCE,
     INCONSISTENT_MARGINS,
+    InvalidTableError,
     NON_CONVERGENCE,
     SolverError,
     SpecError,
@@ -61,6 +64,7 @@ from mllp.solvers import (
     contraction_certificate,
 )
 from mllp.tables import (
+    ConditionalTable,
     EtaVector,
     JointTable,
     VarSet,
@@ -153,6 +157,31 @@ def brute_conditional(t: JointTable, a_mask: int, b_mask: int) -> dict[tuple[int
         kb = sum(1 << j for j, pos in enumerate(b_pos) if cell >> pos & 1)
         out[(ka, kb)] = val / pb[kb]
     return out
+
+
+def joint_from_conditional(
+    vars: VarSet, cond: ConditionalTable, base: JointTable
+) -> JointTable:
+    """Joint table over ``vars`` equal to p(target | given) * base(given).
+
+    ``vars`` must consist exactly of the conditional's target and given
+    variables; ``base`` must be a table over the given variables (in any
+    listing order).  With an empty conditioning set ``base`` is ignored.
+    """
+    t_mask = vars.mask_of(cond.target)
+    g_mask = vars.mask_of(cond.given)
+    if (t_mask | g_mask) != vars.full_mask or (t_mask & g_mask):
+        raise InvalidTableError("vars must cover exactly target plus given")
+    rows = packed_indices(vars, cond.target)
+    cols = packed_indices(vars, cond.given)
+    if cond.given:
+        if set(base.vars.names) != set(cond.given):
+            raise InvalidTableError("base table must cover the conditioning set")
+        base_at = base.p[packed_indices(vars, base.vars.names)]
+    else:
+        base_at = np.ones(vars.n_cells)
+    p = cond.values[rows, cols] * base_at
+    return JointTable(vars, p / p.sum())
 
 
 def brute_lambda(t: JointTable, effect: int, margin: int) -> float:

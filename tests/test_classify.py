@@ -557,7 +557,7 @@ def graph_search(graph: dict[int, list[int]], root: int = 0) -> tuple[_Search, l
     def options(v):
         entered.append(v)
         for t in graph[v]:
-            yield t, 0
+            yield t, 0, v
 
     search._direct = lambda v: None
     search._options = options
@@ -570,7 +570,7 @@ class TestLeastFixpoint:
         # path, so it fails; 0 is then proven through 3
         search, entered = graph_search({0: [1, 3], 1: [0, 2], 2: [], 3: [-1]})
         rule = "variable_removal"
-        assert search.prove() == [(0, 3, rule), (3, -1, rule)]
+        assert search.prove() == [(0, 3, rule, 0), (3, -1, rule, 3)]
         assert entered == [0, 1, 2, 3]
         assert not search.exhausted
 
@@ -584,7 +584,7 @@ class TestLeastFixpoint:
     def test_resolved_nodes_are_not_entered_again(self):
         # node 1 is reached from 2 and from 0, and entered once
         search, entered = graph_search({0: [1], 1: [], 2: [1, 0, -1]}, root=2)
-        assert search.prove() == [(2, -1, "variable_removal")]
+        assert search.prove() == [(2, -1, "variable_removal", 2)]
         assert entered == [2, 1, 0]
 
     def test_removals_of_different_variables_stay_apart(self):

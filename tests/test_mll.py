@@ -32,7 +32,6 @@ from mllp.tables import (
     compress,
     condition,
     eta_from_table,
-    joint_from_conditional,
     marginalize,
     nonempty_submasks,
     submasks,
@@ -47,6 +46,7 @@ from oracles import (
     brute_jacobian,
     brute_lambda,
     fd_jacobian,
+    joint_from_conditional,
     rowwise_jacobian,
 )
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mllp import catalog
-from mllp import mixed, solvers
+from mllp import mixed, mll, solvers
 from mllp.classify import (
     CONTRACTION_RULE,
     UNKNOWN,
@@ -337,27 +337,32 @@ class TestCompiledSweep:
             relocated = [e for e, _ in step[2]]
             assert float(np.max(np.abs(eta[relocated] - want_eta[relocated]))) <= 1e-10
 
-    def test_margins_above_one_product_size_match_oracle(self):
-        # two drop-one margins of 128 cells: their blocks run the transform
-        # instead of a dense matrix
+    def test_margins_above_one_product_size_match_oracle(self, monkeypatch):
+        # two drop-one margins of 128 cells: their parameter maps run the
+        # transform instead of a dense matrix
         spec = _drop_one_spec(8, (2, 6))
-        blocks = solvers._block_plan(spec.pairs, 8).blocks
-        assert [b.params.func for b in blocks] == [solvers._transform_at] * 2
+        _, *blocks = mll._plan(spec.pairs, 8)
+        sizes = []
+        monkeypatch.setattr(mll, "fwht", lambda a: sizes.append(a.size) or fwht(a))
+        for block in blocks:
+            block.params(np.zeros(128))
+        monkeypatch.undo()
+        assert sizes == [128, 128]
         rng = np.random.default_rng(12)
         for draw in (dirichlet_table, _skewed_table):
             assert_same_as_oracle(spec, lambda_vector(draw(spec.vars, rng), spec))
 
     def test_plan_stays_small_at_twelve_variables(self):
-        # per proper margin one index per table cell, plus the pairs' three
-        # integers: no matrix grows with the square of the margin, and
-        # building one allocates no such matrix on the way
+        # per pair its position, effect and compressed index, and per proper
+        # margin one index per table cell: no matrix grows with the square
+        # of the margin, and building one allocates no such matrix on the way
         n = 12
         spec = _drop_one_spec(n, (2, 6))
         tracemalloc.start()
-        plan = solvers._block_plan.__wrapped__(spec.pairs, n)
+        plan = mll._plan.__wrapped__(spec.pairs, n)
         kept, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        indices = 8 * (3 * len(spec.pairs) + len(plan.blocks) * (1 << n))
+        indices = 8 * (3 * len(spec.pairs) + (len(plan) - 1) * (1 << n))
         assert kept <= 2 * indices and peak <= 4 * indices
         # and it sweeps: twenty sweeps cut the residual a hundredfold
         t = dirichlet_table(spec.vars, np.random.default_rng(13))
@@ -428,6 +433,23 @@ class TestContractionCertificate:
         assert abs(psi_prime) <= 1 - eps
         cert = contraction_certificate(spec, t)
         assert psi_prime**2 <= cert * (1 - eps) + 1e-12
+
+    def test_certified_solve_evaluates_the_rule_once(self, monkeypatch, rng):
+        # the certificate decides the single-feedback structure for the
+        # solve, which does not decide it beforehand as well
+        rules = []
+        applies = rule_applies
+
+        def count(spec, rule):
+            rules.append(rule)
+            return applies(spec, rule)
+
+        spec = catalog.TWO_BLOCK_FIXPOINT
+        target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+        monkeypatch.setattr("mllp.classify.rule_applies", count)
+        res = invert_fixed_point(spec, target)
+        assert res.contraction_certificate is not None
+        assert rules == ["single_feedback"]
 
     def test_requires_single_feedback_structure(self, rng):
         with pytest.raises(StructureError):

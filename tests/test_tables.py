@@ -16,7 +16,6 @@ from mllp.tables import (
     eta_from_dict,
     eta_from_table,
     fwht,
-    joint_from_conditional,
     marginal_array,
     marginalize,
     packed_indices,
@@ -33,6 +32,7 @@ from oracles import (
     brute_eta,
     brute_fwht,
     brute_marginal,
+    joint_from_conditional,
 )
 
 
