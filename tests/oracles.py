@@ -485,9 +485,11 @@ def brute_fixed_point(
     first, the unnormalised weights from eta, the margin's transform, and
     one scalar update per pair; after each sweep the weights again and the
     residual of every pair.  Margins are summed from the unnormalised
-    weights, as :func:`mllp.solvers.invert_fixed_point` does, so a tiny
-    cell underflows in the same sweep on both sides.  Same stops and
-    errors as :func:`mllp.solvers.invert_fixed_point`."""
+    weights, as the plain sweep of :mod:`mllp.solvers` does, so a tiny
+    cell underflows in the same sweep on both sides.  The stops and
+    errors of the plain iteration: the tenfold growth, the stall over
+    STALL_WINDOW sweeps, max_iter, and DIVERGENCE when the log scale
+    overflows, whose trace holds the sweeps before it."""
     if not spec.is_complete():
         raise StructureError("fixed-point inversion needs a complete spec")
     n = spec.vars.n
@@ -502,15 +504,21 @@ def brute_fixed_point(
     lows: list[float] = []
     best = math.inf
     for it in range(1, opts.max_iter + 1):
-        for margin, effects in by_margin:
-            lam_m = _brute_margin_lambdas(eta.copy(), n, margin)
-            for effect, idx in effects:
-                eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
-        w = _brute_weights(eta)
-        misses = []
-        for margin, effects in by_margin:
-            lam_m = _brute_margin_lambdas(eta, n, margin)
-            misses += [tmap[(effect, margin)] - lam_m[idx] for effect, idx in effects]
+        try:
+            for margin, effects in by_margin:
+                lam_m = _brute_margin_lambdas(eta.copy(), n, margin)
+                for effect, idx in effects:
+                    eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
+            w = _brute_weights(eta)
+            misses = []
+            for margin, effects in by_margin:
+                lam_m = _brute_margin_lambdas(eta, n, margin)
+                misses += [
+                    tmap[(effect, margin)] - lam_m[idx] for effect, idx in effects
+                ]
+        except SolverError as exc:  # the log scale overflowed in this sweep
+            exc.trace = trace
+            raise
         res = float(np.max(np.abs(misses)))  # keeps a NaN
         trace.append(res)
         if res <= opts.tol:

@@ -126,9 +126,11 @@ class TestFixedPoint:
         assert len(err.value.trace) == 2
 
     def test_stall_stops_failing_member(self):
-        # a CI_FIVE_VAR member outside the parameter domain: the damped
-        # fixed point of AUTO bottoms out at sweep 89 and, without the stall
-        # stop, sweeps on for over a thousand more until a cell underflows
+        # a CI_FIVE_VAR member outside the parameter domain: the plain
+        # damped sweeps bottom out at sweep 89 and, without the stall stop,
+        # sweep on for over a thousand more until a cell underflows.  The
+        # mixed iteration of AUTO bottoms out at iteration 24; its stall
+        # switches the mixing off, and the plain sweeps after it stall too.
         vs = make_vars(5)
         stmts = [CIStatement.from_text(vs, s) for s in catalog.CI_FIVE_VAR]
         ms = model_spec(stmts)
@@ -142,12 +144,28 @@ class TestFixedPoint:
             )
         assert err.value.kind == NON_CONVERGENCE
         assert len(err.value.trace) <= 150
-        assert_same_as_oracle(
+        assert_matches_oracle(
             ms.embedding, target, SolveOptions(max_iter=2000), damping=0.5
         )
         with pytest.raises(SolverError) as err:
             model_member(ms.embedding, free, statements=stmts)
         assert err.value.kind == NON_CONVERGENCE
+
+    def test_mixing_takes_a_third_of_the_plain_sweeps(self):
+        # AUTO's damped solve over one Dirichlet(1) table of each undecided
+        # orbit: the mixed iteration sweeps at most a third as often as the
+        # plain one, and converges wherever the plain one does
+        rng = np.random.default_rng(8)
+        rows = [r for r in census(3)["rows"] if r["verdict"] == UNKNOWN]
+        opts = SolveOptions(max_iter=2000)
+        mixed = plain = 0
+        for row in rows:
+            spec = _spec_line(row["spec"])
+            target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+            want = brute_fixed_point(spec, target, opts, damping=0.5)
+            mixed += invert_fixed_point(spec, target, opts, damping=0.5).iterations
+            plain += want.iterations
+        assert 3 * mixed <= plain  # 581 and 2 738
 
     def test_incomplete_spec_rejected(self):
         with pytest.raises(StructureError):
@@ -201,24 +219,41 @@ def _outcome(solve, spec, target, opts, damping):
         return exc
 
 
-def assert_same_as_oracle(spec, target, opts=SolveOptions(), damping=1.0):
-    """The compiled sweep and the per-pair oracle: the same sweeps and
-    residuals, the same error class and kind, tables within 1e-12."""
-    got = _outcome(invert_fixed_point, spec, target, opts, damping)
+def assert_matches_oracle(spec, target, opts=SolveOptions(), damping=1.0):
+    """The solver against the per-pair oracle, whose plain iteration runs
+    once.  Sweep by sweep: the solver's plain sweep and residual from zero
+    eta give the oracle's residuals over all its sweeps and, where a sweep
+    of the oracle overflows, the same error kind in the same sweep.  By
+    outcome: where the oracle converges, the accelerated solve converges
+    to a table within 1e-8 of the oracle's, with a certificate where the
+    oracle has one; where it fails, the solve raises SolverError or
+    converges.  Returns the oracle's result or error."""
     want = _outcome(brute_fixed_point, spec, target, opts, damping)
-    assert type(got) is type(want)
+    got = _outcome(invert_fixed_point, spec, target, opts, damping)
     if isinstance(want, StructureError):
+        assert isinstance(got, StructureError)
         return want
-    np.testing.assert_allclose(got.trace, want.trace, rtol=1e-9, atol=1e-12)
+    stages = solvers._stages(spec, target)
+    eta = np.zeros(spec.vars.n_cells)
+    residuals = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in want.trace:
+            eta = solvers._sweep(eta, stages, damping)
+            residuals.append(solvers._residual(eta, stages)[0])
+        if isinstance(want, SolverError) and "log scale" in str(want):
+            with pytest.raises(SolverError) as err:
+                solvers._residual(solvers._sweep(eta, stages, damping), stages)
+            assert err.value.kind == want.kind
+    np.testing.assert_allclose(residuals, want.trace, rtol=1e-9, atol=1e-12)
     if isinstance(want, SolverError):
-        assert got.kind == want.kind
+        assert isinstance(got, (SolverError, solvers.SolveResult))
         return want
-    assert got.iterations == want.iterations
-    assert float(np.max(np.abs(got.table.p - want.table.p))) <= 1e-12
+    assert isinstance(got, solvers.SolveResult), got
+    assert float(np.max(np.abs(got.table.p - want.table.p))) <= 1e-8
     if want.contraction_certificate is None:
         assert got.contraction_certificate is None
     else:
-        assert abs(got.contraction_certificate - want.contraction_certificate) <= 1e-12
+        assert abs(got.contraction_certificate - want.contraction_certificate) <= 1e-7
     return want
 
 
@@ -233,7 +268,7 @@ class TestCompiledSweep:
             spec = _spec_line(row["spec"])
             for draw in (dirichlet_table, _skewed_table):
                 target = lambda_vector(draw(spec.vars, rng), spec)
-                want = assert_same_as_oracle(spec, target, opts, damping=0.5)
+                want = assert_matches_oracle(spec, target, opts, damping=0.5)
                 kinds.add(getattr(want, "kind", "converged"))
         assert "converged" in kinds
 
@@ -264,13 +299,14 @@ class TestCompiledSweep:
             assert any(rule_applies(s, rule) is not None for s, *_ in stages)
         assert {s.vars.n for s, *_ in stages} == {3, 4, 5}
         for stage in stages:
-            assert_same_as_oracle(*stage)
+            assert_matches_oracle(*stage)
 
     def test_log_scale_overflow_diverges_at_the_oracles_sweep(self):
         # targets far outside the parameter domain: the log scale overflows,
         # or a margin cell underflows to 0, within a few sweeps.  The oracle
-        # sums its margins from the same unnormalised weights, so both sides
-        # stop in the same sweep for every seed.
+        # sums its margins from the same unnormalised weights, so the plain
+        # sweep overflows in the oracle's sweep for every seed.
+        overflows = 0
         for text in ("1: 1; 12: 2 12; 13: 3; 23: 23; 123: 13 123",
                      "1: 1; 2: 2; 12: 12; 13: 3; 123: 13 23 123"):
             spec = _spec_line(text)
@@ -279,7 +315,9 @@ class TestCompiledSweep:
                 target = MLLVector(spec, values)
                 for max_iter in (3, 4, 50):
                     opts = SolveOptions(max_iter=max_iter)
-                    assert_same_as_oracle(spec, target, opts, damping=0.5)
+                    err = assert_matches_oracle(spec, target, opts, damping=0.5)
+                    overflows += "log scale" in str(err)
+        assert overflows == 49
         # the first spec at seed 2: the transform overflows in sweep 4; one
         # sweep fewer ends in the residual stop, where a margin cell of that
         # sweep's weights has underflowed to 0 and one -inf log makes the
@@ -288,9 +326,10 @@ class TestCompiledSweep:
         target = MLLVector(spec, np.random.default_rng(2).uniform(-300.0, 300.0, 7))
         for max_iter in (4, 50):
             opts = SolveOptions(max_iter=max_iter)
-            err = assert_same_as_oracle(spec, target, opts, damping=0.5)
+            err = assert_matches_oracle(spec, target, opts, damping=0.5)
             assert err.kind == DIVERGENCE and "log scale" in str(err)
-        err = assert_same_as_oracle(spec, target, SolveOptions(max_iter=3), 0.5)
+            assert len(err.trace) == 3
+        err = assert_matches_oracle(spec, target, SolveOptions(max_iter=3), 0.5)
         assert err.kind == NON_CONVERGENCE
         assert len(err.trace) == 3 and err.trace[2] == math.inf
 
@@ -350,7 +389,7 @@ class TestCompiledSweep:
         assert sizes == [128, 128]
         rng = np.random.default_rng(12)
         for draw in (dirichlet_table, _skewed_table):
-            assert_same_as_oracle(spec, lambda_vector(draw(spec.vars, rng), spec))
+            assert_matches_oracle(spec, lambda_vector(draw(spec.vars, rng), spec))
 
     def test_plan_stays_small_at_twelve_variables(self):
         # per pair its position, effect and compressed index, and per proper
@@ -907,9 +946,9 @@ class TestInvertAuto:
         t = table_from_probs(spec.vars, p / p.sum())
         return spec, lambda_vector(t, spec)
 
-    def test_newton_restart_rescues(self):
-        # no restart rescues the fallback: both stages fail, and the error
-        # names each of them once
+    def test_fallback_failure_names_each_stage_once(self):
+        # both stages fail (the damped fixed point stalls near 5e-5 and
+        # Newton's line search at 0.41), and the error names each once
         spec, target = self.fallback_case()
         with pytest.raises(SolverError) as info:
             invert(spec, target)
