@@ -9,7 +9,8 @@ builds them.  Free values are drawn from ``default_rng(5)`` and then from
 ``default_rng(6)``: for each model, for each s in (1, 2, 4), 12 draws of
 ``uniform(-h * s, h * s, 32)``, where h is the model's half-width.  So
 s = 1 is the benchmark's own range and s = 2 and 4 reach past it, where
-the damped fixed point fails more often and AUTO falls back to Newton.
+AUTO's fixed point (capped at 2 000 sweeps) fails more often and AUTO
+falls back to Newton.
 
 Prints one line per failing member, then the successes and failures, how
 many AUTO inversions fell back to Newton and how many of those Newton

@@ -3,8 +3,9 @@
 
 The model below has no repeated effects, yet none of the implemented
 sufficient conditions settles its smoothness; member construction goes
-through the generic damped fixed point / Newton path.  Convergence status
-is logged per draw and never asserted.
+through AUTO's fallback for collections without a proven route: the
+fixed point, then Newton.  Convergence status is logged per draw and
+never asserted.
 """
 
 import sys

@@ -9,15 +9,17 @@ so it needs ``PYTHONPATH=src``, as the other scripts do.
 178 targets: the 43 undecided orbits of the 3-variable census, 4 tables
 each (ids 0-171, orbit by orbit in census order), then OPEN_FOUR_MARGIN
 (ids 172-174) and TWO_ANCHOR_CYCLE (ids 175-177), 3 tables each.  AUTO
-inverts each of them through the damped fixed point and, when that
-fails, Newton.  For each Dirichlet concentration alpha (by default 1, 0.3,
-0.1 and 0.05) the tables are drawn from a fresh ``default_rng(5050)``,
-each one Dirichlet(alpha) redrawn until every cell is at least 1e-12, so
-two versions of the package see the same targets.  A target fails when
-the inversion raises or misses a cell of the drawn table by more than
-1e-8.  Prints, per alpha, the wall time of the inversions and the ids of
-the failing targets, then one line per failure with its error kind
-(``MISS`` for a cell miss); exits 0.
+inverts each of them through the fixed point (capped at 2 000 sweeps)
+and, when that fails, hands the target to Newton.  For each Dirichlet
+concentration alpha (by default 1, 0.3, 0.1 and 0.05) the tables are
+drawn from a fresh ``default_rng(5050)``, each one Dirichlet(alpha)
+redrawn until every cell is at least 1e-12, so two versions of the
+package see the same targets.  A target fails when the inversion raises
+or misses a cell of the drawn table by more than 1e-8.  Prints, per
+alpha, the wall time of the inversions and the ids of the failing
+targets, how many targets AUTO handed to Newton and how many of those
+Newton inverted, then one line per failure with its error kind (``MISS``
+for a cell miss); exits 0.
 """
 
 import argparse
@@ -26,11 +28,10 @@ import time
 
 import numpy as np
 
-from mllp import catalog
+from mllp import catalog, solvers
 from mllp.classify import UNKNOWN, census
 from mllp.errors import MllpError
 from mllp.mll import MLLSpec, lambda_vector
-from mllp.solvers import invert
 from mllp.tables import JointTable
 
 SEED = 5050
@@ -58,24 +59,43 @@ def draw_table(rng: np.random.Generator, spec: MLLSpec, alpha: float) -> JointTa
             return JointTable(spec.vars, p)
 
 
-def probe(specs: list[MLLSpec], alpha: float) -> tuple[dict[int, str], float]:
-    """The failing ids with their kinds, and the wall time of the solves."""
+def probe(
+    specs: list[MLLSpec], alpha: float
+) -> tuple[dict[int, str], float, int, int]:
+    """The failing ids with their kinds, the wall time of the solves, the
+    targets handed to Newton and those of them that Newton inverted."""
     rng = np.random.default_rng(SEED)
     failed: dict[int, str] = {}
     elapsed = 0.0
-    for i, spec in enumerate(specs):
-        table = draw_table(rng, spec, alpha)
-        target = lambda_vector(table, spec)
-        t0 = time.perf_counter()
-        try:
-            res = invert(spec, target)
-        except MllpError as exc:
-            failed[i] = getattr(exc, "kind", type(exc).__name__)
-        else:
-            if float(np.max(np.abs(res.table.p - table.p))) > TOL:
-                failed[i] = "MISS"
-        elapsed += time.perf_counter() - t0
-    return failed, elapsed
+    handoffs = inverted = 0
+    newton = solvers.invert_newton
+    handed = False  # whether the current target reached Newton
+
+    def counting_newton(*args, **kwargs):
+        nonlocal handed
+        handed = True
+        return newton(*args, **kwargs)
+
+    solvers.invert_newton = counting_newton
+    try:
+        for i, spec in enumerate(specs):
+            table = draw_table(rng, spec, alpha)
+            target = lambda_vector(table, spec)
+            handed = False
+            t0 = time.perf_counter()
+            try:
+                res = solvers.invert(spec, target)
+            except MllpError as exc:
+                failed[i] = getattr(exc, "kind", type(exc).__name__)
+            else:
+                if float(np.max(np.abs(res.table.p - table.p))) > TOL:
+                    failed[i] = "MISS"
+            elapsed += time.perf_counter() - t0
+            handoffs += handed
+            inverted += handed and i not in failed
+    finally:
+        solvers.invert_newton = newton
+    return failed, elapsed, handoffs, inverted
 
 
 def main() -> int:
@@ -84,9 +104,10 @@ def main() -> int:
     args = ap.parse_args()
     specs = targets()
     for alpha in args.alphas:
-        failed, elapsed = probe(specs, alpha)
+        failed, elapsed, handoffs, inverted = probe(specs, alpha)
         print(f"alpha {alpha:g}: {len(failed)} of {len(specs)} fail in "
               f"{elapsed:.2f} s: {sorted(failed)}")
+        print(f"  Newton hand-offs: {handoffs}, inverted by Newton: {inverted}")
         for i, kind in sorted(failed.items()):
             print(f"  {i}: {kind}")
     return 0

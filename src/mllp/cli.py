@@ -47,10 +47,11 @@ def _load_table(path: str) -> JointTable:
 
 def _load_statements(path: str) -> list[cimodels.CIStatement]:
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         obj = json.loads(text)
         try:
+            if not isinstance(obj["variables"], list):
+                raise TypeError('"variables" must be a list of names')
             vs = VarSet(tuple(obj["variables"]))
             return [
                 cimodels.CIStatement.from_json_obj(vs, s) for s in obj["statements"]
@@ -231,7 +232,7 @@ def _load_member(path: str, vs: VarSet) -> dict:
     try:
         for item in json.loads(Path(path).read_text()):
             value = item["value"]
-            if not isinstance(value, (int, float)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SpecError(f"member value {value!r} is not a number")
             free[(vs.mask_of(item["effect"]), vs.mask_of(item["margin"]))] = value
     except TypeError as exc:

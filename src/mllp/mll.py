@@ -161,8 +161,8 @@ class MLLSpec:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MLLSpec":
-        if not isinstance(obj, dict) or "variables" not in obj or "pairs" not in obj:
-            raise SpecError('spec JSON needs "variables" and "pairs" fields')
+        if not isinstance(obj, dict) or not isinstance(obj.get("variables"), list):
+            raise SpecError('spec JSON needs a "variables" list and "pairs"')
         try:
             vs = VarSet(tuple(obj["variables"]))
             pairs = []

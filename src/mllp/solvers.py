@@ -6,8 +6,8 @@ Four routes, dispatched automatically from the classification chain:
   witness order, each one solved from its already-known sub-margins plus
   the log-linear coefficients assigned to it (the mixed mean/natural
   coordinate solve of :mod:`mllp.mixed`);
-* the *fixed point* of the sweep eta <- eta + damping * (target - lam(eta)),
-  swept margin block by margin block through the plan that the forward
+* the *fixed point* of the sweep eta <- eta + (target - lam(eta)), swept
+  margin block by margin block through the plan that the forward
   map compiles once per spec (``mll._plan``), with the full-margin block
   in closed form (its coefficients are eta itself); the sweeps are
   accelerated by safeguarded Anderson mixing, which falls back to plain
@@ -19,8 +19,8 @@ Four routes, dispatched automatically from the classification chain:
   stationary distribution (the stationary solve of :mod:`mllp.markov`),
   and the rest is rebuilt hierarchically;
 * for collections without a proven route, up to 2 000 sweeps of the
-  same fixed point damped by 0.5, stopped when its residual stalls, then
-  one *Newton* solve with the analytic Jacobian from the uniform table.
+  same fixed point, stopped when its residual stalls, then one *Newton*
+  solve with the analytic Jacobian from the uniform table.
 
 AUTO inversion classifies the collection once and replays the rule chain
 on one map from pair to target value; every proven route is a step of that
@@ -172,10 +172,10 @@ ANDERSON_MEMORY = 5
 # iteration mixes, and STALL_WINDOW sweeps earlier once it sweeps plainly.
 # On the fixed-point successes of one pass of the benchmark's inversion
 # workloads at seeds 1601-1603 (592 solves a seed) the mixed iteration
-# takes at most 41 iterations, and the worst such ratio over 20 of them is
-# 8.1e-5 (4.7e-2 over 10).  A failing five-variable CI-model member mixes
-# down to its minimum at iteration 24, stops mixing at 38, and its plain
-# sweeps stall at 138; plain sweeps alone would stall at 124.
+# takes at most 29 iterations, and the worst such ratio over 20 of them is
+# 1.1e-5 (2.6e-2 over 10).  A failing five-variable CI-model member mixes
+# down to its minimum at iteration 20, stops mixing at 38, and its plain
+# sweeps stall at 138; plain sweeps alone would stall at 106.
 MIX_WINDOW = 20
 STALL_WINDOW = 100
 STALL_FACTOR = 0.9
@@ -200,14 +200,14 @@ def _stages(spec: MLLSpec, target: MLLVector) -> _Stages:
     return _Stages(top.effects, t_full, sweep, t_all)
 
 
-def _sweep(eta: np.ndarray, st: _Stages, damping: float) -> np.ndarray:
+def _sweep(eta: np.ndarray, st: _Stages) -> np.ndarray:
     """One plain Gauss-Seidel sweep from eta, into a new array.  Raises
     DIVERGENCE when the log scale overflows on the way."""
     eta = eta.copy()
-    eta[st.full] += damping * (st.t_full - eta[st.full])
+    eta[st.full] += st.t_full - eta[st.full]
     for effects, cells, params, t in st.blocks:
         w = weights(eta)[0]
-        eta[effects] += damping * (t - params(np.log(np.bincount(cells, w))))
+        eta[effects] += t - params(np.log(np.bincount(cells, w)))
     return eta
 
 
@@ -239,10 +239,9 @@ def invert_fixed_point(
     spec: MLLSpec,
     target: MLLVector,
     opts: SolveOptions = SolveOptions(),
-    damping: float = 1.0,
 ) -> SolveResult:
     """Solve eta = G(eta) for the sweep G that sets
-    eta_L <- eta_L + damping * (target_LM - lam_LM(eta)) for every pair,
+    eta_L <- eta_L + (target_LM - lam_LM(eta)) for every pair,
     Gauss-Seidel over margin blocks from the full margin downwards: each
     block updates its effects at once from the table left by the blocks
     before it.  Starts from the uniform table.
@@ -250,12 +249,12 @@ def invert_fixed_point(
     The blocks come from the plan compiled once per spec for the forward
     map as well (``mll._plan``), whose full margin comes first.
     The full-margin block needs no table: its coefficients are eta itself,
-    so its update is eta_L <- eta_L + damping * (target_L - eta_L).  Every
+    so its update is eta_L <- eta_L + (target_L - eta_L).  Every
     other block M is two constant maps of the unnormalised cell weights
     w = exp(s - max s), s = fwht(eta): the 0/1 matrix A_M sums the cells
     onto the margin's cells (applied by ``np.bincount``), and
     G_M = H_M[idx] / 2**|M| takes their logs to the block's parameters, so
-    the update is eta_L <- eta_L + damping * (target - G_M @ log(A_M @ w)).
+    the update is eta_L <- eta_L + (target - G_M @ log(A_M @ w)).
     G_M is a dense matrix up to 64 margin cells and the Hadamard transform
     followed by a pick of idx above.  The residual of a point is the
     largest difference of all blocks at its weights.
@@ -277,7 +276,8 @@ def invert_fixed_point(
     Raises NON_CONVERGENCE when the residual is still above tol after
     max_iter sweeps, or when the plain sweeps stall; DIVERGENCE when it
     grows tenfold above its running minimum, or when the log scale of a
-    sweep overflows.
+    sweep overflows; the error's trace holds the iterates accepted before
+    that sweep.
     """
     if not spec.is_complete():
         raise StructureError("fixed-point inversion needs a complete spec")
@@ -295,8 +295,12 @@ def invert_fixed_point(
     # parameters, which the next weights reject.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(1, opts.max_iter + 1):
-            g = _sweep(eta, st, damping)
-            res, w = _residual(g, st)
+            try:
+                g = _sweep(eta, st)
+                res, w = _residual(g, st)
+            except SolverError as exc:  # the log scale overflowed in this sweep
+                exc.trace = trace
+                raise
             nxt = g
             if mixing and res > opts.tol:
                 step = g - eta
@@ -751,12 +755,9 @@ def _invert_auto(
     report = cls.classify(spec)
     if report.verdict == cls.PROVEN_SMOOTH:
         return _replay(spec, target, report.rule_chain, opts)
-    if report.verdict == cls.NOT_SMOOTH_INCOMPLETE:
-        raise StructureError("cannot invert an incomplete collection")
-
-    damped = replace(opts, max_iter=min(opts.max_iter, 2000))
+    capped = replace(opts, max_iter=min(opts.max_iter, 2000))
     try:
-        sub = invert_fixed_point(spec, target, damped, damping=0.5)
+        sub = invert_fixed_point(spec, target, capped)
         return replace(sub, method_used="fixed_point_damped")
     except (SolverError, StructureError) as exc:
         failed = f"fixed_point: {exc}"
@@ -773,15 +774,12 @@ def invert(
 
     Method AUTO follows the classification chain (hierarchical margins,
     fixed point, variable/slice reductions, cyclic stationary recovery).  A
-    collection without a proven route gets up to 2 000 sweeps of the fixed
-    point damped by 0.5 (Anderson-mixed, then plain once the mixing
-    stalls; see :func:`invert_fixed_point`), stopped when its residual
-    stalls, then one Newton solve from the uniform table; when both fail
-    it raises ALL_METHODS_FAILED (CLI exit 2).  The other method values
-    force one route and fail if its structural preconditions are unmet.
-    Every fixed-point solve, proven or fallback, runs the same mixed
-    iteration, and its ``iterations`` count one per sweep.  On every route
-    a target whose solve builds a table outside the positivity floor
+    collection without a proven route gets up to 2 000 sweeps of the same
+    fixed-point solve as the proven routes (:func:`invert_fixed_point`),
+    then one Newton solve from the uniform table; when both fail it raises
+    ALL_METHODS_FAILED (CLI exit 2).  The other method values force one
+    route and fail if its structural preconditions are unmet.  On every
+    route a target whose solve builds a table outside the positivity floor
     raises NON_CONVERGENCE (CLI exit 2).
     """
     if not spec.is_complete():

@@ -296,12 +296,10 @@ class JointTable:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidTableError(f"invalid table JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "variables" not in obj or "p" not in obj:
-            raise InvalidTableError('table JSON needs "variables" and "p" fields')
-        try:
-            vs = VarSet(tuple(obj["variables"]))
-        except TypeError as exc:
-            raise InvalidTableError(f'"variables" must be a list: {exc}') from None
+        if not (isinstance(obj, dict) and isinstance(obj.get("variables"), list)
+                and "p" in obj):
+            raise InvalidTableError('table JSON needs a "variables" list and "p"')
+        vs = VarSet(tuple(obj["variables"]))
         p = float_array(obj["p"], InvalidTableError)
         if p.shape != (vs.n_cells,):
             raise InvalidTableError(

@@ -479,7 +479,6 @@ def brute_fixed_point(
     spec: MLLSpec,
     target: MLLVector,
     opts: SolveOptions = SolveOptions(),
-    damping: float = 1.0,
 ) -> SolveResult:
     """Fixed-point inversion one pair at a time: per margin block, largest
     first, the unnormalised weights from eta, the margin's transform, and
@@ -508,7 +507,7 @@ def brute_fixed_point(
             for margin, effects in by_margin:
                 lam_m = _brute_margin_lambdas(eta.copy(), n, margin)
                 for effect, idx in effects:
-                    eta[effect] += damping * (tmap[(effect, margin)] - lam_m[idx])
+                    eta[effect] += tmap[(effect, margin)] - lam_m[idx]
             w = _brute_weights(eta)
             misses = []
             for margin, effects in by_margin:

@@ -242,7 +242,7 @@ class TestExitCodes:
 
     def test_solver_failure_is_exit_two(self, tmp_path):
         spec = catalog.OPEN_FOUR_MARGIN
-        # an extreme target the damped iteration and Newton both reject
+        # an extreme target the fixed point and Newton both reject
         values = [40.0] * len(spec)
         (tmp_path / "lam.json").write_text(
             json.dumps({"spec": spec.to_json_obj(), "values": values})
@@ -365,14 +365,18 @@ class TestExitCodes:
         )
         assert_domain_error(["invert", "--lambda", str(tmp_path / "lam.json")], capsys)
 
-    @pytest.mark.parametrize("case", ["value-x", "spec-variables-5"])
+    @pytest.mark.parametrize(
+        "case", ["value-x", "spec-variables-5", "spec-variables-string"]
+    )
     def test_malformed_lambda_is_domain_error(self, workdir, capsys, case):
         path, _, _ = workdir
         doc = json.loads((path / "lam.json").read_text())
         if case == "value-x":
             doc["values"][0] = "x"
-        else:
+        elif case == "spec-variables-5":
             doc["spec"]["variables"] = 5
+        else:  # a string is not read as its characters
+            doc["spec"]["variables"] = "123"
         (path / "lam.json").write_text(json.dumps(doc))
         assert_domain_error(["invert", "--lambda", str(path / "lam.json")], capsys)
 
@@ -385,7 +389,20 @@ class TestExitCodes:
             capsys,
         )
 
-    @pytest.mark.parametrize("value", [math.nan, "x"], ids=["nan", "x"])
+    def test_table_variables_string_is_domain_error(self, workdir, capsys):
+        # a string is not read as its characters
+        path, _, table = workdir
+        doc = {"variables": "123", "p": [float(x) for x in table.p]}
+        (path / "table.json").write_text(json.dumps(doc))
+        assert_domain_error(
+            ["forward", "--table", str(path / "table.json"), "--spec",
+             str(path / "spec.txt")],
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, "x", True], ids=["nan", "x", "true"]
+    )
     def test_bad_member_value_is_domain_error(self, workdir, capsys, value):
         path, _, _ = workdir
         vs = make_vars(4)
@@ -416,8 +433,9 @@ class TestExitCodes:
             {"variables": 5, "statements": []},
             {"variables": ["1", "2", "3"], "statements": 5},
             {"variables": ["1", "2", "3"], "statements": [5]},
+            {"variables": "123", "statements": [{"a": ["1"], "b": ["2"]}]},
         ],
-        ids=["variables-5", "statements-5", "statement-5"],
+        ids=["variables-5", "statements-5", "statement-5", "variables-string"],
     )
     def test_malformed_statements_is_domain_error(self, tmp_path, capsys, doc):
         (tmp_path / "ci.json").write_text(json.dumps(doc))

@@ -127,10 +127,10 @@ class TestFixedPoint:
 
     def test_stall_stops_failing_member(self):
         # a CI_FIVE_VAR member outside the parameter domain: the plain
-        # damped sweeps bottom out at sweep 89 and, without the stall stop,
-        # sweep on for over a thousand more until a cell underflows.  The
-        # mixed iteration of AUTO bottoms out at iteration 24; its stall
-        # switches the mixing off, and the plain sweeps after it stall too.
+        # sweeps settle at residual 0.29 by sweep 22 and, without the stall
+        # stop, sweep on without moving (5 000 sweeps in a probe).  The
+        # mixed iteration bottoms out at iteration 20; its stall switches
+        # the mixing off at 38, and the plain sweeps after it stall at 138.
         vs = make_vars(5)
         stmts = [CIStatement.from_text(vs, s) for s in catalog.CI_FIVE_VAR]
         ms = model_spec(stmts)
@@ -138,23 +138,20 @@ class TestFixedPoint:
         free = dict(zip(ms.free_pairs, (float(v) for v in draw)))
         values = [free.get(pair, 0.0) for pair in ms.embedding.pairs]
         target = MLLVector(ms.embedding, np.array(values))
+        opts = SolveOptions(max_iter=2000)
         with pytest.raises(SolverError, match="stalled") as err:
-            invert_fixed_point(
-                ms.embedding, target, SolveOptions(max_iter=2000), damping=0.5
-            )
+            invert_fixed_point(ms.embedding, target, opts)
         assert err.value.kind == NON_CONVERGENCE
         assert len(err.value.trace) <= 150
-        assert_matches_oracle(
-            ms.embedding, target, SolveOptions(max_iter=2000), damping=0.5
-        )
+        assert_matches_oracle(ms.embedding, target, opts)
         with pytest.raises(SolverError) as err:
             model_member(ms.embedding, free, statements=stmts)
         assert err.value.kind == NON_CONVERGENCE
 
-    def test_mixing_takes_a_third_of_the_plain_sweeps(self):
-        # AUTO's damped solve over one Dirichlet(1) table of each undecided
-        # orbit: the mixed iteration sweeps at most a third as often as the
-        # plain one, and converges wherever the plain one does
+    def test_mixing_takes_half_the_plain_sweeps(self):
+        # AUTO's fallback solve over one Dirichlet(1) table of each
+        # undecided orbit: the mixed iteration sweeps at most half as often
+        # as the plain one, and converges wherever the plain one does
         rng = np.random.default_rng(8)
         rows = [r for r in census(3)["rows"] if r["verdict"] == UNKNOWN]
         opts = SolveOptions(max_iter=2000)
@@ -162,10 +159,10 @@ class TestFixedPoint:
         for row in rows:
             spec = _spec_line(row["spec"])
             target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
-            want = brute_fixed_point(spec, target, opts, damping=0.5)
-            mixed += invert_fixed_point(spec, target, opts, damping=0.5).iterations
+            want = brute_fixed_point(spec, target, opts)
+            mixed += invert_fixed_point(spec, target, opts).iterations
             plain += want.iterations
-        assert 3 * mixed <= plain  # 581 and 2 738
+        assert 2 * mixed <= plain  # 362 and 769
 
     def test_incomplete_spec_rejected(self):
         with pytest.raises(StructureError):
@@ -212,14 +209,14 @@ def _skewed_table(vs, rng) -> JointTable:
     return JointTable(vs, p / p.sum())
 
 
-def _outcome(solve, spec, target, opts, damping):
+def _outcome(solve, spec, target, opts):
     try:
-        return solve(spec, target, opts, damping=damping)
+        return solve(spec, target, opts)
     except (SolverError, StructureError) as exc:
         return exc
 
 
-def assert_matches_oracle(spec, target, opts=SolveOptions(), damping=1.0):
+def assert_matches_oracle(spec, target, opts=SolveOptions()):
     """The solver against the per-pair oracle, whose plain iteration runs
     once.  Sweep by sweep: the solver's plain sweep and residual from zero
     eta give the oracle's residuals over all its sweeps and, where a sweep
@@ -228,8 +225,8 @@ def assert_matches_oracle(spec, target, opts=SolveOptions(), damping=1.0):
     to a table within 1e-8 of the oracle's, with a certificate where the
     oracle has one; where it fails, the solve raises SolverError or
     converges.  Returns the oracle's result or error."""
-    want = _outcome(brute_fixed_point, spec, target, opts, damping)
-    got = _outcome(invert_fixed_point, spec, target, opts, damping)
+    want = _outcome(brute_fixed_point, spec, target, opts)
+    got = _outcome(invert_fixed_point, spec, target, opts)
     if isinstance(want, StructureError):
         assert isinstance(got, StructureError)
         return want
@@ -238,11 +235,11 @@ def assert_matches_oracle(spec, target, opts=SolveOptions(), damping=1.0):
     residuals = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in want.trace:
-            eta = solvers._sweep(eta, stages, damping)
+            eta = solvers._sweep(eta, stages)
             residuals.append(solvers._residual(eta, stages)[0])
         if isinstance(want, SolverError) and "log scale" in str(want):
             with pytest.raises(SolverError) as err:
-                solvers._residual(solvers._sweep(eta, stages, damping), stages)
+                solvers._residual(solvers._sweep(eta, stages), stages)
             assert err.value.kind == want.kind
     np.testing.assert_allclose(residuals, want.trace, rtol=1e-9, atol=1e-12)
     if isinstance(want, SolverError):
@@ -258,7 +255,7 @@ def assert_matches_oracle(spec, target, opts=SolveOptions(), damping=1.0):
 
 
 class TestCompiledSweep:
-    def test_undecided_orbits_damped_match_oracle(self):
+    def test_undecided_orbits_match_oracle(self):
         rng = np.random.default_rng(8)
         rows = [r for r in census(3)["rows"] if r["verdict"] == UNKNOWN]
         assert len(rows) == 43
@@ -268,7 +265,7 @@ class TestCompiledSweep:
             spec = _spec_line(row["spec"])
             for draw in (dirichlet_table, _skewed_table):
                 target = lambda_vector(draw(spec.vars, rng), spec)
-                want = assert_matches_oracle(spec, target, opts, damping=0.5)
+                want = assert_matches_oracle(spec, target, opts)
                 kinds.add(getattr(want, "kind", "converged"))
         assert "converged" in kinds
 
@@ -278,9 +275,9 @@ class TestCompiledSweep:
         # above, with its own spec and target
         stages = []
 
-        def record(spec, target, opts=SolveOptions(), damping=1.0):
-            stages.append((spec, target, opts, damping))
-            return brute_fixed_point(spec, target, opts, damping)
+        def record(spec, target, opts=SolveOptions()):
+            stages.append((spec, target, opts))
+            return brute_fixed_point(spec, target, opts)
 
         specs = [
             spec for spec in (_spec_line(r["spec"]) for r in census(3)["rows"])
@@ -315,23 +312,40 @@ class TestCompiledSweep:
                 target = MLLVector(spec, values)
                 for max_iter in (3, 4, 50):
                     opts = SolveOptions(max_iter=max_iter)
-                    err = assert_matches_oracle(spec, target, opts, damping=0.5)
+                    err = assert_matches_oracle(spec, target, opts)
                     overflows += "log scale" in str(err)
-        assert overflows == 49
-        # the first spec at seed 2: the transform overflows in sweep 4; one
+        assert overflows == 69
+        # the first spec at seed 20: the transform overflows in sweep 4; one
         # sweep fewer ends in the residual stop, where a margin cell of that
         # sweep's weights has underflowed to 0 and one -inf log makes the
         # block's parameters infinite, not NaN
         spec = _spec_line("1: 1; 12: 2 12; 13: 3; 23: 23; 123: 13 123")
-        target = MLLVector(spec, np.random.default_rng(2).uniform(-300.0, 300.0, 7))
+        target = MLLVector(spec, np.random.default_rng(20).uniform(-300.0, 300.0, 7))
         for max_iter in (4, 50):
             opts = SolveOptions(max_iter=max_iter)
-            err = assert_matches_oracle(spec, target, opts, damping=0.5)
+            err = assert_matches_oracle(spec, target, opts)
             assert err.kind == DIVERGENCE and "log scale" in str(err)
             assert len(err.trace) == 3
-        err = assert_matches_oracle(spec, target, SolveOptions(max_iter=3), 0.5)
+        err = assert_matches_oracle(spec, target, SolveOptions(max_iter=3))
         assert err.kind == NON_CONVERGENCE
         assert len(err.trace) == 3 and err.trace[2] == math.inf
+
+    def test_log_scale_overflow_keeps_the_accepted_trace(self):
+        # the first spec above at seed 32: the mixed iteration accepts three
+        # iterates with finite residuals, and its fourth sweep overflows.
+        # The error carries the same three residuals as the solve stopped
+        # by max_iter after them.
+        spec = _spec_line("1: 1; 12: 2 12; 13: 3; 23: 23; 123: 13 123")
+        target = MLLVector(spec, np.random.default_rng(32).uniform(-300.0, 300.0, 7))
+        with pytest.raises(SolverError) as stopped:
+            invert_fixed_point(spec, target, SolveOptions(max_iter=3))
+        assert stopped.value.kind == NON_CONVERGENCE
+        with pytest.raises(SolverError, match="log scale") as overflow:
+            invert_fixed_point(spec, target)
+        assert overflow.value.kind == DIVERGENCE
+        assert len(overflow.value.trace) == 3
+        assert np.isfinite(overflow.value.trace).all()
+        assert overflow.value.trace == stopped.value.trace
 
     def test_contraction_subsystem_matches_oracle(self, monkeypatch):
         # every subsystem that AUTO inversion solves for the census orbits
@@ -347,8 +361,8 @@ class TestCompiledSweep:
             steps.append((spec, dict(tmap), relocate, opts))
             return contraction(spec, tmap, relocate, sub_chain, opts)
 
-        def record_solve(spec, target, opts=SolveOptions(), damping=1.0):
-            res = fixed_point(spec, target, opts, damping)
+        def record_solve(spec, target, opts=SolveOptions()):
+            res = fixed_point(spec, target, opts)
             if len(solved) < len(steps):  # the step's subsystem comes first
                 solved.append((spec, res))
             return res
@@ -939,15 +953,15 @@ class TestInvertAuto:
 
     @staticmethod
     def fallback_case():
-        # a collection without a proof whose target both the damped fixed
-        # point and Newton from the uniform table fail to invert
+        # a collection without a proof whose target both the fallback's
+        # fixed point and Newton from the uniform table fail to invert
         spec = MLLSpec.from_text("1: 1\n2: 2\n12: 12\n13: 13\n23: 23\n123: 3 123")
         p = np.random.default_rng(2).dirichlet(np.full(8, 0.1))
         t = table_from_probs(spec.vars, p / p.sum())
         return spec, lambda_vector(t, spec)
 
     def test_fallback_failure_names_each_stage_once(self):
-        # both stages fail (the damped fixed point stalls near 5e-5 and
+        # both stages fail (the fixed point stalls near 2.1e-4 and
         # Newton's line search at 0.41), and the error names each once
         spec, target = self.fallback_case()
         with pytest.raises(SolverError) as info:
