@@ -9,14 +9,13 @@ Submodules:
 * :mod:`mllp.classify` -- smoothness rules, orbit enumeration and the census.
 * :mod:`mllp.mixed`    -- a table from its sub-margins and the log-linear
   coefficients no sub-margin covers (the mixed-coordinate solve).
-* :mod:`mllp.markov`   -- cycles of conditionals and the stationary
-  distribution of their composed transition matrix.
+* :mod:`mllp.markov`   -- Gibbs sweeps and cycles of conditionals, the one
+  kernel that composes them, and its stationary distribution.
 * :mod:`mllp.solvers`  -- inversion back to joint tables: hierarchical
   reconstruction, fixed-point contraction, Markov-chain recovery, Newton,
   and the replay of a classification chain, which checks each table once.
 * :mod:`mllp.cimodels` -- conditional-independence statements as zero
-  constraints, model embeddings and members, Gibbs sweep kernels and
-  their stationary distributions.
+  constraints, model embeddings and members.
 * :mod:`mllp.cli`      -- batch command-line front end.
 """
 

@@ -4,9 +4,8 @@ A statement "X_a independent of X_b given X_c" over disjoint blocks a, b, c
 holds in a strictly positive table exactly when every parameter of the
 margin a+b+c whose effect meets both a and b is zero.  This module turns
 statement lists into zero-pair collections, embeds them into complete
-collections, verifies statements on tables, composes Gibbs sweep kernels
-and their stationary distributions, and produces member tables of a model
-from the free values.
+collections, verifies statements on tables, and produces member tables of
+a model from the free values.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import numpy as np
 
 from . import solvers
 from .errors import NON_CONVERGENCE, SolverError, SpecError, StructureError
-from .markov import stationary_distribution
 from .mll import MLLSpec, MLLVector, Pair
 from .tables import (
-    ConditionalTable,
     JointTable,
     VarSet,
     compress_map,
@@ -30,7 +27,6 @@ from .tables import (
     marginal_array,
     marginalize,
     nonempty_submasks,
-    packed_indices,
     popcount,
 )
 
@@ -128,90 +124,6 @@ def ci_to_zero_params(s: CIStatement) -> list[Pair]:
     return [
         (L, margin) for L in nonempty_submasks(margin) if (L & s.a) and (L & s.b)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Sweep kernels (cyclic update schemes)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GibbsCycleSpec:
-    """One sweep of conditional draws whose state lives on ``state``.
-
-    Each step draws its target block from a conditional given variables
-    that are part of the state or were drawn earlier in the sweep; values
-    from the previous sweep persist until redrawn.
-    """
-
-    vars: VarSet
-    steps: tuple[tuple[int, int, ConditionalTable], ...]  # (target, given, table)
-    state: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if self.state == 0 or self.state & ~self.vars.full_mask:
-            raise SpecError("state must be a nonempty subset of the variables")
-        available = self.state
-        for i, (tgt, giv, cond) in enumerate(self.steps):
-            if tgt == 0 or (tgt & giv):
-                raise SpecError(f"step {i}: bad target/conditioning blocks")
-            if giv & ~available:
-                raise SpecError(f"step {i}: conditions on unavailable variables")
-            if set(cond.target) != set(self.vars.names_of(tgt)) or set(
-                cond.given
-            ) != set(self.vars.names_of(giv)):
-                raise SpecError(f"step {i}: conditional names do not match blocks")
-            available |= tgt
-
-
-def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
-    """Transition matrix of one full sweep on the state cells: row = state
-    before the sweep, column = state after.
-
-    Between steps only the variables still needed (future conditioning
-    sets, plus state variables never redrawn) are retained; dropping the
-    rest is what makes each step's conditional exact for the retained
-    marginal.  Column j of the carried array is the distribution reached
-    from start state j, so every start is swept at once.
-    """
-    vars = g.vars
-    k = len(g.steps)
-    # needed[i]: variables whose pre-step-i value is still used at or after
-    # step i (a redraw makes the old value obsolete, so no step's target is
-    # live when it is drawn)
-    needed = [0] * (k + 1)
-    needed[k] = g.state
-    for i in range(k - 1, -1, -1):
-        tgt, giv, _ = g.steps[i]
-        needed[i] = giv | (needed[i + 1] & ~tgt)
-
-    def drop_to(dist: np.ndarray, live: int, keep: int) -> np.ndarray:
-        sub_vars = vars.restrict(live)
-        return marginal_array(dist, sub_vars.n, sub_vars.mask_of(vars.names_of(keep)))
-
-    live = g.state
-    dist = np.eye(1 << popcount(g.state))
-    for i, (tgt, giv, cond) in enumerate(g.steps):
-        keep = live & needed[i]
-        if keep != live:
-            dist = drop_to(dist, live, keep)
-            live = keep
-        new_live = live | tgt
-        nv = vars.restrict(new_live)
-        rows = packed_indices(nv, cond.target)
-        cols = packed_indices(nv, cond.given)
-        old_idx = packed_indices(nv, vars.names_of(live))
-        dist = cond.values[rows, cols][:, None] * dist[old_idx]
-        live = new_live
-    kernel = drop_to(dist, live, g.state).T
-    return kernel / kernel.sum(axis=1, keepdims=True)
-
-
-def gibbs_stationary(g: GibbsCycleSpec) -> JointTable:
-    """Stationary distribution of the composed sweep kernel on the state
-    variables, by the elimination of :func:`stationary_distribution`."""
-    pi = stationary_distribution(_sweep_kernel(g))
-    return JointTable(g.vars.restrict(g.state), pi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Markov-chain recovery of a group marginal from cyclic conditionals.
 
-A cycle of conditional distributions over disjoint variable groups,
-p(x_{B2} | x_{B1}), ..., p(x_{B1} | x_{Bk}), composes to a transition
-matrix on the first group's cells whose unique stationary distribution is
-that group's marginal.  The cyclic route of :mod:`mllp.solvers` and the
-Gibbs sweep kernels of :mod:`mllp.cimodels` recover marginals this way.
+A Gibbs sweep of conditional draws is a transition matrix on the cells of
+its state, and a cycle of conditionals over disjoint blocks,
+p(x_{B2} | x_{B1}), ..., p(x_{B1} | x_{Bk}), is the sweep on B1 that draws
+B2 given B1, B3 given B2 and so on; its unique stationary distribution is
+B1's marginal.  One kernel composes every sweep, reading each conditional
+by its names, and one elimination solves for the stationary distribution.
 """
 
 from __future__ import annotations
@@ -15,86 +16,89 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NON_CONVERGENCE, SolverError, SpecError
-from .tables import ConditionalTable, JointTable, VarSet, condition
+from .tables import (
+    ConditionalTable,
+    JointTable,
+    VarSet,
+    condition,
+    marginal_array,
+    packed_indices,
+    popcount,
+)
 
 
 @dataclass(frozen=True)
-class CycleChainSpec:
-    """Cycle of conditional distributions over disjoint variable groups.
+class GibbsCycleSpec:
+    """One sweep of conditional draws whose state lives on ``state``.
 
-    ``conditionals[i]`` is p(x_{blocks[i+1]} | x_{blocks[i]}) for
-    i = 0..k-2 and ``conditionals[k-1]`` is p(x_{blocks[0]} | x_{blocks[k-1]}).
+    Each step draws its target block from a conditional given variables
+    that are part of the state or were drawn earlier in the sweep; values
+    from the previous sweep persist until redrawn.
     """
 
     vars: VarSet
-    blocks: tuple[int, ...]
-    conditionals: tuple[ConditionalTable, ...]
+    steps: tuple[tuple[int, int, ConditionalTable], ...]  # (target, given, table)
+    state: int
 
     def __post_init__(self) -> None:
-        blocks = tuple(int(b) for b in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "conditionals", tuple(self.conditionals))
-        if len(blocks) < 2:
-            raise SpecError("a conditional cycle needs at least two blocks")
-        union = 0
-        for b in blocks:
-            if b == 0 or (b & union) or (b & ~self.vars.full_mask):
-                raise SpecError("blocks must be disjoint nonempty variable sets")
-            union |= b
-        if len(self.conditionals) != len(blocks):
-            raise SpecError("need exactly one conditional per block transition")
-        k = len(blocks)
-        for i, cond in enumerate(self.conditionals):
-            tgt = blocks[(i + 1) % k]
-            giv = blocks[i]
+        object.__setattr__(self, "steps", tuple(self.steps))
+        if self.state == 0 or self.state & ~self.vars.full_mask:
+            raise SpecError("state must be a nonempty subset of the variables")
+        available = self.state
+        for i, (tgt, giv, cond) in enumerate(self.steps):
+            if tgt == 0 or (tgt & giv):
+                raise SpecError(f"step {i}: bad target/conditioning blocks")
+            if giv & ~available:
+                raise SpecError(f"step {i}: conditions on unavailable variables")
             if set(cond.target) != set(self.vars.names_of(tgt)) or set(
                 cond.given
             ) != set(self.vars.names_of(giv)):
-                raise SpecError(
-                    f"conditional {i} must map block {i} to block {(i + 1) % k}"
-                )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "variables": list(self.vars.names),
-            "blocks": [list(self.vars.names_of(b)) for b in self.blocks],
-            "conditionals": [c.to_json_obj() for c in self.conditionals],
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "CycleChainSpec":
-        fields = ("variables", "blocks", "conditionals")
-        if not (isinstance(obj, dict)
-                and all(isinstance(obj.get(f), list) for f in fields)):
-            raise SpecError(
-                'cycle JSON needs "variables", "blocks" and "conditionals" lists'
-            )
-        vs = VarSet(tuple(obj["variables"]))
-        try:
-            blocks = tuple(vs.mask_of(b) for b in obj["blocks"])
-        except TypeError as exc:
-            raise SpecError(f"blocks must be lists of variable names: {exc}") from None
-        conds = tuple(ConditionalTable.from_json_obj(c) for c in obj["conditionals"])
-        return CycleChainSpec(vs, blocks, conds)
+                raise SpecError(f"step {i}: conditional names do not match blocks")
+            available |= tgt
 
 
-def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
-    """Extract the cycle of conditionals of a joint table along the given
-    disjoint blocks."""
-    k = len(blocks)
-    conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
-    return CycleChainSpec(t.vars, tuple(blocks), conds)
+def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
+    """Transition matrix of one full sweep on the state cells: row = state
+    before the sweep, column = state after.
 
+    Between steps only the variables still needed (future conditioning
+    sets, plus state variables never redrawn) are retained; dropping the
+    rest is what makes each step's conditional exact for the retained
+    marginal.  Column j of the carried array is the distribution reached
+    from start state j, so every start is swept at once.  Each conditional
+    is read by its names, in the order they are listed.
+    """
+    vars = g.vars
+    k = len(g.steps)
+    # needed[i]: variables whose pre-step-i value is still used at or after
+    # step i (a redraw makes the old value obsolete, so no step's target is
+    # live when it is drawn)
+    needed = [0] * (k + 1)
+    needed[k] = g.state
+    for i in range(k - 1, -1, -1):
+        tgt, giv, _ = g.steps[i]
+        needed[i] = giv | (needed[i + 1] & ~tgt)
 
-def _transition_matrix(chain: CycleChainSpec) -> np.ndarray:
-    """Row-stochastic matrix on the first block's cells: one full trip
-    around the cycle."""
-    mat: np.ndarray | None = None
-    for cond in chain.conditionals:
-        step = cond.values.T  # rows: conditioning cell, cols: target cell
-        mat = step if mat is None else mat @ step
-    assert mat is not None
-    return mat
+    def drop_to(dist: np.ndarray, live: int, keep: int) -> np.ndarray:
+        sub_vars = vars.restrict(live)
+        return marginal_array(dist, sub_vars.n, sub_vars.mask_of(vars.names_of(keep)))
+
+    live = g.state
+    dist = np.eye(1 << popcount(g.state))
+    for i, (tgt, giv, cond) in enumerate(g.steps):
+        keep = live & needed[i]
+        if keep != live:
+            dist = drop_to(dist, live, keep)
+            live = keep
+        new_live = live | tgt
+        nv = vars.restrict(new_live)
+        rows = packed_indices(nv, cond.target)
+        cols = packed_indices(nv, cond.given)
+        old_idx = packed_indices(nv, vars.names_of(live))
+        dist = cond.values[rows, cols][:, None] * dist[old_idx]
+        live = new_live
+    kernel = drop_to(dist, live, g.state).T
+    return kernel / kernel.sum(axis=1, keepdims=True)
 
 
 def stationary_distribution(m: np.ndarray) -> np.ndarray:
@@ -128,24 +132,94 @@ def stationary_distribution(m: np.ndarray) -> np.ndarray:
     return pi
 
 
+def gibbs_stationary(g: GibbsCycleSpec) -> JointTable:
+    """Stationary distribution of the composed sweep kernel on the state
+    variables, by the elimination of :func:`stationary_distribution`."""
+    pi = stationary_distribution(_sweep_kernel(g))
+    return JointTable(g.vars.restrict(g.state), pi)
+
+
+@dataclass(frozen=True)
+class CycleChainSpec:
+    """Cycle of conditional distributions over disjoint variable groups.
+
+    ``conditionals[i]`` is p(x_{blocks[i+1]} | x_{blocks[i]}) for
+    i = 0..k-2 and ``conditionals[k-1]`` is p(x_{blocks[0]} | x_{blocks[k-1]}).
+    """
+
+    vars: VarSet
+    blocks: tuple[int, ...]
+    conditionals: tuple[ConditionalTable, ...]
+
+    def __post_init__(self) -> None:
+        blocks = tuple(int(b) for b in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "conditionals", tuple(self.conditionals))
+        if len(blocks) < 2:
+            raise SpecError("a conditional cycle needs at least two blocks")
+        union = 0
+        for b in blocks:
+            if b == 0 or (b & union) or (b & ~self.vars.full_mask):
+                raise SpecError("blocks must be disjoint nonempty variable sets")
+            union |= b
+        if len(self.conditionals) != len(blocks):
+            raise SpecError("need exactly one conditional per block transition")
+        self.sweep  # checks each conditional's names against its blocks
+
+    @property
+    def sweep(self) -> GibbsCycleSpec:
+        """The cycle as a sweep on the first block: step i draws block i+1
+        given block i, and the last step draws the first block again."""
+        b = self.blocks
+        steps = zip(b[1:] + b[:1], b, self.conditionals)
+        return GibbsCycleSpec(self.vars, steps, b[0])
+
+    def to_json_obj(self) -> dict:
+        return {
+            "variables": list(self.vars.names),
+            "blocks": [list(self.vars.names_of(b)) for b in self.blocks],
+            "conditionals": [c.to_json_obj() for c in self.conditionals],
+        }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "CycleChainSpec":
+        fields = ("variables", "blocks", "conditionals")
+        if not (isinstance(obj, dict)
+                and all(isinstance(obj.get(f), list) for f in fields)):
+            raise SpecError(
+                'cycle JSON needs "variables", "blocks" and "conditionals" lists'
+            )
+        vs = VarSet(tuple(obj["variables"]))
+        try:
+            blocks = tuple(vs.mask_of(b) for b in obj["blocks"])
+        except TypeError as exc:
+            raise SpecError(f"blocks must be lists of variable names: {exc}") from None
+        conds = tuple(ConditionalTable.from_json_obj(c) for c in obj["conditionals"])
+        return CycleChainSpec(vs, blocks, conds)
+
+
+def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
+    """Extract the cycle of conditionals of a joint table along the given
+    disjoint blocks."""
+    k = len(blocks)
+    conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
+    return CycleChainSpec(t.vars, tuple(blocks), conds)
+
+
 def stationary(chain: CycleChainSpec) -> JointTable:
-    """Unique stationary distribution of the cycle's transition matrix."""
-    pi = stationary_distribution(_transition_matrix(chain))
-    return JointTable(chain.vars.restrict(chain.blocks[0]), pi)
+    """Stationary distribution of the cycle's sweep on its first block: the
+    block's marginal when the conditionals are those of one table."""
+    return gibbs_stationary(chain.sweep)
 
 
 def stationary_power(chain: CycleChainSpec) -> JointTable:
-    """Power iteration on the same transition matrix; the elimination is
+    """Power iteration on the same sweep kernel; the elimination is
     authoritative, this exists as an independent cross-check."""
-    m = _transition_matrix(chain)
-    size = m.shape[0]
-    v = np.full(size, 1.0 / size)
+    m = _sweep_kernel(chain.sweep)
+    v = np.full(len(m), 1.0 / len(m))
     for _ in range(200000):
-        nxt = v @ m
-        nxt /= nxt.sum()
-        if float(np.max(np.abs(nxt - v))) < 1e-14:
-            v = nxt
+        v, last = v @ m, v
+        v /= v.sum()
+        if float(np.max(np.abs(v - last))) < 1e-14:
             break
-        v = nxt
-    vars_b = chain.vars.restrict(chain.blocks[0])
-    return JointTable(vars_b, v / v.sum())
+    return JointTable(chain.vars.restrict(chain.blocks[0]), v / v.sum())

@@ -216,9 +216,9 @@ class MLLSpec:
             vs = VarSet(tuple(variables))
         pairs = []
         for margin_s, effects in entries:
-            margin = vs.mask_of(margin_s)
+            margin = vs.mask(margin_s)
             for eff_s in effects:
-                pairs.append((vs.mask_of(eff_s), margin))
+                pairs.append((vs.mask(eff_s), margin))
         return MLLSpec(vs, tuple(pairs))
 
 

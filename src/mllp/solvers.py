@@ -14,9 +14,9 @@ Four routes, dispatched automatically from the classification chain:
   sweeps when it stalls, and a contraction certificate from the
   derivative-column bounds comes with the solve when the collection has
   the single-feedback structure;
-* *Markov-chain* recovery for cyclic conditionals: the composed transition
-  matrix of the cycle has the missing group marginal as its unique
-  stationary distribution (the stationary solve of :mod:`mllp.markov`),
+* *Markov-chain* recovery for cyclic conditionals: the sweep kernel of
+  the cycle has the missing group marginal as its unique stationary
+  distribution (the one kernel and stationary solve of :mod:`mllp.markov`),
   and the rest is rebuilt hierarchically;
 * for collections without a proven route, up to 2 000 sweeps of the
   same fixed point, stopped when its residual stalls, then one *Newton*
@@ -485,8 +485,8 @@ def invert_newton(
     opts: SolveOptions = SolveOptions(),
     init_eta: np.ndarray | None = None,
 ) -> SolveResult:
-    """At most 200 Newton steps on F(eta) = lam(eta) - target, with a
-    step-halving line search on the sup-norm of F that tries at most
+    """At most min(max_iter, 200) Newton steps on F(eta) = lam(eta) - target,
+    with a step-halving line search on the sup-norm of F that tries at most
     NEWTON_TRIALS points per step."""
     if not spec.is_complete():
         raise StructureError("Newton inversion needs a complete spec")
@@ -501,10 +501,13 @@ def invert_newton(
     fvec = lambda_array(p, n, spec) - target.values
     res = float(np.max(np.abs(fvec)))
     trace.append(res)
-    for it in range(1, 201):
+    steps = min(opts.max_iter, 200)
+    for it in range(steps + 1):
         if res <= opts.tol:
             table = _finish_table(spec, p, trace)
-            return SolveResult(table, it - 1, res, "newton", None, tuple(trace))
+            return SolveResult(table, it, res, "newton", None, tuple(trace))
+        if it == steps:
+            break
         jac = jacobian_array(p, n, spec)
         try:
             step = np.linalg.solve(jac, -fvec)
@@ -533,7 +536,7 @@ def invert_newton(
         trace.append(res)
     raise SolverError(
         NON_CONVERGENCE,
-        f"residual {res:.3e} above tol after 200 Newton steps",
+        f"residual {res:.3e} above tol after {steps} Newton steps",
         trace,
     )
 
@@ -580,14 +583,8 @@ def _apply_interchange_to_target(
     lam_small = margin_lambda_array(t_big, sub_vars.n, compress(small, big))
     f = -float(lam_small[compress(effect, small)])
     old = tmap.pop((effect, from_m))
-    new_val = old - f if down else old + f
-    new_spec = MLLSpec(
-        spec.vars,
-        tuple((e, to_m) if (e, m) == (effect, from_m) else (e, m)
-              for e, m in spec.pairs),
-    )
-    tmap[(effect, to_m)] = new_val
-    return new_spec, tmap
+    tmap[(effect, to_m)] = old - f if down else old + f
+    return cls.apply_interchange(spec, ((effect, from_m), to_m)), tmap
 
 
 def _invert_variable_removal(

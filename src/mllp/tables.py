@@ -212,6 +212,10 @@ class VarSet:
             ) from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
+        """Mask of a list of names.  A string is refused, not read as its
+        characters: the compact form goes through :meth:`mask`."""
+        if isinstance(labels, str):
+            raise TypeError(f"expected a list of variable names, got {labels!r}")
         m = 0
         for s in labels:
             m |= 1 << self.position(s)
@@ -219,7 +223,7 @@ class VarSet:
 
     def mask(self, compact: str) -> int:
         """Mask from a compact string of single-character labels, e.g. "13"."""
-        return self.mask_of(compact)
+        return self.mask_of(tuple(compact))
 
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(self.names[i] for i in bit_positions(mask))
@@ -445,8 +449,9 @@ class ConditionalTable:
         object.__setattr__(self, "given", tuple(self.given))
         if not self.target:
             raise InvalidTableError("conditional needs a nonempty target")
-        if set(self.target) & set(self.given):
-            raise InvalidTableError("target and given variables overlap")
+        names = self.target + self.given
+        if len(set(names)) != len(names):
+            raise InvalidTableError("target and given list each variable once")
         v = np.asarray(self.values, dtype=np.float64)
         want = (1 << len(self.target), 1 << len(self.given))
         if v.shape != want:
@@ -471,14 +476,14 @@ class ConditionalTable:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "ConditionalTable":
-        try:
-            target, given = tuple(obj["target"]), tuple(obj.get("given", ()))
-        except (KeyError, TypeError) as exc:
+        if not (isinstance(obj, dict) and isinstance(obj.get("target"), list)
+                and isinstance(obj.get("given", []), list) and "values" in obj):
             raise InvalidTableError(
-                f'a conditional needs "target" and "given" lists: {exc}'
-            ) from None
+                'a conditional needs "target" and "given" lists and "values"'
+            )
         return ConditionalTable(
-            target, given, float_array(obj["values"], InvalidTableError)
+            tuple(obj["target"]), tuple(obj.get("given", [])),
+            float_array(obj["values"], InvalidTableError),
         )
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mllp.markov import CycleChainSpec, chain_from_joint
 from mllp.mll import MLLSpec
-from mllp.tables import JointTable, VarSet
+from mllp.tables import ConditionalTable, JointTable, VarSet
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -25,6 +26,56 @@ def outside_domain_values() -> list[float]:
 
 def dirichlet_table(vs: VarSet, rng: np.random.Generator) -> JointTable:
     return JointTable(vs, rng.dirichlet(np.ones(vs.n_cells)))
+
+
+# Cycles whose conditionals list their names out of variable order:
+# (number of variables, blocks, {conditional: (target reversed, given reversed)}).
+# A block other than the first, reversed in both of its conditionals, only
+# relabels an inner state of the cycle; the first block's order is that of
+# the stationary vector.
+RELISTED_CYCLES = {
+    "target-reversed": (3, (0b001, 0b110), {0: (True, False)}),
+    "given-reversed": (3, (0b001, 0b110), {1: (False, True)}),
+    "first-block-reversed": (
+        4, (0b0110, 0b0001, 0b1000), {0: (False, True), 2: (True, False)}
+    ),
+    "both-blocks-reversed": (4, (0b0011, 0b1100), {0: (True, True), 1: (True, True)}),
+}
+
+
+def relist(cond: ConditionalTable, target: tuple, given: tuple) -> ConditionalTable:
+    """The same conditional with its names listed as ``target`` and
+    ``given``: a cell index packs the listed names' values, first at bit 0."""
+
+    def old_index(old: tuple, new: tuple) -> np.ndarray:
+        cells = np.arange(1 << len(new))
+        out = np.zeros_like(cells)
+        for j, name in enumerate(old):
+            out |= ((cells >> new.index(name)) & 1) << j
+        return out
+
+    rows = old_index(cond.target, target)
+    cols = old_index(cond.given, given)
+    return ConditionalTable(target, given, cond.values[np.ix_(rows, cols)])
+
+
+def relisted_cycle(
+    case: str, rng: np.random.Generator
+) -> tuple[JointTable, CycleChainSpec]:
+    """A Dirichlet(1) table and its cycle of conditionals, with the names of
+    the conditionals of ``RELISTED_CYCLES[case]`` listed in reverse."""
+    n, blocks, reversed_names = RELISTED_CYCLES[case]
+    t = dirichlet_table(make_vars(n), rng)
+    chain = chain_from_joint(t, blocks)
+    conds = list(chain.conditionals)
+    for i, (rev_target, rev_given) in reversed_names.items():
+        c = conds[i]
+        conds[i] = relist(
+            c,
+            c.target[::-1] if rev_target else c.target,
+            c.given[::-1] if rev_given else c.given,
+        )
+    return t, CycleChainSpec(t.vars, blocks, tuple(conds))
 
 
 def underflow_case() -> tuple[MLLSpec, JointTable]:

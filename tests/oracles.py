@@ -36,7 +36,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from mllp import classify as cls
-from mllp.cimodels import GibbsCycleSpec
 from mllp.classify import ClassificationReport, RuleStep, _margins
 from mllp.errors import (
     DIVERGENCE,
@@ -47,6 +46,7 @@ from mllp.errors import (
     SpecError,
     StructureError,
 )
+from mllp.markov import GibbsCycleSpec
 from mllp.mixed import _least_squares_step
 from mllp.mll import (
     MLLSpec,

@@ -13,10 +13,8 @@ import pytest
 from mllp import catalog
 from mllp.cimodels import (
     CIStatement,
-    GibbsCycleSpec,
     ci_holds,
     ci_to_zero_params,
-    gibbs_stationary,
     model_member,
     model_spec,
 )
@@ -29,7 +27,13 @@ from mllp.classify import (
 )
 from mllp.cli import pair_map_min_singular_value
 from mllp.mll import jacobian_array, lambda_vector
-from mllp.markov import chain_from_joint, stationary, stationary_power
+from mllp.markov import (
+    GibbsCycleSpec,
+    chain_from_joint,
+    gibbs_stationary,
+    stationary,
+    stationary_power,
+)
 from mllp.solvers import (
     SolveOptions,
     invert_cyclic,

@@ -6,19 +6,22 @@ import pytest
 from mllp import catalog, solvers
 from mllp.cimodels import (
     CIStatement,
-    GibbsCycleSpec,
-    _sweep_kernel,
     _two_anchor_warm_start,
     ci_holds,
     ci_to_zero_params,
-    gibbs_stationary,
     model_member,
     model_spec,
 )
 from mllp.classify import PROVEN_SMOOTH, classify
 from mllp.errors import NON_CONVERGENCE, SolverError, SpecError
 from mllp.mll import conditional_from_lambda, conditional_lambda_set, lambda_vector
-from mllp.markov import chain_from_joint, stationary
+from mllp.markov import (
+    GibbsCycleSpec,
+    _sweep_kernel,
+    chain_from_joint,
+    gibbs_stationary,
+    stationary,
+)
 from mllp.tables import (
     JointTable,
     VarSet,

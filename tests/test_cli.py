@@ -10,9 +10,16 @@ from mllp.cimodels import CIStatement, model_spec
 from mllp.cli import _emit, main
 from mllp.mll import lambda_vector
 from mllp.markov import chain_from_joint
-from mllp.tables import VarSet, random_table
+from mllp.tables import VarSet, marginalize, random_table
 
-from conftest import dirichlet_table, make_vars, outside_domain_values, underflow_case
+from conftest import (
+    RELISTED_CYCLES,
+    dirichlet_table,
+    make_vars,
+    outside_domain_values,
+    relisted_cycle,
+    underflow_case,
+)
 
 
 def run(argv):
@@ -176,10 +183,19 @@ class TestSubcommands:
         assert rc == 0
         doc = json.loads(out)
         assert doc["power_iteration_gap"] < 1e-10
-        from mllp.tables import marginalize
-
         want = marginalize(table, 0b001)
         assert np.allclose(doc["stationary"], want.p, atol=1e-10)
+
+    @pytest.mark.parametrize("case", sorted(RELISTED_CYCLES))
+    def test_markov_reads_conditionals_by_their_names(self, tmp_path, case):
+        t, chain = relisted_cycle(case, np.random.default_rng(2502))
+        (tmp_path / "chain.json").write_text(json.dumps(chain.to_json_obj()))
+        rc, out = run(["markov", "--chain", str(tmp_path / "chain.json")])
+        assert rc == 0
+        doc = json.loads(out)
+        want = marginalize(t, chain.blocks[0]).p
+        assert float(np.max(np.abs(np.array(doc["stationary"]) - want))) < 1e-12
+        assert doc["power_iteration_gap"] < 1e-12
 
     def test_model(self, workdir, tmp_path):
         path, _, _ = workdir
@@ -222,6 +238,33 @@ _BAD_CHAINS = {
     "values-x": lambda c: {
         **c,
         "conditionals": [{**c["conditionals"][0], "values": "x"}, *c["conditionals"][1:]],
+    },
+    # a string of names is not read as its characters
+    "block-string": lambda c: {**c, "blocks": [c["blocks"][0], "".join(c["blocks"][1])]},
+    "target-string": lambda c: {
+        **c,
+        "conditionals": [
+            {**c["conditionals"][0], "target": "".join(c["conditionals"][0]["target"])},
+            *c["conditionals"][1:],
+        ],
+    },
+    # a repeated name, with a row per packed index: read by its names, the
+    # kernel would skip the rows whose two copies disagree
+    "target-repeated": lambda c: {
+        **c,
+        "conditionals": [
+            c["conditionals"][0],
+            {**c["conditionals"][1], "target": c["conditionals"][1]["target"] * 2,
+             "values": [[0.5 * v for v in c["conditionals"][1]["values"][0]]] * 2
+             + [[f * v for v in c["conditionals"][1]["values"][1]] for f in (0.25, 0.75)]},
+        ],
+    },
+    "given-string": lambda c: {
+        **c,
+        "conditionals": [
+            c["conditionals"][0],
+            {**c["conditionals"][1], "given": "".join(c["conditionals"][1]["given"])},
+        ],
     },
 }
 
@@ -366,17 +409,25 @@ class TestExitCodes:
         assert_domain_error(["invert", "--lambda", str(tmp_path / "lam.json")], capsys)
 
     @pytest.mark.parametrize(
-        "case", ["value-x", "spec-variables-5", "spec-variables-string"]
+        "case",
+        ["value-x", "spec-variables-5", "spec-variables-string",
+         "spec-margin-string", "spec-effect-string"],
     )
     def test_malformed_lambda_is_domain_error(self, workdir, capsys, case):
         path, _, _ = workdir
         doc = json.loads((path / "lam.json").read_text())
+        pair = doc["spec"]["pairs"][0]
+        # a string is not read as its characters
         if case == "value-x":
             doc["values"][0] = "x"
         elif case == "spec-variables-5":
             doc["spec"]["variables"] = 5
-        else:  # a string is not read as its characters
+        elif case == "spec-variables-string":
             doc["spec"]["variables"] = "123"
+        elif case == "spec-margin-string":
+            pair["margin"] = "".join(pair["margin"])
+        else:
+            pair["effect"] = "".join(pair["effect"])
         (path / "lam.json").write_text(json.dumps(doc))
         assert_domain_error(["invert", "--lambda", str(path / "lam.json")], capsys)
 
@@ -420,6 +471,24 @@ class TestExitCodes:
             capsys,
         )
 
+    @pytest.mark.parametrize("field", ["effect", "margin"])
+    def test_member_names_string_is_domain_error(self, workdir, capsys, field):
+        # a string is not read as its characters
+        path, _, _ = workdir
+        vs = make_vars(4)
+        ms = model_spec([CIStatement.from_text(vs, s) for s in catalog.CI_LOOP_THREE])
+        free = [
+            {"effect": list(vs.names_of(e)), "margin": list(vs.names_of(m)),
+             "value": 0.25}
+            for e, m in ms.free_pairs
+        ]
+        free[-1][field] = "".join(free[-1][field])
+        (path / "free.json").write_text(json.dumps(free))
+        assert_domain_error(
+            ["model", "--ci", str(path / "ci.txt"), "--member", str(path / "free.json")],
+            capsys,
+        )
+
     @pytest.mark.parametrize("case", sorted(_BAD_CHAINS))
     def test_malformed_chain_is_domain_error(self, workdir, capsys, case):
         path, _, _ = workdir
@@ -434,8 +503,14 @@ class TestExitCodes:
             {"variables": ["1", "2", "3"], "statements": 5},
             {"variables": ["1", "2", "3"], "statements": [5]},
             {"variables": "123", "statements": [{"a": ["1"], "b": ["2"]}]},
+            # a string is not read as its characters
+            {"variables": ["1", "2", "3"], "statements": [{"a": "1", "b": ["2"]}]},
+            {"variables": ["1", "2", "3"], "statements": [{"a": ["1"], "b": "23"}]},
+            {"variables": ["1", "2", "3"],
+             "statements": [{"a": ["1"], "b": ["2"], "c": "3"}]},
         ],
-        ids=["variables-5", "statements-5", "statement-5", "variables-string"],
+        ids=["variables-5", "statements-5", "statement-5", "variables-string",
+             "a-string", "b-string", "c-string"],
     )
     def test_malformed_statements_is_domain_error(self, tmp_path, capsys, doc):
         (tmp_path / "ci.json").write_text(json.dumps(doc))
@@ -448,8 +523,11 @@ class TestExitCodes:
             ({"margin": ["1", "3"], "effect": ["1"]}, 0, "unknown variable '3'"),
             ({"margin": ["1"], "effect": ["2"]}, 0, "is not contained in margin"),
             ({"margin": ["1"], "effect": ["1"]}, 2, "invalid spec JSON"),
+            ({"margin": "12", "effect": ["1"]}, 0, "list of variable names"),
+            ({"margin": ["1", "2"], "effect": "1"}, 0, "list of variable names"),
         ],
-        ids=["unknown-variable", "effect-outside-margin", "truncated"],
+        ids=["unknown-variable", "effect-outside-margin", "truncated",
+             "margin-string", "effect-string"],
     )
     def test_bad_json_spec_is_named(self, workdir, capsys, command, pair, cut, named):
         # a JSON spec is never re-read as text, whose parser would take

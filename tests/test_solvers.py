@@ -62,7 +62,13 @@ from mllp.tables import (
     uniform_table,
 )
 
-from conftest import dirichlet_table, make_vars, underflow_case
+from conftest import (
+    RELISTED_CYCLES,
+    dirichlet_table,
+    make_vars,
+    relisted_cycle,
+    underflow_case,
+)
 from oracles import (
     brute_contraction_subsystem,
     brute_fixed_point,
@@ -819,6 +825,15 @@ class TestStationary:
             np.max(np.abs(stationary(chain).p - stationary_power(chain).p))
         ) < 1e-10
 
+    @pytest.mark.parametrize("case", sorted(RELISTED_CYCLES))
+    def test_conditionals_read_by_their_names(self, case):
+        # the same conditionals with names listed out of variable order,
+        # values permuted to match, give the joint's marginal
+        t, chain = relisted_cycle(case, np.random.default_rng(2501))
+        want = marginalize(t, chain.blocks[0]).p
+        assert float(np.max(np.abs(stationary(chain).p - want))) < 1e-12
+        assert float(np.max(np.abs(stationary_power(chain).p - want))) < 1e-12
+
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 16, 32])
     def test_elimination_matches_direct_solve(self, size):
         # well-conditioned chains: Dirichlet(1) rows mix within a few steps
@@ -881,6 +896,21 @@ class TestNewton:
         t = dirichlet_table(spec.vars, rng)
         res = invert_newton(spec, lambda_vector(t, spec))
         assert all(b < a for a, b in zip(res.trace, res.trace[1:]) if a > 1e-13)
+
+    def test_max_iter_caps_the_steps(self):
+        # CYCLE_THREE at this table takes 5 steps; max_iter=k allows k
+        spec = catalog.CYCLE_THREE
+        t = dirichlet_table(spec.vars, np.random.default_rng(0))
+        target = lambda_vector(t, spec)
+        for k in (1, 4):
+            with pytest.raises(SolverError) as err:
+                invert(spec, target, SolveOptions(method="NEWTON", max_iter=k))
+            assert err.value.kind == NON_CONVERGENCE
+            assert len(err.value.trace) == k + 1
+            assert f"after {k} Newton steps" in str(err.value)
+        res = invert(spec, target, SolveOptions(method="NEWTON", max_iter=5))
+        assert (res.iterations, len(res.trace)) == (5, 6)
+        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
 
 
 class TestInvertAuto:
