@@ -29,7 +29,8 @@ import time
 import numpy as np
 
 from mllp import catalog, solvers
-from mllp.classify import UNKNOWN, census
+from mllp.census import census
+from mllp.classify import UNKNOWN
 from mllp.errors import MllpError
 from mllp.mll import MLLSpec, lambda_vector
 from mllp.tables import JointTable

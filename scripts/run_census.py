@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from mllp.classify import census
+from mllp.census import census
 
 
 def main() -> int:

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 
 from mllp import catalog
-from mllp.classify import PROVEN_SMOOTH, classify, enumerate_complete
+from mllp.census import enumerate_complete
+from mllp.classify import PROVEN_SMOOTH, classify
 from mllp.cli import pair_map_min_singular_value
 from mllp.tables import random_table, uniform_table
 

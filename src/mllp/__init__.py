@@ -4,9 +4,12 @@ Submodules:
 
 * :mod:`mllp.tables`   -- bit-lattice algebra, joint/marginal/conditional tables,
   the transform between tables and log-linear coefficients (fwht, weights).
-* :mod:`mllp.mll`      -- effect-margin parameters, their decomposition,
-  analytic derivatives and norm bounds.
-* :mod:`mllp.classify` -- smoothness rules, orbit enumeration and the census.
+* :mod:`mllp.mll`      -- effect-margin parameters, the forward map, its
+  compiled per-margin plan and the analytic Jacobian.
+* :mod:`mllp.classify` -- smoothness rules and the search over interchange
+  moves that proves a collection smooth.
+* :mod:`mllp.census`   -- enumeration, canonical forms and orbit counts of
+  complete collections, and the census that classifies each orbit.
 * :mod:`mllp.mixed`    -- a table from its sub-margins and the log-linear
   coefficients no sub-margin covers (the mixed-coordinate solve).
 * :mod:`mllp.markov`   -- Gibbs sweeps and cycles of conditionals, the one

@@ -266,13 +266,16 @@ def model_member(
     given values.
 
     Embeddings with two disjoint fully parameterised two-variable anchor
-    margins first try Newton from the product of the two anchor tables (on
-    ci_loop_four members half the time of the automatic inverter's
-    fallback: 3.3 against 6.2 ms on a 2-vCPU Xeon); otherwise, or when
-    that fails, the automatic inverter solves.  Its
-    failure is NON_CONVERGENCE: the parameters are variation dependent, so
-    some free values have no member.  When ``statements`` are given the
-    member is verified against them.
+    margins first try Newton from the product of the two anchor tables;
+    otherwise, or when that fails, the automatic inverter solves.  The
+    warm start is kept for speed and for reach: over the ci_loop_four
+    members of ``scripts/fallback_probe.py`` (best of 3 each, 2-vCPU Xeon,
+    one BLAS thread) it takes a median 1.8-2.1 against 2.9-3.6 ms at scale
+    1 and 2.4-2.6 against 4.0-4.5 ms at scale 2, and without it the
+    inverter alone finds no member for draw 179 at scale 4.  The
+    inverter's failure is NON_CONVERGENCE: the parameters are variation
+    dependent, so some free values have no member.  When ``statements``
+    are given the member is verified against them.
     """
     if not embedding.is_complete():
         raise StructureError("model embeddings must be complete")

@@ -896,155 +896,3 @@ class _Search:
             if t >= 0:
                 reduced.append(self.spec(t))
         return tuple(steps), tuple(reduced)
-
-
-# ---------------------------------------------------------------------------
-# Enumeration, canonical forms and the census
-# ---------------------------------------------------------------------------
-
-def permute_mask(mask: int, perm: Sequence[int]) -> int:
-    out = 0
-    for b in bit_positions(mask):
-        out |= 1 << perm[b]
-    return out
-
-
-def canonical_pairs(pairs: Iterable[Pair], n: int) -> tuple[Pair, ...]:
-    """Minimum over variable relabelings of the sorted (margin, effect)
-    encoding; equal canonical forms mean the specs differ by a relabeling."""
-    pairs = tuple(pairs)
-    best: tuple[tuple[int, int], ...] | None = None
-    for perm in itertools.permutations(range(n)):
-        enc = tuple(
-            sorted((permute_mask(m, perm), permute_mask(e, perm)) for e, m in pairs)
-        )
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return tuple((e, m) for m, e in best)
-
-
-def canonical_key(spec: MLLSpec) -> tuple[Pair, ...]:
-    return canonical_pairs(spec.pairs, spec.vars.n)
-
-
-def labeled_complete_count(n: int) -> int:
-    """Number of complete collections with labelled variables: every effect
-    independently picks one of its 2**(n-|L|) superset margins."""
-    exponent = sum(n - popcount(L) for L in range(1, 1 << n))
-    return 1 << exponent
-
-
-def _perm_fixed_count(n: int, perm: Sequence[int]) -> int:
-    """Complete collections fixed by a relabeling: each effect orbit picks a
-    superset margin fixed by the orbit-length power of the permutation."""
-    full = (1 << n) - 1
-    seen: set[int] = set()
-    count = 1
-    for L in range(1, full + 1):
-        if L in seen:
-            continue
-        orbit = [L]
-        cur = permute_mask(L, perm)
-        while cur != L:
-            orbit.append(cur)
-            cur = permute_mask(cur, perm)
-        seen.update(orbit)
-        power = list(range(n))
-        for _ in range(len(orbit)):
-            power = [perm[b] for b in power]
-        choices = 0
-        for M in range(1, full + 1):
-            if (L & ~M) == 0 and permute_mask(M, power) == M:
-                choices += 1
-        count *= choices
-    return count
-
-
-def burnside_orbit_count(n: int) -> int:
-    perms = list(itertools.permutations(range(n)))
-    total = sum(_perm_fixed_count(n, perm) for perm in perms)
-    assert total % len(perms) == 0
-    return total // len(perms)
-
-
-def enumerate_complete(n: int, up_to_symmetry: bool = False) -> list[MLLSpec]:
-    """Materialise complete collections on n variables (n <= 3), optionally
-    one representative per relabeling orbit.  Use the counting helpers for
-    larger n."""
-    if n > 3:
-        raise SpecError(
-            "materialised enumeration is limited to 3 variables; "
-            "use labeled_complete_count / burnside_orbit_count for counts"
-        )
-    vs = VarSet(tuple(str(i + 1) for i in range(n)))
-    full = vs.full_mask
-    effects = list(range(1, full + 1))
-    superset_choices = [
-        [M for M in range(1, full + 1) if (L & ~M) == 0] for L in effects
-    ]
-    specs = []
-    seen_keys = set()
-    for assignment in itertools.product(*superset_choices):
-        pairs = tuple(zip(effects, assignment))
-        if up_to_symmetry:
-            key = canonical_pairs(pairs, n)
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            specs.append(MLLSpec(vs, key))
-        else:
-            specs.append(MLLSpec(vs, pairs))
-    return specs
-
-
-def census(n: int = 3) -> dict:
-    """Classify every complete collection on n variables up to relabeling
-    and tabulate verdicts and first rules.  Only n = 3 is supported."""
-    if n != 3:
-        raise SpecError("the census is defined for exactly 3 variables")
-    reps = enumerate_complete(n, up_to_symmetry=True)
-    rows = []
-    first_rule_counts: dict[str, int] = {}
-    proven_hard = 0
-    proven_total = 0
-    unknown = 0
-    for idx, spec in enumerate(reps):
-        report = classify(spec)
-        first = report.first_rule or "none"
-        if report.verdict == PROVEN_SMOOTH:
-            proven_total += 1
-            if first != CONTRACTION_RULE:
-                proven_hard += 1
-        else:
-            unknown += 1
-        first_rule_counts[first] = first_rule_counts.get(first, 0) + 1
-        rows.append(
-            {
-                "orbit": idx,
-                "spec": spec.to_text().replace("\n", "; ").strip("; "),
-                "margins": len(spec.margins),
-                "verdict": report.verdict,
-                "first_rule": first,
-                "chain": [s.describe() for s in report.rule_chain],
-            }
-        )
-    return {
-        "variables": n,
-        "labeled_complete": labeled_complete_count(n),
-        "complete_orbits": len(reps),
-        "burnside_orbits": burnside_orbit_count(n),
-        "hierarchical_orbits": first_rule_counts.get("hierarchical", 0),
-        "two_margin_extra": first_rule_counts.get("two_margin", 0),
-        "variable_removal_first": first_rule_counts.get("variable_removal", 0),
-        "slice_split_first": first_rule_counts.get("slice_split", 0),
-        "three_margin_first": first_rule_counts.get("three_margin", 0),
-        "single_feedback_first": first_rule_counts.get("single_feedback", 0),
-        "cyclic_first": first_rule_counts.get("cyclic", 0),
-        "slice_split_general_first": first_rule_counts.get("slice_split_general", 0),
-        "contraction_first": first_rule_counts.get(CONTRACTION_RULE, 0),
-        "proven_smooth_hard": proven_hard,
-        "proven_smooth_total": proven_total,
-        "unknown_orbits": unknown,
-        "rows": rows,
-    }

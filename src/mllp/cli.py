@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify as cls
-from . import cimodels, markov, solvers
+from . import census, cimodels, markov, solvers
 from .errors import MllpError, SolverError, SpecError
 from .mll import MLLSpec, MLLVector, jacobian, jacobian_array, lambda_vector
 from .tables import JointTable, VarSet, float_array, random_table
@@ -82,18 +82,18 @@ def _cmd_enumerate(args, out) -> int:
         raise SpecError(f"--vars must be between 1 and 11, got {n}")
     if args.orbits and n > 7:
         raise SpecError(f"--orbits counts at most 7 variables, got {n}")
-    doc: dict = {"variables": n, "labeled_complete": cls.labeled_complete_count(n)}
+    doc: dict = {"variables": n, "labeled_complete": census.labeled_complete_count(n)}
     if args.orbits:
-        doc["orbit_count"] = cls.burnside_orbit_count(n)
+        doc["orbit_count"] = census.burnside_orbit_count(n)
         if n <= 3:
-            reps = cls.enumerate_complete(n, up_to_symmetry=True)
+            reps = census.enumerate_complete(n, up_to_symmetry=True)
             doc["orbit_representatives"] = [s.to_json_obj() for s in reps]
     _emit(doc, out)
     return 0
 
 
 def _cmd_census(args, out) -> int:
-    report = cls.census(args.vars)
+    report = census.census(args.vars)
     if args.csv:
         writer = csv.DictWriter(
             out, fieldnames=["orbit", "spec", "margins", "verdict", "first_rule"]

@@ -10,7 +10,7 @@ For M = V this is the ordinary log-linear coefficient eta_L.  A collection
 of such pairs is held by :class:`MLLSpec`; evaluating all of them on a
 table gives an :class:`MLLVector`.
 
-Key analytic facts implemented here:
+Key analytic facts behind the routines here:
 
 * Adding variables A (disjoint from M) to the margin splits the parameter
   as lam(L, M|A) = lam(L, M) + f, where f is the same alternating average
@@ -21,15 +21,16 @@ Key analytic facts implemented here:
 
       d lam(L,M) / d eta_K = 2**-|M| * sum_{x} (-1)**|x & (K xor L)| * w(x),
 
-  with w(x) = p(x_{V minus M} | x_M); see :func:`dlambda_deta` and
-  :func:`jacobian`.  The indicator branch follows from the decomposition
-  above because the conditional p(x_{V minus M} | x_M) does not depend on
-  coefficients of effects inside M; it is verified against finite
-  differences in the test suite.
+  with w(x) = p(x_{V minus M} | x_M).  :func:`margin_kernel_array` holds
+  these sums for one margin, and :func:`jacobian` reads them.  The
+  indicator branch follows from the decomposition above because the
+  conditional p(x_{V minus M} | x_M) does not depend on coefficients of
+  effects inside M; it is verified against finite differences in the test
+  suite.
 
 * Alternating sums of a conditional weight vector are bounded: the column
-  and row sums of squared derivatives stay below 1 - min_cell; see
-  :func:`column_norm_bound_check` / :func:`row_norm_bound_check`.
+  and row sums of squared derivatives stay below 1 - min_cell.  The
+  solvers' contraction certificate is the largest such column sum.
 
 A collection's pairs are grouped by margin once, in a cached plan
 (:func:`_plan`) that the forward map, the Jacobian and the solvers' fixed
@@ -52,7 +53,6 @@ from .tables import (
     ConditionalTable,
     JointTable,
     VarSet,
-    _hadamard,
     compress,
     compress_map,
     condition,
@@ -63,7 +63,6 @@ from .tables import (
     nonempty_submasks,
     parity_signs,
     popcount,
-    submasks,
     table_from_eta,
 )
 
@@ -341,12 +340,6 @@ def lambda_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
     return out
 
 
-def lambda_value(t: JointTable, effect: int, margin: int) -> float:
-    """The effect's log-linear coefficient inside the margin's table."""
-    _check_pair(t.vars, effect, margin)
-    return float(margin_lambda_array(t.p, t.n, margin)[compress(effect, margin)])
-
-
 def lambda_vector(t: JointTable, spec: MLLSpec) -> MLLVector:
     """All parameters of a spec, grouping the per-margin transforms."""
     if spec.vars.names != t.vars.names:
@@ -445,18 +438,6 @@ def margin_kernel_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
     return fwht(w) / (1 << popcount(margin))
 
 
-def dlambda_deta(t: JointTable, effect: int, margin: int, wrt: int) -> float:
-    """Partial derivative of lam(effect, margin) in eta_wrt, the remaining
-    eta coefficients held fixed."""
-    _check_pair(t.vars, effect, margin)
-    if wrt == 0 or wrt & ~t.vars.full_mask:
-        raise SpecError("derivative index must be a nonempty subset of the variables")
-    if (wrt & ~margin) == 0:
-        return 1.0 if wrt == effect else 0.0
-    g = margin_kernel_array(t.p, t.n, margin)
-    return float(g[wrt ^ effect])
-
-
 _JACOBIAN_CHUNK = 128  # rows gathered at once; bounds the index array
 
 
@@ -490,62 +471,3 @@ def jacobian(t: JointTable, spec: MLLSpec) -> np.ndarray:
     if spec.vars.names != t.vars.names:
         raise SpecError("spec and table use different variable sets")
     return jacobian_array(t.p, t.n, spec)
-
-
-def kappa(t: JointTable, effect: int, margin: int, v_mask: int, xv: int) -> float:
-    """Slice parameter: the (effect, margin) coefficient of the conditional
-    distribution given X_v = xv, expressed through two parameters of the
-    enlarged margin:
-
-        kappa = lam(effect, margin|v) + (-1)**xv * lam(effect|v, margin|v).
-    """
-    if popcount(v_mask) != 1:
-        raise StructureError("v must be a single variable")
-    if v_mask & (effect | margin):
-        raise StructureError("v must lie outside the effect and margin")
-    _check_pair(t.vars, effect, margin)
-    sign = -1.0 if xv else 1.0
-    big = margin | v_mask
-    return lambda_value(t, effect, big) + sign * lambda_value(t, effect | v_mask, big)
-
-
-# ---------------------------------------------------------------------------
-# Norm bounds for derivative columns and rows
-# ---------------------------------------------------------------------------
-
-def column_norm_bound_check(
-    t: JointTable, margin: int, j_mask: int, k_mask: int
-) -> tuple[float, float]:
-    """Sum over nonempty effects C inside ``margin`` of the squared
-    derivative of lam(C, margin) in eta_{j|k}, paired with the bound
-    1 - min_cell that it must not exceed.
-
-    Requires j inside the margin and k a nonempty subset outside it.
-    """
-    if j_mask & ~margin:
-        raise StructureError("j must be inside the margin")
-    if k_mask == 0 or (k_mask & margin) or (k_mask & ~t.vars.full_mask):
-        raise StructureError("k must be a nonempty subset outside the margin")
-    g = margin_kernel_array(t.p, t.n, margin)
-    jk = j_mask | k_mask
-    norm = float(sum(g[C ^ jk] ** 2 for C in nonempty_submasks(margin)))
-    return norm, 1.0 - t.min_cell
-
-
-def row_norm_bound_check(
-    t: JointTable, margin: int, c_mask: int, k_mask: int
-) -> tuple[float, float]:
-    """Sum over subsets J of ``margin`` of the squared derivative of
-    lam(c, margin) in eta_{J|k}, paired with the bound 1 - min_cell."""
-    if c_mask == 0 or c_mask & ~margin:
-        raise StructureError("c must be a nonempty subset of the margin")
-    if k_mask == 0 or (k_mask & margin) or (k_mask & ~t.vars.full_mask):
-        raise StructureError("k must be a nonempty subset outside the margin")
-    g = margin_kernel_array(t.p, t.n, margin)
-    norm = float(sum(g[c_mask ^ (J | k_mask)] ** 2 for J in submasks(margin)))
-    return norm, 1.0 - t.min_cell
-
-
-def sign_matrix(k: int) -> np.ndarray:
-    """Orthogonal 2**k x 2**k matrix with entries 2**(-k/2) * (-1)**|A & B|."""
-    return _hadamard(1 << k) * 2.0 ** (-k / 2)

@@ -52,6 +52,7 @@ import numpy as np
 from . import classify as cls
 from .errors import (
     ALL_METHODS_FAILED,
+    IncompleteSpecError,
     InvalidTableError,
     DIVERGENCE,
     NON_CONVERGENCE,
@@ -356,24 +357,29 @@ def invert_fixed_point(
 def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
     """Largest squared derivative-column norm of the fixed-point map at t.
 
-    Requires the single-feedback structure: each proper-margin pair sees at
-    most one other proper margin its effect is not inside.  The column of
-    such an effect then only carries the derivatives of that one margin's
-    parameters, whose squared sum stays below 1 - min_cell.  Full-margin
-    effects are exact after one sweep and contribute no feedback.
+    Requires a complete spec with the single-feedback structure: each
+    proper-margin pair sees at most one other proper margin, its feeder,
+    that its effect is not inside.  The column of such an effect then only
+    carries the derivatives of the feeder's parameters, whose squared sum
+    stays below 1 - min_cell.  Full-margin effects are exact after one
+    sweep and contribute no feedback.
     """
-    if cls.rule_applies(spec, "single_feedback") is None:
-        raise StructureError(
-            "contraction certificate needs the single-feedback margin structure"
-        )
+    if not spec.is_complete():
+        raise IncompleteSpecError("contraction certificate needs a complete spec")
     proper = _plan(spec.pairs, t.n)[1:]  # a complete spec's full margin leads
     kernels: dict[int, np.ndarray] = {}
     worst = 0.0
     for m in proper:
         for effect in m.effects.tolist():
-            feeder = next((f for f in proper if f is not m and effect & ~f.margin), None)
-            if feeder is None:
+            feeders = [f for f in proper if f is not m and effect & ~f.margin]
+            if len(feeders) > 1:
+                raise StructureError(
+                    "contraction certificate needs the single-feedback margin "
+                    "structure"
+                )
+            if not feeders:
                 continue
+            feeder = feeders[0]
             if feeder.margin not in kernels:
                 kernels[feeder.margin] = margin_kernel_array(t.p, t.n, feeder.margin)
             g = kernels[feeder.margin]

@@ -53,11 +53,6 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-def parity(effect: int, cell: int) -> int:
-    """Sign (-1)**|cell & effect|: +1 iff the overlap has even size."""
-    return -1 if (effect & cell).bit_count() & 1 else 1
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` in increasing numeric order, including 0."""
     s = 0
@@ -174,7 +169,7 @@ def weights(eta: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class VarSet:
-    """Ordered collection of distinct binary-variable labels.
+    """Ordered collection of distinct binary-variable labels, each a string.
 
     Position k in ``names`` corresponds to bit k in every mask used with
     this variable set.
@@ -183,7 +178,11 @@ class VarSet:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(str(s) for s in self.names))
+        names = tuple(self.names)
+        for s in names:
+            if not isinstance(s, str):
+                raise InvalidTableError(f"variable names must be strings, got {s!r}")
+        object.__setattr__(self, "names", tuple(map(str, names)))
         if not 1 <= len(self.names) <= MAX_VARS:
             raise InvalidTableError(
                 f"need between 1 and {MAX_VARS} variables, got {len(self.names)}"
@@ -213,11 +212,14 @@ class VarSet:
 
     def mask_of(self, labels: Iterable[str]) -> int:
         """Mask of a list of names.  A string is refused, not read as its
-        characters: the compact form goes through :meth:`mask`."""
+        characters: the compact form goes through :meth:`mask`.  So is a
+        name that is not a string, which no variable set holds."""
         if isinstance(labels, str):
             raise TypeError(f"expected a list of variable names, got {labels!r}")
         m = 0
         for s in labels:
+            if not isinstance(s, str):
+                raise TypeError(f"variable names must be strings, got {s!r}")
             m |= 1 << self.position(s)
         return m
 
@@ -450,6 +452,9 @@ class ConditionalTable:
         if not self.target:
             raise InvalidTableError("conditional needs a nonempty target")
         names = self.target + self.given
+        for s in names:
+            if not isinstance(s, str):
+                raise InvalidTableError(f"variable names must be strings, got {s!r}")
         if len(set(names)) != len(names):
             raise InvalidTableError("target and given list each variable once")
         v = np.asarray(self.values, dtype=np.float64)

@@ -4,7 +4,9 @@ Everything here works cell by cell, subset by subset, with explicit Python
 loops and no transforms, deliberately sharing no code with the package
 internals; :func:`brute_jacobian` and :func:`rowwise_jacobian` alone read
 the package's derivative kernel, so that the fast Jacobian can be held to
-them bit for bit (the second is the Jacobian as one gather per row), and
+them bit for bit (the second is the Jacobian as one gather per row);
+:func:`brute_column_norm` and :func:`brute_row_norm`, the squared
+derivative sums that 1 - min_cell bounds, read it too; and
 :func:`brute_fwht` sums each output's signed cells with NumPy, so that
 lengths up to 2**12 stay cheap.  :func:`brute_classify` is the classifier's
 plain recursive search over every path, one spec per collection; it calls
@@ -24,7 +26,9 @@ and cell-packing helpers.  :func:`brute_is_complete` is completeness read
 from the list of margins of each effect.  :func:`brute_stationary` is the
 stationary distribution by a dense linear solve of (M^T - I) pi = 0.
 :func:`joint_from_conditional` glues a conditional table onto a table of
-its conditioning variables, cell by cell.
+its conditioning variables, cell by cell.  :func:`brute_kappa` is a slice
+parameter from two parameters of the enlarged margin, and
+:func:`brute_sign_matrix` the scaled +-1 matrix of subset parities.
 """
 
 from __future__ import annotations
@@ -247,6 +251,70 @@ def rowwise_jacobian(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
             out[i] = np.where(cols & ~margin, kernels[margin][cols ^ effect], 0.0)
         out[i, effect - 1] = 1.0
     return out
+
+
+def brute_kappa(t: JointTable, effect: int, margin: int, v_mask: int, xv: int) -> float:
+    """Slice parameter of the conditional table given X_v = xv, through two
+    parameters of the enlarged margin:
+
+        kappa = lam(effect, margin|v) + (-1)**xv * lam(effect|v, margin|v).
+    """
+    if popcount(v_mask) != 1:
+        raise StructureError("v must be a single variable")
+    if v_mask & (effect | margin):
+        raise StructureError("v must lie outside the effect and margin")
+    big = margin | v_mask
+    s = -1.0 if xv else 1.0
+    return brute_lambda(t, effect, big) + s * brute_lambda(t, effect | v_mask, big)
+
+
+def _check_outside(t: JointTable, margin: int, k_mask: int) -> None:
+    if k_mask == 0 or (k_mask & margin) or (k_mask & ~t.vars.full_mask):
+        raise StructureError("k must be a nonempty subset outside the margin")
+
+
+def brute_column_norm(
+    t: JointTable, margin: int, j_mask: int, k_mask: int
+) -> tuple[float, float]:
+    """Sum over nonempty effects C inside ``margin`` of the squared
+    derivative of lam(C, margin) in eta_{j|k}, one kernel lookup
+    g[C ^ (j|k)] per term, paired with the bound 1 - min_cell.  Needs j
+    inside the margin and k a nonempty subset outside it."""
+    if j_mask & ~margin:
+        raise StructureError("j must be inside the margin")
+    _check_outside(t, margin, k_mask)
+    g = margin_kernel_array(t.p, t.n, margin)
+    norm = 0.0
+    for c in _subsets(margin):
+        norm += float(g[c ^ (j_mask | k_mask)]) ** 2
+    return norm, 1.0 - t.min_cell
+
+
+def brute_row_norm(
+    t: JointTable, margin: int, c_mask: int, k_mask: int
+) -> tuple[float, float]:
+    """Sum over subsets J of ``margin`` (the empty one too) of the squared
+    derivative of lam(c, margin) in eta_{J|k}, paired with the bound
+    1 - min_cell."""
+    if c_mask == 0 or c_mask & ~margin:
+        raise StructureError("c must be a nonempty subset of the margin")
+    _check_outside(t, margin, k_mask)
+    g = margin_kernel_array(t.p, t.n, margin)
+    norm = 0.0
+    for j in [0] + _subsets(margin):
+        norm += float(g[c_mask ^ (j | k_mask)]) ** 2
+    return norm, 1.0 - t.min_cell
+
+
+def brute_sign_matrix(k: int) -> np.ndarray:
+    """The 2**k x 2**k matrix with entries 2**(-k/2) * (-1)**|A & B|, one
+    row A at a time."""
+    size = 1 << k
+    cells = np.arange(size)
+    out = np.empty((size, size))
+    for a in range(size):
+        out[a] = 1.0 - 2.0 * (np.bitwise_count(cells & a) % 2)
+    return out * 2.0 ** (-k / 2)
 
 
 def brute_is_complete(spec: MLLSpec) -> bool:

@@ -24,7 +24,6 @@ from mllp.markov import (
 )
 from mllp.tables import (
     JointTable,
-    VarSet,
     compress,
     compress_map,
     condition,
@@ -33,8 +32,6 @@ from mllp.tables import (
     marginalize,
     nonempty_submasks,
     table_from_eta,
-    table_from_probs,
-    uniform_table,
 )
 
 from conftest import dirichlet_table, make_vars, outside_domain_values

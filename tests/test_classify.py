@@ -7,6 +7,15 @@ import numpy as np
 import pytest
 
 from mllp import catalog
+from mllp.census import (
+    burnside_orbit_count,
+    canonical_key,
+    canonical_pairs,
+    census,
+    enumerate_complete,
+    labeled_complete_count,
+    permute_mask,
+)
 from mllp.classify import (
     BASE_RULES,
     NOT_SMOOTH_INCOMPLETE,
@@ -14,18 +23,11 @@ from mllp.classify import (
     SEARCH_LIMIT,
     UNKNOWN,
     apply_interchange,
-    burnside_orbit_count,
-    canonical_key,
-    canonical_pairs,
-    census,
     classify,
-    enumerate_complete,
     hierarchy_order,
     interchange_closure,
     interchange_moves,
     is_hierarchical,
-    labeled_complete_count,
-    permute_mask,
     reduce_minus_v,
     rule_applies,
     verify_hierarchy_order,

@@ -10,7 +10,7 @@ from mllp.cimodels import CIStatement, model_spec
 from mllp.cli import _emit, main
 from mllp.mll import lambda_vector
 from mllp.markov import chain_from_joint
-from mllp.tables import VarSet, marginalize, random_table
+from mllp.tables import VarSet, marginalize
 
 from conftest import (
     RELISTED_CYCLES,
@@ -515,6 +515,39 @@ class TestExitCodes:
     def test_malformed_statements_is_domain_error(self, tmp_path, capsys, doc):
         (tmp_path / "ci.json").write_text(json.dumps(doc))
         assert_domain_error(["model", "--ci", str(tmp_path / "ci.json")], capsys)
+
+    @pytest.mark.parametrize(
+        "kind", ["table", "spec", "spec-pair", "cycle", "cycle-target", "statements"]
+    )
+    def test_numeric_variable_names_are_refused(self, workdir, capsys, kind):
+        # names are string labels; a number was read as its string in a
+        # variable list but looked up as given everywhere else
+        path, _, table = workdir
+        chain = json.loads((path / "chain.json").read_text())
+        first = chain["conditionals"][0]
+        docs = {
+            "table": {"variables": [1, 2, 3], "p": [float(x) for x in table.p]},
+            "spec": {"variables": [1, 2], "pairs": [{"margin": [1], "effect": [1]}]},
+            "spec-pair": {"variables": ["1", "2"],
+                          "pairs": [{"margin": [1], "effect": ["1"]}]},
+            "cycle": {**chain, "variables": [1, 2, 3]},
+            "cycle-target": {**chain, "conditionals": [
+                {**first, "target": [int(x) for x in first["target"]]},
+                *chain["conditionals"][1:]]},
+            "statements": {"variables": [1, 2, 3],
+                           "statements": [{"a": [1], "b": [2]}]},
+        }
+        (path / "doc.json").write_text(json.dumps(docs[kind]))
+        doc = str(path / "doc.json")
+        argv = {
+            "table": ["forward", "--table", doc, "--spec", str(path / "spec.txt")],
+            "spec": ["classify", "--spec", doc],
+            "spec-pair": ["forward", "--spec", doc, "--table", str(path / "table.json")],
+            "cycle": ["markov", "--chain", doc],
+            "cycle-target": ["markov", "--chain", doc],
+            "statements": ["model", "--ci", doc],
+        }[kind]
+        assert "variable names must be strings" in assert_domain_error(argv, capsys)
 
     @pytest.mark.parametrize("command", ["classify", "forward"])
     @pytest.mark.parametrize(

@@ -10,10 +10,10 @@ import pytest
 
 from mllp import catalog
 from mllp import mixed, mll, solvers
+from mllp.census import census, enumerate_complete
 from mllp.classify import (
     CONTRACTION_RULE,
     UNKNOWN,
-    census,
     classify,
     hierarchy_order,
     rule_applies,
@@ -22,13 +22,14 @@ from mllp.cimodels import CIStatement, model_member, model_spec
 from mllp.errors import (
     ALL_METHODS_FAILED,
     DIVERGENCE,
+    IncompleteSpecError,
     INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
     SolverError,
     SpecError,
     StructureError,
 )
-from mllp.mll import MLLSpec, MLLVector, lambda_value, lambda_vector, dlambda_deta
+from mllp.mll import MLLSpec, MLLVector, jacobian, lambda_vector
 from mllp.markov import (
     CycleChainSpec,
     chain_from_joint,
@@ -72,6 +73,7 @@ from conftest import (
 from oracles import (
     brute_contraction_subsystem,
     brute_fixed_point,
+    brute_lambda,
     brute_reconstruct_mixed,
     brute_stationary,
 )
@@ -481,21 +483,18 @@ class TestContractionCertificate:
         # and is bounded by the certificate geometry
         spec = catalog.TWO_BLOCK_FIXPOINT
         t = dirichlet_table(spec.vars, rng)
-        a = np.array(
-            [dlambda_deta(t, 0b001, 0b101, 0b010), dlambda_deta(t, 0b001, 0b101, 0b110)]
-        )
-        b = np.array(
-            [dlambda_deta(t, 0b010, 0b110, 0b001), dlambda_deta(t, 0b110, 0b110, 0b001)]
-        )
+        row = dict(zip(spec.pairs, jacobian(t, spec)))  # column K at K - 1
+        a = row[(0b001, 0b101)][[0b010 - 1, 0b110 - 1]]
+        b = np.array([row[(0b010, 0b110)][0b001 - 1], row[(0b110, 0b110)][0b001 - 1]])
         psi_prime = float(a @ b)
         eps = t.min_cell
         assert abs(psi_prime) <= 1 - eps
         cert = contraction_certificate(spec, t)
         assert psi_prime**2 <= cert * (1 - eps) + 1e-12
 
-    def test_certified_solve_evaluates_the_rule_once(self, monkeypatch, rng):
-        # the certificate decides the single-feedback structure for the
-        # solve, which does not decide it beforehand as well
+    def test_certified_solve_asks_the_classifier_nothing(self, monkeypatch, rng):
+        # the certificate finds each effect's feeder itself, and so decides
+        # the single-feedback structure without the classifier's rule
         rules = []
         applies = rule_applies
 
@@ -508,7 +507,25 @@ class TestContractionCertificate:
         monkeypatch.setattr("mllp.classify.rule_applies", count)
         res = invert_fixed_point(spec, target)
         assert res.contraction_certificate is not None
-        assert rules == ["single_feedback"]
+        assert rules == []
+
+    def test_refuses_what_the_rule_refuses(self, rng):
+        # the certificate's own feeder count decides the structure as the
+        # classifier's single-feedback rule does, on all 512 labelled
+        # complete collections of three variables
+        t = dirichlet_table(make_vars(3), rng)
+        for spec in enumerate_complete(3):
+            try:
+                contraction_certificate(spec, t)
+                certified = True
+            except StructureError:
+                certified = False
+            assert certified == (rule_applies(spec, "single_feedback") is not None)
+
+    def test_requires_complete_spec(self, rng):
+        t = dirichlet_table(make_vars(2), rng)
+        with pytest.raises(IncompleteSpecError):
+            contraction_certificate(MLLSpec.from_text("12: 1 2\n"), t)
 
     def test_requires_single_feedback_structure(self, rng):
         with pytest.raises(StructureError):
@@ -534,7 +551,7 @@ class TestReconstructMixed:
         u3 = table_from_probs(VarSet(("3",)), [0.5, 0.5])
         got = reconstruct_mixed(vs, [u, u3], {0b11: math.log(2.0)})
         assert np.allclose(got.p, [0.4, 0.1, 0.1, 0.4], atol=1e-11)
-        assert lambda_value(got, 0b11, 0b11) == pytest.approx(
+        assert brute_lambda(got, 0b11, 0b11) == pytest.approx(
             math.log(2.0), abs=1e-11
         )
 

@@ -9,7 +9,6 @@ from mllp.tables import (
     ConditionalTable,
     EtaVector,
     JointTable,
-    VarSet,
     compress,
     compress_map,
     condition,
@@ -19,7 +18,6 @@ from mllp.tables import (
     marginal_array,
     marginalize,
     packed_indices,
-    parity,
     random_table,
     table_from_eta,
     table_from_probs,
@@ -33,6 +31,7 @@ from oracles import (
     brute_fwht,
     brute_marginal,
     joint_from_conditional,
+    sign,
 )
 
 
@@ -48,14 +47,14 @@ def assert_fwht_close(got: np.ndarray, want: np.ndarray, a: np.ndarray) -> None:
 
 class TestBitAlgebra:
     def test_parity_empty_effect(self):
-        assert parity(0, 0b10110) == 1
+        assert sign(0, 0b10110) == 1
 
     def test_parity_even_overlap(self):
         # effect {1,3} = bits 0 and 2 against cell 0b101: two ones
-        assert parity(0b101, 0b101) == 1
+        assert sign(0b101, 0b101) == 1
 
     def test_parity_odd_overlap(self):
-        assert parity(0b101, 0b001) == -1
+        assert sign(0b101, 0b001) == -1
 
     def test_bit_packing_maps(self, rng):
         for n in range(1, 6):
