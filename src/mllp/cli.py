@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -271,6 +272,7 @@ def _cmd_model(args, out) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main reads it on every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mllp",

@@ -10,6 +10,7 @@ by its names, and one elimination solves for the stationary distribution.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -66,39 +67,70 @@ def _sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
     rest is what makes each step's conditional exact for the retained
     marginal.  Column j of the carried array is the distribution reached
     from start state j, so every start is swept at once.  Each conditional
-    is read by its names, in the order they are listed.
+    is read by its names, in the order they are listed; the index maps
+    come from :func:`_sweep_plan`, compiled once per sweep structure.
     """
-    vars = g.vars
-    k = len(g.steps)
+    steps, final = _sweep_plan(
+        g.vars.names,
+        g.state,
+        tuple((tgt, giv, cond.target, cond.given) for tgt, giv, cond in g.steps),
+    )
+    dist = np.eye(1 << popcount(g.state))
+    for (drop, rows, cols, old_idx), (_, _, cond) in zip(steps, g.steps):
+        if drop is not None:
+            dist = marginal_array(dist, *drop)
+        dist = cond.values[rows, cols][:, None] * dist[old_idx]
+    kernel = marginal_array(dist, *final).T
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _sweep_plan(
+    names: tuple[str, ...],
+    state: int,
+    steps: tuple[tuple[int, int, tuple[str, ...], tuple[str, ...]], ...],
+) -> tuple[tuple, tuple[int, int]]:
+    """Index maps of the sweep kernel for the variables ``names``, the
+    state and each step's (target, given, conditional's target names, its
+    given names): per step the marginal taken before it, as (variables,
+    mask) or None, and the gathers of the conditional's rows and columns
+    and of the carried array's rows; then the final marginal onto the
+    state.  The arrays are read-only."""
+    vars = VarSet(names)
+    k = len(steps)
     # needed[i]: variables whose pre-step-i value is still used at or after
     # step i (a redraw makes the old value obsolete, so no step's target is
     # live when it is drawn)
     needed = [0] * (k + 1)
-    needed[k] = g.state
+    needed[k] = state
     for i in range(k - 1, -1, -1):
-        tgt, giv, _ = g.steps[i]
+        tgt, giv, _, _ = steps[i]
         needed[i] = giv | (needed[i + 1] & ~tgt)
 
-    def drop_to(dist: np.ndarray, live: int, keep: int) -> np.ndarray:
+    def drop_to(live: int, keep: int) -> tuple[int, int]:
         sub_vars = vars.restrict(live)
-        return marginal_array(dist, sub_vars.n, sub_vars.mask_of(vars.names_of(keep)))
+        return sub_vars.n, sub_vars.mask_of(vars.names_of(keep))
 
-    live = g.state
-    dist = np.eye(1 << popcount(g.state))
-    for i, (tgt, giv, cond) in enumerate(g.steps):
+    live = state
+    plan = []
+    for i, (tgt, _, cond_target, cond_given) in enumerate(steps):
         keep = live & needed[i]
+        drop = None
         if keep != live:
-            dist = drop_to(dist, live, keep)
+            drop = drop_to(live, keep)
             live = keep
         new_live = live | tgt
         nv = vars.restrict(new_live)
-        rows = packed_indices(nv, cond.target)
-        cols = packed_indices(nv, cond.given)
-        old_idx = packed_indices(nv, vars.names_of(live))
-        dist = cond.values[rows, cols][:, None] * dist[old_idx]
+        maps = (
+            packed_indices(nv, cond_target),
+            packed_indices(nv, cond_given),
+            packed_indices(nv, vars.names_of(live)),
+        )
+        for a in maps:
+            a.flags.writeable = False
+        plan.append((drop, *maps))
         live = new_live
-    kernel = drop_to(dist, live, g.state).T
-    return kernel / kernel.sum(axis=1, keepdims=True)
+    return tuple(plan), drop_to(live, state)
 
 
 def stationary_distribution(m: np.ndarray) -> np.ndarray:

@@ -22,9 +22,14 @@ Four routes, dispatched automatically from the classification chain:
   same fixed point, stopped when its residual stalls, then one *Newton*
   solve with the analytic Jacobian from the uniform table.
 
-AUTO inversion classifies the collection once and replays the rule chain
-on one map from pair to target value; every proven route is a step of that
-replay.  A reduction (variable removal, per-slice removal, interchange,
+AUTO inversion classifies one collection per relabeling class, the
+canonical form of :func:`mllp.census.canonical_form`, and replays that
+chain, relabeled onto the caller's collection, on one map from pair to
+target value; every rule is structural, so the relabeled chain is a proof
+of the caller's collection, and every proven route is a step of that
+replay.  When the canonical collection's search is cut at a limit without
+a proof, the collection given is classified instead, as the verdict may
+depend on the labelling.  A reduction (variable removal, per-slice removal, interchange,
 subsystem relocation) uses only the forward map and the fixed point: it
 reads a margin-change term as a difference of forward parameters at a
 table built from the pinning block alone, or solves the relocated
@@ -37,12 +42,16 @@ replay of a one-step chain.  A table below the positivity floor on the way
 means the target has no member: SolverError.  Cells come from
 coefficients by the one kernel :func:`mllp.tables.weights`.
 
-Every solve is deterministic given (spec, target, options); solves share
-no state and can run concurrently.
+Every solve is deterministic given (spec, target, options): the chain it
+replays is a function of the collection alone.  The one state solves
+share is the process-wide cache of each class's chain (``_class_chain``),
+which memoises that function, so what ran before in the process changes
+no result, and solves can run concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -50,6 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import classify as cls
+from .census import canonical_form, permute_mask
 from .errors import (
     ALL_METHODS_FAILED,
     IncompleteSpecError,
@@ -752,12 +762,72 @@ def _replay(
     )
 
 
+def _relabel_chain(
+    chain: tuple[cls.RuleStep, ...], inv: list[int]
+) -> tuple[cls.RuleStep, ...]:
+    """A proof chain of collection C as the same proof of its relabeling S:
+    bit c of C is bit inv[c] of S.  Every rule is structural, so the
+    relabeled chain proves S.  After a variable removal or slice split the
+    later masks are in the bits of the reduced collections, so the map is
+    re-ranked over the variables that remain."""
+    def mask(m: int) -> int:  # under the map of the current step
+        return permute_mask(m, inv)
+
+    steps = []
+    for step in chain:
+        rule, d = step.rule, step.details
+        if rule == "interchange":
+            details = {k: mask(d[k]) for k in ("effect", "from_margin", "to_margin")}
+        elif rule in ("variable_removal", "slice_split", "slice_split_general"):
+            details = {"v": mask(d["v"])}
+            c = d["v"].bit_length() - 1
+            inv = [i - (i > inv[c]) for i in inv[:c] + inv[c + 1:]]
+        elif rule == "hierarchical":
+            details = {"order": tuple(map(mask, d["order"]))}
+        elif rule in ("two_margin", "three_margin"):
+            details = {"margins": tuple(sorted(map(mask, d["margins"])))}
+        elif rule == "single_feedback":
+            details = {}
+        elif rule == "cyclic":
+            details = {k: tuple(map(mask, d[k])) for k in ("blocks", "margins")}
+        elif rule == cls.CONTRACTION_RULE:
+            details = {"relocate": tuple((mask(e), mask(m)) for e, m in d["relocate"])}
+        else:
+            raise StructureError(f"cannot relabel rule {rule!r}")
+        steps.append(cls.RuleStep(rule, details))
+    return tuple(steps)
+
+
+@functools.lru_cache(maxsize=1024)
+def _class_chain(
+    form: tuple[Pair, ...], n: int
+) -> tuple[tuple[cls.RuleStep, ...] | None, bool]:
+    """The proof chain of the canonical collection ``form`` of a relabeling
+    class, or None when it has no proof, classified once per process; and
+    whether that answer holds for every labelling of the class.  A proof
+    does; no proof does only when the search was exhausted with no closure
+    cut, since the search and move limits act in an order set by the
+    labels."""
+    spec = MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), form)
+    report = cls.classify(spec)
+    if report.verdict == cls.PROVEN_SMOOTH:
+        return report.rule_chain, True
+    search = report.search
+    return None, search.exhausted and search.closures_truncated == 0
+
+
 def _invert_auto(
     spec: MLLSpec, target: MLLVector, opts: SolveOptions
 ) -> SolveResult:
-    report = cls.classify(spec)
-    if report.verdict == cls.PROVEN_SMOOTH:
-        return _replay(spec, target, report.rule_chain, opts)
+    form, perm = canonical_form(spec.pairs, spec.vars.n)
+    chain, settled = _class_chain(form, spec.vars.n)
+    if chain is not None:
+        inv = sorted(range(len(perm)), key=perm.__getitem__)
+        return _replay(spec, target, _relabel_chain(chain, inv), opts)
+    if not settled:  # a search cut at a limit: classify the labelling given
+        report = cls.classify(spec)
+        if report.verdict == cls.PROVEN_SMOOTH:
+            return _replay(spec, target, report.rule_chain, opts)
     capped = replace(opts, max_iter=min(opts.max_iter, 2000))
     try:
         sub = invert_fixed_point(spec, target, capped)

@@ -29,6 +29,9 @@ stationary distribution by a dense linear solve of (M^T - I) pi = 0.
 its conditioning variables, cell by cell.  :func:`brute_kappa` is a slice
 parameter from two parameters of the enlarged margin, and
 :func:`brute_sign_matrix` the scaled +-1 matrix of subset parities.
+:func:`brute_canonical_pairs` is the canonical form of a collection as the
+smallest sorted (margin, effect) encoding over every relabeling, one
+relabeling and one mask at a time.
 """
 
 from __future__ import annotations
@@ -335,6 +338,24 @@ def brute_is_complete(spec: MLLSpec) -> bool:
 def _subsets(mask: int) -> list[int]:
     """Nonempty subsets of ``mask``, by scanning every smaller integer."""
     return [k for k in range(1, mask + 1) if k & ~mask == 0]
+
+
+def brute_canonical_pairs(pairs: Sequence[Pair], n: int) -> tuple[Pair, ...]:
+    """Minimum over variable relabelings of the sorted (margin, effect)
+    encoding, one relabeling at a time: the reference for
+    ``census.canonical_form``."""
+
+    def relabel(mask: int, perm: Sequence[int]) -> int:
+        return sum(1 << perm[b] for b in range(n) if mask >> b & 1)
+
+    pairs = tuple(pairs)
+    best: tuple[tuple[int, int], ...] | None = None
+    for perm in itertools.permutations(range(n)):
+        enc = tuple(sorted((relabel(m, perm), relabel(e, perm)) for e, m in pairs))
+        if best is None or enc < best:
+            best = enc
+    assert best is not None
+    return tuple((e, m) for m, e in best)
 
 
 def brute_interchange_moves(spec: MLLSpec) -> list:

@@ -8,7 +8,9 @@ import pytest
 
 from mllp import catalog
 from mllp.census import (
+    RELABEL_MAX_VARS,
     burnside_orbit_count,
+    canonical_form,
     canonical_key,
     canonical_pairs,
     census,
@@ -41,6 +43,7 @@ from mllp.tables import VarSet, popcount
 
 from conftest import dirichlet_table
 from oracles import (
+    brute_canonical_pairs,
     brute_classify,
     brute_contraction_reduce,
     brute_interchange_closure,
@@ -613,6 +616,40 @@ class TestCanonicalForm:
         reps = enumerate_complete(3, up_to_symmetry=True)
         keys = {canonical_key(s) for s in reps}
         assert len(keys) == len(reps)
+
+    @pytest.mark.parametrize("n", range(2, RELABEL_MAX_VARS + 1))
+    def test_matches_brute_on_shuffled_collections(self, n):
+        # random complete collections, half their effects in the full
+        # margin so that some have symmetries, pairs listed in random
+        # order; perm carries the pairs onto the form
+        rng = np.random.default_rng(100 + n)
+        full = (1 << n) - 1
+        for _ in range(12):
+            pairs = []
+            for effect in range(1, full + 1):
+                supers = [m for m in range(1, full + 1) if effect & ~m == 0]
+                pick = supers[int(rng.integers(len(supers)))]
+                pairs.append((effect, pick if rng.random() < 0.5 else full))
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+            form, perm = canonical_form(pairs, n)
+            assert form == brute_canonical_pairs(pairs, n)
+            moved = sorted(
+                (permute_mask(e, perm), permute_mask(m, perm)) for e, m in pairs
+            )
+            assert form == tuple(sorted(moved, key=lambda pair: pair[::-1]))
+
+    def test_ties_go_to_the_first_relabeling(self):
+        # every effect in the full margin: each relabeling reaches the form
+        pairs = tuple((e, 7) for e in range(1, 8))
+        assert canonical_form(pairs, 3) == (pairs, (0, 1, 2))
+
+    def test_identity_only_above_the_relabeling_cap(self):
+        n = RELABEL_MAX_VARS + 1
+        full = (1 << n) - 1
+        pairs = [(e, full) for e in range(full, 1, -1)] + [(1, 1)]
+        form, perm = canonical_form(pairs, n)
+        assert perm == tuple(range(n))
+        assert form == tuple(sorted(pairs, key=lambda pair: pair[::-1]))
 
 
 class TestEnumeration:

@@ -10,10 +10,13 @@ import pytest
 
 from mllp import catalog
 from mllp import mixed, mll, solvers
-from mllp.census import census, enumerate_complete
+from mllp.census import canonical_form, census, enumerate_complete, permute_mask
 from mllp.classify import (
     CONTRACTION_RULE,
+    PROVEN_SMOOTH,
     UNKNOWN,
+    RuleStep,
+    _RULE_FUNCS,
     classify,
     hierarchy_order,
     rule_applies,
@@ -77,6 +80,7 @@ from oracles import (
     brute_reconstruct_mixed,
     brute_stationary,
 )
+from test_classify import full_margin_rest, search_sizes_sample
 
 
 def zero_target(spec: MLLSpec) -> MLLVector:
@@ -1071,7 +1075,8 @@ class TestInvertAuto:
 
     @pytest.mark.parametrize("name", ["PAIRED_SLICES_FOUR", "NESTED_SKIP"])
     def test_auto_classifies_once(self, name, rng, monkeypatch):
-        # reductions replay the rest of the one classification chain
+        # reductions replay the rest of the one classification chain, and a
+        # relabeled sibling replays its class's chain without classifying
         import mllp.classify as cls
 
         original = cls.classify
@@ -1088,9 +1093,17 @@ class TestInvertAuto:
                 depth -= 1
 
         monkeypatch.setattr(cls, "classify", counting)
+        solvers._class_chain.cache_clear()
         spec = getattr(catalog, name)
         t = dirichlet_table(spec.vars, rng)
         res = invert(spec, lambda_vector(t, spec))
+        assert top_level_calls == 1
+        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+        n = spec.vars.n
+        sibling = _relabeled(spec, tuple(range(1, n)) + (0,))
+        assert set(sibling.pairs) != set(spec.pairs)
+        t = dirichlet_table(sibling.vars, rng)
+        res = invert(sibling, lambda_vector(t, sibling))
         assert top_level_calls == 1
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
 
@@ -1179,6 +1192,198 @@ class TestInvertAuto:
             res = invert(spec, MLLVector(spec, vals))
             got = lambda_vector(res.table, spec)
             assert float(np.max(np.abs(got.values - vals))) < 1e-9
+
+
+def _relabeled(spec: MLLSpec, perm) -> MLLSpec:
+    """The collection with bit b of every mask moved to bit perm[b]."""
+    return MLLSpec(spec.vars, tuple(
+        (permute_mask(e, perm), permute_mask(m, perm)) for e, m in spec.pairs
+    ))
+
+
+class TestClassChain:
+    """AUTO inversion replays the chain of its collection's canonical form,
+    relabeled onto the collection."""
+
+    # inv = (1, 2, 0): bit 0 -> 1, bit 1 -> 2, bit 2 -> 0
+    RELABELED = {
+        "interchange": ({"effect": 1, "from_margin": 3, "to_margin": 1},
+                        {"effect": 2, "from_margin": 6, "to_margin": 2}),
+        "hierarchical": ({"order": (1, 3, 7)}, {"order": (2, 6, 7)}),
+        "two_margin": ({"margins": (3, 7)}, {"margins": (6, 7)}),
+        "three_margin": ({"margins": (1, 6, 7)}, {"margins": (2, 5, 7)}),
+        "variable_removal": ({"v": 1}, {"v": 2}),
+        "slice_split": ({"v": 4}, {"v": 1}),
+        "slice_split_general": ({"v": 2}, {"v": 4}),
+        "single_feedback": ({}, {}),
+        "cyclic": ({"blocks": (1, 2, 4), "margins": (5, 3, 6)},
+                   {"blocks": (2, 4, 1), "margins": (3, 6, 5)}),
+        CONTRACTION_RULE: ({"relocate": ((1, 3), (2, 3))},
+                           {"relocate": ((2, 6), (4, 6))}),
+    }
+
+    def test_relabel_chain_maps_every_rule(self):
+        assert set(self.RELABELED) == set(_RULE_FUNCS) | {"interchange"}
+        for rule, (before, after) in self.RELABELED.items():
+            step = RuleStep(rule, before)
+            assert solvers._relabel_chain((step,), [1, 2, 0]) == (
+                RuleStep(rule, after),
+            ), rule
+
+    def test_relabel_chain_reranks_after_a_reduction(self):
+        # removing bit 0 (bit 1 of the relabeled collection) leaves bits
+        # 1 and 2, named 2 and 0 there: ranked 1 and 0 among those left
+        chain = (RuleStep("variable_removal", {"v": 1}),
+                 RuleStep("hierarchical", {"order": (1, 2, 3)}))
+        assert solvers._relabel_chain(chain, [1, 2, 0]) == (
+            RuleStep("variable_removal", {"v": 2}),
+            RuleStep("hierarchical", {"order": (2, 1, 3)}),
+        )
+
+    def test_relabel_chain_refuses_an_unknown_rule(self):
+        with pytest.raises(StructureError):
+            solvers._relabel_chain((RuleStep("magic", {"v": 1}),), [0, 1, 2])
+
+    @staticmethod
+    def check_relabelings(specs, perms_of, rng, monkeypatch) -> tuple[int, int]:
+        """Invert every relabeling of every spec by AUTO: the table within
+        1e-9 of the drawn one and, where the replayed chain is the one
+        classify reports for that labelling, bitwise the replay of that
+        chain.  Returns how many replayed chains were equal and how many
+        differed."""
+        replayed = []
+        replay = solvers._replay
+
+        def recording(spec, target, chain, opts):
+            replayed.append(chain)
+            return replay(spec, target, chain, opts)
+
+        monkeypatch.setattr(solvers, "_replay", recording)
+        equal = differ = 0
+        for spec in specs:
+            for perm in perms_of(spec):
+                s = _relabeled(spec, perm)
+                t = dirichlet_table(s.vars, rng)
+                target = lambda_vector(t, s)
+                replayed.clear()
+                res = invert(s, target)
+                assert float(np.max(np.abs(res.table.p - t.p))) < 1e-9
+                if not replayed:  # no proof: the fallback ran
+                    continue
+                own = classify(s).rule_chain
+                if replayed[0] != own:
+                    differ += 1
+                    continue
+                equal += 1
+                want = replay(s, target, own, SolveOptions())
+                assert res.table.p.tobytes() == want.table.p.tobytes()
+                assert res.final_residual == want.final_residual
+        return equal, differ
+
+    def test_census_orbits_under_every_relabeling(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        equal, differ = self.check_relabelings(
+            enumerate_complete(3, up_to_symmetry=True),
+            lambda spec: itertools.permutations(range(3)),
+            rng,
+            monkeypatch,
+        )
+        assert equal
+
+    def test_routes_at_four_and_five_variables(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        specs = [_spec_line(text) for text in FIXED_POINT_ROUTES_N45]
+        specs.append(catalog.PAIRED_SLICES_FOUR)
+        equal, differ = self.check_relabelings(
+            specs,
+            lambda spec: [tuple(rng.permutation(spec.vars.n)) for _ in range(4)],
+            rng,
+            monkeypatch,
+        )
+        assert equal + differ == 4 * len(specs)
+
+    @pytest.mark.parametrize("name", ["NESTED_SKIP", "CROSS_SINGLE", "PAIRED_SLICES_FOUR"])
+    def test_reduction_chains_under_every_relabeling(self, name, monkeypatch):
+        spec = getattr(catalog, name)
+        equal, differ = self.check_relabelings(
+            [spec],
+            lambda spec: itertools.permutations(range(spec.vars.n)),
+            np.random.default_rng(29),
+            monkeypatch,
+        )
+        assert equal + differ == math.factorial(spec.vars.n)
+
+    def test_result_does_not_depend_on_what_ran_before(self, rng):
+        spec = _relabeled(catalog.PAIRED_SLICES_FOUR, (2, 0, 3, 1))
+        sibling = _relabeled(catalog.PAIRED_SLICES_FOUR, (3, 1, 0, 2))
+        target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+        other = lambda_vector(dirichlet_table(sibling.vars, rng), sibling)
+        solvers._class_chain.cache_clear()
+        cold = invert(spec, target)
+        warm = invert(spec, target)
+        solvers._class_chain.cache_clear()
+        invert(sibling, other)
+        after_sibling = invert(spec, target)
+        for res in (warm, after_sibling):
+            assert res.table.p.tobytes() == cold.table.p.tobytes()
+            assert (res.method_used, res.iterations, res.final_residual) == (
+                cold.method_used, cold.iterations, cold.final_residual
+            )
+
+    def test_unknown_class_is_classified_once(self, rng, monkeypatch):
+        calls = []
+        original = solvers.cls.classify
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(solvers.cls, "classify", counting)
+        solvers._class_chain.cache_clear()
+        spec = catalog.OPEN_FOUR_MARGIN
+        for s in (spec, _relabeled(spec, (2, 0, 1))):
+            t = dirichlet_table(s.vars, rng)
+            res = invert(s, lambda_vector(t, s))
+            assert res.method_used in ("fixed_point_damped", "newton")
+            assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+        assert len(calls) == 1
+        assert calls[0].pairs == canonical_form(spec.pairs, 3)[0]
+
+    def test_a_cut_search_classifies_the_labelling_given(self, rng, monkeypatch):
+        # the search stops at SEARCH_LIMIT, in an order set by the labels:
+        # the class's verdict is not trusted for this labelling, which is
+        # classified on each inversion, as the collection given
+        calls = []
+        original = solvers.cls.classify
+
+        def counting(spec):
+            calls.append(spec.pairs)
+            return original(spec)
+
+        monkeypatch.setattr(solvers.cls, "classify", counting)
+        solvers._class_chain.cache_clear()
+        spec = full_margin_rest("1: 1; 24: 24; 5: 5", 5)
+        form = canonical_form(spec.pairs, 5)[0]
+        assert form != spec.pairs
+        for _ in range(2):
+            t = dirichlet_table(spec.vars, rng)
+            res = invert(spec, lambda_vector(t, spec))
+            assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+        assert calls == [form, spec.pairs, spec.pairs]
+
+    def test_every_proven_sample_collection_takes_a_proven_route(self, rng):
+        # whatever the class's canonical labelling, a collection classify
+        # proves is inverted by a replayed chain, not by the fallback
+        proven = 0
+        for spec in search_sizes_sample():
+            if classify(spec).verdict != PROVEN_SMOOTH:
+                continue
+            proven += 1
+            t = dirichlet_table(spec.vars, rng)
+            res = invert(spec, lambda_vector(t, spec))
+            assert res.method_used not in ("fixed_point_damped", "newton")
+            assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+        assert proven == 488
 
 
 class TestSolveOptions:
