@@ -2,7 +2,8 @@
 """Operation-by-operation outputs of two checkouts, side by side.
 
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --seeds 3 11 \\
-        [--workloads classify-sweep invert-routes fallback-models large-tables]
+        [--workloads classify-sweep invert-routes fallback-models large-tables \\
+                     search-sizes]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
@@ -13,31 +14,39 @@ of a forward operation), ``method_used``, the iteration count,
 ``final_residual`` and ``contraction_certificate`` when the output has
 them, the whole JSON form of any other output (a classification
 report's ``to_json_obj()``, the census document), the error when the
-operation raised, and the result of the operation's own check.
+operation raised, and the result of the operation's own check.  The
+``search-sizes`` group, a held-out check of the classifier, is the report
+JSON of each of the 550 collections of ``scripts/search_sizes.py`` (its
+seed stands in for the seeds).
 
 Prints, per workload and seed, the number of operations whose tables
 differ, the largest cell difference and the number of those whose
 ``final_residual`` moved with the table, then every operation whose
-``method_used``, iteration count, error, check result, JSON form or
+``method_used``, iteration count, error, check result or
 ``contraction_certificate`` differs, or whose ``final_residual`` differs
-at an equal table.  Exits 0.
+at an equal table; JSON forms that differ are counted by the keys at
+which they differ (``search.fired`` is a key of a report's ``search``
+record).  Exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables")
-FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate",
-          "form")
+HELD_OUT = "search-sizes"
+WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables",
+             HELD_OUT)
+FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
 REPORTED = ("method_used", "iterations", "final_residual", "contraction_certificate")
 
 
@@ -77,8 +86,19 @@ def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
 
     m = wl.import_mllp()
     out = {}
+    if HELD_OUT in workloads:
+        path = checkout / "scripts" / "search_sizes.py"
+        loader = importlib.util.spec_from_file_location("search_sizes", path)
+        script = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(script)
+        out[(HELD_OUT, script.SEED)] = [
+            ("classify", {"table": None, "form": m.classify.classify(s).to_json_obj()})
+            for s in script.sample()
+        ]
     with tempfile.TemporaryDirectory() as scratch:
         for name in workloads:
+            if name == HELD_OUT:
+                continue
             for seed in seeds:
                 ops = wl.build_ops(m, name, seed, Path(scratch))
                 out[(name, seed)] = [(op.kind, outcome(op)) for op in ops]
@@ -97,9 +117,24 @@ def run_side(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
         return pickle.loads(dump.read_bytes())
 
 
+def differing_keys(a, b, prefix: str = "") -> list[str]:
+    """Dotted paths of the dict keys at which ``a`` and ``b`` differ."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix or "(whole)"]
+    out = []
+    for k in dict.fromkeys([*a, *b]):
+        path = f"{prefix}.{k}" if prefix else str(k)
+        if k not in a or k not in b:
+            out.append(path)
+        else:
+            out += differing_keys(a[k], b[k], path)
+    return out
+
+
 def compare(parent: dict, change: dict) -> None:
     for key, ops in parent.items():
         tables_differ, worst, moved, lines = 0, 0.0, 0, []
+        forms: Counter = Counter()
         for i, ((kind, a), (_, b)) in enumerate(zip(ops, change[key])):
             ta, tb = a["table"], b["table"]
             same = True
@@ -116,15 +151,20 @@ def compare(parent: dict, change: dict) -> None:
                     moved += 1
             for field in fields:
                 if a.get(field) != b.get(field):
-                    shown = ("differs" if field == "form"  # too long to print
-                             else f"{a.get(field)!r} -> {b.get(field)!r}")
-                    lines.append(f"  op {i} {kind}: {field} {shown}")
+                    lines.append(f"  op {i} {kind}: {field} "
+                                 f"{a.get(field)!r} -> {b.get(field)!r}")
+            paths = differing_keys(a.get("form"), b.get("form"))
+            if paths:
+                forms[", ".join(paths)] += 1
         name, seed = key
         print(f"{name} seed {seed}: {len(ops)} ops ({len(change[key])} in the change), "
               f"{tables_differ} tables differ, largest cell difference {worst:.3g}, "
               f"{moved} residuals moved with their table, "
-              f"{len(lines)} other differences")
+              f"{len(lines)} other differences, "
+              f"{sum(forms.values())} JSON forms differ")
         print("\n".join(lines), end="\n" if lines else "")
+        for paths, count in forms.items():
+            print(f"  JSON form differs at {paths}: {count} ops")
 
 
 def main(argv=None) -> int:

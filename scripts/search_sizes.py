@@ -9,8 +9,10 @@ Classifies 550 random complete collections, 400 on 4 variables and 150 on
 that none of them is a benchmark item.  Prints, for the proven and the
 ``UNKNOWN`` collections apart, how many expanded each number of specs
 (``search.specs_expanded``), and how many ``UNKNOWN`` searches were
-stopped at ``SEARCH_LIMIT`` rather than exhausted.  ``SEARCH_LIMIT``
-should sit well above the largest proof; exits 0.
+stopped at ``SEARCH_LIMIT`` rather than exhausted; then the total
+classification time and its split between the proofs, the exhausted
+``UNKNOWN``s and the stopped ones (wall time, one process).
+``SEARCH_LIMIT`` should sit well above the largest proof; exits 0.
 """
 
 import sys
@@ -45,13 +47,22 @@ def main() -> int:
     sizes: dict[str, Counter] = {PROVEN_SMOOTH: Counter(), "UNKNOWN": Counter()}
     stopped = 0
     slowest = 0.0
+    seconds = {"proven": 0.0, "exhausted UNKNOWN": 0.0, "stopped UNKNOWN": 0.0}
     for spec in sample():
         t0 = time.perf_counter()
         report = classify(spec)
-        slowest = max(slowest, time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        slowest = max(slowest, elapsed)
         verdict = report.verdict if report.verdict == PROVEN_SMOOTH else "UNKNOWN"
         sizes[verdict][report.search.specs_expanded] += 1
-        stopped += verdict == "UNKNOWN" and not report.search.exhausted
+        if verdict == PROVEN_SMOOTH:
+            group = "proven"
+        elif report.search.exhausted:
+            group = "exhausted UNKNOWN"
+        else:
+            group = "stopped UNKNOWN"
+            stopped += 1
+        seconds[group] += elapsed
     print(f"SEARCH_LIMIT = {SEARCH_LIMIT}")
     for verdict, counts in sizes.items():
         print(f"{verdict}: {sum(counts.values())} collections")
@@ -61,6 +72,9 @@ def main() -> int:
     print(f"UNKNOWN stopped at SEARCH_LIMIT: {stopped}")
     print(f"largest proof: {max(sizes[PROVEN_SMOOTH], default=0)} specs")
     print(f"slowest classification: {slowest:.3f} s")
+    print(f"classification time: {sum(seconds.values()):.3f} s")
+    for group, total in seconds.items():
+        print(f"  {group}: {total:.3f} s")
     return 0
 
 

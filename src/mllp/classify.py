@@ -55,9 +55,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IncompleteSpecError, SpecError
 from .mll import MLLSpec, Pair
@@ -81,6 +82,8 @@ CONTRACTION_RULE = "contraction_reduce"
 BASE_RULES = frozenset(
     {"hierarchical", "two_margin", "three_margin", "single_feedback", "cyclic"}
 )
+_SEARCH_RULES = (*MOVABLE_RULES, CONTRACTION_RULE)
+_ALL_RULES = (*DIRECT_RULES, *_SEARCH_RULES)
 
 DEFAULT_MOVE_LIMIT = 256
 # Collections one classification may expand before it answers UNKNOWN
@@ -109,12 +112,16 @@ class SearchRecord:
     the closures cut at the move limit, and whether it ended without a proof
     after expanding everything reachable.  A nonzero cut count means the
     verdict may depend on that limit; an ``UNKNOWN`` that is not exhausted
-    was stopped at :data:`SEARCH_LIMIT`."""
+    was stopped at :data:`SEARCH_LIMIT`.  ``evaluated`` and ``fired`` count,
+    per rule in priority order, the states on which the search asked for
+    the rule's output and those on which the rule applied."""
 
     specs_expanded: int = 0
     closure_states: int = 0
     closures_truncated: int = 0
     exhausted: bool = False
+    evaluated: dict = field(default_factory=lambda: dict.fromkeys(_ALL_RULES, 0))
+    fired: dict = field(default_factory=lambda: dict.fromkeys(_ALL_RULES, 0))
 
 
 @dataclass(frozen=True)
@@ -167,22 +174,16 @@ def hierarchy_order(spec: MLLSpec) -> tuple[int, ...] | None:
     containing that effect; a topological sort of that precedence relation
     is returned (ties broken by margin size, then mask value).
     """
-    return _hierarchy_order(spec.pairs)
+    return _hierarchy_order(
+        tuple(e for e, _ in spec.pairs), tuple(m for _, m in spec.pairs)
+    )
 
 
-def _margins(pairs: Sequence[Pair]) -> list[int]:
-    """Distinct margins in order of first appearance (as ``MLLSpec.margins``)."""
-    out: list[int] = []
-    for _, m in pairs:
-        if m not in out:
-            out.append(m)
-    return out
-
-
-def _hierarchy_order(pairs: Sequence[Pair]) -> tuple[int, ...] | None:
-    margins = _margins(pairs)
+def _hierarchy_order(effects: Sequence[int], key) -> tuple[int, ...] | None:
+    """:func:`hierarchy_order` of the pairs zip(effects, key)."""
+    margins = list(dict.fromkeys(key))
     succ: dict[int, set[int]] = {m: set() for m in margins}
-    for effect, margin in pairs:
+    for effect, margin in zip(effects, key):
         for other in margins:
             if other != margin and (effect & ~other) == 0:
                 succ[margin].add(other)
@@ -241,6 +242,136 @@ def reduce_minus_v(spec: MLLSpec, v_mask: int) -> MLLSpec:
 
 
 # ---------------------------------------------------------------------------
+# Margin keys
+# ---------------------------------------------------------------------------
+# Moves and rules read a collection as its margin key: the margin of each
+# effect, in a fixed effect order (``bytes`` up to eight variables, else a
+# tuple), through a plan compiled once per effect order.
+
+def _effect_bits(effects: Iterable[int]) -> int:
+    """The effects as one bitmask: bit K stands for effect K."""
+    out = 0
+    for k in effects:
+        out |= 1 << k
+    return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a nonnegative ``mask``, increasing; unlike
+    :func:`bit_positions` it visits only the set bits of a sparse effect
+    mask, not every bit below the highest."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _gather(positions: list[int]):
+    """The tuple of a key's entries at ``positions``."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)
+    return lambda key: tuple(key[i] for i in positions)
+
+
+def _packer(full: int):
+    """The type of margin keys over ``full``: bytes while a margin fits in one."""
+    return bytes if full < 256 else tuple
+
+
+# Mask arithmetic the kernels look up; each caches at most one entry per
+# margin (per margin and submask for _down) of the variable sets met.
+
+@functools.cache
+def _inside(n: int) -> int:
+    """The effects inside N, as bits."""
+    return _effect_bits(nonempty_submasks(n))
+
+
+@functools.cache
+def _free_tests(m: int) -> tuple[tuple[int, int], ...]:
+    """Per variable x of M, x and the effects inside M that contain x."""
+    return tuple(
+        (x, _effect_bits(k for k in nonempty_submasks(m) if k & x))
+        for x in (1 << b for b in bit_positions(m))
+    )
+
+
+@functools.cache
+def _down(m: int, d: int) -> tuple[int, ...]:
+    """The margins M minus A over the nonempty A inside d, increasing."""
+    return tuple(sorted(m & ~a for a in nonempty_submasks(d)))
+
+
+class _Plan:
+    """What the kernels read of one effect order: each margin as a one-entry
+    key; each effect's position; (position, effect) in order of effect, the
+    order of :func:`_moves`; and, for a complete order, per variable v in
+    bit order the gathers of the margins of a and of a|v over the nonempty a
+    without v, with the strict targets a|v."""
+
+    __slots__ = ("pos", "by_effect", "slices", "one")
+
+    def __init__(self, full: int, effects: tuple[int, ...]):
+        self.one = [_packer(full)((m,)) for m in range(full + 1)]
+        self.pos = {e: i for i, e in reversed(tuple(enumerate(effects)))}
+        self.by_effect = tuple(sorted(enumerate(effects), key=operator.itemgetter(1)))
+        self.slices = []
+        if len(self.pos) == len(effects) == full:
+            for v in (1 << b for b in bit_positions(full)):
+                rest = list(nonempty_submasks(full & ~v))
+                self.slices.append((
+                    v,
+                    _gather([self.pos[a] for a in rest]),
+                    _gather([self.pos[a | v] for a in rest]),
+                    tuple(a | v for a in rest),
+                ))
+
+
+@functools.lru_cache(maxsize=32)
+def _compile(full: int, effects: tuple[int, ...]) -> _Plan:
+    return _Plan(full, effects)
+
+
+class _Context:
+    """One variable set and effect order.  A collection over it is held as
+    its margin key; the plan is compiled on first use and shared by every
+    context of that effect order.  A search also keeps here its states'
+    ids by key, and the contexts reached by removing each variable."""
+
+    __slots__ = ("vars", "full", "effects", "pack", "ids", "children", "_plan")
+
+    def __init__(self, vars: VarSet, effects: tuple[int, ...]):
+        self.vars = vars
+        self.full = vars.full_mask
+        self.effects = effects
+        self.pack = _packer(self.full)
+        self.ids: dict = {}
+        # removed variable -> (context, kept positions, margin compression)
+        self.children: dict[int, tuple] = {}
+        self._plan = None
+
+    @property
+    def plan(self) -> _Plan:
+        if self._plan is None:
+            self._plan = _compile(self.full, self.effects)
+        return self._plan
+
+    def presence(self, key) -> dict[int, int]:
+        """Each margin's effects as bits, margins in order of first
+        appearance."""
+        out: dict[int, int] = {}
+        for e, m in zip(self.effects, key):
+            out[m] = out.get(m, 0) | 1 << e
+        return out
+
+
+def _key_of(spec: MLLSpec):
+    """The context and margin key of ``spec``, in its pair order."""
+    ctx = _Context(spec.vars, tuple(e for e, _ in spec.pairs))
+    return ctx, ctx.pack(m for _, m in spec.pairs)
+
+
+# ---------------------------------------------------------------------------
 # Interchange moves
 # ---------------------------------------------------------------------------
 
@@ -255,50 +386,48 @@ def interchange_moves(spec: MLLSpec) -> list[Move]:
     meeting A; upward, (L, M) -> (L, M plus A) needs every pair (K, M plus A)
     with K meeting A.  Both replace one coordinate by the other side of the
     exact identity lam(L, M plus A) = lam(L, M) + f(block), a smooth
-    triangular re-parameterization.
+    triangular re-parameterization.  Moves are sorted by pair, then new
+    margin.
+    """
+    ctx, key = _key_of(spec)
+    # sorting only reorders pairs that share an effect (incomplete specs)
+    return sorted((spec.pairs[i], t) for i, ts in _moves(ctx, key) for t in ts)
+
+
+def _moves(ctx: _Context, key) -> list[tuple[int, tuple[int, ...]]]:
+    """The interchange moves of margin key ``key``, as (position, new
+    margins) for each position that has any, by effect and then new margin.
 
     The block {(K, X) : K inside X, K meets A} lies wholly in the spec
     exactly when A avoids bad(X), the union of the nonempty K inside X for
-    which (K, X) is not a pair, so free(X) = X minus bad(X) is found once
-    per margin from the subsets of X missing there.  Downward moves of
-    (L, M) are then the nonempty submasks of M minus L within free(M);
-    upward moves go to the margins X strictly above M with X minus M inside
-    free(X) (a set that is no margin has bad(X) = X).
+    which (K, X) is not a pair; so a variable x of X is in free(X) = X minus
+    bad(X) when X holds every effect inside X that contains x.  Downward
+    moves of (L, M) go to M minus A for the nonempty A inside M minus L
+    within free(M); upward moves go to the margins X strictly above M with
+    X minus M inside free(X) (a set that is no margin has bad(X) = X).
     """
-    return [(pair, new_margin) for pair, new_margin, _ in _moves(spec.pairs)]
-
-
-def _moves(pairs: Sequence[Pair]) -> list[tuple[Pair, int, int]]:
-    """The moves of :func:`interchange_moves`, in its order, each with the
-    position of its pair in ``pairs``."""
-    effects_in: dict[int, set[int]] = {}
-    for effect, margin in pairs:
-        effects_in.setdefault(margin, set()).add(effect)
-    free: dict[int, int] = {}
-    for margin, effects in effects_in.items():
-        bad = 0
-        for k in _nonempty_submask_set(margin).difference(effects):
-            bad |= k
-        free[margin] = margin & ~bad
-    up: dict[int, list[int]] = {
-        m: [x for x in free if x != m and m & ~x == 0 and x & ~m & ~free[x] == 0]
-        for m in free
-    }
-    out: list[tuple[Pair, int, int]] = []
-    for i, (L, M) in enumerate(pairs):
-        down = M & ~L & free[M]
-        if down:
-            for A in nonempty_submasks(down):
-                out.append(((L, M), M & ~A, i))
-        for X in up[M]:
-            out.append(((L, M), X, i))
-    out.sort()
+    free = {}
+    for m, held in ctx.presence(key).items():
+        f = 0
+        for x, need in _free_tests(m):
+            if not need & ~held:
+                f |= x
+        free[m] = f
+    tops = sorted((x, f) for x, f in free.items() if f)  # up targets need free(X)
+    up = {}  # the upward targets of each margin that has any move
+    for m in free:
+        ups = tuple(x for x, f in tops if x > m and not m & ~x and not x & ~m & ~f)
+        if ups or free[m]:
+            up[m] = ups
+    out = []
+    for i, effect in ctx.plan.by_effect:
+        m = key[i]
+        if m in up:
+            d = m & ~effect & free[m]
+            targets = _down(m, d) + up[m] if d else up[m]
+            if targets:
+                out.append((i, targets))
     return out
-
-
-@functools.lru_cache(maxsize=1024)
-def _nonempty_submask_set(mask: int) -> frozenset[int]:
-    return frozenset(nonempty_submasks(mask))
 
 
 def apply_interchange(spec: MLLSpec, move: Move) -> MLLSpec:
@@ -336,91 +465,84 @@ def interchange_closure(
 # ---------------------------------------------------------------------------
 # Individual rules (structural applicability only)
 # ---------------------------------------------------------------------------
-# Each rule reads the pairs of a complete collection, in spec order, and the
-# full variable mask.
+# Each rule reads the margin key of a complete collection and its context.
 
-def _rule_hierarchical(pairs: Sequence[Pair], full: int) -> dict | None:
-    order = _hierarchy_order(pairs)
+def _rule_hierarchical(ctx: _Context, key) -> dict | None:
+    order = _hierarchy_order(ctx.effects, key)
     if order is None:
         return None
     return {"order": order}
 
 
-def _rule_two_margin(pairs: Sequence[Pair], full: int) -> dict | None:
-    margins = _margins(pairs)
+def _rule_two_margin(ctx: _Context, key) -> dict | None:
+    margins = set(key)
     if len(margins) == 2:
         return {"margins": tuple(sorted(margins))}
     return None
 
 
-def _rule_three_margin(pairs: Sequence[Pair], full: int) -> dict | None:
-    margins = _margins(pairs)
+def _rule_three_margin(ctx: _Context, key) -> dict | None:
+    margins = set(key)
     if len(margins) <= 3:
         return {"margins": tuple(sorted(margins))}
     return None
 
 
-def _rule_variable_removal(pairs: Sequence[Pair], full: int) -> dict | None:
+def _variables(cands: list[int]) -> dict | None:
+    if not cands:
+        return None
+    return {"v": cands[0], "candidates": tuple(cands)}
+
+
+def _rule_variable_removal(ctx: _Context, key) -> dict | None:
     used = 0
-    for _, m in pairs:
-        if m != full:
+    for m in set(key):
+        if m != ctx.full:
             used |= m
-    cands = [1 << b for b in bit_positions(full & ~used)]
-    if not cands:
-        return None
-    return {"v": cands[0], "candidates": tuple(cands)}
+    return _variables([1 << b for b in bit_positions(ctx.full & ~used)])
 
 
-def _slice_split_candidates(
-    pairs: Sequence[Pair], full: int, strict: bool
-) -> list[int]:
-    em = dict(pairs)
-    out = []
-    for b in bit_positions(full):
-        v = 1 << b
-        rest = full & ~v
-        ok = v in em  # the effect {v} itself must be present somewhere
-        if ok:
-            for a in nonempty_submasks(rest):
-                ma = em.get(a)
-                mav = em.get(a | v)
-                if ma is None or mav is None or ma != mav:
-                    ok = False
-                    break
-                if strict and ma != (a | v):
-                    ok = False
-                    break
-        if ok:
-            out.append(v)
-    return out
+def _slice_split(ctx: _Context, key, strict: bool) -> dict | None:
+    """Variables v whose every effect a without v shares its margin with
+    a|v (strict: the margin a|v itself)."""
+    cands = []
+    for v, margins_a, margins_av, targets in ctx.plan.slices:
+        ma = margins_a(key)
+        if (not strict or ma == targets) and ma == margins_av(key):
+            cands.append(v)
+    return _variables(cands)
 
 
-def _rule_slice_split(pairs: Sequence[Pair], full: int) -> dict | None:
-    cands = _slice_split_candidates(pairs, full, strict=True)
-    if not cands:
-        return None
-    return {"v": cands[0], "candidates": tuple(cands)}
+def _rule_slice_split(ctx: _Context, key) -> dict | None:
+    return _slice_split(ctx, key, True)
 
 
-def _rule_slice_split_general(pairs: Sequence[Pair], full: int) -> dict | None:
-    cands = _slice_split_candidates(pairs, full, strict=False)
-    if not cands:
-        return None
-    return {"v": cands[0], "candidates": tuple(cands)}
+def _rule_slice_split_general(ctx: _Context, key) -> dict | None:
+    return _slice_split(ctx, key, False)
 
 
-def _rule_single_feedback(pairs: Sequence[Pair], full: int) -> dict | None:
-    proper = [m for m in _margins(pairs) if m != full]
-    for effect, margin in pairs:
-        if margin == full:
-            continue
-        others = [n for n in proper if n != margin and (effect & ~n)]
-        if len(others) > 1:
+def _outside_twice(margins: Iterable[int]) -> int:
+    """The effects outside two or more of ``margins``, as bits.  An effect
+    lies inside its own margin, so for an effect held in one of them these
+    are two of the others."""
+    once = twice = 0
+    for n in margins:
+        out = ~_inside(n)
+        twice |= once & out
+        once |= out
+    return twice
+
+
+def _rule_single_feedback(ctx: _Context, key) -> dict | None:
+    full = ctx.full
+    twice = _outside_twice(m for m in set(key) if m != full)
+    for e, m in zip(ctx.effects, key):
+        if m != full and twice >> e & 1:
             return None
     return {}
 
 
-def _rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
+def _rule_cyclic(ctx: _Context, key) -> dict | None:
     """Match: proper margins are exactly the conditional blocks of one cycle
     of disjoint groups A_1, ..., A_k (k >= 3), every remaining effect in the
     full margin.
@@ -429,15 +551,14 @@ def _rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
     only candidate orders are the two walks along the overlaps from the
     first margin; they are tried in the order of ``itertools.permutations``
     over the other margins, and the first that passes the checks is kept."""
-    proper = [m for m in _margins(pairs) if m != full]
+    proper = [m for m in dict.fromkeys(key) if m != ctx.full]
     k = len(proper)
     if k < 3 or k > 8:
         return None
-    overlaps = {m: [o for o in proper if o != m and o & m] for m in proper}
     first = proper[0]
-    if len(overlaps[first]) != 2:
+    if sum(1 for o in proper if o & first) != 3:  # itself and two others
         return None
-    by_margin = {m: {e for e, mm in pairs if mm == m} for m in proper}
+    overlaps = {m: [o for o in proper if o != m and o & m] for m in proper}
     for nb in overlaps[first]:
         order = [first, nb]
         while len(order) < k:
@@ -446,13 +567,13 @@ def _rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
                 break
             order.append(ahead[0])
         else:
-            match = _cycle_match(order, by_margin)
+            match = _cycle_match(order, ctx.presence(key))
             if match is not None:
                 return match
     return None
 
 
-def _cycle_match(order: list[int], by_margin: dict[int, set[int]]) -> dict | None:
+def _cycle_match(order: list[int], held: dict[int, int]) -> dict | None:
     """The cyclic rule's record for the margins in cycle ``order``: the
     overlaps of neighbouring margins are nonempty disjoint blocks, each
     margin is the union of its two blocks and holds exactly its effects
@@ -469,7 +590,7 @@ def _cycle_match(order: list[int], by_margin: dict[int, set[int]]) -> dict | Non
         a_i = blocks[i]
         if margin != (blocks[i - 1] | a_i):
             return None
-        if by_margin[margin] != {Lm for Lm in nonempty_submasks(margin) if Lm & a_i}:
+        if held[margin] != _effect_bits(e for e in nonempty_submasks(margin) if e & a_i):
             return None
     return {"blocks": tuple(blocks), "margins": tuple(order)}
 
@@ -486,7 +607,7 @@ def relocate_pairs(spec: MLLSpec, pairs: Iterable[Pair]) -> MLLSpec:
     )
 
 
-def _rule_contraction_reduce(pairs: Sequence[Pair], full: int) -> dict | None:
+def _rule_contraction_reduce(ctx: _Context, key) -> dict | None:
     """Find a self-contained fixed-point subsystem U of proper-margin pairs.
 
     Requirements on U:
@@ -499,57 +620,48 @@ def _rule_contraction_reduce(pairs: Sequence[Pair], full: int) -> dict | None:
     collection; that recursion is checked by the caller.
 
     The answer is the smallest admissible U, ties broken by the sorted
-    positions of its pairs among the proper pairs.  Condition (i) closes
-    upward and (ii) only tightens as U grows, so the dependency closure of
-    any member of an admissible U is itself admissible and inside U: every
-    smallest admissible U is the closure of each of its pairs, and one
-    closure per pair finds them all.  A pair's closure is the pair plus the
-    closure of its margin's needs, found once per margin.  Collections with
-    more than 14 proper pairs get no answer: the verdicts are defined with
-    that cap, and lifting it gives some of those collections a relocation,
-    so it would change verdicts.
+    positions of its pairs.  Condition (i) closes upward and (ii) only
+    tightens as U grows, so the dependency closure of any member of an
+    admissible U is itself admissible and inside U: every smallest
+    admissible U is the closure of each of its pairs, and one closure per
+    pair finds them all.  A pair's closure is the pair plus the closure of
+    its margin's needs, found once per margin.  Collections with more than
+    14 proper pairs get no answer: the verdicts are defined with that cap,
+    and lifting it gives some of those collections a relocation, so it
+    would change verdicts.  Sets of pairs are held as effect bits.
     """
-    proper_pairs = [p for p in pairs if p[1] != full]
-    if not proper_pairs or len(proper_pairs) > 14:
+    full = ctx.full
+    if not 0 < len(key) - key.count(full) <= 14:  # the proper pairs
         return None
-    margin_of = [m for _, m in proper_pairs]
-    margins = list(dict.fromkeys(margin_of))
-    bit = {m: 1 << b for b, m in enumerate(margins)}
-    # needs[a]: the proper pairs whose effects lie outside margin a, and
-    # reach[a]: their margins, as bits; outside[j]: the other margins, as
-    # bits, that pair j's effect is not inside
-    needs, reach = [0] * len(margins), [0] * len(margins)
-    outside = [0] * len(proper_pairs)
-    for a, m in enumerate(margins):
-        for j, (k, n) in enumerate(proper_pairs):
-            if k & ~m:
-                needs[a] |= 1 << j
-                reach[a] |= bit[n]
-                if n != m:
-                    outside[j] |= 1 << a
-    for b in range(len(margins)):  # transitive closure of reach
-        for a in range(len(margins)):
-            if reach[a] >> b & 1:
-                reach[a] |= reach[b]
-    closed = {}
-    for a, m in enumerate(margins):
-        u = needs[a]
-        for b in range(len(margins)):
-            if reach[a] >> b & 1:
-                u |= needs[b]
-        closed[m] = u
-    admissible: list[list[int]] = []
-    for u in {1 << i | closed[m] for i, m in enumerate(margin_of)}:
-        members = bit_positions(u)
-        u_margins = 0
-        for j in members:
-            u_margins |= bit[margin_of[j]]
-        if all((outside[j] & u_margins).bit_count() <= 1 for j in members):
-            admissible.append(members)
-    if not admissible:
+    held: dict[int, int] = {}  # each proper margin's effects
+    for e, m in zip(ctx.effects, key):
+        if m != full:
+            held[m] = held.get(m, 0) | 1 << e
+    proper = 0
+    for h in held.values():
+        proper |= h
+    # each margin's needs: the proper pairs whose effects lie outside it
+    needs = {m: proper & ~_inside(m) for m in held}
+    closures = set()
+    for m, h in held.items():
+        closed, grown = needs[m], 0
+        while grown != closed:  # add the needs of the margins holding them
+            grown = closed
+            for n, hn in held.items():
+                if hn & grown:
+                    closed |= needs[n]
+        closures.update(1 << e | closed for e in _bits(h))
+    best = None
+    for u in sorted(closures, key=int.bit_count):
+        if best is not None and u.bit_count() > len(best):
+            break
+        if not u & _outside_twice(m for m, h in held.items() if h & u):
+            members = sorted(ctx.plan.pos[e] for e in _bits(u))
+            if best is None or members < best:
+                best = members
+    if best is None:
         return None
-    best = min(admissible, key=lambda members: (len(members), members))
-    return {"relocate": tuple(proper_pairs[j] for j in best)}
+    return {"relocate": tuple((ctx.effects[i], key[i]) for i in best)}
 
 
 _RULE_FUNCS = {
@@ -571,7 +683,7 @@ def rule_applies(spec: MLLSpec, rule: str) -> dict | None:
         raise SpecError(f"unknown rule {rule!r}")
     if not spec.is_complete():
         raise IncompleteSpecError("rules apply to complete specs only")
-    return _RULE_FUNCS[rule](spec.pairs, spec.vars.full_mask)
+    return _RULE_FUNCS[rule](*_key_of(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -616,36 +728,18 @@ def classify(spec: MLLSpec) -> ClassificationReport:
     return ClassificationReport(spec, PROVEN_SMOOTH, steps, reduced, search.record())
 
 
-_SEARCH_RULES = (*MOVABLE_RULES, CONTRACTION_RULE)
 _PROOF = "proof"  # rule output on a state where a base rule applies
-
-
-class _Context:
-    """One variable set met by a search: its pair order, and the states over
-    it, keyed by their margins in that order (``bytes`` up to eight
-    variables)."""
-
-    __slots__ = ("vars", "full", "effects", "pack", "ids", "children")
-
-    def __init__(self, vars: VarSet, effects: tuple[int, ...]):
-        self.vars = vars
-        self.full = vars.full_mask
-        self.effects = effects
-        self.pack = bytes if self.full < 256 else tuple
-        self.ids: dict = {}
-        # removed variable -> (context, kept positions, margin compression)
-        self.children: dict[int, tuple] = {}
 
 
 class _Search:
     """Depth-first proof search of one top-level :func:`classify` call.
 
     A *state* is one collection, held as an integer id with its context and
-    margin key; its interchange neighbours and each rule's output on it are
-    computed once, and only the returned chain is built as specs.  A *node*
-    is a state the search enters; :meth:`_options` lists its options in
-    priority order.  The memo, closure states included, lives only for the
-    call.
+    margin key.  Its interchange neighbours and each rule's output on it are
+    computed once, by kernels that read the key, so no state builds pairs;
+    only the returned chain is built as specs.  A *node* is a state the
+    search enters; :meth:`_options` lists its options in priority order.
+    The memo, closure states included, lives only for the call.
     """
 
     def __init__(self, spec: MLLSpec, limit: int = DEFAULT_MOVE_LIMIT):
@@ -654,19 +748,23 @@ class _Search:
         self.ctx: list[_Context] = []
         self.keys: list = []
         self.neighbours: list = []
-        # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset
+        # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset;
+        # the rows are extended to the states of each closure when it is read
         self.outs: list[list] = [[] for _ in _SEARCH_RULES]
         self.in_closure = bytearray()
+        self.evaluated = [0] * len(_ALL_RULES)
+        self.fired = [0] * len(_ALL_RULES)
         self.expanded = 0
         self.truncated = 0
         self.exhausted = False
-        root = _Context(spec.vars, tuple(e for e, _ in spec.pairs))
+        root, key = _key_of(spec)
         self.contexts = {spec.vars.names: root}
-        self.root = self._state(root, root.pack(m for _, m in spec.pairs))
+        self.root = self._state(root, key)
 
     def record(self) -> SearchRecord:
         return SearchRecord(
-            self.expanded, sum(self.in_closure), self.truncated, self.exhausted
+            self.expanded, sum(self.in_closure), self.truncated, self.exhausted,
+            dict(zip(_ALL_RULES, self.evaluated)), dict(zip(_ALL_RULES, self.fired)),
         )
 
     # -- states -------------------------------------------------------------
@@ -678,18 +776,13 @@ class _Search:
             self.ctx.append(ctx)
             self.keys.append(key)
             self.neighbours.append(None)
-            for row in self.outs:
-                row.append(True)
             self.in_closure.append(0)
         return s
-
-    def pairs(self, s: int) -> tuple[Pair, ...]:
-        return tuple(zip(self.ctx[s].effects, self.keys[s]))
 
     def spec(self, s: int) -> MLLSpec:
         if s == self.root:
             return self.root_spec
-        return MLLSpec(self.ctx[s].vars, self.pairs(s))
+        return MLLSpec(self.ctx[s].vars, tuple(zip(self.ctx[s].effects, self.keys[s])))
 
     def move(self, s: int, t: int) -> Move:
         """The interchange move from state ``s`` to its neighbour ``t``."""
@@ -702,10 +795,14 @@ class _Search:
         out = self.neighbours[s]
         if out is None:
             ctx, key = self.ctx[s], self.keys[s]
-            out = self.neighbours[s] = tuple(
-                self._state(ctx, key[:i] + ctx.pack((m,)) + key[i + 1:])
-                for _, m, i in _moves(self.pairs(s))
-            )
+            ids, one = ctx.ids, ctx.plan.one
+            out = []
+            for i, ms in _moves(ctx, key):
+                head, tail = key[:i], key[i + 1:]
+                for m in ms:
+                    k = head + one[m] + tail
+                    out.append(ids.get(k) or self._state(ctx, k))  # the root is 0
+            self.neighbours[s] = out = tuple(out)
         return out
 
     def closure(self, entry: int, parent: list[int] | None = None) -> list[int]:
@@ -744,19 +841,21 @@ class _Search:
         or the reduced states, one per candidate."""
         ctx, key = self.ctx[s], self.keys[s]
         rule = _SEARCH_RULES[r]
-        params = _RULE_FUNCS[rule](self.pairs(s), ctx.full)
+        params = _RULE_FUNCS[rule](ctx, key)
+        self.evaluated[len(DIRECT_RULES) + r] += 1
         if params is None:
             out = None
         elif rule in BASE_RULES:
             out = _PROOF
         elif rule == CONTRACTION_RULE:
-            moved = {ctx.effects.index(e) for e, _ in params["relocate"]}
+            moved = {ctx.plan.pos[e] for e, _ in params["relocate"]}
             full = ctx.full
             out = (self._state(ctx, ctx.pack(
                 full if i in moved else m for i, m in enumerate(key)
             )),)
         else:
             out = tuple(self._removed(s, v) for v in params["candidates"])
+        self.fired[len(DIRECT_RULES) + r] += out is not None
         self.outs[r][s] = out
         return out
 
@@ -782,11 +881,12 @@ class _Search:
 
     def _direct(self, v: int) -> str | None:
         """The first direct rule that proves state ``v``, or None."""
-        pairs, full = self.pairs(v), self.ctx[v].full
-        return next(
-            (r for r in DIRECT_RULES if _RULE_FUNCS[r](pairs, full) is not None),
-            None,
-        )
+        for r, rule in enumerate(DIRECT_RULES):
+            self.evaluated[r] += 1
+            if _RULE_FUNCS[rule](self.ctx[v], self.keys[v]) is not None:
+                self.fired[r] += 1
+                return rule
+        return None
 
     def _options(self, v: int):
         """Generate the options of node ``v`` in priority order, as (target,
@@ -796,6 +896,8 @@ class _Search:
         come more than once."""
         order = array("i", self.closure(v))
         self.truncated += len(order) >= self.limit
+        for row in self.outs:
+            row += [True] * (len(self.keys) - len(row))
         for r, row in enumerate(self.outs):
             # states whose output is unset (True) or a hit, skipped in C
             for s in itertools.compress(order, map(row.__getitem__, order)):
@@ -888,7 +990,7 @@ class _Search:
                     path.append(self.move(order[parent[i]], order[i]))
                     i = parent[i]
                 steps.extend(_move_steps(tuple(reversed(path))))
-            params = _RULE_FUNCS[rule](self.pairs(s), self.ctx[v].full)
+            params = _RULE_FUNCS[rule](self.ctx[s], self.keys[s])
             if t >= 0 and rule != CONTRACTION_RULE:
                 row = self.outs[_SEARCH_RULES.index(rule)]
                 params = {"v": params["candidates"][row[s].index(t)]}

@@ -32,6 +32,11 @@ parameter from two parameters of the enlarged margin, and
 :func:`brute_canonical_pairs` is the canonical form of a collection as the
 smallest sorted (margin, effect) encoding over every relabeling, one
 relabeling and one mask at a time.
+:func:`brute_moves` and the ``brute_rule_*`` functions (gathered in
+:data:`BRUTE_RULES`) are the classifier's interchange moves and rules as
+they read the pairs of a collection before the kernels read its margin
+key: sets of effects per margin, a dict from effect to margin, and the
+closure of each proper pair's needs for ``contraction_reduce``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from mllp import classify as cls
-from mllp.classify import ClassificationReport, RuleStep, _margins
+from mllp.classify import ClassificationReport, RuleStep
 from mllp.errors import (
     DIVERGENCE,
     INCONSISTENT_MARGINS,
@@ -358,6 +363,170 @@ def brute_canonical_pairs(pairs: Sequence[Pair], n: int) -> tuple[Pair, ...]:
     return tuple((e, m) for m, e in best)
 
 
+def _margins(pairs: Sequence[Pair]) -> list[int]:
+    """Distinct margins in order of first appearance (as ``MLLSpec.margins``)."""
+    out: list[int] = []
+    for _, m in pairs:
+        if m not in out:
+            out.append(m)
+    return out
+
+
+def brute_moves(pairs: Sequence[Pair]) -> list[tuple[Pair, int, int]]:
+    """The moves of :func:`mllp.classify.interchange_moves`, in its order,
+    each with the position of its pair in ``pairs``: free(X) is found from
+    the set of effects each margin holds, then every pair's downward and
+    upward targets are listed and sorted."""
+    effects_in: dict[int, set[int]] = {}
+    for effect, margin in pairs:
+        effects_in.setdefault(margin, set()).add(effect)
+    free: dict[int, int] = {}
+    for margin, effects in effects_in.items():
+        bad = 0
+        for k in set(nonempty_submasks(margin)).difference(effects):
+            bad |= k
+        free[margin] = margin & ~bad
+    up: dict[int, list[int]] = {
+        m: [x for x in free if x != m and m & ~x == 0 and x & ~m & ~free[x] == 0]
+        for m in free
+    }
+    out: list[tuple[Pair, int, int]] = []
+    for i, (L, M) in enumerate(pairs):
+        down = M & ~L & free[M]
+        if down:
+            for A in nonempty_submasks(down):
+                out.append(((L, M), M & ~A, i))
+        for X in up[M]:
+            out.append(((L, M), X, i))
+    out.sort()
+    return out
+
+
+def brute_rule_two_margin(pairs: Sequence[Pair], full: int) -> dict | None:
+    margins = _margins(pairs)
+    if len(margins) == 2:
+        return {"margins": tuple(sorted(margins))}
+    return None
+
+
+def brute_rule_three_margin(pairs: Sequence[Pair], full: int) -> dict | None:
+    margins = _margins(pairs)
+    if len(margins) <= 3:
+        return {"margins": tuple(sorted(margins))}
+    return None
+
+
+def brute_rule_variable_removal(pairs: Sequence[Pair], full: int) -> dict | None:
+    used = 0
+    for _, m in pairs:
+        if m != full:
+            used |= m
+    cands = [1 << b for b in range(full.bit_length()) if (full & ~used) >> b & 1]
+    if not cands:
+        return None
+    return {"v": cands[0], "candidates": tuple(cands)}
+
+
+def brute_slice_split_candidates(
+    pairs: Sequence[Pair], full: int, strict: bool
+) -> list[int]:
+    """Variables v whose every effect a without v shares its margin with
+    a|v (strict: the margin a|v itself), read from a dict of the pairs."""
+    em = dict(pairs)
+    out = []
+    for b in range(full.bit_length()):
+        v = 1 << b
+        rest = full & ~v
+        ok = v in em  # the effect {v} itself must be present somewhere
+        if ok:
+            for a in nonempty_submasks(rest):
+                ma = em.get(a)
+                mav = em.get(a | v)
+                if ma is None or mav is None or ma != mav:
+                    ok = False
+                    break
+                if strict and ma != (a | v):
+                    ok = False
+                    break
+        if ok:
+            out.append(v)
+    return out
+
+
+def brute_rule_slice_split(pairs: Sequence[Pair], full: int) -> dict | None:
+    cands = brute_slice_split_candidates(pairs, full, strict=True)
+    if not cands:
+        return None
+    return {"v": cands[0], "candidates": tuple(cands)}
+
+
+def brute_rule_slice_split_general(pairs: Sequence[Pair], full: int) -> dict | None:
+    cands = brute_slice_split_candidates(pairs, full, strict=False)
+    if not cands:
+        return None
+    return {"v": cands[0], "candidates": tuple(cands)}
+
+
+def brute_rule_single_feedback(pairs: Sequence[Pair], full: int) -> dict | None:
+    proper = [m for m in _margins(pairs) if m != full]
+    for effect, margin in pairs:
+        if margin == full:
+            continue
+        others = [n for n in proper if n != margin and (effect & ~n)]
+        if len(others) > 1:
+            return None
+    return {}
+
+
+def brute_rule_contraction_reduce(pairs: Sequence[Pair], full: int) -> dict | None:
+    """``contraction_reduce`` over the list of proper pairs: the closure of
+    each margin's needs, then the smallest admissible closure of a pair,
+    ties broken by the sorted positions of its pairs.  Faster than the
+    subset search of :func:`brute_contraction_reduce`, so it reaches every
+    collection of 14 proper pairs or fewer."""
+    proper_pairs = [p for p in pairs if p[1] != full]
+    if not proper_pairs or len(proper_pairs) > 14:
+        return None
+    margin_of = [m for _, m in proper_pairs]
+    margins = list(dict.fromkeys(margin_of))
+    bit = {m: 1 << b for b, m in enumerate(margins)}
+    # needs[a]: the proper pairs whose effects lie outside margin a, and
+    # reach[a]: their margins, as bits; outside[j]: the other margins, as
+    # bits, that pair j's effect is not inside
+    needs, reach = [0] * len(margins), [0] * len(margins)
+    outside = [0] * len(proper_pairs)
+    for a, m in enumerate(margins):
+        for j, (k, n) in enumerate(proper_pairs):
+            if k & ~m:
+                needs[a] |= 1 << j
+                reach[a] |= bit[n]
+                if n != m:
+                    outside[j] |= 1 << a
+    for b in range(len(margins)):  # transitive closure of reach
+        for a in range(len(margins)):
+            if reach[a] >> b & 1:
+                reach[a] |= reach[b]
+    closed = {}
+    for a, m in enumerate(margins):
+        u = needs[a]
+        for b in range(len(margins)):
+            if reach[a] >> b & 1:
+                u |= needs[b]
+        closed[m] = u
+    admissible: list[list[int]] = []
+    for u in {1 << i | closed[m] for i, m in enumerate(margin_of)}:
+        members = [j for j in range(len(proper_pairs)) if u >> j & 1]
+        u_margins = 0
+        for j in members:
+            u_margins |= bit[margin_of[j]]
+        if all(popcount(outside[j] & u_margins) <= 1 for j in members):
+            admissible.append(members)
+    if not admissible:
+        return None
+    best = min(admissible, key=lambda members: (len(members), members))
+    return {"relocate": tuple(proper_pairs[j] for j in best)}
+
+
 def brute_interchange_moves(spec: MLLSpec) -> list:
     """Interchange moves by their definition: build the conditional block
     of every (pair, A) and test that the spec contains all of it."""
@@ -472,6 +641,18 @@ def brute_rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
             continue
         return {"blocks": tuple(blocks), "margins": tuple(order)}
     return None
+
+
+BRUTE_RULES = {
+    "two_margin": brute_rule_two_margin,
+    "three_margin": brute_rule_three_margin,
+    "variable_removal": brute_rule_variable_removal,
+    "slice_split": brute_rule_slice_split,
+    "slice_split_general": brute_rule_slice_split_general,
+    "single_feedback": brute_rule_single_feedback,
+    "cyclic": brute_rule_cyclic,
+    cls.CONTRACTION_RULE: brute_rule_contraction_reduce,
+}
 
 
 def _move_steps(path) -> tuple[RuleStep, ...]:

@@ -20,6 +20,7 @@ from mllp.census import (
 )
 from mllp.classify import (
     BASE_RULES,
+    DIRECT_RULES,
     NOT_SMOOTH_INCOMPLETE,
     PROVEN_SMOOTH,
     SEARCH_LIMIT,
@@ -33,8 +34,12 @@ from mllp.classify import (
     reduce_minus_v,
     rule_applies,
     verify_hierarchy_order,
+    _ALL_RULES,
+    _RULE_FUNCS,
+    _SEARCH_RULES,
+    _Context,
     _Search,
-    _rule_cyclic,
+    _moves,
 )
 from mllp.errors import IncompleteSpecError, SpecError
 from mllp.mll import MLLSpec, lambda_vector
@@ -43,11 +48,13 @@ from mllp.tables import VarSet, popcount
 
 from conftest import dirichlet_table
 from oracles import (
+    BRUTE_RULES,
     brute_canonical_pairs,
     brute_classify,
     brute_contraction_reduce,
     brute_interchange_closure,
     brute_interchange_moves,
+    brute_moves,
     brute_rule_cyclic,
 )
 
@@ -139,6 +146,14 @@ def closure_states():
     starts = enumerate_complete(3, up_to_symmetry=True)
     starts += [few_margin_complete(4, rng) for _ in range(8)]
     return [state for spec in starts for state, _ in interchange_closure(spec)]
+
+
+def key_rule(rule: str, pairs, full: int):
+    """The classifier's kernel for ``rule`` on ``pairs`` read as a margin
+    key; unlike :func:`rule_applies` it takes pairs no spec would accept."""
+    names = tuple(str(i + 1) for i in range(full.bit_length()))
+    ctx = _Context(VarSet(names), tuple(e for e, _ in pairs))
+    return _RULE_FUNCS[rule](ctx, ctx.pack(m for _, m in pairs))
 
 
 def relabel(spec: MLLSpec, perm):
@@ -274,6 +289,22 @@ class TestRules:
         assert rule_applies(spec, "contraction_reduce") is None
         assert brute_contraction_reduce(spec) is None
 
+    @pytest.mark.parametrize("proper", [
+        ((1, 7), (4, 4), (8, 14), (10, 11)),
+        ((1, 7), (2, 10), (4, 13), (6, 14), (8, 13)),
+        ((1, 7), (6, 7), (8, 13), (12, 14)),
+    ])
+    def test_contraction_closes_needs_transitively(self, proper):
+        # a margin's needs reach a margin whose needs reach a third one:
+        # one step of the closure gives another answer on these (found by
+        # a search over 30 000 random n <= 5 collections)
+        margin_of = dict(proper)
+        spec = MLLSpec(VarSet(tuple("1234")),
+                       tuple((e, margin_of.get(e, 15)) for e in range(1, 16)))
+        want = brute_contraction_reduce(spec)
+        assert rule_applies(spec, "contraction_reduce") == want
+        assert want == BRUTE_RULES["contraction_reduce"](spec.pairs, 15)
+
     def test_unknown_rule_name_rejected(self):
         with pytest.raises(SpecError):
             rule_applies(catalog.CHAIN_THREE, "nope")
@@ -317,7 +348,9 @@ class TestCyclicRule:
         assert len(specs) == 104
         for spec in specs + closure_states:
             full = spec.vars.full_mask
-            assert _rule_cyclic(spec.pairs, full) == brute_rule_cyclic(spec.pairs, full)
+            assert key_rule("cyclic", spec.pairs, full) == brute_rule_cyclic(
+                spec.pairs, full
+            )
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_shuffled_true_cycles(self, k):
@@ -326,13 +359,13 @@ class TestCyclicRule:
             pairs, full = shuffled_cycle(k, rng)
             want = brute_rule_cyclic(pairs, full)
             assert want is not None
-            assert _rule_cyclic(pairs, full) == want
+            assert key_rule("cyclic", pairs, full) == want
             # one effect moved to the full margin or into another margin
             i = int(rng.integers(len(pairs)))
             margins = sorted({m for _, m in pairs})
             for m in (full, margins[int(rng.integers(len(margins)))]):
                 moved = pairs[:i] + [(pairs[i][0], m)] + pairs[i + 1:]
-                assert _rule_cyclic(moved, full) == brute_rule_cyclic(moved, full)
+                assert key_rule("cyclic", moved, full) == brute_rule_cyclic(moved, full)
 
     def test_seeded_random_collections(self):
         rng = np.random.default_rng(31)
@@ -347,7 +380,7 @@ class TestCyclicRule:
                 options = [m for m in proper if e & ~m == 0] + [full]
                 pairs.append((e, options[int(rng.integers(len(options)))]))
             checked += len({m for _, m in pairs} - {full}) >= 3
-            assert _rule_cyclic(pairs, full) == brute_rule_cyclic(pairs, full)
+            assert key_rule("cyclic", pairs, full) == brute_rule_cyclic(pairs, full)
         assert checked > 200
 
 
@@ -399,6 +432,56 @@ class TestInterchange:
         names = report.chain_names()
         assert names[0] == "interchange"
         assert "variable_removal" in names
+
+
+def assert_kernels_match_oracles(ctx: _Context, key) -> dict:
+    """Moves, in order and with positions, and every rule's dict on the
+    state ``key`` equal those of the pair-based oracles; returns the
+    rules' dicts."""
+    pairs = tuple(zip(ctx.effects, key))
+    got = [(i, t) for i, targets in _moves(ctx, key) for t in targets]
+    assert got == [(i, t) for _, t, i in brute_moves(pairs)]
+    outputs = {}
+    for rule, brute in BRUTE_RULES.items():
+        outputs[rule] = _RULE_FUNCS[rule](ctx, key)
+        assert outputs[rule] == brute(pairs, ctx.full), rule
+    return outputs
+
+
+class TestKeyKernels:
+    """The key kernels against the pair-based bodies they replaced."""
+
+    def test_labelled_three_variable_collections(self):
+        specs = enumerate_complete(3)
+        assert len(specs) == 512
+        fired = dict.fromkeys(BRUTE_RULES, 0)
+        for spec in specs:
+            assert interchange_moves(spec) == [
+                (pair, t) for pair, t, _ in brute_moves(spec.pairs)
+            ]
+            ctx = _Context(spec.vars, tuple(e for e, _ in spec.pairs))
+            key = ctx.pack(m for _, m in spec.pairs)
+            outputs = assert_kernels_match_oracles(ctx, key)
+            for rule, out in outputs.items():
+                fired[rule] += out is not None
+        assert all(fired.values()), fired
+
+    def test_states_of_sample_searches(self):
+        # every state the searches of 40 seeded sample collections register,
+        # in every context they reach (reductions included)
+        sample = search_sizes_sample()
+        picked = np.random.default_rng(28).choice(len(sample), size=40, replace=False)
+        sizes = set()
+        states = 0
+        for i in sorted(picked):
+            search = _Search(sample[i])
+            search.prove()
+            for ctx, key in zip(search.ctx, search.keys):
+                assert_kernels_match_oracles(ctx, key)
+                sizes.add(ctx.vars.n)
+            states += len(search.keys)
+        assert {4, 5} <= sizes
+        assert states > 5000
 
 
 class TestClassify:
@@ -472,9 +555,44 @@ class TestClassify:
             "closure_states": report.search.closure_states,
             "closures_truncated": report.search.closures_truncated,
             "exhausted": False,
+            "evaluated": report.search.evaluated,
+            "fired": report.search.fired,
         }
         # a direct rule on the given collection needs no search
-        assert classify(catalog.CHAIN_THREE).search.specs_expanded == 0
+        direct = classify(catalog.CHAIN_THREE).search
+        assert direct.specs_expanded == 0
+        zeros = dict.fromkeys(_ALL_RULES, 0)
+        assert direct.evaluated == direct.fired == {**zeros, "hierarchical": 1}
+
+    def test_rule_counts(self):
+        # counts are listed in priority order; a rule fires on at most the
+        # states it was evaluated on, and the proof's rules fired
+        report = classify(catalog.CROSS_SINGLE)
+        evaluated, fired = report.search.evaluated, report.search.fired
+        assert list(evaluated) == list(fired) == list(_ALL_RULES)
+        assert all(0 <= fired[r] <= evaluated[r] for r in _ALL_RULES)
+        for step in report.rule_chain:
+            if step.rule != "interchange":
+                assert fired[step.rule] >= 1
+        # the root and the reduced collection that closes the proof are
+        # checked by the direct rules; the first search rule fires on the
+        # third state of the root's closure
+        assert report.chain_names() == (
+            "interchange", "variable_removal", "hierarchical"
+        )
+        assert evaluated["hierarchical"] == report.search.specs_expanded + 1
+        assert evaluated["variable_removal"] == 3
+        assert evaluated["variable_removal"] <= report.search.closure_states
+
+    def test_exhausted_search_evaluates_every_rule_on_every_state(self):
+        report = classify(full_margin_rest("14: 1; 12: 2; 4: 4", 4))
+        search = report.search
+        assert search.exhausted
+        assert search.evaluated == {
+            **dict.fromkeys(DIRECT_RULES, search.specs_expanded),
+            **dict.fromkeys(_SEARCH_RULES, search.closure_states),
+        }
+        assert all(search.fired[r] == 0 for r in BASE_RULES)
 
     def test_permutation_equivariance(self):
         specs = [catalog.CHAIN_THREE, catalog.NESTED_SKIP, catalog.PAIRED_SLICES,

@@ -88,9 +88,18 @@ class TestSubcommands:
         assert rc == 0
         doc = json.loads(out)
         assert doc["verdict"] == "UNKNOWN"
+        # an exhausted search asks every rule about every state it reaches;
+        # only reductions fire, on the states below (by expanded count)
+        fired = {9: {"variable_removal": 16, "contraction_reduce": 15},
+                 8: {"contraction_reduce": 15}}[specs]
+        rules = ["hierarchical", "two_margin", "variable_removal", "slice_split",
+                 "three_margin", "single_feedback", "cyclic", "slice_split_general",
+                 "contraction_reduce"]
         assert doc["search"] == {
             "specs_expanded": specs, "closure_states": states, "closures_truncated": 0,
             "exhausted": True,
+            "evaluated": {r: specs if i < 2 else states for i, r in enumerate(rules)},
+            "fired": {**dict.fromkeys(rules, 0), **fired},
         }
 
     def test_enumerate(self, workdir):
