@@ -11,7 +11,8 @@ that none of them is a benchmark item.  Prints, for the proven and the
 (``search.specs_expanded``), and how many ``UNKNOWN`` searches were
 stopped at ``SEARCH_LIMIT`` rather than exhausted; then the total
 classification time and its split between the proofs, the exhausted
-``UNKNOWN``s and the stopped ones (wall time, one process).
+``UNKNOWN``s and the stopped ones (wall time, one process), each group
+with the sum of its reports' ``search.closure_states``.
 ``SEARCH_LIMIT`` should sit well above the largest proof; exits 0.
 """
 
@@ -48,6 +49,7 @@ def main() -> int:
     stopped = 0
     slowest = 0.0
     seconds = {"proven": 0.0, "exhausted UNKNOWN": 0.0, "stopped UNKNOWN": 0.0}
+    states = Counter()
     for spec in sample():
         t0 = time.perf_counter()
         report = classify(spec)
@@ -63,6 +65,7 @@ def main() -> int:
             group = "stopped UNKNOWN"
             stopped += 1
         seconds[group] += elapsed
+        states[group] += report.search.closure_states
     print(f"SEARCH_LIMIT = {SEARCH_LIMIT}")
     for verdict, counts in sizes.items():
         print(f"{verdict}: {sum(counts.values())} collections")
@@ -74,7 +77,7 @@ def main() -> int:
     print(f"slowest classification: {slowest:.3f} s")
     print(f"classification time: {sum(seconds.values()):.3f} s")
     for group, total in seconds.items():
-        print(f"  {group}: {total:.3f} s")
+        print(f"  {group}: {total:.3f} s, {states[group]} closure states")
     return 0
 
 

@@ -56,7 +56,6 @@ import dataclasses
 import functools
 import itertools
 import operator
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -108,9 +107,12 @@ class RuleStep:
 @dataclass(frozen=True)
 class SearchRecord:
     """Size of one classification's search: the distinct collections whose
-    interchange closure it ran, the distinct collections in those closures,
-    the closures cut at the move limit, and whether it ended without a proof
-    after expanding everything reachable.  A nonzero cut count means the
+    interchange closure it read, the distinct collections in the closure
+    prefixes it read, the prefixes that reached the move limit, and whether
+    it ended without a proof after expanding everything reachable.  Each
+    closure is grown only as far as the rules read it; an exhausted search
+    reads every rule on every state, so its counts are those of the whole
+    closures, and a proof may count less.  A nonzero cut count means the
     verdict may depend on that limit; an ``UNKNOWN`` that is not exhausted
     was stopped at :data:`SEARCH_LIMIT`.  ``evaluated`` and ``fired`` count,
     per rule in priority order, the states on which the search asked for
@@ -446,13 +448,16 @@ def interchange_closure(
     """Breadth-first closure of interchange moves, original spec first.
 
     Returns (reached spec, move path) pairs; exploration stops after
-    ``limit`` distinct collections (distinct by exact pair set).  This is
-    the closure that :func:`classify` runs from every collection it
-    expands.
+    ``limit`` distinct collections (distinct by exact pair set), and a
+    ``limit`` below 1 raises :class:`SpecError`.  This is the closure that
+    :func:`classify` reads from every collection it expands.
     """
+    if limit < 1:
+        raise SpecError(f"move limit must be at least 1, got {limit}")
     search = _Search(spec, limit)
-    parent: list[int] = []
-    order = search.closure(search.root, parent)
+    order, parent = [], []
+    for _ in search.walk(search.root, order, parent):
+        pass
     paths: list[tuple[Move, ...]] = []
     out = []
     for s, i in zip(order, parent):
@@ -722,10 +727,11 @@ def classify(spec: MLLSpec) -> ClassificationReport:
         return ClassificationReport(spec, NOT_SMOOTH_INCOMPLETE, (), ())
     search = _Search(spec)
     chain = search.prove()
+    record = search.record()  # before report_chain walks the closures again
     if chain is None:
-        return ClassificationReport(spec, UNKNOWN, (), (), search.record())
+        return ClassificationReport(spec, UNKNOWN, (), (), record)
     steps, reduced = search.report_chain(chain)
-    return ClassificationReport(spec, PROVEN_SMOOTH, steps, reduced, search.record())
+    return ClassificationReport(spec, PROVEN_SMOOTH, steps, reduced, record)
 
 
 _PROOF = "proof"  # rule output on a state where a base rule applies
@@ -740,6 +746,14 @@ class _Search:
     only the returned chain is built as specs.  A *node* is a state the
     search enters; :meth:`_options` lists its options in priority order.
     The memo, closure states included, lives only for the call.
+
+    A node's closure is grown by :meth:`walk` only as far as its first
+    search rule reads it, and the later rules read it whole.  The options
+    are those of the closure built whole: the walk adds states in the same
+    breadth-first order with the same cut, every rule reads them in that
+    order, and the rules are asked in turn and stop at the first option
+    taken, so no rule reads a state the walk has not yet added and no
+    option comes earlier or later than it would.
     """
 
     def __init__(self, spec: MLLSpec, limit: int = DEFAULT_MOVE_LIMIT):
@@ -748,10 +762,9 @@ class _Search:
         self.ctx: list[_Context] = []
         self.keys: list = []
         self.neighbours: list = []
-        # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset;
-        # the rows are extended to the states of each closure when it is read
+        # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset
         self.outs: list[list] = [[] for _ in _SEARCH_RULES]
-        self.in_closure = bytearray()
+        self.closed = set()  # the states of the closure prefixes read
         self.evaluated = [0] * len(_ALL_RULES)
         self.fired = [0] * len(_ALL_RULES)
         self.expanded = 0
@@ -763,7 +776,7 @@ class _Search:
 
     def record(self) -> SearchRecord:
         return SearchRecord(
-            self.expanded, sum(self.in_closure), self.truncated, self.exhausted,
+            self.expanded, len(self.closed), self.truncated, self.exhausted,
             dict(zip(_ALL_RULES, self.evaluated)), dict(zip(_ALL_RULES, self.fired)),
         )
 
@@ -776,7 +789,8 @@ class _Search:
             self.ctx.append(ctx)
             self.keys.append(key)
             self.neighbours.append(None)
-            self.in_closure.append(0)
+            for row in self.outs:
+                row.append(True)
         return s
 
     def spec(self, s: int) -> MLLSpec:
@@ -805,36 +819,37 @@ class _Search:
             self.neighbours[s] = out = tuple(out)
         return out
 
-    def closure(self, entry: int, parent: list[int] | None = None) -> list[int]:
-        """States of the breadth-first closure from ``entry``, ordered as by
-        :func:`interchange_closure`; ``parent``, when given, receives the
-        index of each one's parent (-1 for ``entry``)."""
-        limit, neighbours = self.limit, self.neighbours
+    def walk(
+        self, entry: int, order: list[int], parent: list[int] | None = None
+    ) -> Iterator[list[int]]:
+        """Grow the breadth-first closure from ``entry`` into ``order``, in
+        the order of :func:`interchange_closure`, and yield each chunk as it
+        joins: ``entry``, then the new neighbours of each state in turn, up
+        to the move limit.  ``parent``, when given, receives the index of
+        each one's parent (-1 for ``entry``).  States are marked in the
+        closure as they join, and the closure counts as truncated once it
+        reaches the limit, so a walk left unfinished counts its prefix."""
+        limit, neighbours, closed = self.limit, self.neighbours, self.closed
         seen = {entry}
-        order = [entry]
+        order.append(entry)
+        closed.add(entry)
         if parent is not None:
             parent.append(-1)
-        frontier: Iterable[int] = [0]
-        while frontier and len(order) < limit:
-            start = len(order)
-            for i in frontier:
-                s = order[i]
-                nb = neighbours[s]
-                if nb is None:
-                    nb = self._neighbours(s)
-                new = [t for t in nb if t not in seen]
-                if new:
-                    del new[limit - len(order):]
-                    seen.update(new)
-                    order.extend(new)
-                    if parent is not None:
-                        parent.extend([i] * len(new))
-                    if len(order) >= limit:
-                        break
-            frontier = range(start, len(order))
-        for s in order:
-            self.in_closure[s] = 1
-        return order
+        self.truncated += limit <= 1
+        yield [entry]
+        for i, s in enumerate(order):  # order grows as it is read
+            if len(order) >= limit:
+                return
+            new = [t for t in neighbours[s] or self._neighbours(s) if t not in seen]
+            if new:
+                del new[limit - len(order):]
+                seen.update(new)
+                closed.update(new)
+                order += new
+                if parent is not None:
+                    parent += [i] * len(new)
+                self.truncated += len(order) >= limit
+                yield new
 
     def _output(self, s: int, r: int):
         """Output of rule ``_SEARCH_RULES[r]`` on state ``s``: None, _PROOF,
@@ -893,19 +908,20 @@ class _Search:
         rule index, state) triples: the target is a reduced state, or -1
         for a base rule, whose option ends the list; the state is the one
         of ``v``'s closure whose rule output gives the option.  A target may
-        come more than once."""
-        order = array("i", self.closure(v))
-        self.truncated += len(order) >= self.limit
-        for row in self.outs:
-            row += [True] * (len(self.keys) - len(row))
+        come more than once.  The first rule reads the closure as
+        :meth:`walk` grows it; the later ones read it whole."""
+        order = []
         for r, row in enumerate(self.outs):
-            # states whose output is unset (True) or a hit, skipped in C
-            for s in itertools.compress(order, map(row.__getitem__, order)):
+            if r == 0:  # chunks of a few states each, read in turn
+                states = itertools.chain.from_iterable(self.walk(v, order))
+            else:  # states whose output is unset (True) or a hit, skipped in C
+                states = itertools.compress(order, map(row.__getitem__, order))
+            for s in states:
                 out = row[s]
                 if out is True:
                     out = self._output(s, r)
-                    if out is None:
-                        continue
+                if not out:
+                    continue
                 if out is _PROOF:
                     yield -1, r, s
                     return
@@ -936,6 +952,15 @@ class _Search:
         A step's state is the first in closure order whose rule output lists
         the target: an earlier one would have offered the target first, and
         as ``seen`` only grows, the search would have skipped it then too.
+
+        Growing each closure lazily changes none of this.  A node's options
+        are a function of its closure's states in breadth-first order, and
+        :meth:`walk` yields exactly that order, cut at the same limit; the
+        first rule reads the states as they join and every later rule reads
+        the finished list, so each option appears at the same place in the
+        list.  Neighbours and rule outputs are memoized per state and do not
+        depend on when they are computed, and state ids only key the memo,
+        so the order in which a lazy search meets states moves no step.
 
         After :data:`SEARCH_LIMIT` expansions the search answers None instead
         of entering another node; ``exhausted`` is set when it ends without
@@ -982,8 +1007,8 @@ class _Search:
         reduced: list[MLLSpec] = []
         for v, t, rule, s in chain:
             if s != v:
-                parent: list[int] = []
-                order = self.closure(v, parent)
+                order, parent = [], []
+                next(c for c in self.walk(v, order, parent) if s in c)
                 i = order.index(s)
                 path: list[Move] = []
                 while parent[i] >= 0:

@@ -32,6 +32,9 @@ parameter from two parameters of the enlarged margin, and
 :func:`brute_canonical_pairs` is the canonical form of a collection as the
 smallest sorted (margin, effect) encoding over every relabeling, one
 relabeling and one mask at a time.
+:func:`brute_closure` is a search's interchange closure from one state
+built whole, level by level, before any rule reads it, as the search
+built it before it grew each closure only as far as its rules read it.
 :func:`brute_moves` and the ``brute_rule_*`` functions (gathered in
 :data:`BRUTE_RULES`) are the classifier's interchange moves and rules as
 they read the pairs of a collection before the kernels read its margin
@@ -594,6 +597,36 @@ def brute_interchange_closure(spec: MLLSpec, limit: int = cls.DEFAULT_MOVE_LIMIT
                 break
         frontier = nxt
     return out
+
+
+def brute_closure(
+    search: cls._Search, entry: int, parent: list[int] | None = None
+) -> list[int]:
+    """States of the whole breadth-first closure from state ``entry`` of
+    ``search``, ordered as by :func:`mllp.classify.interchange_closure` and
+    cut at the search's move limit, built level by level before any rule
+    reads it; ``parent``, when given, receives the index of each one's
+    parent (-1 for ``entry``).  Neighbours come from the search's memo."""
+    limit = search.limit
+    seen = {entry}
+    order = [entry]
+    if parent is not None:
+        parent.append(-1)
+    frontier = [0]
+    while frontier and len(order) < limit:
+        start = len(order)
+        for i in frontier:
+            new = [t for t in search._neighbours(order[i]) if t not in seen]
+            if new:
+                del new[limit - len(order):]
+                seen.update(new)
+                order.extend(new)
+                if parent is not None:
+                    parent.extend([i] * len(new))
+                if len(order) >= limit:
+                    break
+        frontier = range(start, len(order))
+    return order
 
 
 def brute_rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:

@@ -25,6 +25,7 @@ from mllp.classify import (
     PROVEN_SMOOTH,
     SEARCH_LIMIT,
     UNKNOWN,
+    SearchRecord,
     apply_interchange,
     classify,
     hierarchy_order,
@@ -51,6 +52,7 @@ from oracles import (
     BRUTE_RULES,
     brute_canonical_pairs,
     brute_classify,
+    brute_closure,
     brute_contraction_reduce,
     brute_interchange_closure,
     brute_interchange_moves,
@@ -424,6 +426,12 @@ class TestInterchange:
                 (s.pairs, path) for s, path in whole[:k]
             ]
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_nonpositive_limit_is_refused(self, limit):
+        with pytest.raises(SpecError):
+            interchange_closure(catalog.CROSS_SINGLE, limit)
+        assert len(interchange_closure(catalog.CROSS_SINGLE, 1)) == 1
+
     def test_cross_single_reaches_variable_removal(self):
         # one move relocates the deferred pair; the result admits removal
         # of a variable confined to the full margin
@@ -467,10 +475,10 @@ class TestKeyKernels:
         assert all(fired.values()), fired
 
     def test_states_of_sample_searches(self):
-        # every state the searches of 40 seeded sample collections register,
+        # every state the searches of 65 seeded sample collections register,
         # in every context they reach (reductions included)
         sample = search_sizes_sample()
-        picked = np.random.default_rng(28).choice(len(sample), size=40, replace=False)
+        picked = np.random.default_rng(28).choice(len(sample), size=65, replace=False)
         sizes = set()
         states = 0
         for i in sorted(picked):
@@ -667,6 +675,80 @@ class TestSearchMatchesOracle:
             "hierarchical", "two_margin", "three_margin", "variable_removal",
             "contraction_reduce",
         } <= first_rules
+
+
+def recorded_walks(spec: MLLSpec) -> tuple[_Search, SearchRecord, list]:
+    """A search of ``spec`` run to its end, its record as :func:`classify`
+    takes it, and each closure walk it made as [entry, states read,
+    parents or None, whether the walk ended]; the walks with parents are
+    those of the reported chain's moves."""
+    search = _Search(spec)
+    walks = []
+    walk = search.walk
+
+    def recording(entry, order, parent=None):
+        made = [entry, order, parent, False]
+        walks.append(made)
+        yield from walk(entry, order, parent)
+        made[3] = True
+
+    search.walk = recording
+    chain = search.prove()
+    record = search.record()
+    if chain is not None:
+        search.report_chain(chain)
+    return search, record, walks
+
+
+class TestLazyClosure:
+    """Each node's closure is grown only as far as its rules read it: the
+    part read is a prefix of the closure built whole."""
+
+    def test_read_prefixes_match_whole_closures(self):
+        sample = search_sizes_sample()
+        picked = np.random.default_rng(29).choice(len(sample), size=60, replace=False)
+        sizes = set()
+        partial = whole = cut = 0
+        for i in sorted(picked):
+            search, record, walks = recorded_walks(sample[i])
+            for entry, order, parent, ended in walks:
+                want_parent: list[int] = []
+                want = brute_closure(search, entry, want_parent)
+                assert order == want[:len(order)]
+                if parent is not None:
+                    assert parent == want_parent[:len(parent)]
+                if ended:
+                    assert order == want
+                partial += len(order) < len(want)
+                whole += ended
+            # the record counts the prefixes the nodes' rules read
+            read = [order for _, order, parent, _ in walks if parent is None]
+            assert record.closure_states == len(set().union(*read))
+            assert record.closures_truncated == sum(len(o) >= search.limit for o in read)
+            assert classify(sample[i]).search == record
+            cut += record.closures_truncated
+            sizes.add(sample[i].vars.n)
+        assert sizes == {4, 5}
+        assert partial >= 20 and whole >= 50 and cut >= 20
+
+    def test_exhausted_records_count_whole_closures(self):
+        # an exhausted search reads every rule on every state of each node's
+        # closure, so its counts are those of the closures built whole
+        exhausted = 0
+        for spec in search_sizes_sample():
+            search, record, walks = recorded_walks(spec)
+            if not search.exhausted:
+                continue
+            exhausted += 1
+            states = set()
+            truncated = 0
+            for entry, *_ in walks:
+                closure = brute_closure(search, entry)
+                states.update(closure)
+                truncated += len(closure) >= search.limit
+            assert record.closure_states == len(states)
+            assert record.closures_truncated == truncated
+        assert exhausted >= 50
 
 
 def graph_search(graph: dict[int, list[int]], root: int = 0) -> tuple[_Search, list]:
