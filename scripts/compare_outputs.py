@@ -3,7 +3,7 @@
 
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --seeds 3 11 \\
         [--workloads classify-sweep invert-routes fallback-models large-tables \\
-                     search-sizes]
+                     search-sizes model-specs]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
@@ -17,7 +17,11 @@ report's ``to_json_obj()``, the census document), the error when the
 operation raised, and the result of the operation's own check.  The
 ``search-sizes`` group, a held-out check of the classifier, is the report
 JSON of each of the 550 collections of ``scripts/search_sizes.py`` (its
-seed stands in for the seeds).
+seed stands in for the seeds).  The ``model-specs`` group is the
+``cimodels.model_spec`` result of each of the 2 000 statement lists of
+``scripts/model_specs.py``: the embedding's JSON form (None when there is
+none), or the error; both sides draw the lists from the copy of that
+script beside this one.
 
 Prints, per workload and seed, the number of operations whose tables
 differ, the largest cell difference and the number of those whose
@@ -44,8 +48,9 @@ from pathlib import Path
 import numpy as np
 
 HELD_OUT = "search-sizes"
+MODELS = "model-specs"
 WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables",
-             HELD_OUT)
+             HELD_OUT, MODELS)
 FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
 REPORTED = ("method_used", "iterations", "final_residual", "contraction_certificate")
 
@@ -78,6 +83,24 @@ def outcome(op) -> dict:
     }
 
 
+def load_script(path: Path):
+    """The module of a script file."""
+    loader = importlib.util.spec_from_file_location(path.stem, path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    return script
+
+
+def model_outcome(cimodels, statements) -> dict:
+    """The embedding's JSON form of a statement list, or the error."""
+    try:
+        ms = cimodels.model_spec(statements)
+    except Exception as exc:  # the failures are outputs here
+        return {"table": None, "error": f"{type(exc).__name__}: {exc}"}
+    form = ms.embedding.to_json_obj() if ms.embedding is not None else None
+    return {"table": None, "form": form, "error": None}
+
+
 def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
     """Outcomes of every operation, keyed by (workload, seed); runs inside
     the side's subprocess."""
@@ -87,17 +110,20 @@ def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
     m = wl.import_mllp()
     out = {}
     if HELD_OUT in workloads:
-        path = checkout / "scripts" / "search_sizes.py"
-        loader = importlib.util.spec_from_file_location("search_sizes", path)
-        script = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(script)
+        script = load_script(checkout / "scripts" / "search_sizes.py")
         out[(HELD_OUT, script.SEED)] = [
             ("classify", {"table": None, "form": m.classify.classify(s).to_json_obj()})
             for s in script.sample()
         ]
+    if MODELS in workloads:
+        script = load_script(Path(__file__).resolve().parent / "model_specs.py")
+        out[(MODELS, script.SEED)] = [
+            ("model_spec", model_outcome(m.cimodels, statements))
+            for statements in script.sample()
+        ]
     with tempfile.TemporaryDirectory() as scratch:
         for name in workloads:
-            if name == HELD_OUT:
+            if name in (HELD_OUT, MODELS):
                 continue
             for seed in seeds:
                 ops = wl.build_ops(m, name, seed, Path(scratch))

@@ -149,14 +149,21 @@ def model_spec(
 ) -> ModelSpec:
     """Zero pairs of a statement list plus a complete embedding.
 
-    The embedding keeps every zero pair.  When some variable v can pair
-    every remaining effect A with A+v inside a shared margin the
-    assignment follows that pairing (keeping the per-slice reduction
-    available); otherwise each remaining effect goes to the smallest
-    statement margin containing it, with the full margin as the fallback.
-    When two statements constrain the same effect in different margins no
-    complete embedding exists and ``embedding`` is None.  An empty
-    statement list (``vars`` required) embeds as the single full margin.
+    The embedding keeps every zero pair.  The other effects are placed by
+    the first variable v that pairs every effect A without v with A+v in
+    one shared margin (keeping the per-slice reduction available).  For
+    each such pair the shared margin is the zero margin of A+v, else that
+    of A, else the smallest statement margin containing A+v (the full
+    margin when none does); v is rejected when A has a zero margin other
+    than the shared one, or when the shared margin does not contain A+v.
+    The effect v keeps its zero margin or takes the smallest statement
+    margin containing it.  When every variable is rejected, each effect
+    without a zero margin goes to the smallest statement margin containing
+    it, else to the full margin.  So every statement list gets a complete
+    embedding, unless two statements constrain the same effect in
+    different margins: then none exists and ``embedding`` is None.  An
+    empty statement list (``vars`` required) embeds as the single full
+    margin.
     """
     if not statements:
         if vars is None:
@@ -187,37 +194,18 @@ def model_spec(
                 return m
         return full
 
-    assignment: dict[int, int] | None = None
     for b in range(vars.n):
         v = 1 << b
-        trial: dict[int, int] = dict(zero)
-        ok = True
+        assignment = {v: zero.get(v) or greedy(v)}
         for a in nonempty_submasks(full & ~v):
-            ma, mav = trial.get(a), trial.get(a | v)
-            if ma is not None and mav is not None:
-                if ma != mav:
-                    ok = False
-                    break
-            elif ma is not None:
-                trial[a | v] = ma
-            elif mav is not None:
-                trial[a] = mav
-            else:
-                shared = greedy(a | v)
-                if (a | v) & ~shared:
-                    shared = full
-                trial[a] = shared
-                trial[a | v] = shared
-        if ok:
-            if v not in trial:
-                trial[v] = greedy(v)
-            assignment = trial
+            shared = zero.get(a | v) or zero.get(a) or greedy(a | v)
+            if zero.get(a, shared) != shared or (a | v) & ~shared:
+                break
+            assignment[a] = assignment[a | v] = shared
+        else:
             break
-    if assignment is None:
-        assignment = dict(zero)
-        for L in nonempty_submasks(full):
-            if L not in assignment:
-                assignment[L] = greedy(L)
+    else:
+        assignment = {L: zero.get(L) or greedy(L) for L in nonempty_submasks(full)}
 
     pairs = list(zero_pairs) + [
         (L, assignment[L]) for L in sorted(assignment) if L not in zero

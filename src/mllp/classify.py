@@ -727,7 +727,7 @@ def classify(spec: MLLSpec) -> ClassificationReport:
         return ClassificationReport(spec, NOT_SMOOTH_INCOMPLETE, (), ())
     search = _Search(spec)
     chain = search.prove()
-    record = search.record()  # before report_chain walks the closures again
+    record = search.record()
     if chain is None:
         return ClassificationReport(spec, UNKNOWN, (), (), record)
     steps, reduced = search.report_chain(chain)
@@ -765,6 +765,8 @@ class _Search:
         # outs[r][s]: output of rule _SEARCH_RULES[r] on state s, True unset
         self.outs: list[list] = [[] for _ in _SEARCH_RULES]
         self.closed = set()  # the states of the closure prefixes read
+        # each node's closure walk: its states read and their parents
+        self.walks: dict[int, tuple[list[int], list[int]]] = {}
         self.evaluated = [0] * len(_ALL_RULES)
         self.fired = [0] * len(_ALL_RULES)
         self.expanded = 0
@@ -820,21 +822,20 @@ class _Search:
         return out
 
     def walk(
-        self, entry: int, order: list[int], parent: list[int] | None = None
+        self, entry: int, order: list[int], parent: list[int]
     ) -> Iterator[list[int]]:
         """Grow the breadth-first closure from ``entry`` into ``order``, in
         the order of :func:`interchange_closure`, and yield each chunk as it
         joins: ``entry``, then the new neighbours of each state in turn, up
-        to the move limit.  ``parent``, when given, receives the index of
-        each one's parent (-1 for ``entry``).  States are marked in the
-        closure as they join, and the closure counts as truncated once it
-        reaches the limit, so a walk left unfinished counts its prefix."""
+        to the move limit.  ``parent`` receives the index of each one's
+        parent (-1 for ``entry``).  States are marked in the closure as they
+        join, and the closure counts as truncated once it reaches the limit,
+        so a walk left unfinished counts its prefix."""
         limit, neighbours, closed = self.limit, self.neighbours, self.closed
         seen = {entry}
         order.append(entry)
         closed.add(entry)
-        if parent is not None:
-            parent.append(-1)
+        parent.append(-1)
         self.truncated += limit <= 1
         yield [entry]
         for i, s in enumerate(order):  # order grows as it is read
@@ -846,8 +847,7 @@ class _Search:
                 seen.update(new)
                 closed.update(new)
                 order += new
-                if parent is not None:
-                    parent += [i] * len(new)
+                parent += [i] * len(new)
                 self.truncated += len(order) >= limit
                 yield new
 
@@ -909,11 +909,12 @@ class _Search:
         for a base rule, whose option ends the list; the state is the one
         of ``v``'s closure whose rule output gives the option.  A target may
         come more than once.  The first rule reads the closure as
-        :meth:`walk` grows it; the later ones read it whole."""
-        order = []
+        :meth:`walk` grows it into ``walks[v]``; the later ones read it
+        whole."""
+        order, parent = self.walks[v] = [], []
         for r, row in enumerate(self.outs):
             if r == 0:  # chunks of a few states each, read in turn
-                states = itertools.chain.from_iterable(self.walk(v, order))
+                states = itertools.chain.from_iterable(self.walk(v, order, parent))
             else:  # states whose output is unset (True) or a hit, skipped in C
                 states = itertools.compress(order, map(row.__getitem__, order))
             for s in states:
@@ -1001,14 +1002,13 @@ class _Search:
         self, chain: list[tuple[int, int, str, int]]
     ) -> tuple[tuple[RuleStep, ...], tuple[MLLSpec, ...]]:
         """Rule steps and reduced specs of a chain from :meth:`prove`: the
-        interchange moves from each node to its step's state, then the
-        step's rule on that state."""
+        interchange moves from each node to its step's state, read off the
+        node's walk, then the step's rule on that state."""
         steps: list[RuleStep] = []
         reduced: list[MLLSpec] = []
         for v, t, rule, s in chain:
             if s != v:
-                order, parent = [], []
-                next(c for c in self.walk(v, order, parent) if s in c)
+                order, parent = self.walks[v]
                 i = order.index(s)
                 path: list[Move] = []
                 while parent[i] >= 0:

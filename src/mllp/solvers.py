@@ -767,33 +767,25 @@ def _relabel_chain(
 ) -> tuple[cls.RuleStep, ...]:
     """A proof chain of collection C as the same proof of its relabeling S:
     bit c of C is bit inv[c] of S.  Every rule is structural, so the
-    relabeled chain proves S.  After a variable removal or slice split the
-    later masks are in the bits of the reduced collections, so the map is
-    re-ranked over the variables that remain."""
-    def mask(m: int) -> int:  # under the map of the current step
-        return permute_mask(m, inv)
+    relabeled chain proves S.  Every int in a step's details is a mask,
+    nested tuples included; the margin-count rules list their margins
+    sorted.  After a step that removes a variable ``v`` the later masks are
+    in the bits of the reduced collections, so the map is re-ranked over
+    the variables that remain."""
+    def relabel(x):  # under the map of the current step
+        return tuple(map(relabel, x)) if isinstance(x, tuple) else permute_mask(x, inv)
 
     steps = []
     for step in chain:
         rule, d = step.rule, step.details
-        if rule == "interchange":
-            details = {k: mask(d[k]) for k in ("effect", "from_margin", "to_margin")}
-        elif rule in ("variable_removal", "slice_split", "slice_split_general"):
-            details = {"v": mask(d["v"])}
+        if rule != "interchange" and rule not in cls._ALL_RULES:
+            raise StructureError(f"cannot relabel rule {rule!r}")
+        details = {k: relabel(x) for k, x in d.items()}
+        if rule in ("two_margin", "three_margin"):
+            details["margins"] = tuple(sorted(details["margins"]))
+        if "v" in d:
             c = d["v"].bit_length() - 1
             inv = [i - (i > inv[c]) for i in inv[:c] + inv[c + 1:]]
-        elif rule == "hierarchical":
-            details = {"order": tuple(map(mask, d["order"]))}
-        elif rule in ("two_margin", "three_margin"):
-            details = {"margins": tuple(sorted(map(mask, d["margins"])))}
-        elif rule == "single_feedback":
-            details = {}
-        elif rule == "cyclic":
-            details = {k: tuple(map(mask, d[k])) for k in ("blocks", "margins")}
-        elif rule == cls.CONTRACTION_RULE:
-            details = {"relocate": tuple((mask(e), mask(m)) for e, m in d["relocate"])}
-        else:
-            raise StructureError(f"cannot relabel rule {rule!r}")
         steps.append(cls.RuleStep(rule, details))
     return tuple(steps)
 

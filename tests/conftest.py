@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,15 @@ ACCEPTANCE_LINES: list[str] = []
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def load_script(name: str):
+    """The module ``scripts/<name>.py``, imported from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    return script
 
 
 def make_vars(n: int) -> VarSet:

@@ -40,6 +40,9 @@ built it before it grew each closure only as far as its rules read it.
 they read the pairs of a collection before the kernels read its margin
 key: sets of effects per margin, a dict from effect to margin, and the
 closure of each proper pair's needs for ``contraction_reduce``.
+:func:`brute_model_spec` is a statement list's embedding by a trial
+assignment per variable, as it was built before one pairing rule read the
+zero pairs; it reads the package's zero-pair list.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from mllp import classify as cls
+from mllp.cimodels import CIStatement, ModelSpec, ci_to_zero_params
 from mllp.classify import ClassificationReport, RuleStep
 from mllp.errors import (
     DIVERGENCE,
@@ -1098,3 +1102,71 @@ def brute_stationary(m: np.ndarray) -> np.ndarray:
     if float(np.max(np.abs(pi @ m - pi))) > 1e-12:
         raise SolverError(NON_CONVERGENCE, "stationary vector fails invariance")
     return pi / pi.sum()
+
+
+def brute_model_spec(statements: Sequence[CIStatement]) -> ModelSpec:
+    """:func:`mllp.cimodels.model_spec` of a nonempty statement list by a
+    trial assignment per variable v, each pair (A, A+v) filled in by cases
+    on which of its effects already has a margin, kept verbatim as the
+    reference for the one pairing rule.  It raises ``SpecError`` where it
+    copies a zero margin onto an effect that margin does not contain."""
+    vars = statements[0].vars
+    zero: dict[int, int] = {}
+    zero_pairs: list[Pair] = []
+    for s in statements:
+        for effect, margin in ci_to_zero_params(s):
+            if effect in zero:
+                if zero[effect] != margin:
+                    return ModelSpec(tuple(statements), tuple(zero_pairs), None)
+                continue
+            zero[effect] = margin
+            zero_pairs.append((effect, margin))
+
+    full = vars.full_mask
+    listed = sorted({m for _, m in zero_pairs}, key=lambda m: (popcount(m), m))
+
+    def greedy(effect: int) -> int:
+        for m in listed:
+            if (effect & ~m) == 0:
+                return m
+        return full
+
+    assignment: dict[int, int] | None = None
+    for b in range(vars.n):
+        v = 1 << b
+        trial: dict[int, int] = dict(zero)
+        ok = True
+        for a in nonempty_submasks(full & ~v):
+            ma, mav = trial.get(a), trial.get(a | v)
+            if ma is not None and mav is not None:
+                if ma != mav:
+                    ok = False
+                    break
+            elif ma is not None:
+                trial[a | v] = ma
+            elif mav is not None:
+                trial[a] = mav
+            else:
+                shared = greedy(a | v)
+                if (a | v) & ~shared:
+                    shared = full
+                trial[a] = shared
+                trial[a | v] = shared
+        if ok:
+            if v not in trial:
+                trial[v] = greedy(v)
+            assignment = trial
+            break
+    if assignment is None:
+        assignment = dict(zero)
+        for L in nonempty_submasks(full):
+            if L not in assignment:
+                assignment[L] = greedy(L)
+
+    pairs = list(zero_pairs) + [
+        (L, assignment[L]) for L in sorted(assignment) if L not in zero
+    ]
+    embedding = MLLSpec(vars, tuple(pairs))
+    if not embedding.is_complete():
+        raise SpecError("constructed embedding is not complete")
+    return ModelSpec(tuple(statements), tuple(zero_pairs), embedding)

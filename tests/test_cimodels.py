@@ -34,8 +34,13 @@ from mllp.tables import (
     table_from_eta,
 )
 
-from conftest import dirichlet_table, make_vars, outside_domain_values
-from oracles import brute_sweep_kernel
+from conftest import dirichlet_table, load_script, make_vars, outside_domain_values
+from oracles import brute_model_spec, brute_sweep_kernel
+
+
+def model_specs_sample() -> list[list[CIStatement]]:
+    """The 2 000 statement lists of ``scripts/model_specs.py`` (seed 0)."""
+    return load_script("model_specs").sample()
 
 
 def product_table(vs, rng, mask_a, mask_b):
@@ -330,6 +335,38 @@ class TestModelSpec:
         assert ms.embedding is None
         # the conflicting effect is the triple {1,2,4}
         assert any(e == 0b1011 for e, _ in ms.zero_pairs)
+
+    def test_sample_matches_the_oracle_and_never_raises(self):
+        # the oracle raises where it copies a zero margin onto an effect
+        # outside it; model_spec then embeds completely
+        equal = crashed = conflicting = 0
+        for statements in model_specs_sample():
+            ms = model_spec(statements)
+            try:
+                want = brute_model_spec(statements)
+            except SpecError:
+                crashed += 1
+            else:
+                assert ms == want
+                equal += 1
+            margins: dict[int, set[int]] = {}
+            for s in statements:
+                for effect, margin in ci_to_zero_params(s):
+                    margins.setdefault(effect, set()).add(margin)
+            conflict = any(len(found) > 1 for found in margins.values())
+            assert (ms.embedding is None) == conflict
+            if ms.embedding is not None:
+                assert ms.embedding.is_complete()
+                assert set(ms.zero_pairs) <= set(ms.embedding.pairs)
+            conflicting += conflict
+        assert (equal, crashed, conflicting) == (1799, 201, 694)
+
+    def test_statement_on_fewer_variables_embeds(self):
+        vs = make_vars(3)
+        stmts = [CIStatement.from_text(vs, "2 _||_ 3")]
+        ms = model_spec(stmts)
+        assert ms.zero_pairs == ((0b110, 0b110),)
+        assert ms.embedding.is_complete()
 
     def test_empty_statement_list(self):
         vs = make_vars(3)

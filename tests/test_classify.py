@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 import signal
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +45,7 @@ from mllp.mll import MLLSpec, lambda_vector
 from mllp.solvers import invert
 from mllp.tables import VarSet, popcount
 
-from conftest import dirichlet_table
+from conftest import dirichlet_table, load_script
 from oracles import (
     BRUTE_RULES,
     brute_canonical_pairs,
@@ -95,11 +93,7 @@ def full_margin_rest(listed: str, n: int) -> MLLSpec:
 
 def search_sizes_sample() -> list[MLLSpec]:
     """The 550 collections of ``scripts/search_sizes.py`` (seed 7777)."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "search_sizes.py"
-    loader = importlib.util.spec_from_file_location("search_sizes", path)
-    script = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(script)
-    return script.sample()
+    return load_script("search_sizes").sample()
 
 
 class _Stopped(Exception):
@@ -474,16 +468,27 @@ class TestKeyKernels:
                 fired[rule] += out is not None
         assert all(fired.values()), fired
 
+    # The two searches of the sample stopped at SEARCH_LIMIT that register
+    # the most states (3 524 and 2 639).  Searches that end register 7
+    # states on average and the nine stopped ones 387 to 3 524, so a seeded
+    # pick alone passes 5 000 states only when it happens to draw these.
+    LARGEST_STOPPED = (440, 512)
+
     def test_states_of_sample_searches(self):
-        # every state the searches of 65 seeded sample collections register,
-        # in every context they reach (reductions included)
+        # every state that the searches of 40 seeded sample collections
+        # which end, and of the two largest stopped ones, register, in
+        # every context they reach (reductions included)
         sample = search_sizes_sample()
-        picked = np.random.default_rng(28).choice(len(sample), size=65, replace=False)
+        picked = np.random.default_rng(28).choice(len(sample), size=40, replace=False)
         sizes = set()
         states = 0
-        for i in sorted(picked):
+        for i in sorted({*picked, *self.LARGEST_STOPPED}):
             search = _Search(sample[i])
-            search.prove()
+            stopped = search.prove() is None and not search.exhausted
+            if i in self.LARGEST_STOPPED:
+                assert stopped
+            elif stopped:
+                continue  # the other stopped picks are skipped, to bound the time
             for ctx, key in zip(search.ctx, search.keys):
                 assert_kernels_match_oracles(ctx, key)
                 sizes.add(ctx.vars.n)
@@ -679,14 +684,13 @@ class TestSearchMatchesOracle:
 
 def recorded_walks(spec: MLLSpec) -> tuple[_Search, SearchRecord, list]:
     """A search of ``spec`` run to its end, its record as :func:`classify`
-    takes it, and each closure walk it made as [entry, states read,
-    parents or None, whether the walk ended]; the walks with parents are
-    those of the reported chain's moves."""
+    takes it, and each closure walk it made as [entry, states read, their
+    parents, whether the walk ended]."""
     search = _Search(spec)
     walks = []
     walk = search.walk
 
-    def recording(entry, order, parent=None):
+    def recording(entry, order, parent):
         made = [entry, order, parent, False]
         walks.append(made)
         yield from walk(entry, order, parent)
@@ -715,14 +719,15 @@ class TestLazyClosure:
                 want_parent: list[int] = []
                 want = brute_closure(search, entry, want_parent)
                 assert order == want[:len(order)]
-                if parent is not None:
-                    assert parent == want_parent[:len(parent)]
+                assert parent == want_parent[:len(parent)]
                 if ended:
                     assert order == want
                 partial += len(order) < len(want)
                 whole += ended
-            # the record counts the prefixes the nodes' rules read
-            read = [order for _, order, parent, _ in walks if parent is None]
+            # the record counts the prefixes the nodes' rules read, and
+            # reporting the chain reads no more
+            assert search.record() == record
+            read = [order for _, order, _, _ in walks]
             assert record.closure_states == len(set().union(*read))
             assert record.closures_truncated == sum(len(o) >= search.limit for o in read)
             assert classify(sample[i]).search == record

@@ -8,7 +8,7 @@ import pytest
 from mllp import catalog
 from mllp.cimodels import CIStatement, model_spec
 from mllp.cli import _emit, main
-from mllp.mll import lambda_vector
+from mllp.mll import MLLSpec, lambda_vector
 from mllp.markov import chain_from_joint
 from mllp.tables import VarSet, marginalize
 
@@ -213,6 +213,20 @@ class TestSubcommands:
         doc = json.loads(out)
         assert len(doc["zero_pairs"]) == 6
         assert doc["embedding"] is not None
+
+    @pytest.mark.parametrize("name, text", [
+        # a zero margin that lacks a variable v must not be copied onto the
+        # effects with v
+        ("ci.txt", "2 _||_ 3\n1 _||_ 4\n"),
+        ("ci.json", json.dumps({"variables": ["1", "2", "3"],
+                                "statements": [{"a": ["2"], "b": ["3"]}]})),
+    ], ids=["text", "json"])
+    def test_model_embeds_zero_margins_without_a_variable(self, tmp_path, name, text):
+        (tmp_path / name).write_text(text)
+        rc, out = run(["model", "--ci", str(tmp_path / name)])
+        assert rc == 0
+        doc = json.loads(out)
+        assert MLLSpec.from_json_obj(doc["embedding"]).is_complete()
 
     def test_model_member(self, workdir, tmp_path):
         path, _, _ = workdir

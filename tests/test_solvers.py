@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import math
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +67,7 @@ from mllp.tables import (
 from conftest import (
     RELISTED_CYCLES,
     dirichlet_table,
+    load_script,
     make_vars,
     relisted_cycle,
     underflow_case,
@@ -89,11 +88,8 @@ def zero_target(spec: MLLSpec) -> MLLVector:
 
 def skewed_roundtrip_cases(numbers: set[int]) -> list[tuple[MLLSpec, JointTable]]:
     """The spec and table of the given cases of scripts/skewed_roundtrip.py."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "skewed_roundtrip.py"
-    loader = importlib.util.spec_from_file_location("skewed_roundtrip", path)
-    script = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(script)
-    cases = itertools.islice(script.draw_cases(), max(numbers) + 1)
+    draws = load_script("skewed_roundtrip").draw_cases()
+    cases = itertools.islice(draws, max(numbers) + 1)
     return [(spec, t) for case, _, _, spec, t in cases if case in numbers]
 
 
@@ -1238,6 +1234,14 @@ class TestClassChain:
         assert solvers._relabel_chain(chain, [1, 2, 0]) == (
             RuleStep("variable_removal", {"v": 2}),
             RuleStep("hierarchical", {"order": (2, 1, 3)}),
+        )
+
+    @pytest.mark.parametrize("rule", ["two_margin", "three_margin"])
+    def test_relabel_chain_keeps_margin_lists_sorted(self, rule):
+        # 3 -> 6 and 5 -> 3 under inv = (1, 2, 0)
+        step = RuleStep(rule, {"margins": (3, 5, 7)})
+        assert solvers._relabel_chain((step,), [1, 2, 0]) == (
+            RuleStep(rule, {"margins": (3, 6, 7)}),
         )
 
     def test_relabel_chain_refuses_an_unknown_rule(self):
