@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -63,7 +64,9 @@ def _load_statements(path: str) -> list[cimodels.CIStatement]:
         ln.split("#", 1)[0].strip() for ln in text.splitlines()
     ]
     lines = [ln for ln in lines if ln]
-    labels = sorted({ch for ln in lines for ch in ln if ch.isalnum()})
+    # the names are the tokens CIStatement.from_text reads
+    labels = sorted({tok for ln in lines
+                     for tok in re.split(r"_\|\|_|\||[,\s]+", ln) if tok})
     vs = VarSet(tuple(labels))
     return [cimodels.CIStatement.from_text(vs, ln) for ln in lines]
 

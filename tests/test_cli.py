@@ -228,6 +228,15 @@ class TestSubcommands:
         doc = json.loads(out)
         assert MLLSpec.from_json_obj(doc["embedding"]).is_complete()
 
+    def test_model_text_reads_names_longer_than_one_character(self, tmp_path):
+        # the names are the statement's tokens, not its characters
+        (tmp_path / "ci.txt").write_text("10 _||_ 2\nx1, 2 _||_ y | 10\n")
+        rc, out = run(["model", "--ci", str(tmp_path / "ci.txt")])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["statements"] == ["10 _||_ 2", "2,x1 _||_ y | 10"]
+        assert doc["embedding"]["variables"] == ["10", "2", "x1", "y"]
+
     def test_model_member(self, workdir, tmp_path):
         path, _, _ = workdir
         rc, out = run(["model", "--ci", str(path / "ci.txt")])

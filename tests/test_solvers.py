@@ -211,6 +211,17 @@ def _drop_one_spec(n: int, dropped: tuple[int, ...]) -> MLLSpec:
     ))
 
 
+def cyclic_probe_table(name: str, alpha: float, draw: int) -> JointTable:
+    """Table ``draw`` of scripts/cyclic_probe.py for one collection and alpha."""
+    probe = load_script("cyclic_probe")
+    vs = probe.COLLECTIONS[name].vars
+    p = np.random.default_rng(probe.SEED).dirichlet(
+        np.full(vs.n_cells, alpha), probe.DRAWS
+    )[draw]
+    p = np.maximum(p, probe.FLOOR)
+    return JointTable(vs, p / p.sum())
+
+
 def _skewed_table(vs, rng) -> JointTable:
     """Dirichlet(0.3) draw, floored at 1e-9 so that every cell is valid."""
     p = np.maximum(rng.dirichlet(np.full(vs.n_cells, 0.3)), 1e-9)
@@ -584,10 +595,9 @@ class TestReconstructMixed:
             assert rel <= cond * 1e-13
 
     def test_matches_oracle(self, monkeypatch):
-        # the fitted solve against the Newton-only solve it replaced, on one,
-        # two and three drop-one margins (two at n = 9 is the large-table
-        # benchmark's shape); every fit keeps the coefficients that no
-        # sub-margin covers
+        # the fitted solve against the Newton-only solve it replaced, on one
+        # and three drop-one margins (two go to the stratum solve); every
+        # fit keeps the coefficients that no sub-margin covers
         fits = []
         fit = mixed._proportional_fit
 
@@ -602,7 +612,7 @@ class TestReconstructMixed:
             full = vs.full_mask
             shapes = [
                 [full ^ (1 << int(v)) for v in rng.choice(n, k, replace=False)]
-                for k in (1, 2, 3)
+                for k in (1, 3)
             ]
             for draw in (dirichlet_table, _skewed_table):
                 t = draw(vs, rng)
@@ -623,11 +633,11 @@ class TestReconstructMixed:
                     assert float(np.max(np.abs(after - before))) <= 1e-12
 
     def test_slow_first_sweeps_do_not_hand_over(self, monkeypatch):
-        # two drop-one margins at n = 9, the large-table benchmark's shape:
-        # many fits contract by only 0.9-0.99 per sweep at first and then
-        # settle.  The rate is judged over FIT_WINDOW sweeps, so few of
-        # them hand over to Newton; a one-sweep rule that stops below a
-        # contraction of 0.9 hands over about two in five.
+        # three drop-one margins at n = 9: many fits contract by only
+        # 0.9-0.99 per sweep at first and then settle.  The rate is judged
+        # over FIT_WINDOW sweeps, so few of them hand over to Newton (none
+        # of these 24); a one-sweep rule that stops below a contraction of
+        # 0.9 hands over 16.
         ends = []
         fit = mixed._proportional_fit
 
@@ -646,15 +656,96 @@ class TestReconstructMixed:
         full = vs.full_mask
         for _ in range(24):
             t = dirichlet_table(vs, rng)
-            a, b = (1 << int(v) for v in rng.choice(9, 2, replace=False))
+            bits = [1 << int(v) for v in rng.choice(9, 3, replace=False)]
             theta = fwht(np.log(t.p)) / t.p.size
             targets = {L: float(theta[L]) for L in range(1, full + 1)
-                       if L & a and L & b}
-            margins = [marginalize(t, full ^ a), marginalize(t, full ^ b)]
+                       if all(L & v for v in bits)}
+            margins = [marginalize(t, full ^ v) for v in bits]
             got = reconstruct_mixed(vs, margins, targets)
             assert float(np.max(np.abs(got.p - t.p))) <= 1e-12
         assert len(ends) == 24
         assert sum(e >= 1e-12 for e in ends) <= 3
+
+    def test_stratum_solve_matches_oracle(self, monkeypatch):
+        # two sub-margins S = M \ {b} and T with b in T at n = 3-9: two
+        # drop-one margins (the large-table benchmark's shape), S first, and
+        # a drawn T, T first.  Every fit the stratum solve returns keeps the
+        # coefficients no sub-margin covers; it returns one for every
+        # Dirichlet(1) table, and may leave a skewed one to the fit
+        fits = []
+        direct = mixed._stratum_fit
+
+        def spy(q, *args):
+            fits.append((q, direct(q, *args)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(mixed, "_stratum_fit", spy)
+        rng = np.random.default_rng(31)
+        skewed_direct = 0
+        for n in range(3, 10):
+            vs = make_vars(n)
+            full = vs.full_mask
+            for draw in (dirichlet_table, _skewed_table):
+                t = draw(vs, rng)
+                theta = fwht(np.log(t.p)) / t.p.size
+                a, b = (1 << int(v) for v in rng.choice(n, 2, replace=False))
+                rest = int(rng.integers(full + 1)) & ~(a | b)
+                for masks in ([full ^ b, full ^ a], [b | rest, full ^ b]):
+                    covered = {L for mask in masks for L in nonempty_submasks(mask)}
+                    uncovered = [L for L in range(1, full + 1) if L not in covered]
+                    margins = [marginalize(t, mask) for mask in masks]
+                    targets = {L: float(theta[L]) for L in uncovered}
+                    fits.clear()
+                    got = reconstruct_mixed(vs, margins, targets)
+                    want = brute_reconstruct_mixed(vs, margins, targets)
+                    assert float(np.max(np.abs(got.p - want.p))) <= 1e-12
+                    [(q, fitted)] = fits
+                    if draw is _skewed_table and fitted is None:
+                        continue
+                    assert fitted is not None
+                    skewed_direct += draw is _skewed_table
+                    before = (fwht(np.log(q)) / q.size)[uncovered]
+                    after = (fwht(np.log(fitted)) / q.size)[uncovered]
+                    assert float(np.max(np.abs(after - before))) <= 1e-12
+        assert skewed_direct >= 10
+
+    def test_ill_conditioned_stratum_falls_back_to_the_fit(self, monkeypatch):
+        # the 12-margin of the cyclic probe's CYCLE_THREE draw 133 at alpha
+        # 0.05, from its own sub-margins 1 and 2: the one stratum's cond is
+        # about 1.7e8, so the stratum solve would fix its unknown only to
+        # about 4e-8.  It returns None, and the solve returns the table the
+        # fit returns, bit for bit
+        t = marginalize(cyclic_probe_table("CYCLE_THREE", 0.05, 133), 0b11)
+        cells = t.p.reshape(2, 2)  # cells[b, a]: b is variable 2, a variable 1
+        cond = 1.0 / float(np.sum(cells[0] * cells[1] / cells.sum(axis=0)))
+        assert 1e8 < cond < 1e9
+        margins = [marginalize(t, 0b01), marginalize(t, 0b10)]
+        targets = {0b11: eta_from_table(t).value(0b11)}
+        fits = []
+        direct = mixed._stratum_fit
+
+        def spy(*args):
+            fits.append(direct(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(mixed, "_stratum_fit", spy)
+        got = reconstruct_mixed(t.vars, margins, targets)
+        assert fits == [None]
+        monkeypatch.setattr(mixed, "_stratum_fit", lambda *args: None)
+        want = reconstruct_mixed(t.vars, margins, targets)
+        assert np.array_equal(got.p, want.p)
+
+    def test_slow_newton_tail_converges(self):
+        # the last solve of the cyclic probe's CYCLE_FOUR draw 178 at alpha
+        # 0.02, over all four variables, from the drawn table's own
+        # sub-margins 12, 23, 14 and 34: its Newton tail crawls for 524 steps
+        t = cyclic_probe_table("CYCLE_FOUR", 0.02, 178)
+        masks = [0b0011, 0b0110, 0b1001, 0b1100]
+        theta = fwht(np.log(t.p)) / t.p.size
+        covered = {L for mask in masks for L in nonempty_submasks(mask)}
+        targets = {L: float(theta[L]) for L in range(1, 16) if L not in covered}
+        got = reconstruct_mixed(t.vars, [marginalize(t, m) for m in masks], targets)
+        assert float(np.max(np.abs(got.p - t.p))) <= 1e-12
 
     def test_skewed_cases_match_their_sub_margins(self, monkeypatch):
         # cases of scripts/skewed_roundtrip.py whose solves end at a stalled
