@@ -32,19 +32,11 @@ def main() -> int:
             writer.writerow(row)
 
     print(f"census of {report['complete_orbits']} orbits in {elapsed:.2f}s")
-    for key in (
-        "hierarchical_orbits",
-        "two_margin_extra",
-        "variable_removal_first",
-        "slice_split_first",
-        "three_margin_first",
-        "single_feedback_first",
-        "cyclic_first",
-        "contraction_first",
-        "proven_smooth_total",
-        "unknown_orbits",
-    ):
-        print(f"  {key}: {report[key]}")
+    buckets = ("hierarchical_orbits", "two_margin_extra", "proven_smooth_total",
+               "unknown_orbits")
+    for key, value in report.items():
+        if key in buckets or key.endswith("_first"):
+            print(f"  {key}: {value}")
     print(f"wrote {out_dir}/census.json and {out_dir}/census_orbits.csv")
     return 0
 

@@ -19,7 +19,7 @@ NESTED_SKIP = MLLSpec.from_text("3: 3\n23: 23\n123: 1 2 12 13 123\n")
 CROSS_SINGLE = MLLSpec.from_text("13: 3\n23: 23\n123: 1 2 12 13 123\n")
 
 # Two conditional blocks (2,23 | 1) plus a lone singleton margin; the
-# classic certified fixed-point example with three margins.
+# classic single-feedback fixed-point example, with three margins.
 TWO_BLOCK_FIXPOINT = MLLSpec.from_text("23: 2 23\n13: 1\n123: 12 3 13 123\n")
 
 # Every effect paired with its one-variable extension inside the same

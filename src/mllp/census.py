@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import CONTRACTION_RULE, PROVEN_SMOOTH, classify
+from .classify import CONTRACTION_RULE, MOVABLE_RULES, PROVEN_SMOOTH, classify
 from .errors import SpecError
 from .mll import MLLSpec, Pair
 from .tables import VarSet, bit_positions, popcount
@@ -192,12 +192,7 @@ def census(n: int = 3) -> dict:
         "burnside_orbits": burnside_orbit_count(n),
         "hierarchical_orbits": first_rule_counts.get("hierarchical", 0),
         "two_margin_extra": first_rule_counts.get("two_margin", 0),
-        "variable_removal_first": first_rule_counts.get("variable_removal", 0),
-        "slice_split_first": first_rule_counts.get("slice_split", 0),
-        "three_margin_first": first_rule_counts.get("three_margin", 0),
-        "single_feedback_first": first_rule_counts.get("single_feedback", 0),
-        "cyclic_first": first_rule_counts.get("cyclic", 0),
-        "slice_split_general_first": first_rule_counts.get("slice_split_general", 0),
+        **{f"{r}_first": first_rule_counts.get(r, 0) for r in MOVABLE_RULES},
         "contraction_first": first_rule_counts.get(CONTRACTION_RULE, 0),
         "proven_smooth_hard": proven_hard,
         "proven_smooth_total": proven_total,

@@ -9,9 +9,6 @@ implements sufficient conditions that go beyond it:
 
 ``two_margin``
     complete with exactly two distinct margins.
-``three_margin``
-    complete with at most three distinct margins (special case of the
-    certified fixed-point condition below).
 ``variable_removal``
     some variable occurs in no margin except the full set; the collection
     is smooth iff the reduced collection without that variable is.
@@ -22,9 +19,11 @@ implements sufficient conditions that go beyond it:
     without v, applied per slice of X_v.
 ``single_feedback``
     every proper-margin pair (L, M) sees at most one other proper margin N
-    with L not inside N; the stacked fixed-point map then has derivative
-    columns of norm below 1 - min_cell and the iteration is a certified
-    contraction.
+    with L not inside N (so every collection with at most three distinct
+    margins); the fixed-point map then has no derivative column whose
+    squared 2-norm reaches 1 - min_cell.  That bounds no operator norm, so
+    it certifies no contraction, and the tests pin such a collection with
+    two tables of equal parameters.
 ``cyclic``
     the proper margins are exactly the conditional blocks of one cycle of
     disjoint variable groups; the missing group marginal is the stationary
@@ -71,16 +70,13 @@ DIRECT_RULES = ("hierarchical", "two_margin")
 MOVABLE_RULES = (
     "variable_removal",
     "slice_split",
-    "three_margin",
     "single_feedback",
     "cyclic",
     "slice_split_general",
 )
 CONTRACTION_RULE = "contraction_reduce"
 # Rules that close a proof on their own; the others reduce and recurse.
-BASE_RULES = frozenset(
-    {"hierarchical", "two_margin", "three_margin", "single_feedback", "cyclic"}
-)
+BASE_RULES = frozenset({"hierarchical", "two_margin", "single_feedback", "cyclic"})
 _SEARCH_RULES = (*MOVABLE_RULES, CONTRACTION_RULE)
 _ALL_RULES = (*DIRECT_RULES, *_SEARCH_RULES)
 
@@ -486,13 +482,6 @@ def _rule_two_margin(ctx: _Context, key) -> dict | None:
     return None
 
 
-def _rule_three_margin(ctx: _Context, key) -> dict | None:
-    margins = set(key)
-    if len(margins) <= 3:
-        return {"margins": tuple(sorted(margins))}
-    return None
-
-
 def _variables(cands: list[int]) -> dict | None:
     if not cands:
         return None
@@ -619,8 +608,8 @@ def _rule_contraction_reduce(ctx: _Context, key) -> dict | None:
       (i)  every off-margin effect feeding a U-pair's margin-change term is
            either a full-margin effect or itself recovered by U;
       (ii) each U-pair sees at most one other U-margin its effect is not
-           inside (derivative columns then have norm below 1 - min_cell,
-           certifying the subsystem iteration as a contraction).
+           inside (the subsystem's derivative columns then have squared
+           2-norm below 1 - min_cell, as for ``single_feedback``).
     Relocating U into the full margin must leave a provably smooth
     collection; that recursion is checked by the caller.
 
@@ -672,7 +661,6 @@ def _rule_contraction_reduce(ctx: _Context, key) -> dict | None:
 _RULE_FUNCS = {
     "hierarchical": _rule_hierarchical,
     "two_margin": _rule_two_margin,
-    "three_margin": _rule_three_margin,
     "variable_removal": _rule_variable_removal,
     "slice_split": _rule_slice_split,
     "slice_split_general": _rule_slice_split_general,

@@ -216,14 +216,14 @@ def _cmd_smooth_test(args, out) -> int:
 
 def _cmd_markov(args, out) -> int:
     obj = json.loads(Path(args.chain).read_text())
-    chain = markov.CycleChainSpec.from_json_obj(obj)
-    pi = markov.stationary(chain)
-    power = markov.stationary_power(chain)
+    sweep = markov.CycleChainSpec.from_json_obj(obj).sweep
+    kernel = markov._sweep_kernel(sweep)
+    pi = markov.stationary_distribution(kernel)
     _emit(
         {
-            "variables": list(pi.vars.names),
-            "stationary": [float(x) for x in pi.p],
-            "power_iteration_gap": float(np.max(np.abs(pi.p - power.p))),
+            "variables": list(sweep.vars.names_of(sweep.state)),
+            "stationary": [float(x) for x in pi],
+            "invariance_residual": float(np.max(np.abs(pi @ kernel - pi))),
         },
         out,
     )

@@ -242,16 +242,3 @@ def stationary(chain: CycleChainSpec) -> JointTable:
     """Stationary distribution of the cycle's sweep on its first block: the
     block's marginal when the conditionals are those of one table."""
     return gibbs_stationary(chain.sweep)
-
-
-def stationary_power(chain: CycleChainSpec) -> JointTable:
-    """Power iteration on the same sweep kernel; the elimination is
-    authoritative, this exists as an independent cross-check."""
-    m = _sweep_kernel(chain.sweep)
-    v = np.full(len(m), 1.0 / len(m))
-    for _ in range(200000):
-        v, last = v @ m, v
-        v /= v.sum()
-        if float(np.max(np.abs(v - last))) < 1e-14:
-            break
-    return JointTable(chain.vars.restrict(chain.blocks[0]), v / v.sum())

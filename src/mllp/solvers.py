@@ -365,14 +365,17 @@ def invert_fixed_point(
 
 
 def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
-    """Largest squared derivative-column norm of the fixed-point map at t.
+    """Largest squared 2-norm of a derivative column of the fixed-point
+    map at t.
 
     Requires a complete spec with the single-feedback structure: each
     proper-margin pair sees at most one other proper margin, its feeder,
     that its effect is not inside.  The column of such an effect then only
     carries the derivatives of the feeder's parameters, whose squared sum
     stays below 1 - min_cell.  Full-margin effects are exact after one
-    sweep and contribute no feedback.
+    sweep and contribute no feedback.  A column 2-norm does not bound the
+    operator norm, so the value is no contraction constant, and it does
+    not make the parameter map injective.
     """
     if not spec.is_complete():
         raise IncompleteSpecError("contraction certificate needs a complete spec")
@@ -739,7 +742,7 @@ def _invert_via_chain(
             return _hierarchical_step(spec, tmap, details["order"])
         elif rule == "cyclic":
             return _cyclic_step(spec, tmap, details["blocks"])
-        elif rule in ("two_margin", "three_margin", "single_feedback"):
+        elif rule in ("two_margin", "single_feedback"):
             target = MLLVector(spec, np.array([tmap[pair] for pair in spec.pairs]))
             return invert_fixed_point(spec, target, opts)
         else:
@@ -768,10 +771,10 @@ def _relabel_chain(
     """A proof chain of collection C as the same proof of its relabeling S:
     bit c of C is bit inv[c] of S.  Every rule is structural, so the
     relabeled chain proves S.  Every int in a step's details is a mask,
-    nested tuples included; the margin-count rules list their margins
-    sorted.  After a step that removes a variable ``v`` the later masks are
-    in the bits of the reduced collections, so the map is re-ranked over
-    the variables that remain."""
+    nested tuples included; ``two_margin`` lists its margins sorted.  After
+    a step that removes a variable ``v`` the later masks are in the bits of
+    the reduced collections, so the map is re-ranked over the variables
+    that remain."""
     def relabel(x):  # under the map of the current step
         return tuple(map(relabel, x)) if isinstance(x, tuple) else permute_mask(x, inv)
 
@@ -781,7 +784,7 @@ def _relabel_chain(
         if rule != "interchange" and rule not in cls._ALL_RULES:
             raise StructureError(f"cannot relabel rule {rule!r}")
         details = {k: relabel(x) for k, x in d.items()}
-        if rule in ("two_margin", "three_margin"):
+        if rule == "two_margin":
             details["margins"] = tuple(sorted(details["margins"]))
         if "v" in d:
             c = d["v"].bit_length() - 1

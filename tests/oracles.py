@@ -24,7 +24,9 @@ and least-squares step.  :func:`brute_sweep_kernel` is the Gibbs sweep
 kernel carried one start state at a time; it reads the package's marginal
 and cell-packing helpers.  :func:`brute_is_complete` is completeness read
 from the list of margins of each effect.  :func:`brute_stationary` is the
-stationary distribution by a dense linear solve of (M^T - I) pi = 0.
+stationary distribution by a dense linear solve of (M^T - I) pi = 0, and
+:func:`stationary_power` that of a cycle by power iteration on the
+package's sweep kernel.
 :func:`joint_from_conditional` glues a conditional table onto a table of
 its conditioning variables, cell by cell.  :func:`brute_kappa` is a slice
 parameter from two parameters of the enlarged margin, and
@@ -65,7 +67,7 @@ from mllp.errors import (
     SpecError,
     StructureError,
 )
-from mllp.markov import GibbsCycleSpec
+from mllp.markov import CycleChainSpec, GibbsCycleSpec, _sweep_kernel
 from mllp.mixed import _least_squares_step
 from mllp.mll import (
     MLLSpec,
@@ -416,13 +418,6 @@ def brute_rule_two_margin(pairs: Sequence[Pair], full: int) -> dict | None:
     return None
 
 
-def brute_rule_three_margin(pairs: Sequence[Pair], full: int) -> dict | None:
-    margins = _margins(pairs)
-    if len(margins) <= 3:
-        return {"margins": tuple(sorted(margins))}
-    return None
-
-
 def brute_rule_variable_removal(pairs: Sequence[Pair], full: int) -> dict | None:
     used = 0
     for _, m in pairs:
@@ -682,7 +677,6 @@ def brute_rule_cyclic(pairs: Sequence[Pair], full: int) -> dict | None:
 
 BRUTE_RULES = {
     "two_margin": brute_rule_two_margin,
-    "three_margin": brute_rule_three_margin,
     "variable_removal": brute_rule_variable_removal,
     "slice_split": brute_rule_slice_split,
     "slice_split_general": brute_rule_slice_split_general,
@@ -1102,6 +1096,20 @@ def brute_stationary(m: np.ndarray) -> np.ndarray:
     if float(np.max(np.abs(pi @ m - pi))) > 1e-12:
         raise SolverError(NON_CONVERGENCE, "stationary vector fails invariance")
     return pi / pi.sum()
+
+
+def stationary_power(chain: CycleChainSpec) -> JointTable:
+    """Power iteration on the cycle's sweep kernel, kept as the reference
+    for the elimination: up to 200 000 steps, stopped when one moves no
+    entry by 1e-14."""
+    m = _sweep_kernel(chain.sweep)
+    v = np.full(len(m), 1.0 / len(m))
+    for _ in range(200000):
+        v, last = v @ m, v
+        v /= v.sum()
+        if float(np.max(np.abs(v - last))) < 1e-14:
+            break
+    return JointTable(chain.vars.restrict(chain.blocks[0]), v / v.sum())
 
 
 def brute_model_spec(statements: Sequence[CIStatement]) -> ModelSpec:

@@ -26,7 +26,6 @@ from mllp.markov import (
     chain_from_joint,
     gibbs_stationary,
     stationary,
-    stationary_power,
 )
 from mllp.solvers import (
     SolveOptions,
@@ -50,6 +49,7 @@ from oracles import (
     brute_row_norm,
     brute_sign_matrix,
     fd_jacobian,
+    stationary_power,
 )
 
 

@@ -19,6 +19,7 @@ from mllp.census import (
 from mllp.classify import (
     BASE_RULES,
     DIRECT_RULES,
+    MOVABLE_RULES,
     NOT_SMOOTH_INCOMPLETE,
     PROVEN_SMOOTH,
     SEARCH_LIMIT,
@@ -41,9 +42,9 @@ from mllp.classify import (
     _moves,
 )
 from mllp.errors import IncompleteSpecError, SpecError
-from mllp.mll import MLLSpec, lambda_vector
+from mllp.mll import MLLSpec, jacobian, lambda_vector
 from mllp.solvers import invert
-from mllp.tables import VarSet, popcount
+from mllp.tables import JointTable, VarSet, popcount
 
 from conftest import dirichlet_table, load_script
 from oracles import (
@@ -54,6 +55,7 @@ from oracles import (
     brute_contraction_reduce,
     brute_interchange_closure,
     brute_interchange_moves,
+    brute_lambda,
     brute_moves,
     brute_rule_cyclic,
 )
@@ -305,6 +307,27 @@ class TestRules:
         with pytest.raises(SpecError):
             rule_applies(catalog.CHAIN_THREE, "nope")
 
+    def test_every_rule_has_an_oracle(self):
+        assert set(BRUTE_RULES) == set(_RULE_FUNCS) - {"hierarchical"}
+
+    def test_few_margin_states_satisfy_single_feedback(self):
+        # a complete collection keeps every effect of the full set in the
+        # full margin, so at most three margins leave at most two proper
+        # ones, and an effect held in one lies outside at most the other
+        rng = np.random.default_rng(32)
+        few_margin_collection = load_script("search_sizes").few_margin_collection
+        starts = enumerate_complete(3)
+        for n, count in ((4, 60), (5, 20)):
+            vs = VarSet(tuple(str(i + 1) for i in range(n)))
+            starts += [MLLSpec(vs, few_margin_collection(rng, n)) for _ in range(count)]
+        checked = set()
+        for spec in starts:
+            for state, _ in interchange_closure(spec):
+                if len(state.margins) <= 3:
+                    assert rule_applies(state, "single_feedback") is not None
+                    checked.add(state.vars.n)
+        assert checked == {3, 4, 5}
+
 
 def cycle_pairs(groups: list[int], n: int) -> list[tuple[int, int]]:
     """Pairs of the cycle over the disjoint variable ``groups``: margin
@@ -529,8 +552,7 @@ class TestClassify:
         assert report.chain_names() == ("slice_split_general", "cyclic")
 
     def test_proven_chains_end_in_base_rule(self):
-        base = {"hierarchical", "two_margin", "three_margin",
-                "single_feedback", "cyclic"}
+        base = {"hierarchical", "two_margin", "single_feedback", "cyclic"}
         for spec in enumerate_complete(3, up_to_symmetry=True):
             report = classify(spec)
             if report.verdict == PROVEN_SMOOTH:
@@ -620,6 +642,48 @@ class TestClassify:
                 assert report.first_rule == base_report.first_rule
 
 
+# Two positive tables with equal parameters under a collection that
+# single_feedback proves: p is draw 8 258 (counting from 0) of
+# Dirichlet(0.2) over 16 cells from default_rng(31), floored at 1e-12 and
+# renormalised, the first draw with sigma_min(J) > 1e-3 sigma_max and
+# det J < 0; q is what AUTO inversion returns for p's parameters.
+NOT_INJECTIVE = "134: 1 3 13 14 34; 23: 23; 1234: 2 12 123 4 24 124 134 234 1234"
+NOT_INJECTIVE_P = tuple(float.fromhex(x) for x in (
+    "0x1.7635c40f56b37p-14", "0x1.cd9e732827db5p-9", "0x1.2e8a3c1d753c3p-11",
+    "0x1.b64289c76a0c6p-5", "0x1.8e73c30f83c9cp-21", "0x1.60e878af7e6a5p-11",
+    "0x1.e06f20c58587fp-7", "0x1.3c7de201b0ad8p-3", "0x1.acfdf5d73789cp-11",
+    "0x1.767d460b623a7p-1", "0x1.0c97c6a61c9f8p-21", "0x1.89ce326ad7e68p-12",
+    "0x1.41e4370f552e7p-6", "0x1.047401ad16fdap-12", "0x1.1954161dc0302p-17",
+    "0x1.4658609cdab08p-6",
+))
+
+
+class TestNotInjective:
+    """A proof whose parameter map is not injective: the fixed-point
+    rules' derivative-column bound does not imply a unique preimage."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        spec = MLLSpec.from_text(NOT_INJECTIVE.replace("; ", "\n") + "\n")
+        p = JointTable(spec.vars, np.array(NOT_INJECTIVE_P))
+        return spec, p, invert(spec, lambda_vector(p, spec)).table
+
+    def test_two_tables_share_their_parameters(self, tables):
+        spec, p, q = tables
+        assert float(np.max(np.abs(p.p - q.p))) > 4e-2
+        for e, m in spec.pairs:
+            assert abs(brute_lambda(p, e, m) - brute_lambda(q, e, m)) < 1e-12
+
+    def test_jacobian_determinant_changes_sign(self, tables):
+        spec, p, q = tables
+        signs = [np.linalg.slogdet(jacobian(t, spec))[0] for t in (p, q)]
+        assert signs[0] * signs[1] < 0
+
+    @pytest.mark.xfail(strict=True, reason="single_feedback proves it")
+    def test_not_proven_smooth(self, tables):
+        assert classify(tables[0]).verdict != PROVEN_SMOOTH
+
+
 class TestSearchMatchesOracle:
     """The memoized search returns the report of the recursive search over
     every path, wherever that one finishes."""
@@ -677,7 +741,7 @@ class TestSearchMatchesOracle:
             assert np.max(np.abs(res.table.p - table.p)) < 1e-8
         assert proven >= 488 and deepest >= 8
         assert {
-            "hierarchical", "two_margin", "three_margin", "variable_removal",
+            "hierarchical", "two_margin", "single_feedback", "variable_removal",
             "contraction_reduce",
         } <= first_rules
 
@@ -897,10 +961,15 @@ class TestCensus:
         assert report["slice_split_first"] == 1
 
     def test_remaining_buckets(self, report):
-        assert report["three_margin_first"] == 23
-        assert report["single_feedback_first"] == 1
+        assert report["single_feedback_first"] == 24
         assert report["cyclic_first"] == 1
         assert report["contraction_first"] == 3
+
+    def test_bucket_keys_follow_the_rules(self, report):
+        firsts = {k for k in report if k.endswith("_first")}
+        assert firsts == {f"{r}_first" for r in MOVABLE_RULES} | {"contraction_first"}
+        legacy = ("hierarchical_orbits", "two_margin_extra", "unknown_orbits")
+        assert sum(report[k] for k in (*firsts, *legacy)) == 104
 
     def test_totals(self, report):
         assert report["proven_smooth_hard"] == 58

@@ -36,7 +36,6 @@ from mllp.markov import (
     chain_from_joint,
     stationary,
     stationary_distribution,
-    stationary_power,
 )
 from mllp.mixed import reconstruct_mixed
 from mllp.solvers import (
@@ -78,6 +77,7 @@ from oracles import (
     brute_lambda,
     brute_reconstruct_mixed,
     brute_stationary,
+    stationary_power,
 )
 from test_classify import full_margin_rest, search_sizes_sample
 
@@ -182,14 +182,14 @@ class TestFixedPoint:
 # Collections proven through a fixed-point base rule at 4 and 5 variables
 # (the rule chain after the #); AUTO inversion runs the fixed point on them
 # or, after the reductions, on a smaller collection.
-FIXED_POINT_RULES = {"two_margin", "three_margin", "single_feedback"}
+FIXED_POINT_RULES = {"two_margin", "single_feedback"}
 FIXED_POINT_ROUTES_N45 = [
-    "1234: 1 2 13 23 123 134 234 1234; 124: 12 14 24 124; 134: 3 4 34",  # three_margin
+    "1234: 1 2 13 23 123 134 234 1234; 124: 12 14 24 124; 134: 3 4 34",  # single_feedback
     "1234: 1 2 12 13 123 4 14 124 34 134 234 1234; 234: 3 23 24",  # two_margin
-    "12: 1; 23: 2 23; 1234: 12 3 13 123 4 14 24 124 34 134 234 1234",  # variable_removal>three_margin
+    "12: 1; 23: 2 23; 1234: 12 3 13 123 4 14 24 124 34 134 234 1234",  # variable_removal>single_feedback
     "134: 1 14 134; 234: 2 24 234; 1234: 12 3 13 23 123 124 34 1234; 34: 4",  # contraction_reduce>two_margin
     "12345: 1 3 13 4 14 124 34 134 234 1234 5 15 25 35 135 1235 45 145 245 1245 "
-    "345 1345 2345 12345; 234: 2 24; 1235: 12 23 123 125 235",  # three_margin
+    "345 1345 2345 12345; 234: 2 24; 1235: 12 23 123 125 235",  # single_feedback
     "124: 1 14 124; 12345: 2 12 3 13 23 123 4 24 34 134 234 1234 5 15 25 125 35 "
     "135 235 1235 45 145 245 1245 345 1345 2345 12345",  # two_margin
     "145: 1 45; 12345: 2 12 23 123 4 24 124 34 134 234 1234 5 15 25 125 35 135 "
@@ -1198,7 +1198,7 @@ class TestInvertAuto:
         "text, method",
         [
             ("12: 1; 23: 2 23; 1234: 12 3 13 123 4 14 24 124 34 134 234 1234",
-             "variable_removal>three_margin"),
+             "variable_removal>single_feedback"),
             ("134: 1 14 134; 234: 2 24 234; 1234: 12 3 13 23 123 124 34 1234; 34: 4",
              "contraction_reduce>two_margin"),
         ],
@@ -1298,7 +1298,6 @@ class TestClassChain:
                         {"effect": 2, "from_margin": 6, "to_margin": 2}),
         "hierarchical": ({"order": (1, 3, 7)}, {"order": (2, 6, 7)}),
         "two_margin": ({"margins": (3, 7)}, {"margins": (6, 7)}),
-        "three_margin": ({"margins": (1, 6, 7)}, {"margins": (2, 5, 7)}),
         "variable_removal": ({"v": 1}, {"v": 2}),
         "slice_split": ({"v": 4}, {"v": 1}),
         "slice_split_general": ({"v": 2}, {"v": 4}),
@@ -1327,7 +1326,7 @@ class TestClassChain:
             RuleStep("hierarchical", {"order": (2, 1, 3)}),
         )
 
-    @pytest.mark.parametrize("rule", ["two_margin", "three_margin"])
+    @pytest.mark.parametrize("rule", ["two_margin"])
     def test_relabel_chain_keeps_margin_lists_sorted(self, rule):
         # 3 -> 6 and 5 -> 3 under inv = (1, 2, 0)
         step = RuleStep(rule, {"margins": (3, 5, 7)})
