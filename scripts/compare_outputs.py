@@ -3,7 +3,7 @@
 
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --seeds 3 11 \\
         [--workloads classify-sweep invert-routes fallback-models large-tables \\
-                     search-sizes model-specs]
+                     search-sizes model-specs skewed-roundtrip]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
@@ -21,7 +21,12 @@ seed stands in for the seeds).  The ``model-specs`` group is the
 ``cimodels.model_spec`` result of each of the 2 000 statement lists of
 ``scripts/model_specs.py``: the embedding's JSON form (None when there is
 none), or the error; both sides draw the lists from the copy of that
-script beside this one.
+script beside this one.  The ``skewed-roundtrip`` group is the hierarchical
+inversion of each of the 1 125 cases of ``scripts/skewed_roundtrip.py``
+(its 900 default cases and the 225 at ``--alpha 0.02``, as its
+``draw_cases`` draws them from the copy beside this one), where the mixed
+solve is weakest: the inverted table and the ``REPORTED`` fields, or the
+error kind.
 
 Prints, per workload and seed, the number of operations whose tables
 differ, the largest cell difference and the number of those whose
@@ -49,8 +54,11 @@ import numpy as np
 
 HELD_OUT = "search-sizes"
 MODELS = "model-specs"
+SKEWED = "skewed-roundtrip"
+SKEWED_EXTRA_ALPHA = 0.02
+GROUPS = (HELD_OUT, MODELS, SKEWED)
 WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables",
-             HELD_OUT, MODELS)
+             *GROUPS)
 FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
 REPORTED = ("method_used", "iterations", "final_residual", "contraction_certificate")
 
@@ -101,6 +109,17 @@ def model_outcome(cimodels, statements) -> dict:
     return {"table": None, "form": form, "error": None}
 
 
+def roundtrip_outcome(m, spec, t) -> dict:
+    """The hierarchical inversion of a table's own parameters: its table
+    and the ``REPORTED`` fields, or the error kind."""
+    try:
+        res = m.solvers.invert_hierarchical(spec, m.mll.lambda_vector(t, spec))
+    except Exception as exc:  # the failures are outputs here
+        return {"table": None, "error": f"{type(exc).__name__}: {getattr(exc, 'kind', exc)}"}
+    return {"table": np.asarray(res.table.p, dtype=float),
+            **{f: getattr(res, f) for f in REPORTED}, "error": None}
+
+
 def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
     """Outcomes of every operation, keyed by (workload, seed); runs inside
     the side's subprocess."""
@@ -121,9 +140,15 @@ def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
             ("model_spec", model_outcome(m.cimodels, statements))
             for statements in script.sample()
         ]
+    if SKEWED in workloads:
+        script = load_script(Path(__file__).resolve().parent / "skewed_roundtrip.py")
+        out[(SKEWED, script.SEED)] = [
+            ("invert_hierarchical", roundtrip_outcome(m, spec, t))
+            for _, _, _, spec, t in script.draw_cases(SKEWED_EXTRA_ALPHA)
+        ]
     with tempfile.TemporaryDirectory() as scratch:
         for name in workloads:
-            if name in (HELD_OUT, MODELS):
+            if name in GROUPS:
                 continue
             for seed in seeds:
                 ops = wl.build_ops(m, name, seed, Path(scratch))

@@ -75,15 +75,6 @@ def canonical_form(
     return form, perms[best]
 
 
-def canonical_pairs(pairs: Iterable[Pair], n: int) -> tuple[Pair, ...]:
-    """The form of :func:`canonical_form` alone."""
-    return canonical_form(pairs, n)[0]
-
-
-def canonical_key(spec: MLLSpec) -> tuple[Pair, ...]:
-    return canonical_pairs(spec.pairs, spec.vars.n)
-
-
 def labeled_complete_count(n: int) -> int:
     """Number of complete collections with labelled variables: every effect
     independently picks one of its 2**(n-|L|) superset margins."""
@@ -144,7 +135,7 @@ def enumerate_complete(n: int, up_to_symmetry: bool = False) -> list[MLLSpec]:
     for assignment in itertools.product(*superset_choices):
         pairs = tuple(zip(effects, assignment))
         if up_to_symmetry:
-            key = canonical_pairs(pairs, n)
+            key = canonical_form(pairs, n)[0]
             if key in seen_keys:
                 continue
             seen_keys.add(key)

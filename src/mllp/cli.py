@@ -196,6 +196,8 @@ def pair_map_min_singular_value(spec: MLLSpec, p: np.ndarray) -> float:
 def _cmd_smooth_test(args, out) -> int:
     if args.samples < 1:
         raise SpecError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise SpecError(f"--seed must be non-negative, got {args.seed}")
     spec = _load_spec(args.spec)
     rng = np.random.default_rng(args.seed)
     mins = []

@@ -10,6 +10,13 @@ monotone equation per cell of T \\ {b} (:func:`_stratum_fit`), when those
 equations are well conditioned; every other shape, and an ill-conditioned
 one, is fitted by iterative proportional fitting.  The hierarchical route
 of :mod:`mllp.solvers` calls it once per margin.
+
+Tables here are cell arrays, with no variable names:
+``reconstruct_mixed(m, margins, eta_targets)`` takes the margin's variable
+count, a dict from each sub-margin's mask (over the margin's own m bits)
+to its cells in compressed order, as :func:`mllp.tables.marginal_array`
+returns them, and the uncovered coefficients by effect mask; it returns the
+normalised cells of the margin.
 """
 
 from __future__ import annotations
@@ -22,17 +29,16 @@ import numpy as np
 from .errors import (
     INCONSISTENT_MARGINS,
     NON_CONVERGENCE,
+    InvalidTableError,
     SolverError,
     SpecError,
 )
 from .tables import (
-    JointTable,
-    VarSet,
+    POSITIVITY_FLOOR,
     compress_map,
     fwht,
     marginal_array,
     nonempty_submasks,
-    packed_indices,
     weights,
 )
 
@@ -51,10 +57,15 @@ def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
 # to bring the largest log margin ratio below 1e-12.  At n = 9 a sweep
 # costs about 35 us and a Newton finish 40-70 ms, so 1 500 sweeps is about
 # where the two break even.  The window keeps the early sweeps, which often
-# contract by only 0.9-0.99 before the fit settles, from handing over: on
-# the 36 n = 9 solves of a large-table pass (seeds 1601, 13201-13220), a
-# one-sweep rule (stop below a contraction of 0.9) handed 9-24 to Newton,
-# this rule 0-3.
+# contract by only 0.9-0.99 before the fit settles, from handing over.  The
+# benchmark's traffic does not reach that case: the two drop-one margins
+# of its n = 9 solves go to _stratum_fit, so a large-table pass (seed 1601)
+# fits only 8-variable margins with 0 or 1 sub-margin (36 each), which one
+# sweep matches, and the fits with two or more sub-margins, 76 in an
+# inversion-route pass and 24 in a fallback pass, are over at most 4
+# variables.  The window is pinned by test_slow_first_sweeps_do_not_hand_over
+# (three drop-one margins at n = 9), where a one-sweep rule (stop below a
+# contraction of 0.9) hands 16 of 24 fits to Newton and this rule none.
 FIT_SWEEPS = 1500
 FIT_WINDOW = 20
 # A reconstructed table must match its sub-margins to this relative error
@@ -183,12 +194,14 @@ def _stratum_fit(q: np.ndarray, m: int, sub_masks: Sequence[int],
 
 
 def reconstruct_mixed(
-    vars_m: VarSet,
-    margins: Sequence[JointTable],
+    m: int,
+    margins: Mapping[int, np.ndarray],
     eta_targets: Mapping[int, float],
-) -> JointTable:
-    """Table over ``vars_m`` matching every given sub-margin table and the
-    log-linear coefficients of the effects no sub-margin covers.
+) -> np.ndarray:
+    """Cells of the table over ``m`` variables that matches every given
+    sub-margin and the log-linear coefficients ``eta_targets`` of the
+    effects no sub-margin covers.  ``margins`` maps each sub-margin's mask
+    to its cells, indexed by the compressed cell index of that mask.
 
     Warm-started from the sub-margins' own coefficients, then fitted to the
     sub-margins in a way that keeps the uncovered coefficients.  Two
@@ -209,18 +222,14 @@ def reconstruct_mixed(
     every positive table.
     Raises INCONSISTENT_MARGINS when the given margins contradict each
     other, NON_CONVERGENCE when the result misses a margin by more than
-    MARGIN_RTOL relative or a coefficient by more than 1e-10.
+    MARGIN_RTOL relative or a coefficient by more than 1e-10, and
+    InvalidTableError when a cell of the normalised result is below
+    POSITIVITY_FLOOR.
     """
-    m = vars_m.n
-    size = vars_m.n_cells
-    sub_masks: list[int] = []
-    sub_p: list[np.ndarray] = []
-    cells: list[np.ndarray] = []
-    for tbl in margins:
-        mask = vars_m.mask_of(tbl.vars.names)
-        sub_p.append(tbl.p[packed_indices(vars_m.restrict(mask), tbl.vars.names)])
-        sub_masks.append(mask)
-        cells.append(compress_map(m, mask))
+    size = 1 << m
+    sub_masks = list(margins)
+    sub_p = list(margins.values())
+    cells = [compress_map(m, mask) for mask in sub_masks]
 
     covered: set[int] = set()
     for mask in sub_masks:
@@ -339,4 +348,10 @@ def reconstruct_mixed(
                 raise SolverError(
                     NON_CONVERGENCE, "coefficient targets missed after reconstruction"
                 )
-    return JointTable(vars_m, q / q.sum())
+    p = q / q.sum()
+    if p.min() < POSITIVITY_FLOOR:
+        raise InvalidTableError(
+            f"table entries must be >= {POSITIVITY_FLOOR}; "
+            f"smallest is {float(p.min()):.3e}"
+        )
+    return p

@@ -5,7 +5,10 @@ Four routes, dispatched automatically from the classification chain:
 * sequential *hierarchical* reconstruction: margins are rebuilt in the
   witness order, each one solved from its already-known sub-margins plus
   the log-linear coefficients assigned to it (the mixed mean/natural
-  coordinate solve of :mod:`mllp.mixed`);
+  coordinate solve of :mod:`mllp.mixed`,
+  ``reconstruct_mixed(m, margins, eta_targets)``, which takes each
+  sub-margin as its cells keyed by its mask within the margin and returns
+  the margin's cells);
 * the *fixed point* of the sweep eta <- eta + (target - lam(eta)), swept
   margin block by margin block through the plan that the forward
   map compiles once per spec (``mll._plan``), with the full-margin block
@@ -40,7 +43,9 @@ checks its own table: the reassembled table is checked once, against the
 caller's target, and the methods HIERARCHICAL and MARKOV are that checked
 replay of a one-step chain.  A table below the positivity floor on the way
 means the target has no member: SolverError.  Cells come from
-coefficients by the one kernel :func:`mllp.tables.weights`.
+coefficients by the one kernel :func:`mllp.tables.weights`.  The
+hierarchical step passes its margins as compressed-cell arrays keyed by
+mask, and builds a named table only for its result.
 
 Every solve is deterministic given (spec, target, options): the chain it
 replays is a function of the collection alone.  The one state solves
@@ -92,8 +97,8 @@ from .tables import (
     eta_from_dict,
     fwht,
     marginal_array,
-    marginalize,
     nonempty_submasks,
+    popcount,
     table_from_eta,
     weights,
 )
@@ -410,24 +415,29 @@ def _hierarchical_step(
 ) -> SolveResult:
     """Rebuild the margins in the witness ``order``; each margin is the
     unique table matching its already-built sub-margins and the
-    coefficients assigned to it.  The table is not checked."""
-    built: dict[int, JointTable] = {}
+    coefficients assigned to it.  ``built`` holds each margin's cells in
+    compressed order, and only the full margin becomes a named table.  The
+    table is not checked."""
+    built: dict[int, np.ndarray] = {}
     for margin in order:
-        vars_m = spec.vars.restrict(margin)
         inter = {e & margin for e in built if e & margin}
         maximal = [
             s for s in inter if not any(s != t and (s & ~t) == 0 for t in inter)
         ]
-        subs = []
+        subs = {}
         for s in sorted(maximal):
-            dt = built[next(e for e in built if (s & ~e) == 0)]
-            subs.append(marginalize(dt, dt.vars.mask_of(spec.vars.names_of(s))))
-        cmap = compress_map(spec.vars.n, margin)
+            e = next(e for e in built if (s & ~e) == 0)
+            sub = built[e]
+            if s != e:
+                sub = marginal_array(sub, popcount(e), compress(s, e))
+                sub = sub / sub.sum()
+            subs[compress(s, margin)] = sub
         eta_targets = {
-            int(cmap[e]): tmap[(e, m)] for e, m in spec.pairs if m == margin
+            compress(e, margin): tmap[(e, m)] for e, m in spec.pairs if m == margin
         }
-        built[margin] = reconstruct_mixed(vars_m, subs, eta_targets)
-    return SolveResult(built[spec.vars.full_mask], len(order), 0.0, "hierarchical")
+        built[margin] = reconstruct_mixed(popcount(margin), subs, eta_targets)
+    table = JointTable(spec.vars, built[spec.vars.full_mask])
+    return SolveResult(table, len(order), 0.0, "hierarchical")
 
 
 def invert_hierarchical(

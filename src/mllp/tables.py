@@ -73,13 +73,14 @@ def bit_positions(mask: int) -> list[int]:
 
 def compress(cell: int, mask: int) -> int:
     """Pack the bits of ``cell`` at the positions of ``mask`` into a dense
-    index (ascending bit order)."""
+    index (ascending bit order): each set bit of ``cell & mask`` goes to
+    the count of ``mask``'s bits below it."""
     out = 0
-    j = 0
-    for i in bit_positions(mask):
-        if cell >> i & 1:
-            out |= 1 << j
-        j += 1
+    cell &= mask
+    while cell:
+        low = cell & -cell
+        out |= 1 << (mask & (low - 1)).bit_count()
+        cell ^= low
     return out
 
 

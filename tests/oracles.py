@@ -8,7 +8,8 @@ them bit for bit (the second is the Jacobian as one gather per row);
 :func:`brute_column_norm` and :func:`brute_row_norm`, the squared
 derivative sums that 1 - min_cell bounds, read it too; and
 :func:`brute_fwht` sums each output's signed cells with NumPy, so that
-lengths up to 2**12 stay cheap.  :func:`brute_classify` is the classifier's
+lengths up to 2**12 stay cheap.  :func:`brute_compress` is bit packing as
+a walk over every bit of the mask.  :func:`brute_classify` is the classifier's
 plain recursive search over every path, one spec per collection; it calls
 the package's rules, moves and reductions, which have their own checks.
 :func:`brute_fixed_point` is the fixed-point inversion as a loop over
@@ -20,7 +21,11 @@ Jacobi sweep with each margin summed out of the cell cube and transformed
 anew.
 :func:`brute_reconstruct_mixed` is the mixed-coordinate solve as Newton
 steps alone, without proportional fitting; it reads the package's weights
-and least-squares step.  :func:`brute_sweep_kernel` is the Gibbs sweep
+and least-squares step.  :func:`brute_hierarchical_step` is the
+hierarchical step as it passed each margin as a named table, marginalised
+and restricted by variable names; it reads the package's mixed solve
+through :func:`margin_cells`, which reads a named table's mask and cells
+off its names.  :func:`brute_sweep_kernel` is the Gibbs sweep
 kernel carried one start state at a time; it reads the package's marginal
 and cell-packing helpers.  :func:`brute_is_complete` is completeness read
 from the list of margins of each effect.  :func:`brute_stationary` is the
@@ -68,7 +73,7 @@ from mllp.errors import (
     StructureError,
 )
 from mllp.markov import CycleChainSpec, GibbsCycleSpec, _sweep_kernel
-from mllp.mixed import _least_squares_step
+from mllp.mixed import _least_squares_step, reconstruct_mixed
 from mllp.mll import (
     MLLSpec,
     MLLVector,
@@ -89,10 +94,12 @@ from mllp.tables import (
     EtaVector,
     JointTable,
     VarSet,
+    bit_positions,
     compress,
     compress_map,
     fwht,
     marginal_array,
+    marginalize,
     nonempty_submasks,
     packed_indices,
     table_from_eta,
@@ -106,6 +113,19 @@ def popcount(x: int) -> int:
 
 def sign(effect: int, cell: int) -> float:
     return -1.0 if popcount(effect & cell) % 2 else 1.0
+
+
+def brute_compress(cell: int, mask: int) -> int:
+    """Bit packing as a walk over every bit of the mask, kept verbatim as
+    the reference: pack the bits of ``cell`` at the positions of ``mask``
+    into a dense index (ascending bit order)."""
+    out = 0
+    j = 0
+    for i in bit_positions(mask):
+        if cell >> i & 1:
+            out |= 1 << j
+        j += 1
+    return out
 
 
 def brute_fwht(a: np.ndarray, outputs=None) -> np.ndarray:
@@ -1026,6 +1046,43 @@ def brute_reconstruct_mixed(
                     NON_CONVERGENCE, "coefficient targets missed after reconstruction"
                 )
     return JointTable(vars_m, q / q.sum())
+
+
+def margin_cells(vars_m: VarSet, margins: Sequence[JointTable]) -> dict[int, np.ndarray]:
+    """Named sub-margin tables over ``vars_m`` in the form the mixed solve
+    takes: each table's mask within ``vars_m`` to its cells in compressed
+    order, read off its variable names, in the order given."""
+    cells = {}
+    for tbl in margins:
+        mask = vars_m.mask_of(tbl.vars.names)
+        cells[mask] = tbl.p[packed_indices(vars_m.restrict(mask), tbl.vars.names)]
+    return cells
+
+
+def brute_hierarchical_step(
+    spec: MLLSpec, tmap: dict[Pair, float], order: tuple[int, ...]
+) -> SolveResult:
+    """The hierarchical step as it passed margins as named tables, kept
+    verbatim as the reference; only its call of the mixed solve goes
+    through :func:`margin_cells` and back to a named table."""
+    built: dict[int, JointTable] = {}
+    for margin in order:
+        vars_m = spec.vars.restrict(margin)
+        inter = {e & margin for e in built if e & margin}
+        maximal = [
+            s for s in inter if not any(s != t and (s & ~t) == 0 for t in inter)
+        ]
+        subs = []
+        for s in sorted(maximal):
+            dt = built[next(e for e in built if (s & ~e) == 0)]
+            subs.append(marginalize(dt, dt.vars.mask_of(spec.vars.names_of(s))))
+        cmap = compress_map(spec.vars.n, margin)
+        eta_targets = {
+            int(cmap[e]): tmap[(e, m)] for e, m in spec.pairs if m == margin
+        }
+        built[margin] = JointTable(vars_m, reconstruct_mixed(
+            vars_m.n, margin_cells(vars_m, subs), eta_targets))
+    return SolveResult(built[spec.vars.full_mask], len(order), 0.0, "hierarchical")
 
 
 def brute_sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:

@@ -377,6 +377,12 @@ class TestExitCodes:
         assert out == ""
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_smooth_test_negative_seed_is_domain_error(self, workdir, capsys):
+        path, _, _ = workdir
+        spec = str(path / "spec.txt")
+        err = assert_domain_error(["smooth-test", "--spec", spec, "--seed", "-1"], capsys)
+        assert "--seed" in err
+
     @pytest.mark.parametrize(
         "table_vars, spec_text, extra",
         [

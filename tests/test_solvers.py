@@ -25,6 +25,7 @@ from mllp.errors import (
     DIVERGENCE,
     IncompleteSpecError,
     INCONSISTENT_MARGINS,
+    InvalidTableError,
     NON_CONVERGENCE,
     SolverError,
     SpecError,
@@ -55,6 +56,7 @@ from mllp.tables import (
     condition,
     eta_from_table,
     fwht,
+    marginal_array,
     marginalize,
     nonempty_submasks,
     popcount,
@@ -74,9 +76,11 @@ from conftest import (
 from oracles import (
     brute_contraction_subsystem,
     brute_fixed_point,
+    brute_hierarchical_step,
     brute_lambda,
     brute_reconstruct_mixed,
     brute_stationary,
+    margin_cells,
     stationary_power,
 )
 from test_classify import full_margin_rest, search_sizes_sample
@@ -548,8 +552,8 @@ class TestContractionCertificate:
 class TestReconstructMixed:
     def test_no_margins_is_pure_exponential(self):
         vs = make_vars(2)
-        got = reconstruct_mixed(vs, [], {1: 0.3, 2: -0.2, 3: 0.1})
-        e = eta_from_table(got)
+        got = reconstruct_mixed(vs.n, {}, {1: 0.3, 2: -0.2, 3: 0.1})
+        e = eta_from_table(JointTable(vs, got))
         assert e.value(1) == pytest.approx(0.3, abs=1e-12)
         assert e.value(2) == pytest.approx(-0.2, abs=1e-12)
         assert e.value(3) == pytest.approx(0.1, abs=1e-12)
@@ -560,7 +564,8 @@ class TestReconstructMixed:
         vs = VarSet(("1", "3"))
         u = table_from_probs(VarSet(("1",)), [0.5, 0.5])
         u3 = table_from_probs(VarSet(("3",)), [0.5, 0.5])
-        got = reconstruct_mixed(vs, [u, u3], {0b11: math.log(2.0)})
+        got = JointTable(vs, reconstruct_mixed(
+            vs.n, margin_cells(vs, [u, u3]), {0b11: math.log(2.0)}))
         assert np.allclose(got.p, [0.4, 0.1, 0.1, 0.4], atol=1e-11)
         assert brute_lambda(got, 0b11, 0b11) == pytest.approx(
             math.log(2.0), abs=1e-11
@@ -572,10 +577,10 @@ class TestReconstructMixed:
         # inverts at n = 9; only the top coefficient is left uncovered
         t = dirichlet_table(make_vars(n), rng)
         full = t.vars.full_mask
-        margins = [marginalize(t, full ^ (1 << v)) for v in range(n)]
+        margins = {full ^ (1 << v): marginalize(t, full ^ (1 << v)).p for v in range(n)}
         eta_top = eta_from_table(t).value(full)
-        got = reconstruct_mixed(t.vars, margins, {full: eta_top})
-        assert float(np.max(np.abs(got.p - t.p))) < 1e-8
+        got = reconstruct_mixed(n, margins, {full: eta_top})
+        assert float(np.max(np.abs(got - t.p))) < 1e-8
 
     @pytest.mark.parametrize("rows, cols", [
         (8, 7), (16, 11), (64, 40), (128, 127), (256, 200), (512, 383),
@@ -623,9 +628,9 @@ class TestReconstructMixed:
                     margins = [marginalize(t, mask) for mask in masks]
                     targets = {L: float(theta[L]) for L in uncovered}
                     fits.clear()
-                    got = reconstruct_mixed(vs, margins, targets)
+                    got = reconstruct_mixed(n, margin_cells(vs, margins), targets)
                     want = brute_reconstruct_mixed(vs, margins, targets)
-                    assert float(np.max(np.abs(got.p - want.p))) <= 1e-12
+                    assert float(np.max(np.abs(got - want.p))) <= 1e-12
                     [(q, fitted)] = fits
                     assert fitted is not None
                     before = (fwht(np.log(q)) / q.size)[uncovered]
@@ -660,9 +665,9 @@ class TestReconstructMixed:
             theta = fwht(np.log(t.p)) / t.p.size
             targets = {L: float(theta[L]) for L in range(1, full + 1)
                        if all(L & v for v in bits)}
-            margins = [marginalize(t, full ^ v) for v in bits]
-            got = reconstruct_mixed(vs, margins, targets)
-            assert float(np.max(np.abs(got.p - t.p))) <= 1e-12
+            margins = {full ^ v: marginalize(t, full ^ v).p for v in bits}
+            got = reconstruct_mixed(9, margins, targets)
+            assert float(np.max(np.abs(got - t.p))) <= 1e-12
         assert len(ends) == 24
         assert sum(e >= 1e-12 for e in ends) <= 3
 
@@ -696,9 +701,9 @@ class TestReconstructMixed:
                     margins = [marginalize(t, mask) for mask in masks]
                     targets = {L: float(theta[L]) for L in uncovered}
                     fits.clear()
-                    got = reconstruct_mixed(vs, margins, targets)
+                    got = reconstruct_mixed(n, margin_cells(vs, margins), targets)
                     want = brute_reconstruct_mixed(vs, margins, targets)
-                    assert float(np.max(np.abs(got.p - want.p))) <= 1e-12
+                    assert float(np.max(np.abs(got - want.p))) <= 1e-12
                     [(q, fitted)] = fits
                     if draw is _skewed_table and fitted is None:
                         continue
@@ -719,7 +724,7 @@ class TestReconstructMixed:
         cells = t.p.reshape(2, 2)  # cells[b, a]: b is variable 2, a variable 1
         cond = 1.0 / float(np.sum(cells[0] * cells[1] / cells.sum(axis=0)))
         assert 1e8 < cond < 1e9
-        margins = [marginalize(t, 0b01), marginalize(t, 0b10)]
+        margins = {0b01: marginalize(t, 0b01).p, 0b10: marginalize(t, 0b10).p}
         targets = {0b11: eta_from_table(t).value(0b11)}
         fits = []
         direct = mixed._stratum_fit
@@ -729,11 +734,11 @@ class TestReconstructMixed:
             return fits[-1]
 
         monkeypatch.setattr(mixed, "_stratum_fit", spy)
-        got = reconstruct_mixed(t.vars, margins, targets)
+        got = reconstruct_mixed(2, margins, targets)
         assert fits == [None]
         monkeypatch.setattr(mixed, "_stratum_fit", lambda *args: None)
-        want = reconstruct_mixed(t.vars, margins, targets)
-        assert np.array_equal(got.p, want.p)
+        want = reconstruct_mixed(2, margins, targets)
+        assert np.array_equal(got, want)
 
     def test_slow_newton_tail_converges(self):
         # the last solve of the cyclic probe's CYCLE_FOUR draw 178 at alpha
@@ -744,8 +749,8 @@ class TestReconstructMixed:
         theta = fwht(np.log(t.p)) / t.p.size
         covered = {L for mask in masks for L in nonempty_submasks(mask)}
         targets = {L: float(theta[L]) for L in range(1, 16) if L not in covered}
-        got = reconstruct_mixed(t.vars, [marginalize(t, m) for m in masks], targets)
-        assert float(np.max(np.abs(got.p - t.p))) <= 1e-12
+        got = reconstruct_mixed(4, {m: marginalize(t, m).p for m in masks}, targets)
+        assert float(np.max(np.abs(got - t.p))) <= 1e-12
 
     def test_skewed_cases_match_their_sub_margins(self, monkeypatch):
         # cases of scripts/skewed_roundtrip.py whose solves end at a stalled
@@ -755,12 +760,13 @@ class TestReconstructMixed:
         solve = solvers.reconstruct_mixed
         returned = []
 
-        def checked(vars_m, margins, eta_targets):
-            got = solve(vars_m, margins, eta_targets)
-            for sub in margins:
-                q = marginalize(got, vars_m.mask_of(sub.vars.names))
-                assert q.vars.names == sub.vars.names
-                rel = float(np.max(np.abs(np.log(sub.p / q.p))))
+        def checked(m, margins, eta_targets):
+            got = solve(m, margins, eta_targets)
+            for mask, sub in margins.items():
+                q = marginal_array(got, m, mask)
+                q = q / q.sum()
+                assert q.shape == sub.shape
+                rel = float(np.max(np.abs(np.log(sub / q))))
                 assert rel <= mixed.MARGIN_RTOL
             returned.append(got)
             return got
@@ -778,14 +784,20 @@ class TestReconstructMixed:
         p1a = table_from_probs(VarSet(("1",)), [0.9, 0.1])
         p1b_p2 = table_from_probs(VarSet(("1", "2")), [0.1, 0.4, 0.1, 0.4])
         with pytest.raises(SolverError) as err:
-            reconstruct_mixed(vs, [p1a, p1b_p2], {})
+            reconstruct_mixed(vs.n, margin_cells(vs, [p1a, p1b_p2]), {})
         assert err.value.kind == INCONSISTENT_MARGINS
+
+    def test_cell_below_floor_rejected(self):
+        # one variable with coefficient 20: the smaller cell is about
+        # exp(-40), below POSITIVITY_FLOOR
+        with pytest.raises(InvalidTableError):
+            reconstruct_mixed(1, {}, {1: 20.0})
 
     def test_wrong_target_cover_rejected(self, rng):
         vs = make_vars(2)
         p1 = table_from_probs(VarSet(("1",)), [0.5, 0.5])
         with pytest.raises(SpecError):
-            reconstruct_mixed(vs, [p1], {1: 0.0})
+            reconstruct_mixed(vs.n, margin_cells(vs, [p1]), {1: 0.0})
 
 
 class TestHierarchical:
@@ -864,9 +876,9 @@ class TestHierarchical:
         seen = []
         real = solvers.reconstruct_mixed
 
-        def record(vars_m, margins, eta_targets):
+        def record(m, margins, eta_targets):
             seen.append(list(eta_targets.items()))
-            return real(vars_m, margins, eta_targets)
+            return real(m, margins, eta_targets)
 
         monkeypatch.setattr(solvers, "reconstruct_mixed", record)
         invert_hierarchical(spec, target)
@@ -877,6 +889,32 @@ class TestHierarchical:
         ]
         assert seen == want
         assert all(type(key) is int for items in seen for key, _ in items)
+
+    def test_array_step_matches_named_table_step(self, rng):
+        # the step that passes margins as cell arrays against the named-table
+        # step it replaced: bitwise the same cells, or the same error kind,
+        # on draws of two collections and on skewed cases of
+        # scripts/skewed_roundtrip.py, some of which end at a tiny cell
+        cases = [(spec, dirichlet_table(spec.vars, rng))
+                 for spec in (catalog.CHAIN_THREE, catalog.CYCLE_THREE_RESOLVED)
+                 for _ in range(10)]
+        cases += skewed_roundtrip_cases({24, 29, 182, 254, 369})
+
+        def outcome(step, spec, tmap, order):
+            try:
+                res = step(spec, tmap, order)
+            except (InvalidTableError, SolverError) as exc:
+                return type(exc), getattr(exc, "kind", None)
+            return (res.table.vars.names, res.table.p.tobytes(), res.iterations,
+                    res.method_used)
+
+        seen = []
+        for spec, t in cases:
+            tmap = lambda_vector(t, spec).as_dict()
+            order = hierarchy_order(spec)
+            seen.append(outcome(solvers._hierarchical_step, spec, tmap, order))
+            assert seen[-1] == outcome(brute_hierarchical_step, spec, tmap, order)
+        assert (SolverError, NON_CONVERGENCE) in seen  # case 29
 
     def test_rejects_non_hierarchical(self):
         with pytest.raises(StructureError):

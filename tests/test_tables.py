@@ -26,6 +26,7 @@ from mllp.tables import (
 
 from conftest import dirichlet_table, make_vars
 from oracles import (
+    brute_compress,
     brute_conditional,
     brute_eta,
     brute_fwht,
@@ -55,6 +56,15 @@ class TestBitAlgebra:
 
     def test_parity_odd_overlap(self):
         assert sign(0b101, 0b001) == -1
+
+    def test_compress_matches_oracle(self):
+        # every cell against every mask of up to 7 bits, and wide masks
+        for mask in range(1 << 7):
+            for cell in range(1 << 7):
+                assert compress(cell, mask) == brute_compress(cell, mask)
+        wide = ((1 << 40) - 1) & ~(1 << 3 | 1 << 17)
+        for cell in (0, wide, (1 << 41) - 1, 0b1010_1010 << 15):
+            assert compress(cell, wide) == brute_compress(cell, wide)
 
     def test_bit_packing_maps(self, rng):
         for n in range(1, 6):
