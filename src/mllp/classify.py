@@ -206,21 +206,6 @@ def _hierarchy_order(effects: Sequence[int], key) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def verify_hierarchy_order(spec: MLLSpec, order: Sequence[int]) -> bool:
-    """Check that each effect's margin is the first in ``order`` containing it."""
-    for effect, margin in spec.pairs:
-        firsts = [m for m in order if (effect & ~m) == 0]
-        if not firsts or firsts[0] != margin:
-            return False
-    return True
-
-
-def is_hierarchical(spec: MLLSpec) -> bool:
-    if not spec.is_complete():
-        raise IncompleteSpecError("hierarchy is only defined for complete specs")
-    return hierarchy_order(spec) is not None
-
-
 def reduce_minus_v(spec: MLLSpec, v_mask: int) -> MLLSpec:
     """Drop every effect containing v and remove v from all margins."""
     if popcount(v_mask) != 1 or v_mask & ~spec.vars.full_mask:
@@ -374,22 +359,6 @@ def _key_of(spec: MLLSpec):
 # ---------------------------------------------------------------------------
 
 Move = tuple[Pair, int]  # ((effect, margin), new margin)
-
-
-def interchange_moves(spec: MLLSpec) -> list[Move]:
-    """All single-parameter margin rewrites justified by a conditional block
-    fully present in the spec.
-
-    Downward, (L, M) -> (L, M minus A) needs every pair (K, M) with K
-    meeting A; upward, (L, M) -> (L, M plus A) needs every pair (K, M plus A)
-    with K meeting A.  Both replace one coordinate by the other side of the
-    exact identity lam(L, M plus A) = lam(L, M) + f(block), a smooth
-    triangular re-parameterization.  Moves are sorted by pair, then new
-    margin.
-    """
-    ctx, key = _key_of(spec)
-    # sorting only reorders pairs that share an effect (incomplete specs)
-    return sorted((spec.pairs[i], t) for i, ts in _moves(ctx, key) for t in ts)
 
 
 def _moves(ctx: _Context, key) -> list[tuple[int, tuple[int, ...]]]:

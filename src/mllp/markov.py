@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .tables import (
     ConditionalTable,
     JointTable,
     VarSet,
-    condition,
     marginal_array,
     packed_indices,
     popcount,
@@ -228,14 +226,6 @@ class CycleChainSpec:
             raise SpecError(f"blocks must be lists of variable names: {exc}") from None
         conds = tuple(ConditionalTable.from_json_obj(c) for c in obj["conditionals"])
         return CycleChainSpec(vs, blocks, conds)
-
-
-def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
-    """Extract the cycle of conditionals of a joint table along the given
-    disjoint blocks."""
-    k = len(blocks)
-    conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
-    return CycleChainSpec(t.vars, tuple(blocks), conds)
 
 
 def stationary(chain: CycleChainSpec) -> JointTable:

@@ -16,13 +16,19 @@ Tables here are cell arrays, with no variable names:
 count, a dict from each sub-margin's mask (over the margin's own m bits)
 to its cells in compressed order, as :func:`mllp.tables.marginal_array`
 returns them, and the uncovered coefficients by effect mask; it returns the
-normalised cells of the margin.
+normalised cells of the margin.  What a solve reads of its shape alone, the
+variable count and the sub-margins' masks in the caller's order, is built
+once per shape in a bounded cache (:func:`_shape`): each sub-margin's cell
+map, the covered and the uncovered effects, and each sub-margin's picks of
+the covered ones, all read-only arrays.  The target-cover check and the
+final coefficient check compare arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +44,6 @@ from .tables import (
     compress_map,
     fwht,
     marginal_array,
-    nonempty_submasks,
     weights,
 )
 
@@ -193,6 +198,44 @@ def _stratum_fit(q: np.ndarray, m: int, sub_masks: Sequence[int],
     return out.transpose(np.argsort(axes)).reshape(-1)
 
 
+class _Shape(NamedTuple):
+    """What :func:`reconstruct_mixed` reads of a margin over m variables and
+    its sub-margins' masks, in the caller's order (read-only arrays):
+    ``cells[i]`` maps each cell of the margin to its cell of sub-margin i;
+    ``cov`` holds the effects inside some sub-margin and ``uncovered`` the
+    other nonempty effects, each increasing; ``picks[i]`` is (at, idx),
+    the positions in ``cov`` of the effects inside sub-margin i and those
+    effects compressed into it."""
+
+    cells: tuple[np.ndarray, ...]
+    cov: np.ndarray
+    uncovered: np.ndarray
+    picks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+# A shape with k sub-margins holds about 2k + 1 integers per cell of its
+# margin: 20 kB at m = 9 and k = 2, the benchmark's largest solve, so the
+# bound keeps the cache below about 5 MB.  One pass of the benchmark at
+# seed 3 meets 38 shapes on its inversion routes and 32 on its large tables.
+@functools.lru_cache(maxsize=256)
+def _shape(m: int, sub_masks: tuple[int, ...]) -> _Shape:
+    effects = np.arange(1 << m)
+    covered = np.zeros(1 << m, dtype=bool)
+    for mask in sub_masks:
+        covered |= (effects & ~mask) == 0
+    covered[0] = False
+    cov = np.flatnonzero(covered)
+    uncovered = np.flatnonzero(~covered)[1:]
+    cells = tuple(compress_map(m, mask) for mask in sub_masks)
+    picks = []
+    for mask, cell in zip(sub_masks, cells):
+        at = np.flatnonzero((cov & ~mask) == 0)
+        picks.append((at, cell[cov[at]]))
+    for a in (cov, uncovered, *cells, *(x for pick in picks for x in pick)):
+        a.flags.writeable = False
+    return _Shape(cells, cov, uncovered, tuple(picks))
+
+
 def reconstruct_mixed(
     m: int,
     margins: Mapping[int, np.ndarray],
@@ -229,26 +272,20 @@ def reconstruct_mixed(
     size = 1 << m
     sub_masks = list(margins)
     sub_p = list(margins.values())
-    cells = [compress_map(m, mask) for mask in sub_masks]
-
-    covered: set[int] = set()
-    for mask in sub_masks:
-        covered.update(nonempty_submasks(mask))
-    uncovered = [L for L in range(1, size) if L not in covered]
-    if set(eta_targets) != set(uncovered):
+    cells, cov, uncovered, picks = _shape(m, tuple(sub_masks))
+    if not np.array_equal(sorted(eta_targets), uncovered):
         raise SpecError(
             "eta targets must cover exactly the effects outside the given margins"
         )
 
     theta = np.zeros(size)
-    theta[list(eta_targets)] = list(eta_targets.values())
+    effects = list(eta_targets)
+    targets = np.array(list(eta_targets.values()), dtype=np.float64)
+    theta[effects] = targets
     # target moments, overlap check and warm start, margin by margin
-    cov = np.array(sorted(covered), dtype=np.int64)
     mu_star = np.zeros(len(cov))
     seen = np.zeros(len(cov), dtype=bool)
-    for mask, ps, cell in zip(sub_masks, sub_p, cells):
-        at = np.flatnonzero((cov & ~mask) == 0)
-        idx = cell[cov[at]]
+    for ps, (at, idx) in zip(sub_p, picks):
         mu_sub = fwht(ps)[idx]
         clash = float(np.max(np.abs(mu_star[at] - mu_sub)[seen[at]], initial=0.0))
         if clash > 1e-9:
@@ -343,11 +380,10 @@ def reconstruct_mixed(
                 f"relative margin mismatch {miss:.3e} after reconstruction",
             )
         theta_check = fwht(np.log(q)) / size
-        for L, v in eta_targets.items():
-            if not abs(float(theta_check[L]) - v) <= 1e-10:
-                raise SolverError(
-                    NON_CONVERGENCE, "coefficient targets missed after reconstruction"
-                )
+        if not (np.abs(theta_check[effects] - targets) <= 1e-10).all():
+            raise SolverError(
+                NON_CONVERGENCE, "coefficient targets missed after reconstruction"
+            )
     p = q / q.sum()
     if p.min() < POSITIVITY_FLOOR:
         raise InvalidTableError(

@@ -241,7 +241,7 @@ class MLLVector:
         object.__setattr__(self, "values", v)
 
     def as_dict(self) -> dict[Pair, float]:
-        return {p: float(v) for p, v in zip(self.spec.pairs, self.values)}
+        return dict(zip(self.spec.pairs, self.values.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,37 @@ replay of a one-step chain.  A table below the positivity floor on the way
 means the target has no member: SolverError.  Cells come from
 coefficients by the one kernel :func:`mllp.tables.weights`.  The
 hierarchical step passes its margins as compressed-cell arrays keyed by
-mask, and builds a named table only for its result.
+mask, reads each margin's targets through the collection's plan, and
+builds a named table only for its result.
 
 Every solve is deterministic given (spec, target, options): the chain it
-replays is a function of the collection alone.  The one state solves
-share is the process-wide cache of each class's chain (``_class_chain``),
-which memoises that function, so what ran before in the process changes
-no result, and solves can run concurrently.
+replays is a function of the collection alone.  The state solves share is
+a set of process-wide caches, listed with their keys and bounds.  Each
+entry is computed from its key alone, by code that reads no other state
+and draws no random numbers, and each cached array is read-only and each
+cached record only read.  So an entry is the same whenever it is
+computed, what ran before in the process changes no result, and solves
+can run concurrently (two threads may compute one entry twice, equal):
+
+* ``_class_chain(form, n)``, at most 1 024 entries: the proof chain of a
+  relabeling class's canonical collection; the classifier is
+  deterministic.
+* ``_one_step_chain(pairs, n, rule)``, at most 1 024: the witness record
+  of the forced methods HIERARCHICAL and MARKOV.  Rules read masks only,
+  so the variables' names are not part of the key.
+* ``mll._plan(pairs, n)``, at most 1 024: the margins of a collection and
+  their index maps, read by the forward map, the Jacobian, the fixed
+  point, its certificate and the hierarchical step.
+* ``mixed._shape(m, sub_masks)``, at most 256: the index arrays of one
+  mixed solve's margin and sub-margins.
+* ``markov._sweep_plan(names, state, steps)``, at most 256: the gathers
+  of one sweep kernel.
+* ``census._relabelings(n)``, one per variable count up to ``MAX_VARS``,
+  and ``tables._hadamard(size)``, one per power of two up to 256: the
+  relabelings of canonical forms and the transform's matrices.
+* the classifier's ``_compile(full, effects)``, at most 32, and its mask
+  caches ``_inside``, ``_free_tests`` and ``_down``: one entry per margin
+  (per margin and submask for ``_down``) of the variable sets classified.
 """
 
 from __future__ import annotations
@@ -417,7 +441,10 @@ def _hierarchical_step(
     unique table matching its already-built sub-margins and the
     coefficients assigned to it.  ``built`` holds each margin's cells in
     compressed order, and only the full margin becomes a named table.  The
-    table is not checked."""
+    table is not checked.  Each margin's targets are read through the
+    collection's plan (``mll._plan``), whose ``effects`` and ``idx`` are the
+    margin's effects and their compressed masks."""
+    blocks = {b.margin: b for b in _plan(spec.pairs, spec.vars.n)}
     built: dict[int, np.ndarray] = {}
     for margin in order:
         inter = {e & margin for e in built if e & margin}
@@ -432,10 +459,11 @@ def _hierarchical_step(
                 sub = marginal_array(sub, popcount(e), compress(s, e))
                 sub = sub / sub.sum()
             subs[compress(s, margin)] = sub
-        eta_targets = {
-            compress(e, margin): tmap[(e, m)] for e, m in spec.pairs if m == margin
-        }
-        built[margin] = reconstruct_mixed(popcount(margin), subs, eta_targets)
+        b = blocks[margin]
+        values = [tmap[(e, margin)] for e in b.effects.tolist()]
+        built[margin] = reconstruct_mixed(
+            popcount(margin), subs, dict(zip(b.idx.tolist(), values))
+        )
     table = JointTable(spec.vars, built[spec.vars.full_mask])
     return SolveResult(table, len(order), 0.0, "hierarchical")
 
@@ -448,10 +476,10 @@ def invert_hierarchical(
     if not spec.is_complete():
         raise StructureError("hierarchical inversion needs a complete spec")
     _check_target(spec, target)
-    record = cls.rule_applies(spec, "hierarchical")
-    if record is None:
+    chain = _one_step_chain(spec.pairs, spec.vars.n, "hierarchical")
+    if chain is None:
         raise StructureError("spec is not hierarchical")
-    return _replay(spec, target, (cls.RuleStep("hierarchical", record),), opts)
+    return _replay(spec, target, chain, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +517,11 @@ def invert_cyclic(
     """Invert a cyclic-conditional collection by the replay of the one-step
     chain of the ``cyclic`` rule: the blocks are those the rule reads off
     ``spec``."""
-    record = cls.rule_applies(spec, "cyclic")
-    if record is None:
+    chain = _one_step_chain(spec.pairs, spec.vars.n, "cyclic")
+    if chain is None:
         raise StructureError("spec does not have the cyclic block structure")
     _check_target(spec, target)
-    return _replay(spec, target, (cls.RuleStep("cyclic", record),), opts)
+    return _replay(spec, target, chain, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -813,12 +841,28 @@ def _class_chain(
     does; no proof does only when the search was exhausted with no closure
     cut, since the search and move limits act in an order set by the
     labels."""
-    spec = MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), form)
-    report = cls.classify(spec)
+    report = cls.classify(_numbered(form, n))
     if report.verdict == cls.PROVEN_SMOOTH:
         return report.rule_chain, True
     search = report.search
     return None, search.exhausted and search.closures_truncated == 0
+
+
+@functools.lru_cache(maxsize=1024)
+def _one_step_chain(
+    pairs: tuple[Pair, ...], n: int, rule: str
+) -> tuple[cls.RuleStep, ...] | None:
+    """The one-step chain of ``rule`` on the collection ``pairs``, or None
+    when the rule does not apply: the witness record of the forced methods
+    HIERARCHICAL and MARKOV, read once per collection.  Rules read masks
+    only, so the variables' names do not enter."""
+    record = cls.rule_applies(_numbered(pairs, n), rule)
+    return None if record is None else (cls.RuleStep(rule, record),)
+
+
+def _numbered(pairs: tuple[Pair, ...], n: int) -> MLLSpec:
+    """The collection ``pairs`` over variables named 1 .. n."""
+    return MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), pairs)
 
 
 def _invert_auto(

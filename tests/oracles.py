@@ -25,7 +25,9 @@ and least-squares step.  :func:`brute_hierarchical_step` is the
 hierarchical step as it passed each margin as a named table, marginalised
 and restricted by variable names; it reads the package's mixed solve
 through :func:`margin_cells`, which reads a named table's mask and cells
-off its names.  :func:`brute_sweep_kernel` is the Gibbs sweep
+off its names.  :func:`brute_shape` is the index arrays of one mixed
+solve's shape, built per call from sets, as the solve built them before
+it cached them.  :func:`brute_sweep_kernel` is the Gibbs sweep
 kernel carried one start state at a time; it reads the package's marginal
 and cell-packing helpers.  :func:`brute_is_complete` is completeness read
 from the list of margins of each effect.  :func:`brute_stationary` is the
@@ -50,6 +52,12 @@ closure of each proper pair's needs for ``contraction_reduce``.
 :func:`brute_model_spec` is a statement list's embedding by a trial
 assignment per variable, as it was built before one pairing rule read the
 zero pairs; it reads the package's zero-pair list.
+
+Some helpers here are no oracles but test-only views that no route needs:
+:func:`interchange_moves` lists a collection's moves as pairs through the
+classifier's key kernel, :func:`is_hierarchical` and
+:func:`verify_hierarchy_order` test the hierarchy witness, and
+:func:`chain_from_joint` reads the cycle of conditionals off a joint table.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ from mllp.classify import ClassificationReport, RuleStep
 from mllp.errors import (
     DIVERGENCE,
     INCONSISTENT_MARGINS,
+    IncompleteSpecError,
     InvalidTableError,
     NON_CONVERGENCE,
     SolverError,
@@ -97,6 +106,7 @@ from mllp.tables import (
     bit_positions,
     compress,
     compress_map,
+    condition,
     fwht,
     marginal_array,
     marginalize,
@@ -566,6 +576,37 @@ def brute_interchange_moves(spec: MLLSpec) -> list:
     return sorted(out)
 
 
+def interchange_moves(spec: MLLSpec) -> list:
+    """All single-parameter margin rewrites justified by a conditional block
+    fully present in the spec, read off the classifier's margin-key kernel.
+
+    Downward, (L, M) -> (L, M minus A) needs every pair (K, M) with K
+    meeting A; upward, (L, M) -> (L, M plus A) needs every pair (K, M plus A)
+    with K meeting A.  Both replace one coordinate by the other side of the
+    exact identity lam(L, M plus A) = lam(L, M) + f(block), a smooth
+    triangular re-parameterization.  Moves are sorted by pair, then new
+    margin.
+    """
+    ctx, key = cls._key_of(spec)
+    # sorting only reorders pairs that share an effect (incomplete specs)
+    return sorted((spec.pairs[i], t) for i, ts in cls._moves(ctx, key) for t in ts)
+
+
+def verify_hierarchy_order(spec: MLLSpec, order: Sequence[int]) -> bool:
+    """Check that each effect's margin is the first in ``order`` containing it."""
+    for effect, margin in spec.pairs:
+        firsts = [m for m in order if (effect & ~m) == 0]
+        if not firsts or firsts[0] != margin:
+            return False
+    return True
+
+
+def is_hierarchical(spec: MLLSpec) -> bool:
+    if not spec.is_complete():
+        raise IncompleteSpecError("hierarchy is only defined for complete specs")
+    return cls.hierarchy_order(spec) is not None
+
+
 def brute_contraction_reduce(spec: MLLSpec) -> dict | None:
     """Smallest self-contained subsystem of proper-margin pairs, found by
     trying every subset in order of size, then of pair positions."""
@@ -601,7 +642,7 @@ def brute_interchange_closure(spec: MLLSpec, limit: int = cls.DEFAULT_MOVE_LIMIT
         nxt = []
         for s, path in frontier:
             key = frozenset(s.pairs)
-            for mv in cls.interchange_moves(s):
+            for mv in interchange_moves(s):
                 pair, new_margin = mv
                 key2 = key - {pair} | {(pair[0], new_margin)}
                 if key2 in seen:
@@ -1059,6 +1100,26 @@ def margin_cells(vars_m: VarSet, margins: Sequence[JointTable]) -> dict[int, np.
     return cells
 
 
+def brute_shape(m: int, sub_masks: Sequence[int]) -> tuple:
+    """What the mixed solve reads of its shape, as it built it on every
+    call before the shape was cached: a cell map per sub-margin, the
+    covered effects as a Python set walked submask by submask, sorted,
+    the uncovered ones by a scan of every effect, and per sub-margin the
+    positions of its effects among the covered ones and those effects
+    compressed into it."""
+    cells = [compress_map(m, mask) for mask in sub_masks]
+    covered: set[int] = set()
+    for mask in sub_masks:
+        covered.update(nonempty_submasks(mask))
+    uncovered = [L for L in range(1, 1 << m) if L not in covered]
+    cov = np.array(sorted(covered), dtype=np.int64)
+    picks = []
+    for mask, cell in zip(sub_masks, cells):
+        at = np.flatnonzero((cov & ~mask) == 0)
+        picks.append((at, cell[cov[at]]))
+    return cells, cov, np.array(uncovered, dtype=np.int64), picks
+
+
 def brute_hierarchical_step(
     spec: MLLSpec, tmap: dict[Pair, float], order: tuple[int, ...]
 ) -> SolveResult:
@@ -1130,6 +1191,14 @@ def brute_sweep_kernel(g: GibbsCycleSpec) -> np.ndarray:
         np.add.at(row, out_idx, dist)
         kernel[start] = row / row.sum()
     return kernel
+
+
+def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
+    """Extract the cycle of conditionals of a joint table along the given
+    disjoint blocks."""
+    k = len(blocks)
+    conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
+    return CycleChainSpec(t.vars, tuple(blocks), conds)
 
 
 def brute_stationary(m: np.ndarray) -> np.ndarray:

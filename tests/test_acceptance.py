@@ -23,7 +23,6 @@ from mllp.cli import pair_map_min_singular_value
 from mllp.mll import jacobian_array, lambda_vector
 from mllp.markov import (
     GibbsCycleSpec,
-    chain_from_joint,
     gibbs_stationary,
     stationary,
 )
@@ -48,6 +47,7 @@ from oracles import (
     brute_column_norm,
     brute_row_norm,
     brute_sign_matrix,
+    chain_from_joint,
     fd_jacobian,
     stationary_power,
 )

@@ -18,7 +18,6 @@ from mllp.mll import conditional_from_lambda, conditional_lambda_set, lambda_vec
 from mllp.markov import (
     GibbsCycleSpec,
     _sweep_kernel,
-    chain_from_joint,
     gibbs_stationary,
     stationary,
 )
@@ -35,7 +34,7 @@ from mllp.tables import (
 )
 
 from conftest import dirichlet_table, load_script, make_vars, outside_domain_values
-from oracles import brute_model_spec, brute_sweep_kernel
+from oracles import brute_model_spec, brute_sweep_kernel, chain_from_joint
 
 
 def model_specs_sample() -> list[list[CIStatement]]:

@@ -27,11 +27,8 @@ from mllp.classify import (
     classify,
     hierarchy_order,
     interchange_closure,
-    interchange_moves,
-    is_hierarchical,
     reduce_minus_v,
     rule_applies,
-    verify_hierarchy_order,
     _ALL_RULES,
     _RULE_FUNCS,
     _SEARCH_RULES,
@@ -56,6 +53,9 @@ from oracles import (
     brute_lambda,
     brute_moves,
     brute_rule_cyclic,
+    interchange_moves,
+    is_hierarchical,
+    verify_hierarchy_order,
 )
 
 

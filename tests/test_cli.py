@@ -9,7 +9,6 @@ from mllp import catalog
 from mllp.cimodels import CIStatement, model_spec
 from mllp.cli import _emit, main
 from mllp.mll import MLLSpec, lambda_vector
-from mllp.markov import chain_from_joint
 from mllp.tables import VarSet, marginalize
 
 from conftest import (
@@ -20,6 +19,7 @@ from conftest import (
     relisted_cycle,
     underflow_case,
 )
+from oracles import chain_from_joint
 
 
 def run(argv):

@@ -1,11 +1,14 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mllp
 from mllp import catalog
 from mllp import mixed, mll, solvers
 from mllp.census import canonical_form, census, enumerate_complete, permute_mask
@@ -34,7 +37,6 @@ from mllp.errors import (
 from mllp.mll import MLLSpec, MLLVector, jacobian, lambda_vector
 from mllp.markov import (
     CycleChainSpec,
-    chain_from_joint,
     stationary,
     stationary_distribution,
 )
@@ -79,7 +81,9 @@ from oracles import (
     brute_hierarchical_step,
     brute_lambda,
     brute_reconstruct_mixed,
+    brute_shape,
     brute_stationary,
+    chain_from_joint,
     margin_cells,
     stationary_power,
 )
@@ -793,11 +797,62 @@ class TestReconstructMixed:
         with pytest.raises(InvalidTableError):
             reconstruct_mixed(1, {}, {1: 20.0})
 
-    def test_wrong_target_cover_rejected(self, rng):
+    def test_wrong_target_cover_rejected(self):
+        # the margin over 1 covers effect 1; the targets must be 2 and 3
         vs = make_vars(2)
         p1 = table_from_probs(VarSet(("1",)), [0.5, 0.5])
-        with pytest.raises(SpecError):
-            reconstruct_mixed(vs.n, margin_cells(vs, [p1]), {1: 0.0})
+        for keys in [
+            (1,),  # a covered effect
+            (2,),  # 3 missing
+            (1, 2, 3),  # 1 extra
+            (2, 3, 4),  # 4 extra, outside the margin
+            (-1, 2),  # -1 would index the last coefficient
+            (np.int64(2),),
+            (np.int64(1), np.int64(2), np.int64(3)),
+        ]:
+            with pytest.raises(SpecError):
+                reconstruct_mixed(vs.n, margin_cells(vs, [p1]), dict.fromkeys(keys, 0.0))
+
+    def test_numpy_int_targets_of_the_right_cover_are_read(self, rng):
+        vs = make_vars(2)
+        p1 = table_from_probs(VarSet(("1",)), [0.3, 0.7])
+        targets = {2: 0.25, 3: -0.5}
+        want = reconstruct_mixed(vs.n, margin_cells(vs, [p1]), targets)
+        got = reconstruct_mixed(
+            vs.n, margin_cells(vs, [p1]), {np.int64(k): v for k, v in targets.items()}
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_shape_matches_oracle(self):
+        # every ordered pair of nonempty sub-masks of a 4-variable margin,
+        # and every single one and none
+        shapes = [()] + [(a,) for a in range(1, 16)]
+        shapes += list(itertools.permutations(range(1, 16), 2))
+        shapes += [(0b0111, 0b1011, 0b1101), (0b1101, 0b0111, 0b1011)]
+        for sub_masks in shapes:
+            got = mixed._shape(4, sub_masks)
+            cells, cov, uncovered, picks = brute_shape(4, sub_masks)
+            assert np.array_equal(got.cov, cov) and got.cov.dtype == cov.dtype
+            assert np.array_equal(got.uncovered, uncovered)
+            assert len(got.cells) == len(cells) == len(got.picks) == len(picks)
+            for a, b in zip(got.cells, cells):
+                assert np.array_equal(a, b)
+            for (at, idx), (at_b, idx_b) in zip(got.picks, picks):
+                assert np.array_equal(at, at_b) and np.array_equal(idx, idx_b)
+
+    def test_cached_shape_arrays_are_read_only(self, rng):
+        vs = make_vars(3)
+        t = dirichlet_table(vs, rng)
+        subs = [marginalize(t, 0b011), marginalize(t, 0b110)]
+        eta = fwht(np.log(t.p)) / 8
+        reconstruct_mixed(3, margin_cells(vs, subs), {5: eta[5], 7: eta[7]})
+        shape = mixed._shape(3, (0b011, 0b110))
+        arrays = [shape.cov, shape.uncovered, *shape.cells]
+        arrays += [a for pick in shape.picks for a in pick]
+        assert len(arrays) == 8 and all(a.size for a in arrays)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestHierarchical:
@@ -1516,6 +1571,128 @@ class TestClassChain:
             assert res.method_used not in ("fixed_point_damped", "newton")
             assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
         assert proven == 488
+
+
+# The process caches a solve reads, as the solvers module lists them.
+SOLVE_CACHES = {
+    "solvers._class_chain",
+    "solvers._one_step_chain",
+    "mll._plan",
+    "mixed._shape",
+    "markov._sweep_plan",
+    "census._relabelings",
+    "tables._hadamard",
+    "classify._compile",
+    "classify._inside",
+    "classify._free_tests",
+    "classify._down",
+}
+
+
+def clear_process_caches() -> set[str]:
+    """Empty every cache defined in the package, and name them."""
+    cleared = set()
+    for info in pkgutil.iter_modules(mllp.__path__):
+        module = importlib.import_module(f"mllp.{info.name}")
+        for attr, value in vars(module).items():
+            if (hasattr(value, "cache_clear")
+                    and getattr(value, "__module__", None) == module.__name__):
+                value.cache_clear()
+                cleared.add(f"{info.name}.{attr}")
+    return cleared
+
+
+def _drop_two_at_nine() -> MLLSpec:
+    """The large-table benchmark's inversion shape: n = 9, two margins that
+    each drop one variable, then the full margin."""
+    return _drop_one_spec(9, (2, 6))
+
+
+class TestProcessCaches:
+    def test_every_solve_cache_is_cleared(self):
+        assert clear_process_caches() >= SOLVE_CACHES
+
+    @pytest.mark.parametrize("name, method", [
+        ("drop_two_at_nine", "HIERARCHICAL"),
+        ("CYCLE_THREE", "MARKOV"),
+        # AUTO: one catalog collection per route family, then the fallback
+        ("CHAIN_THREE", "AUTO"),
+        ("NESTED_SKIP", "AUTO"),
+        ("TWO_BLOCK_FIXPOINT", "AUTO"),
+        ("PAIRED_SLICES", "AUTO"),
+        ("SINGLETON_FEEDERS", "AUTO"),
+        ("CYCLE_THREE", "AUTO"),
+        ("PAIRED_SLICES_FOUR", "AUTO"),
+        ("OPEN_FOUR_MARGIN", "AUTO"),
+    ])
+    def test_cold_and_warm_solves_agree(self, name, method):
+        spec = (_drop_two_at_nine() if name == "drop_two_at_nine"
+                else getattr(catalog, name))
+        rng = np.random.default_rng(34)
+        target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+        opts = SolveOptions(method=method)
+        clear_process_caches()
+        cold = invert(spec, target, opts)
+        warm = invert(spec, target, opts)
+        assert warm.table.p.tobytes() == cold.table.p.tobytes()
+        assert (warm.iterations, warm.final_residual, warm.method_used) == (
+            cold.iterations, cold.final_residual, cold.method_used
+        )
+
+    def test_warm_hierarchical_solve_reads_the_caches(self, rng):
+        spec = _drop_two_at_nine()
+        target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+        opts = SolveOptions(method="HIERARCHICAL")
+        clear_process_caches()
+        invert(spec, target, opts)
+        shapes, plans = mixed._shape.cache_info(), mll._plan.cache_info()
+        invert(spec, target, opts)
+        # three margins: three shapes hit; the step and the check read the plan
+        assert mixed._shape.cache_info().hits == shapes.hits + 3
+        assert mixed._shape.cache_info().misses == shapes.misses
+        assert mll._plan.cache_info().misses == plans.misses
+
+    def test_forced_methods_read_the_witness_once(self, rng, monkeypatch):
+        calls = []
+        real = solvers.cls.rule_applies
+
+        def spy(spec, rule):
+            calls.append((spec.pairs, rule))
+            return real(spec, rule)
+
+        monkeypatch.setattr(solvers.cls, "rule_applies", spy)
+        solvers._one_step_chain.cache_clear()
+        cases = [(catalog.CHAIN_THREE, "HIERARCHICAL", "hierarchical"),
+                 (_drop_two_at_nine(), "HIERARCHICAL", "hierarchical"),
+                 (catalog.CYCLE_THREE, "MARKOV", "cyclic")]
+        for spec, method, rule in cases:
+            target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+            for _ in range(3):
+                invert(spec, target, SolveOptions(method=method))
+            assert calls.count((spec.pairs, rule)) == 1
+        assert len(calls) == len(cases)
+
+    @pytest.mark.parametrize("name, method", [
+        ("CYCLE_THREE", "HIERARCHICAL"),
+        ("CHAIN_THREE", "MARKOV"),
+    ])
+    def test_a_collection_without_the_structure_fails_every_call(
+        self, name, method, monkeypatch
+    ):
+        calls = []
+        real = solvers.cls.rule_applies
+
+        def spy(spec, rule):
+            calls.append(rule)
+            return real(spec, rule)
+
+        monkeypatch.setattr(solvers.cls, "rule_applies", spy)
+        solvers._one_step_chain.cache_clear()
+        spec = getattr(catalog, name)
+        for _ in range(2):
+            with pytest.raises(StructureError):
+                invert(spec, zero_target(spec), SolveOptions(method=method))
+        assert len(calls) == 1
 
 
 class TestSolveOptions:
