@@ -3,7 +3,7 @@
 
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --seeds 3 11 \\
         [--workloads classify-sweep invert-routes fallback-models large-tables \\
-                     search-sizes model-specs skewed-roundtrip]
+                     search-sizes model-specs skewed-roundtrip cyclic-roundtrip]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
@@ -26,7 +26,9 @@ inversion of each of the 1 125 cases of ``scripts/skewed_roundtrip.py``
 (its 900 default cases and the 225 at ``--alpha 0.02``, as its
 ``draw_cases`` draws them from the copy beside this one), where the mixed
 solve is weakest: the inverted table and the ``REPORTED`` fields, or the
-error kind.
+error kind.  The ``cyclic-roundtrip`` group is the same record of the AUTO
+inversion of each of the 2 000 cases of ``scripts/cyclic_probe.py``, as
+its ``draw_cases`` draws them from the copy beside this one.
 
 Prints, per workload and seed, the number of operations whose tables
 differ, the largest cell difference and the number of those whose
@@ -56,7 +58,8 @@ HELD_OUT = "search-sizes"
 MODELS = "model-specs"
 SKEWED = "skewed-roundtrip"
 SKEWED_EXTRA_ALPHA = 0.02
-GROUPS = (HELD_OUT, MODELS, SKEWED)
+CYCLIC = "cyclic-roundtrip"
+GROUPS = (HELD_OUT, MODELS, SKEWED, CYCLIC)
 WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables",
              *GROUPS)
 FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
@@ -109,11 +112,11 @@ def model_outcome(cimodels, statements) -> dict:
     return {"table": None, "form": form, "error": None}
 
 
-def roundtrip_outcome(m, spec, t) -> dict:
-    """The hierarchical inversion of a table's own parameters: its table
-    and the ``REPORTED`` fields, or the error kind."""
+def roundtrip_outcome(m, solve, spec, t) -> dict:
+    """The inversion ``solve`` of a table's own parameters: its table and
+    the ``REPORTED`` fields, or the error kind."""
     try:
-        res = m.solvers.invert_hierarchical(spec, m.mll.lambda_vector(t, spec))
+        res = solve(spec, m.mll.lambda_vector(t, spec))
     except Exception as exc:  # the failures are outputs here
         return {"table": None, "error": f"{type(exc).__name__}: {getattr(exc, 'kind', exc)}"}
     return {"table": np.asarray(res.table.p, dtype=float),
@@ -143,8 +146,15 @@ def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
     if SKEWED in workloads:
         script = load_script(Path(__file__).resolve().parent / "skewed_roundtrip.py")
         out[(SKEWED, script.SEED)] = [
-            ("invert_hierarchical", roundtrip_outcome(m, spec, t))
+            ("invert_hierarchical",
+             roundtrip_outcome(m, m.solvers.invert_hierarchical, spec, t))
             for _, _, _, spec, t in script.draw_cases(SKEWED_EXTRA_ALPHA)
+        ]
+    if CYCLIC in workloads:
+        script = load_script(Path(__file__).resolve().parent / "cyclic_probe.py")
+        out[(CYCLIC, script.SEED)] = [
+            ("invert", roundtrip_outcome(m, m.solvers.invert, spec, t))
+            for *_, spec, t in script.draw_cases()
         ]
     with tempfile.TemporaryDirectory() as scratch:
         for name in workloads:

@@ -17,6 +17,8 @@ A target fails when the inversion raises or misses a cell of the drawn
 table by more than 1e-8.  Prints, per alpha, the failures of each
 collection and their draws, then one line per failure with its error kind
 (``MISS`` for a cell miss), and last the total; exits 0.
+``draw_cases`` yields the 2 000 default cases in that order, for
+``scripts/compare_outputs.py``.
 """
 
 import argparse
@@ -42,38 +44,46 @@ COLLECTIONS = {
 }
 
 
-def probe(spec: MLLSpec, alpha: float) -> dict[int, str]:
-    """The failing draws of one collection at one alpha, with their kinds."""
-    draws = np.random.default_rng(SEED).dirichlet(
-        np.full(spec.vars.n_cells, alpha), DRAWS
-    )
-    failed: dict[int, str] = {}
-    for i, draw in enumerate(draws):
-        p = np.maximum(draw, FLOOR)
-        table = JointTable(spec.vars, p / p.sum())
-        try:
-            res = solvers.invert(spec, lambda_vector(table, spec))
-        except MllpError as exc:
-            failed[i] = getattr(exc, "kind", type(exc).__name__)
-            continue
-        if float(np.max(np.abs(res.table.p - table.p))) > TOL:
-            failed[i] = "MISS"
-    return failed
+def draw_cases(alphas=ALPHAS):
+    """Yield (alpha, name, draw, spec, table) in the probe's order: per
+    alpha and collection, draws 0 .. DRAWS - 1 of a fresh generator."""
+    for alpha in alphas:
+        for name, spec in COLLECTIONS.items():
+            draws = np.random.default_rng(SEED).dirichlet(
+                np.full(spec.vars.n_cells, alpha), DRAWS
+            )
+            for i, draw in enumerate(draws):
+                p = np.maximum(draw, FLOOR)
+                yield alpha, name, i, spec, JointTable(spec.vars, p / p.sum())
+
+
+def failure(spec: MLLSpec, table: JointTable) -> str | None:
+    """The error kind of one target's inversion, ``MISS`` for a cell miss,
+    or None when it inverts."""
+    try:
+        res = solvers.invert(spec, lambda_vector(table, spec))
+    except MllpError as exc:
+        return getattr(exc, "kind", type(exc).__name__)
+    return "MISS" if float(np.max(np.abs(res.table.p - table.p))) > TOL else None
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--alphas", type=float, nargs="+", default=list(ALPHAS))
     args = ap.parse_args()
-    total = 0
+    failed: dict[tuple[float, str], dict[int, str]] = {}
+    for alpha, name, i, spec, table in draw_cases(args.alphas):
+        kind = failure(spec, table)
+        if kind is not None:
+            failed.setdefault((alpha, name), {})[i] = kind
     for alpha in args.alphas:
         print(f"alpha {alpha:g}:")
-        for name, spec in COLLECTIONS.items():
-            failed = probe(spec, alpha)
-            total += len(failed)
-            print(f"  {name}: {len(failed)} of {DRAWS} fail: {sorted(failed)}")
-            for i, kind in sorted(failed.items()):
+        for name in COLLECTIONS:
+            fails = failed.get((alpha, name), {})
+            print(f"  {name}: {len(fails)} of {DRAWS} fail: {sorted(fails)}")
+            for i, kind in sorted(fails.items()):
                 print(f"    {i}: {kind}")
+    total = sum(len(f) for f in failed.values())
     cases = len(args.alphas) * len(COLLECTIONS) * DRAWS
     print(f"total: {total} of {cases} fail")
     return 0

@@ -165,20 +165,14 @@ def _jsonable(obj):
 # Structural predicates
 # ---------------------------------------------------------------------------
 
-def hierarchy_order(spec: MLLSpec) -> tuple[int, ...] | None:
-    """Witness margin order for a hierarchical spec, or None.
+def _hierarchy_order(effects: Sequence[int], key) -> tuple[int, ...] | None:
+    """Witness margin order for the hierarchical pairs zip(effects, key),
+    or None.
 
     The order must place each effect's margin before every other margin
     containing that effect; a topological sort of that precedence relation
     is returned (ties broken by margin size, then mask value).
     """
-    return _hierarchy_order(
-        tuple(e for e, _ in spec.pairs), tuple(m for _, m in spec.pairs)
-    )
-
-
-def _hierarchy_order(effects: Sequence[int], key) -> tuple[int, ...] | None:
-    """:func:`hierarchy_order` of the pairs zip(effects, key)."""
     margins = list(dict.fromkeys(key))
     succ: dict[int, set[int]] = {m: set() for m in margins}
     for effect, margin in zip(effects, key):

@@ -9,7 +9,8 @@ sub-margins S = M \\ {b} and T with b in T are fitted directly, by one
 monotone equation per cell of T \\ {b} (:func:`_stratum_fit`), when those
 equations are well conditioned; every other shape, and an ill-conditioned
 one, is fitted by iterative proportional fitting.  The hierarchical route
-of :mod:`mllp.solvers` calls it once per margin.
+of :mod:`mllp.solvers` calls it once per margin, and the cyclic route once,
+for the full margin.
 
 Tables here are cell arrays, with no variable names:
 ``reconstruct_mixed(m, margins, eta_targets)`` takes the margin's variable
@@ -102,8 +103,16 @@ def _proportional_fit(q: np.ndarray, cells: Sequence[np.ndarray],
         return [ps / np.bincount(c, t, minlength=ps.size)
                 for c, ps in zip(cells[:k], sub_p[:k])]
 
+    starts = np.cumsum([0, *map(len, sub_p[:-1])])
+
     def worst(rs: list[np.ndarray]) -> float:
-        return max((float(np.max(np.abs(np.log(r)))) for r in rs), default=0.0)
+        # one reduction to each margin's largest ratio; a NaN margin counts
+        # only when it comes first, as Python's max skips later NaNs
+        if not rs:
+            return 0.0
+        return max(np.maximum.reduceat(
+            np.abs(np.log(np.concatenate(rs))), starts[:len(rs)]
+        ).tolist())
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rs = ratios(q, len(cells))

@@ -19,8 +19,11 @@ Four routes, dispatched automatically from the classification chain:
   the single-feedback structure;
 * *Markov-chain* recovery for cyclic conditionals: the sweep kernel of
   the cycle has the missing group marginal as its unique stationary
-  distribution (the one kernel and stationary solve of :mod:`mllp.markov`),
-  and the rest is rebuilt hierarchically;
+  distribution (the one kernel and stationary solve of :mod:`mllp.markov`);
+  walking the cycle from it, each cycle margin is the marginal of its first
+  block times the conditional of the next, and one mixed solve over the
+  full margin, from the cycle margins and its own coefficients, gives the
+  table;
 * for collections without a proven route, up to 2 000 sweeps of the
   same fixed point, stopped when its residual stalls, then one *Newton*
   solve with the analytic Jacobian from the uniform table.
@@ -473,13 +476,7 @@ def invert_hierarchical(
 ) -> SolveResult:
     """Rebuild the margins in a hierarchy witness order: the replay of the
     one-step chain of the ``hierarchical`` rule."""
-    if not spec.is_complete():
-        raise StructureError("hierarchical inversion needs a complete spec")
-    _check_target(spec, target)
-    chain = _one_step_chain(spec.pairs, spec.vars.n, "hierarchical")
-    if chain is None:
-        raise StructureError("spec is not hierarchical")
-    return _replay(spec, target, chain, opts)
+    return _invert_forced(spec, target, "hierarchical", opts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,25 +487,29 @@ def _cyclic_step(
     spec: MLLSpec, tmap: dict[Pair, float], blocks: tuple[int, ...]
 ) -> SolveResult:
     """Build each block conditional from its margin parameters, recover the
-    first block's marginal as the chain's stationary distribution, and hand
-    the resolved map to the hierarchical step.  The table is not checked."""
-    conds = []
-    for giv, tgt in zip(blocks, blocks[1:] + blocks[:1]):
-        values = {e: tmap[(e, m)] for e, m in spec.pairs if m == tgt | giv}
-        conds.append(conditional_from_lambda(spec.vars, tgt, giv, values))
-    pi = stationary(CycleChainSpec(spec.vars, blocks, tuple(conds)))
-
-    first = blocks[0]
-    first_margin = blocks[-1] | first
-    eta_pi = fwht(np.log(pi.p)) / pi.vars.n_cells
-    resolved_map: dict[Pair, float] = {}
-    for e, m in spec.pairs:
-        if m == first_margin and (e & ~first) == 0:
-            resolved_map[(e, first)] = float(eta_pi[compress(e, first)])
-        else:
-            resolved_map[(e, m)] = tmap[(e, m)]
-    resolved = MLLSpec(spec.vars, tuple(resolved_map))
-    return _hierarchical_step(resolved, resolved_map, cls.hierarchy_order(resolved))
+    first block's marginal as the chain's stationary distribution, then
+    walk the cycle: each margin B_i | B_{i+1} is p(B_i) p(B_{i+1} | B_i),
+    and its B_{i+1} marginal is the next p(B_i).  One mixed solve over the
+    full margin, from the cycle margins in mask order and the full
+    margin's coefficients, gives the table, which is not checked."""
+    steps = list(zip(blocks, blocks[1:] + blocks[:1]))
+    conds = [
+        conditional_from_lambda(
+            spec.vars, tgt, giv, {k: v for k, v in tmap.items() if k[1] == tgt | giv}
+        )
+        for giv, tgt in steps
+    ]
+    p_giv = stationary(CycleChainSpec(spec.vars, blocks, tuple(conds))).p
+    built = {}
+    for (giv, tgt), cond in zip(steps, conds):
+        m = giv | tgt
+        rows, cols = (compress_map(popcount(m), compress(b, m)) for b in (tgt, giv))
+        built[m] = (cond.values * p_giv)[rows, cols]
+        p_giv = cond.values @ p_giv  # the marginal of tgt
+    p = reconstruct_mixed(spec.vars.n, dict(sorted(built.items())), {
+        e: v for (e, m), v in tmap.items() if m == spec.vars.full_mask
+    })
+    return SolveResult(JointTable(spec.vars, p), len(built) + 1, 0.0, "cyclic")
 
 
 def invert_cyclic(
@@ -517,11 +518,7 @@ def invert_cyclic(
     """Invert a cyclic-conditional collection by the replay of the one-step
     chain of the ``cyclic`` rule: the blocks are those the rule reads off
     ``spec``."""
-    chain = _one_step_chain(spec.pairs, spec.vars.n, "cyclic")
-    if chain is None:
-        raise StructureError("spec does not have the cyclic block structure")
-    _check_target(spec, target)
-    return _replay(spec, target, chain, opts)
+    return _invert_forced(spec, target, "cyclic", opts)
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +855,21 @@ def _one_step_chain(
     only, so the variables' names do not enter."""
     record = cls.rule_applies(_numbered(pairs, n), rule)
     return None if record is None else (cls.RuleStep(rule, record),)
+
+
+def _invert_forced(
+    spec: MLLSpec, target: MLLVector, rule: str, opts: SolveOptions
+) -> SolveResult:
+    """The forced methods HIERARCHICAL and MARKOV: the checked replay of
+    the one-step chain of ``rule``."""
+    if not spec.is_complete():
+        raise StructureError(f"{rule} inversion needs a complete spec")
+    _check_target(spec, target)
+    chain = _one_step_chain(spec.pairs, spec.vars.n, rule)
+    if chain is None:
+        raise StructureError("spec is not hierarchical" if rule == "hierarchical"
+                             else "spec does not have the cyclic block structure")
+    return _replay(spec, target, chain, opts)
 
 
 def _numbered(pairs: tuple[Pair, ...], n: int) -> MLLSpec:

@@ -55,8 +55,9 @@ zero pairs; it reads the package's zero-pair list.
 
 Some helpers here are no oracles but test-only views that no route needs:
 :func:`interchange_moves` lists a collection's moves as pairs through the
-classifier's key kernel, :func:`is_hierarchical` and
-:func:`verify_hierarchy_order` test the hierarchy witness, and
+classifier's key kernel, :func:`hierarchy_order` reads the hierarchy
+witness of a collection through the classifier's kernel,
+:func:`is_hierarchical` and :func:`verify_hierarchy_order` test it, and
 :func:`chain_from_joint` reads the cycle of conditionals off a joint table.
 """
 
@@ -592,6 +593,15 @@ def interchange_moves(spec: MLLSpec) -> list:
     return sorted((spec.pairs[i], t) for i, ts in cls._moves(ctx, key) for t in ts)
 
 
+def hierarchy_order(spec: MLLSpec) -> tuple[int, ...] | None:
+    """The classifier's witness margin order for a hierarchical spec, or
+    None: each effect's margin comes before every other margin containing
+    that effect."""
+    return cls._hierarchy_order(
+        tuple(e for e, _ in spec.pairs), tuple(m for _, m in spec.pairs)
+    )
+
+
 def verify_hierarchy_order(spec: MLLSpec, order: Sequence[int]) -> bool:
     """Check that each effect's margin is the first in ``order`` containing it."""
     for effect, margin in spec.pairs:
@@ -604,7 +614,7 @@ def verify_hierarchy_order(spec: MLLSpec, order: Sequence[int]) -> bool:
 def is_hierarchical(spec: MLLSpec) -> bool:
     if not spec.is_complete():
         raise IncompleteSpecError("hierarchy is only defined for complete specs")
-    return cls.hierarchy_order(spec) is not None
+    return hierarchy_order(spec) is not None
 
 
 def brute_contraction_reduce(spec: MLLSpec) -> dict | None:

@@ -25,7 +25,6 @@ from mllp.classify import (
     SearchRecord,
     apply_interchange,
     classify,
-    hierarchy_order,
     interchange_closure,
     reduce_minus_v,
     rule_applies,
@@ -53,6 +52,7 @@ from oracles import (
     brute_lambda,
     brute_moves,
     brute_rule_cyclic,
+    hierarchy_order,
     interchange_moves,
     is_hierarchical,
     verify_hierarchy_order,

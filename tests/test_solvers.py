@@ -19,7 +19,6 @@ from mllp.classify import (
     RuleStep,
     _RULE_FUNCS,
     classify,
-    hierarchy_order,
     rule_applies,
 )
 from mllp.cimodels import CIStatement, model_member, model_spec
@@ -84,6 +83,7 @@ from oracles import (
     brute_shape,
     brute_stationary,
     chain_from_joint,
+    hierarchy_order,
     margin_cells,
     stationary_power,
 )
@@ -1071,18 +1071,81 @@ class TestCyclic:
         with pytest.raises(StructureError):
             invert_cyclic(catalog.CHAIN_THREE, zero_target(catalog.CHAIN_THREE))
 
-    @pytest.mark.parametrize("alpha, draw", [(0.05, 7), (0.05, 45), (0.1, 176)])
-    def test_auto_inverts_skewed_tables(self, alpha, draw):
-        # draws (from 0) of Dirichlet(alpha) tables from default_rng(2024),
-        # floored at 1e-12: their block chains mix so slowly that solving
-        # (M^T - I) pi = 0 missed the marginal by up to 5e-5 relative
-        spec = catalog.CYCLE_THREE
-        draws = np.random.default_rng(2024).dirichlet(np.full(8, alpha), draw + 1)
-        p = np.maximum(draws[draw], 1e-12)
-        t = JointTable(spec.vars, p / p.sum())
+    @pytest.mark.parametrize("name, alpha, draw", [
+        # draws of scripts/cyclic_probe.py: the block chains of the first
+        # three mix so slowly that solving (M^T - I) pi = 0 missed the
+        # marginal by up to 5e-5 relative
+        pytest.param("CYCLE_THREE", 0.05, 7, id="0.05-7"),
+        pytest.param("CYCLE_THREE", 0.05, 45, id="0.05-45"),
+        pytest.param("CYCLE_THREE", 0.1, 176, id="0.1-176"),
+        # rebuilding the cycle margins by mixed solves missed these: the
+        # first two by 4.5e-9 and 4.2e-5 at the reassembly check
+        pytest.param("CYCLE_THREE", 0.05, 49, id="0.05-49"),
+        pytest.param("CYCLE_THREE", 0.05, 82, id="0.05-82"),
+        pytest.param("CYCLE_THREE", 0.02, 1, id="0.02-1"),
+        pytest.param("CYCLE_FOUR", 0.02, 15, id="CYCLE_FOUR-0.02-15"),
+        # the full-margin solve misses its exact sub-margins in mask order
+        # by 5.0e-4 after 1 000 Gauss-Newton steps (ROADMAP item 3)
+        pytest.param("CYCLE_THREE", 0.05, 10, id="0.05-10", marks=pytest.mark.xfail(
+            raises=SolverError, strict=True,
+            reason="mixed solve misses a reachable table: ROADMAP item 3")),
+    ])
+    def test_auto_inverts_skewed_tables(self, name, alpha, draw):
+        spec = load_script("cyclic_probe").COLLECTIONS[name]
+        t = cyclic_probe_table(name, alpha, draw)
         res = invert(spec, lambda_vector(t, spec))
         assert res.method_used == "cyclic"
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
+    @pytest.mark.parametrize("name", ["CYCLE_THREE", "CYCLE_FOUR"])
+    def test_one_mixed_solve_from_the_cycle_margins(self, name, rng, monkeypatch):
+        # the cycle margins are built along the chain and handed, in mask
+        # order, to the one mixed solve over the full margin
+        spec = load_script("cyclic_probe").COLLECTIONS[name]
+        t = dirichlet_table(spec.vars, rng)
+        calls = []
+        real = solvers.reconstruct_mixed
+
+        def spy(m, margins, eta_targets):
+            calls.append((m, dict(margins)))
+            return real(m, margins, eta_targets)
+
+        def no_step(*args):
+            raise AssertionError("the hierarchical step ran")
+
+        monkeypatch.setattr(solvers, "reconstruct_mixed", spy)
+        monkeypatch.setattr(solvers, "_hierarchical_step", no_step)
+        res = invert(spec, lambda_vector(t, spec), SolveOptions(method="MARKOV"))
+        margins = rule_applies(spec, "cyclic")["margins"]
+        assert len(calls) == 1 and res.iterations == len(margins) + 1
+        m, subs = calls[0]
+        assert m == spec.vars.n and list(subs) == sorted(margins)
+        for mask, cells in subs.items():
+            want = marginal_array(t.p, spec.vars.n, mask)
+            assert float(np.max(np.abs(cells / want - 1.0))) <= 1e-13, mask
+        assert float(np.max(np.abs(res.table.p - t.p))) < 1e-12
+
+    @pytest.mark.parametrize("solve, rule, spec, text", [
+        (invert_hierarchical, "hierarchical", catalog.CYCLE_THREE,
+         "spec is not hierarchical"),
+        (invert_cyclic, "cyclic", catalog.CHAIN_THREE,
+         "spec does not have the cyclic block structure"),
+    ])
+    def test_forced_methods_name_what_is_missing(self, solve, rule, spec, text):
+        with pytest.raises(StructureError, match=text):
+            solve(spec, zero_target(spec))
+        incomplete = MLLSpec(spec.vars, spec.pairs[1:])
+        with pytest.raises(StructureError, match=f"{rule} inversion needs a complete"):
+            solve(incomplete, zero_target(incomplete))
+
+    def test_variable_outside_every_block(self, rng):
+        # variable 4 lies in no block: only the full margin reads it
+        spec = full_margin_rest("12: 1 12; 23: 2 23; 13: 3 13", 4)
+        assert sorted(rule_applies(spec, "cyclic")["blocks"]) == [0b001, 0b010, 0b100]
+        for _ in range(5):
+            t = dirichlet_table(spec.vars, rng)
+            res = invert(spec, lambda_vector(t, spec), SolveOptions(method="MARKOV"))
+            assert float(np.max(np.abs(res.table.p - t.p))) <= 1e-12
 
 
 class TestNewton:
