@@ -34,7 +34,9 @@ Key analytic facts behind the routines here:
 
 A collection's pairs are grouped by margin once, in a cached plan
 (:func:`_plan`) that the forward map, the Jacobian and the solvers' fixed
-point and contraction certificate all read.
+point and contraction certificate all read.  The Jacobian's own block
+maps are cached beside it (:func:`_jacobian_maps`), compiled on a
+collection's first Jacobian.
 """
 
 from __future__ import annotations
@@ -423,51 +425,129 @@ def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:
     return float(signs @ logcond) / tb.vars.n_cells
 
 
-def margin_kernel_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
+def margin_kernel_array(
+    p: np.ndarray, n: int, margin: int, cells: np.ndarray | None = None
+) -> np.ndarray:
     """Vector g with g[S] = 2**-|margin| * sum_x (-1)**|x & S| * w(x) where
     w(x) = p(x outside margin | x inside margin).
 
     All off-margin parameter derivatives of this margin are lookups into g:
     d lam(L, margin) / d eta_K = g[K xor L] whenever K is not inside margin.
+    ``cells`` is ``compress_map(n, margin)`` when the caller holds it, as a
+    plan's margin does.
     """
     if margin == (1 << n) - 1:
         raise StructureError("kernel is only defined for proper margins")
     pm = marginal_array(p, n, margin)
-    cols = compress_map(n, margin)
-    w = p / pm[cols]
+    w = p / pm[compress_map(n, margin) if cells is None else cells]
     return fwht(w) / (1 << popcount(margin))
 
 
-_JACOBIAN_CHUNK = 128  # rows gathered at once; bounds the index array
+class _JacobianMaps(NamedTuple):
+    """The maps :func:`jacobian_array` reads for one margin of a plan
+    (read-only arrays).  ``inside`` are the margin's subsets as table
+    cells (None for the full margin).  Row l of ``perm`` XOR-permutes the
+    2**h low column bits, h = :func:`_low_bits`, by the l-th distinct low
+    part of the margin's effects, in increasing order.  ``slot`` is each
+    pair's block: the index of its effect's low part among those of every
+    margin, in plan order."""
+
+    inside: np.ndarray | None
+    perm: np.ndarray
+    slot: np.ndarray
+
+
+def _low_bits(n: int) -> int:
+    """The column bits that :func:`jacobian_array` reads as contiguous
+    runs: the low ceil(n/2)."""
+    return (n + 1) // 2
+
+
+@functools.lru_cache(maxsize=1024)
+def _jacobian_maps(
+    pairs: tuple[Pair, ...], n: int
+) -> tuple[tuple[_Margin, ...], tuple[_JacobianMaps, ...]]:
+    """``_plan(pairs, n)`` and the :class:`_JacobianMaps` of each of its
+    margins, in its order, compiled on a collection's first Jacobian rather
+    than with the plan, which the forward map and the solves read without
+    them.  The maps hold per pair one integer, per proper margin one per
+    subset, and per margin a ``perm`` of at most 2**(2h) <= 2**(n+1)
+    integers."""
+    plan = _plan(pairs, n)
+    cols = np.arange(1 << _low_bits(n))
+    maps = []
+    blocks = 0  # of the margins before this one
+    for m in plan:
+        lows, slot = np.unique(m.effects & cols[-1], return_inverse=True)
+        perm = lows[:, None] ^ cols
+        slot += blocks
+        blocks += len(lows)
+        inside = None
+        if m.cells is not None:
+            inside = np.flatnonzero((np.arange(1 << n) & ~m.margin) == 0)
+            inside.flags.writeable = False
+        perm.flags.writeable = slot.flags.writeable = False
+        maps.append(_JacobianMaps(inside, perm, slot))
+    return plan, tuple(maps)
 
 
 def jacobian_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
     """Raw-array variant of :func:`jacobian` used by the solvers.
 
-    Row (L, M) of a proper margin M reads ``g_M[K ^ L]`` at column K, where
-    ``g_M`` is the margin's kernel with its entries on the subsets of M set
-    to 0: a column K inside M gives K ^ L inside M and so reads 0, the
-    others read the kernel.  Each margin's rows are filled by whole-row
-    gathers in chunks of ``_JACOBIAN_CHUNK`` rows; then every row gets a 1
-    at its own effect's column.
+    Row (L, M) reads ``g_M[K ^ L]`` at column K, where ``g_M`` is the
+    margin's kernel with its entries on the subsets of M set to 0 and
+    ``g_M[0]`` set to 1: a column K inside M gives K ^ L inside M and so
+    reads 0, or 1 at K = L, and the others read the kernel.  The full
+    margin's g is 1 at 0 and 0 elsewhere.
+
+    With the columns split into their high bits and their low
+    h = :func:`_low_bits`, ``g_M[K ^ L] = G_M[hi ^ L_hi, lo ^ L_lo]`` for
+    the matrix G_M = g_M.reshape(2**(n-h), 2**h).  For each low part that
+    the margin's effects use, G_M's columns are XOR-permuted once into a
+    block (the ``perm`` of :func:`_jacobian_maps`), and a row is its
+    block's rows in the order hi ^ L_hi: 2**(n-h) runs of 2**h contiguous
+    cells.  The blocks of all margins are stacked, so one gather of runs
+    fills every row in spec order.  The blocks hold at most as many cells
+    as the matrix, and there is no index per cell, so no chunking bounds
+    one: the gathers of ``_JACOBIAN_CHUNK`` rows that this replaced are
+    gone.
+
+    Returns columns 1.. of the (rows, 2**n) result of the gather: a
+    writable view whose rows are not contiguous.
     """
-    full = (1 << n) - 1
-    cols = np.arange(1, full + 1)
-    out = np.zeros((len(spec), full))
-    for m in _plan(spec.pairs, n):
-        if m.margin != full:
-            g = margin_kernel_array(p, n, m.margin)
-            g[(np.arange(full + 1) & ~m.margin) == 0] = 0.0
-            for start in range(0, len(m.pos), _JACOBIAN_CHUNK):
-                rows = slice(start, start + _JACOBIAN_CHUNK)
-                out[m.pos[rows]] = g[m.effects[rows, None] ^ cols]
-        out[m.pos, m.effects - 1] = 1.0
-    return out
+    plan, maps = _jacobian_maps(spec.pairs, n)
+    h = _low_bits(n)
+    high, width = 1 << (n - h), 1 << h
+    count = sum(len(b.perm) for b in maps)
+    blocks = np.empty((high, count, width))
+    # the row of the stacked blocks that run j of a row with L_hi = a
+    # reads is (j ^ a) * count plus the row's block
+    runs = (np.arange(high)[:, None] ^ np.arange(high)) * count
+    rows = np.empty((len(spec), high), dtype=np.int64)
+    start = 0
+    for m, b in zip(plan, maps):
+        if m.cells is None:  # the full margin: every column is inside it
+            g = np.zeros(1 << n)
+        else:
+            g = margin_kernel_array(p, n, m.margin, m.cells)
+            g[b.inside] = 0.0
+        g[0] = 1.0
+        stop = start + len(b.perm)
+        # every index is in range; "clip" lets take write into out directly
+        np.take(g.reshape(high, width), b.perm, axis=1,
+                out=blocks[:, start:stop], mode="clip")
+        rows[m.pos] = runs[m.effects >> h] + b.slot[:, None]
+        start = stop
+    out = np.take(blocks.reshape(-1, width), rows, axis=0)
+    return out.reshape(len(spec), 1 << n)[:, 1:]
 
 
 def jacobian(t: JointTable, spec: MLLSpec) -> np.ndarray:
     """Matrix of d lam(L,M) / d eta_K; rows follow spec order, columns are
-    the nonempty subsets K = 1 .. 2**n - 1 in mask order."""
+    the nonempty subsets K = 1 .. 2**n - 1 in mask order.  It is
+    :func:`jacobian_array`'s one gather of contiguous kernel blocks: a
+    writable view whose rows are not contiguous, which
+    ``np.ascontiguousarray`` copies when a caller needs them to be."""
     if spec.vars.names != t.vars.names:
         raise SpecError("spec and table use different variable sets")
     return jacobian_array(t.p, t.n, spec)

@@ -68,7 +68,9 @@ can run concurrently (two threads may compute one entry twice, equal):
   so the variables' names are not part of the key.
 * ``mll._plan(pairs, n)``, at most 1 024: the margins of a collection and
   their index maps, read by the forward map, the Jacobian, the fixed
-  point, its certificate and the hierarchical step.
+  point, its certificate and the hierarchical and cyclic steps.
+* ``mll._jacobian_maps(pairs, n)``, at most 1 024: the block maps of the
+  Jacobian that Newton solves with.
 * ``mixed._shape(m, sub_masks)``, at most 256: the index arrays of one
   mixed solve's margin and sub-margins.
 * ``markov._sweep_plan(names, state, steps)``, at most 256: the gathers
@@ -109,13 +111,13 @@ from .mll import (
     MLLVector,
     Pair,
     _plan,
-    conditional_from_lambda,
     jacobian_array,
     lambda_array,
     margin_kernel_array,
     margin_lambda_array,
 )
 from .tables import (
+    ConditionalTable,
     JointTable,
     VarSet,
     bit_positions,
@@ -126,6 +128,7 @@ from .tables import (
     marginal_array,
     nonempty_submasks,
     popcount,
+    table_cells,
     table_from_eta,
     weights,
 )
@@ -243,39 +246,54 @@ def _stages(spec: MLLSpec, target: MLLVector) -> _Stages:
     return _Stages(top.effects, t_full, sweep, t_all)
 
 
-def _sweep(eta: np.ndarray, st: _Stages) -> np.ndarray:
-    """One plain Gauss-Seidel sweep from eta, into a new array.  Raises
-    DIVERGENCE when the log scale overflows on the way."""
+def _sweep(
+    eta: np.ndarray, st: _Stages, first: np.ndarray | None = None
+) -> np.ndarray:
+    """One plain Gauss-Seidel sweep from eta, into a new array.  ``first``
+    is the first proper block's parameters at eta when the caller has them
+    from eta's :func:`_residual`; they are exactly the ones the sweep would
+    compute once the full-margin coefficients of eta equal their targets,
+    as they do at every iterate after the start (see
+    :func:`invert_fixed_point`).  Raises DIVERGENCE when the log scale
+    overflows on the way."""
     eta = eta.copy()
     eta[st.full] += st.t_full - eta[st.full]
+    lam = first
     for effects, cells, params, t in st.blocks:
-        w = weights(eta)[0]
-        eta[effects] += t - params(np.log(np.bincount(cells, w)))
+        if lam is None:
+            lam = params(np.log(np.bincount(cells, weights(eta)[0])))
+        eta[effects] += t - lam
+        lam = None
     return eta
 
 
-def _residual(eta: np.ndarray, st: _Stages) -> tuple[float, np.ndarray]:
-    """The largest miss of every block at eta (NaN kept), and eta's
-    unnormalised weights.  Raises DIVERGENCE when the log scale overflows."""
+def _residual(
+    eta: np.ndarray, st: _Stages
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The largest miss of every block at eta (NaN kept), eta's
+    unnormalised weights, and the first proper block's parameters (None
+    when there is none), which the next sweep from eta reuses.  Raises
+    DIVERGENCE when the log scale overflows."""
     w = weights(eta)[0]
     lams = [eta[st.full]]
     lams += [params(np.log(np.bincount(c, w))) for _, c, params, _ in st.blocks]
-    return float(np.abs(st.t_all - np.concatenate(lams)).max()), w
+    first = lams[1] if st.blocks else None
+    return float(np.abs(st.t_all - np.concatenate(lams)).max()), w, first
 
 
 def _mix(
     g: np.ndarray, step: np.ndarray, d_steps: list, d_sweeps: list, st: _Stages
-) -> tuple[np.ndarray, float, np.ndarray | None]:
+) -> tuple[np.ndarray, float, np.ndarray | None, np.ndarray | None]:
     """Anderson's mixed point g - gamma @ d_sweeps, where gamma fits step by
     the step differences in least squares (normal equations), with its
-    residual and weights.  A singular fit or a log scale that overflows
-    gives residual inf."""
+    :func:`_residual`.  A singular fit or a log scale that overflows gives
+    residual inf."""
     d = np.array(d_steps)
     try:
         mixed = g - np.linalg.solve(d @ d.T, d @ step) @ np.array(d_sweeps)
         return mixed, *_residual(mixed, st)
     except (np.linalg.LinAlgError, SolverError):
-        return g, math.inf, None
+        return g, math.inf, None, None
 
 
 def invert_fixed_point(
@@ -301,6 +319,16 @@ def invert_fixed_point(
     G_M is a dense matrix up to 64 margin cells and the Hadamard transform
     followed by a pick of idx above.  The residual of a point is the
     largest difference of all blocks at its weights.
+
+    Every iterate after the start has its full-margin coefficients at
+    their targets: a sweep sets them to eta + (t - eta), which is t from 0
+    and from t, and a mixed point subtracts gamma @ d_sweeps, whose
+    full-margin entries are sums of gamma times differences of equal
+    sweeps, 0.  (A non-finite gamma gives a residual of NaN or inf, and
+    such a point is never taken.)  So the next sweep's full-margin update
+    changes such a point at most in the sign of a zero, which no weight
+    sees, and its first proper block reads the weights and parameters
+    that the point's residual computed: the sweep takes them from there.
 
     The iteration is type-II Anderson mixing (Walker & Ni, SIAM J. Numer.
     Anal. 49, 2011) over G.  Each iteration sweeps once, g = G(eta), and
@@ -334,13 +362,14 @@ def invert_fixed_point(
     d_steps: list[np.ndarray] = []  # differences of successive steps
     d_sweeps: list[np.ndarray] = []  # and of successive sweeps
     last = None  # (step, sweep) of the previous iteration
+    first = None  # the first proper block's parameters at eta, once known
     # A margin cell that underflows to zero gives its block non-finite
     # parameters, which the next weights reject.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for it in range(1, opts.max_iter + 1):
             try:
-                g = _sweep(eta, st)
-                res, w = _residual(g, st)
+                g = _sweep(eta, st, first)
+                res, w, first = _residual(g, st)
             except SolverError as exc:  # the log scale overflowed in this sweep
                 exc.trace = trace
                 raise
@@ -351,9 +380,9 @@ def invert_fixed_point(
                     d_steps.append(step - last[0])
                     d_sweeps.append(g - last[1])
                     del d_steps[:-ANDERSON_MEMORY], d_sweeps[:-ANDERSON_MEMORY]
-                    mixed, r_mix, w_mix = _mix(g, step, d_steps, d_sweeps, st)
+                    mixed, r_mix, w_mix, f_mix = _mix(g, step, d_steps, d_sweeps, st)
                     if r_mix < res:
-                        nxt, res, w = mixed, r_mix, w_mix
+                        nxt, res, w, first = mixed, r_mix, w_mix, f_mix
                     else:  # the safeguard: take the sweep, drop the history
                         d_steps.clear()
                         d_sweeps.clear()
@@ -426,7 +455,9 @@ def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
                 continue
             feeder = feeders[0]
             if feeder.margin not in kernels:
-                kernels[feeder.margin] = margin_kernel_array(t.p, t.n, feeder.margin)
+                kernels[feeder.margin] = margin_kernel_array(
+                    t.p, t.n, feeder.margin, feeder.cells
+                )
             g = kernels[feeder.margin]
             col = sum(g[effect ^ ce] ** 2 for ce in feeder.effects.tolist())
             worst = max(worst, float(col))
@@ -491,19 +522,30 @@ def _cyclic_step(
     walk the cycle: each margin B_i | B_{i+1} is p(B_i) p(B_{i+1} | B_i),
     and its B_{i+1} marginal is the next p(B_i).  One mixed solve over the
     full margin, from the cycle margins in mask order and the full
-    margin's coefficients, gives the table, which is not checked."""
-    steps = list(zip(blocks, blocks[1:] + blocks[:1]))
-    conds = [
-        conditional_from_lambda(
-            spec.vars, tgt, giv, {k: v for k, v in tmap.items() if k[1] == tgt | giv}
-        )
-        for giv, tgt in steps
-    ]
-    p_giv = stationary(CycleChainSpec(spec.vars, blocks, tuple(conds))).p
+    margin's coefficients, gives the table, which is not checked.
+
+    The conditional of margin m = giv | tgt is the table over m whose
+    coefficients are the margin's targets (read through the collection's
+    plan) and 0 on the effects inside giv, conditioned on giv: its cells
+    laid out at (tgt, giv) by the ``compress_map`` of each block within m,
+    then divided by their column sums.  The rule's record makes those
+    targets exactly the effects of m that meet tgt."""
+    plan = {b.margin: b for b in _plan(spec.pairs, spec.vars.n)}
+    steps = []
+    for giv, tgt in zip(blocks, blocks[1:] + blocks[:1]):
+        m, b = giv | tgt, plan[giv | tgt]
+        eta = np.zeros(1 << popcount(m))
+        eta[b.idx] = [tmap[(e, m)] for e in b.effects.tolist()]
+        rows, cols = (compress_map(popcount(m), compress(x, m)) for x in (tgt, giv))
+        values = np.zeros((1 << popcount(tgt), 1 << popcount(giv)))
+        values[rows, cols] = table_cells(eta)
+        values /= values.sum(axis=0, keepdims=True)
+        names = (spec.vars.names_of(tgt), spec.vars.names_of(giv))
+        steps.append((m, rows, cols, ConditionalTable(*names, values)))
+    conds = tuple(cond for *_, cond in steps)
+    p_giv = stationary(CycleChainSpec(spec.vars, blocks, conds)).p
     built = {}
-    for (giv, tgt), cond in zip(steps, conds):
-        m = giv | tgt
-        rows, cols = (compress_map(popcount(m), compress(b, m)) for b in (tgt, giv))
+    for m, rows, cols, cond in steps:
         built[m] = (cond.values * p_giv)[rows, cols]
         p_giv = cond.values @ p_giv  # the marginal of tgt
     p = reconstruct_mixed(spec.vars.n, dict(sorted(built.items())), {

@@ -383,7 +383,13 @@ def eta_from_table(t: JointTable) -> EtaVector:
 
 def table_from_eta(e: EtaVector) -> JointTable:
     """Inverse of :func:`eta_from_table`: the :func:`weights` of the
-    coefficients, normalised to sum to one.
+    coefficients, normalised to sum to one (:func:`table_cells`)."""
+    return JointTable(e.vars, table_cells(e.values))
+
+
+def table_cells(eta: np.ndarray) -> np.ndarray:
+    """The cells of the table whose coefficients are the array ``eta``:
+    its :func:`weights`, normalised to sum to one.
 
     Raises :class:`InvalidTableError` if the coefficients are so large that
     the log scale overflows or a cell falls below the positivity floor; the
@@ -391,7 +397,7 @@ def table_from_eta(e: EtaVector) -> JointTable:
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            w = weights(e.values)[0]
+            w = weights(eta)[0]
     except SolverError:
         raise InvalidTableError("log-probability scale overflowed; eta too large") from None
     p = w / w.sum()
@@ -400,7 +406,7 @@ def table_from_eta(e: EtaVector) -> JointTable:
             f"eta vector implies a cell below the positivity floor "
             f"({float(p.min()):.3e} < {POSITIVITY_FLOOR})"
         )
-    return JointTable(e.vars, p)
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Everything here works cell by cell, subset by subset, with explicit Python
 loops and no transforms, deliberately sharing no code with the package
-internals; :func:`brute_jacobian` and :func:`rowwise_jacobian` alone read
-the package's derivative kernel, so that the fast Jacobian can be held to
-them bit for bit (the second is the Jacobian as one gather per row);
+internals; :func:`brute_jacobian`, :func:`rowwise_jacobian` and
+:func:`chunked_jacobian` alone read the package's derivative kernel, so
+that the fast Jacobian can be held to them bit for bit (the second is the
+Jacobian as one gather per row, the third as whole-row gathers of 128 rows
+at a time through the collection's plan, as the package built it before
+it gathered contiguous blocks);
 :func:`brute_column_norm` and :func:`brute_row_norm`, the squared
 derivative sums that 1 - min_cell bounds, read it too; and
 :func:`brute_fwht` sums each output's signed cells with NumPy, so that
@@ -88,6 +91,7 @@ from mllp.mll import (
     MLLSpec,
     MLLVector,
     Pair,
+    _plan,
     lambda_array,
     margin_kernel_array,
 )
@@ -298,6 +302,28 @@ def rowwise_jacobian(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
                 kernels[margin] = margin_kernel_array(p, n, margin)
             out[i] = np.where(cols & ~margin, kernels[margin][cols ^ effect], 0.0)
         out[i, effect - 1] = 1.0
+    return out
+
+
+_JACOBIAN_CHUNK = 128  # rows gathered at once; bounds the index array
+
+
+def chunked_jacobian(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
+    """Jacobian by whole-row gathers: row (L, M) of a proper margin reads
+    ``g_M[K ^ L]`` at column K, with the kernel's entries on the subsets of
+    M set to 0, through an index of every cell of ``_JACOBIAN_CHUNK`` rows
+    at a time; then every row gets a 1 at its own effect's column."""
+    full = (1 << n) - 1
+    cols = np.arange(1, full + 1)
+    out = np.zeros((len(spec), full))
+    for m in _plan(spec.pairs, n):
+        if m.margin != full:
+            g = margin_kernel_array(p, n, m.margin)
+            g[(np.arange(full + 1) & ~m.margin) == 0] = 0.0
+            for start in range(0, len(m.pos), _JACOBIAN_CHUNK):
+                rows = slice(start, start + _JACOBIAN_CHUNK)
+                out[m.pos[rows]] = g[m.effects[rows, None] ^ cols]
+        out[m.pos, m.effects - 1] = 1.0
     return out
 
 

@@ -41,6 +41,7 @@ from oracles import (
     brute_lambda,
     brute_row_norm,
     brute_sign_matrix,
+    chunked_jacobian,
     fd_jacobian,
     rowwise_jacobian,
 )
@@ -80,6 +81,35 @@ def wide_margin_specs(rng: np.random.Generator) -> list[MLLSpec]:
             )
             specs.append(MLLSpec(make_vars(n), pairs))
     return specs
+
+
+def narrow_margin_specs(rng: np.random.Generator) -> list[MLLSpec]:
+    """Hierarchical collections at n = 4, 6 and 9 with two proper margins
+    that each drop two or more variables; every effect sits in the first
+    margin holding it."""
+    specs = []
+    for n in (4, 6, 9):
+        full = (1 << n) - 1
+        order = []
+        for _ in range(2):
+            dropped = rng.choice(n, size=int(rng.integers(2, n - 1)), replace=False)
+            order.append(full & ~sum(1 << int(v) for v in dropped))
+        order.append(full)
+        pairs = tuple(
+            (effect, next(m for m in order if effect & ~m == 0))
+            for effect in range(1, full + 1)
+        )
+        specs.append(MLLSpec(make_vars(n), pairs))
+    return specs
+
+
+def shuffled_specs(rng: np.random.Generator, specs: list[MLLSpec]) -> list[MLLSpec]:
+    """The collections with their pairs in a random order, so that the pairs
+    of one margin are not adjacent."""
+    return [
+        MLLSpec(s.vars, tuple(s.pairs[i] for i in rng.permutation(len(s))))
+        for s in specs
+    ]
 
 
 class TestLambda:
@@ -285,10 +315,17 @@ class TestDerivatives:
             assert np.allclose(row, want, atol=1e-14)
 
     def test_jacobian_equals_entrywise_loop(self, rng):
-        for spec in census_and_seeded_specs(rng):
+        # and the chunked gather it replaced, on margins that drop one, two
+        # or more variables and on collections whose pairs are shuffled
+        specs = census_and_seeded_specs(rng) + wide_margin_specs(rng)
+        specs += narrow_margin_specs(rng)
+        specs += shuffled_specs(rng, specs[100:])
+        for spec in specs:
+            n = spec.vars.n
             p = dirichlet_table(spec.vars, rng).p
-            got = jacobian_array(p, spec.vars.n, spec)
-            assert np.array_equal(got, brute_jacobian(p, spec.vars.n, spec))
+            got = jacobian_array(p, n, spec)
+            assert np.array_equal(got, chunked_jacobian(p, n, spec))
+            assert np.array_equal(got, brute_jacobian(p, n, spec))
 
     def test_jacobian_equals_rowwise_gather_on_wide_margins(self, rng):
         for spec in wide_margin_specs(rng):
@@ -296,9 +333,25 @@ class TestDerivatives:
             got = jacobian_array(p, spec.vars.n, spec)
             assert np.array_equal(got, rowwise_jacobian(p, spec.vars.n, spec))
 
+    def test_jacobian_is_a_writable_view_that_solves_alike(self, rng):
+        specs = [catalog.CHAIN_THREE, catalog.OPEN_FOUR_MARGIN]
+        specs += [s for s in wide_margin_specs(rng) if s.vars.n == 9]
+        for spec in specs:
+            n = spec.vars.n
+            p = dirichlet_table(spec.vars, rng).p
+            jac = jacobian_array(p, n, spec)
+            assert jac.shape == (len(spec), (1 << n) - 1)
+            assert jac.flags.writeable
+            dense = np.ascontiguousarray(jac)
+            v = rng.normal(size=len(spec))
+            assert np.array_equal(jac @ v, dense @ v)
+            assert np.array_equal(np.linalg.solve(jac, v), np.linalg.solve(dense, v))
+            jac[:] = 0.0  # the next call shares no buffer with this one
+            assert np.array_equal(jacobian_array(p, n, spec), dense)
+
     def test_jacobian_peak_memory_beyond_output(self, rng):
-        # the gathers are chunked so that the index array stays small: at
-        # n = 10 the output is 8 MB and the chunked fill needs about 2 MB
+        # the gather reads at most 2**ceil(n/2) permuted copies of each
+        # margin's kernel: at n = 10 the output is 8 MB, the fill about 0.8 MB
         spec = wide_margin_specs(rng)[-1]
         p = dirichlet_table(spec.vars, rng).p
         jacobian_array(p, spec.vars.n, spec)  # warm the plan cache

@@ -33,7 +33,13 @@ from mllp.errors import (
     SpecError,
     StructureError,
 )
-from mllp.mll import MLLSpec, MLLVector, jacobian, lambda_vector
+from mllp.mll import (
+    MLLSpec,
+    MLLVector,
+    conditional_from_lambda,
+    jacobian,
+    lambda_vector,
+)
 from mllp.markov import (
     CycleChainSpec,
     stationary,
@@ -324,6 +330,50 @@ class TestCompiledSweep:
         assert {s.vars.n for s, *_ in stages} == {3, 4, 5}
         for stage in stages:
             assert_matches_oracle(*stage)
+
+    def test_sweeps_from_the_residual_match_fresh_sweeps(self, monkeypatch):
+        # a sweep takes its first proper block from the residual at the same
+        # point; computing it afresh changes no bit of any solve: mixed,
+        # plain, stalled or diverging, on the undecided orbits and the
+        # open collections of the fallback
+        rng = np.random.default_rng(36)
+        specs = [_spec_line(r["spec"]) for r in census(3)["rows"]
+                 if r["verdict"] == UNKNOWN]
+        specs += [catalog.OPEN_FOUR_MARGIN, catalog.TWO_ANCHOR_CYCLE]
+        cases = [
+            (spec, lambda_vector(draw(spec.vars, rng), spec))
+            for spec in specs for draw in (dirichlet_table, _skewed_table)
+        ]
+        # and the draws of scripts/fixed_point_probe.py that the fixed
+        # point fails at alpha 0.05
+        probe = load_script("fixed_point_probe")
+        draws = np.random.default_rng(probe.SEED)
+        tables = [probe.draw_table(draws, spec, 0.05) for spec in probe.targets()]
+        for i in (9, 94, 154, 175, 176, 177):
+            spec = probe.targets()[i]
+            cases.append((spec, lambda_vector(tables[i], spec)))
+        opts = SolveOptions(max_iter=2000)
+
+        def record(case):
+            got = _outcome(invert_fixed_point, *case, opts)
+            if isinstance(got, Exception):
+                return type(got), str(got), getattr(got, "trace", None)
+            return (got.table.p.tobytes(), got.iterations, got.final_residual,
+                    got.trace, got.contraction_certificate)
+
+        real = solvers._sweep
+        given = []
+
+        def spy(eta, st, first=None):
+            given.append(first is not None)
+            return real(eta, st, first)
+
+        monkeypatch.setattr(solvers, "_sweep", spy)
+        reused = [record(case) for case in cases]
+        assert given.count(False) == len(cases) < given.count(True)
+        monkeypatch.setattr(solvers, "_sweep",
+                            lambda eta, st, first=None: real(eta, st))
+        assert [record(case) for case in cases] == reused
 
     def test_log_scale_overflow_diverges_at_the_oracles_sweep(self):
         # targets far outside the parameter domain: the log scale overflows,
@@ -1125,6 +1175,28 @@ class TestCyclic:
             assert float(np.max(np.abs(cells / want - 1.0))) <= 1e-13, mask
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-12
 
+    @pytest.mark.parametrize("name", ["CYCLE_THREE", "CYCLE_FOUR"])
+    def test_conditionals_match_the_named_tables(self, name, rng, monkeypatch):
+        # the block conditionals built from arrays are, bit for bit, the
+        # ones conditional_from_lambda builds through named tables
+        spec = load_script("cyclic_probe").COLLECTIONS[name]
+        chains = []
+        real = solvers.stationary
+        monkeypatch.setattr(solvers, "stationary",
+                            lambda chain: chains.append(chain) or real(chain))
+        for _ in range(5):
+            target = lambda_vector(dirichlet_table(spec.vars, rng), spec)
+            invert(spec, target, SolveOptions(method="MARKOV"))
+            chain = chains.pop()
+            blocks = chain.blocks
+            for giv, tgt, cond in zip(blocks, blocks[1:] + blocks[:1],
+                                      chain.conditionals):
+                values = {k: v for k, v in target.as_dict().items()
+                          if k[1] == giv | tgt}
+                want = conditional_from_lambda(spec.vars, tgt, giv, values)
+                assert (cond.target, cond.given) == (want.target, want.given)
+                assert np.array_equal(cond.values, want.values)
+
     @pytest.mark.parametrize("solve, rule, spec, text", [
         (invert_hierarchical, "hierarchical", catalog.CYCLE_THREE,
          "spec is not hierarchical"),
@@ -1641,6 +1713,7 @@ SOLVE_CACHES = {
     "solvers._class_chain",
     "solvers._one_step_chain",
     "mll._plan",
+    "mll._jacobian_maps",
     "mixed._shape",
     "markov._sweep_plan",
     "census._relabelings",
