@@ -3,14 +3,17 @@
 A positive table over a set of binary variables is pinned down by its
 sub-margin tables (mean coordinates) together with the log-linear
 coefficients of the effects that no sub-margin covers (natural
-coordinates).  :func:`reconstruct_mixed` fits the table to its
-sub-margins, then runs a damped Newton solve if the fit stalls.  Two
-sub-margins S = M \\ {b} and T with b in T are fitted directly, by one
-monotone equation per cell of T \\ {b} (:func:`_stratum_fit`), when those
-equations are well conditioned; every other shape, and an ill-conditioned
-one, is fitted by iterative proportional fitting.  The hierarchical route
-of :mod:`mllp.solvers` calls it once per margin, and the cyclic route once,
-for the full margin.
+coordinates).  With no sub-margin, the table of the uncovered
+coefficients is the answer, and with one, that table scaled once to the
+sub-margin (a scaling by a function of the sub-margin's cells keeps every
+coefficient it does not cover).  Otherwise :func:`reconstruct_mixed` fits
+the table to its sub-margins, then runs a damped Newton solve if the fit
+stalls.  Two sub-margins S = M \\ {b} and T with b in T are fitted
+directly, by one monotone equation per cell of T \\ {b}
+(:func:`_stratum_fit`), when those equations are well conditioned; every
+other shape, and an ill-conditioned one, is fitted by iterative
+proportional fitting.  The hierarchical route of :mod:`mllp.solvers`
+calls it once per margin, and the cyclic route once, for the full margin.
 
 Tables here are cell arrays, with no variable names:
 ``reconstruct_mixed(m, margins, eta_targets)`` takes the margin's variable
@@ -65,13 +68,13 @@ def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
 # where the two break even.  The window keeps the early sweeps, which often
 # contract by only 0.9-0.99 before the fit settles, from handing over.  The
 # benchmark's traffic does not reach that case: the two drop-one margins
-# of its n = 9 solves go to _stratum_fit, so a large-table pass (seed 1601)
-# fits only 8-variable margins with 0 or 1 sub-margin (36 each), which one
-# sweep matches, and the fits with two or more sub-margins, 76 in an
-# inversion-route pass and 24 in a fallback pass, are over at most 4
-# variables.  The window is pinned by test_slow_first_sweeps_do_not_hand_over
-# (three drop-one margins at n = 9), where a one-sweep rule (stop below a
-# contraction of 0.9) hands 16 of 24 fits to Newton and this rule none.
+# of its n = 9 solves go to _stratum_fit, its 8-variable margins have 0 or
+# 1 sub-margin and take the closed forms, and the fits with two or more
+# sub-margins, 76 in an inversion-route pass and 24 in a fallback pass
+# (seed 1601), are over at most 4 variables.  The window is pinned by
+# test_slow_first_sweeps_do_not_hand_over (three drop-one margins at n = 9),
+# where a one-sweep rule (stop below a contraction of 0.9) hands 16 of 24
+# fits to Newton and this rule none.
 FIT_SWEEPS = 1500
 FIT_WINDOW = 20
 # A reconstructed table must match its sub-margins to this relative error
@@ -240,7 +243,7 @@ def _shape(m: int, sub_masks: tuple[int, ...]) -> _Shape:
     for mask, cell in zip(sub_masks, cells):
         at = np.flatnonzero((cov & ~mask) == 0)
         picks.append((at, cell[cov[at]]))
-    for a in (cov, uncovered, *cells, *(x for pick in picks for x in pick)):
+    for a in (cov, uncovered, *(x for pick in picks for x in pick)):
         a.flags.writeable = False
     return _Shape(cells, cov, uncovered, tuple(picks))
 
@@ -255,13 +258,17 @@ def reconstruct_mixed(
     effects no sub-margin covers.  ``margins`` maps each sub-margin's mask
     to its cells, indexed by the compressed cell index of that mask.
 
-    Warm-started from the sub-margins' own coefficients, then fitted to the
-    sub-margins in a way that keeps the uncovered coefficients.  Two
-    sub-margins S = M minus one variable b and T containing b are fitted
-    without sweeps (``_stratum_fit``): the table keeps the S-margin and
-    the warm start's log odds of b up to one shift per cell of T minus b,
-    a factor over T, which leaves every coefficient outside S and T as it
-    was; each shift solves one monotone equation.  That fit is taken only
+    With no sub-margin the result is the table of the targets; with one
+    sub-margin S, that table q scaled once by p_S / q_S, which matches S
+    and keeps the targets (one step of proportional fitting against a
+    single margin is exact).  Neither fits, and both go through the checks
+    below.  Two or more sub-margins are warm-started from their own
+    coefficients, then fitted in a way that keeps the uncovered
+    coefficients.  Two sub-margins S = M minus one variable b and T
+    containing b are fitted without sweeps (``_stratum_fit``): the table
+    keeps the S-margin and the warm start's log odds of b up to one shift
+    per cell of T minus b, a factor over T, which leaves every coefficient
+    outside S and T as it was; each shift solves one monotone equation.  That fit is taken only
     when a rounding error cannot move a shift by more than 1e-12; every
     other case, and every other shape, is fitted by proportional fitting
     (``_proportional_fit``).  If the fit stalls, one damped Newton solve
@@ -291,7 +298,22 @@ def reconstruct_mixed(
     effects = list(eta_targets)
     targets = np.array(list(eta_targets.values()), dtype=np.float64)
     theta[effects] = targets
-    # target moments, overlap check and warm start, margin by margin
+    # warm start: the sub-margins' own coefficients, margin by margin
+    for ps, (at, idx) in zip(sub_p, picks):
+        theta[cov[at]] = (fwht(np.log(ps)) / ps.size)[idx]
+    if len(sub_p) <= 1:
+        # closed form: one scaling by p_S / q_S, a function of x_S, matches
+        # a lone sub-margin S and keeps every coefficient outside S
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = weights(theta)[0]
+        q, r = w / w.sum(), np.zeros(0)
+        for ps, c in zip(sub_p, cells):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                q = q * (ps / np.bincount(c, q, minlength=ps.size))[c]
+                r = np.log(ps / np.bincount(c, q, minlength=ps.size))
+        return _checked(q, r, effects, targets)
+
+    # target moments and overlap check, margin by margin
     mu_star = np.zeros(len(cov))
     seen = np.zeros(len(cov), dtype=bool)
     for ps, (at, idx) in zip(sub_p, picks):
@@ -304,7 +326,6 @@ def reconstruct_mixed(
             )
         mu_star[at] = mu_sub
         seen[at] = True
-        theta[cov[at]] = (fwht(np.log(ps)) / ps.size)[idx]
 
     p_all = np.concatenate(sub_p or [np.zeros(0)])
 
@@ -380,6 +401,14 @@ def reconstruct_mixed(
                 break  # no step helps: the checks below decide
             polish = True
 
+    return _checked(q, r, effects, targets)
+
+
+def _checked(q: np.ndarray, r: np.ndarray, effects: list[int],
+             targets: np.ndarray) -> np.ndarray:
+    """The normalised table q, once its log margin ratios ``r``, its
+    coefficients of ``effects`` and its smallest cell pass the checks that
+    :func:`reconstruct_mixed` documents."""
     # written so that a NaN fails: a cell underflowed to 0 makes log(q) -inf
     with np.errstate(divide="ignore", invalid="ignore"):
         miss = float(np.max(np.abs(r), initial=0.0))
@@ -388,7 +417,7 @@ def reconstruct_mixed(
                 NON_CONVERGENCE,
                 f"relative margin mismatch {miss:.3e} after reconstruction",
             )
-        theta_check = fwht(np.log(q)) / size
+        theta_check = fwht(np.log(q)) / q.size
         if not (np.abs(theta_check[effects] - targets) <= 1e-10).all():
             raise SolverError(
                 NON_CONVERGENCE, "coefficient targets missed after reconstruction"

@@ -45,27 +45,22 @@ import functools
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SpecError, StructureError
 from .tables import (
     _ONE_FACTOR_CELLS,
-    ConditionalTable,
     JointTable,
     VarSet,
-    compress,
     compress_map,
-    condition,
-    eta_from_dict,
     fwht,
     marginal_array,
     marginalize,
     nonempty_submasks,
     parity_signs,
     popcount,
-    table_from_eta,
 )
 
 # ---------------------------------------------------------------------------
@@ -320,7 +315,6 @@ def _plan(pairs: tuple[Pair, ...], n: int) -> tuple[_Margin, ...]:
         cells = params = None
         if margin != full:
             cells = compress_map(n, margin)
-            cells.flags.writeable = False
             size = 1 << popcount(margin)
             if size <= _ONE_FACTOR_CELLS:
                 dense = fwht(np.eye(size)[idx]) / size
@@ -369,37 +363,6 @@ def conditional_lambda_set(
     ]
 
 
-def conditional_from_lambda(
-    vars: VarSet,
-    target_mask: int,
-    given_mask: int,
-    values: Mapping[Pair, float] | Mapping[int, float],
-) -> ConditionalTable:
-    """Conditional distribution pinned by the parameter block of the margin
-    target|given whose effects meet the target.
-
-    ``values`` may be keyed by (effect, margin) pairs or by effect masks
-    and must cover exactly that block.  Effects inside the conditioning
-    set are immaterial (the block is a parameter cut) and are set to zero.
-    """
-    both = target_mask | given_mask
-    need = conditional_lambda_set(vars, target_mask, given_mask)
-    by_effect: dict[int, float] = {}
-    for key, val in values.items():
-        effect = key[0] if isinstance(key, tuple) else int(key)
-        by_effect[effect] = float(val)
-    if set(by_effect) != {e for e, _ in need}:
-        raise SpecError("values must cover exactly the conditional's parameter block")
-    sub = vars.restrict(both)
-    entries = {compress(e, both): v for e, v in by_effect.items()}
-    t = table_from_eta(eta_from_dict(sub, entries))
-    return condition(
-        t,
-        sub.mask_of(vars.names_of(target_mask)),
-        sub.mask_of(vars.names_of(given_mask)),
-    )
-
-
 def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:
     """The margin-change term f = lam(effect, margin|added) - lam(effect, margin).
 
@@ -425,21 +388,17 @@ def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:
     return float(signs @ logcond) / tb.vars.n_cells
 
 
-def margin_kernel_array(
-    p: np.ndarray, n: int, margin: int, cells: np.ndarray | None = None
-) -> np.ndarray:
+def margin_kernel_array(p: np.ndarray, n: int, margin: int) -> np.ndarray:
     """Vector g with g[S] = 2**-|margin| * sum_x (-1)**|x & S| * w(x) where
     w(x) = p(x outside margin | x inside margin).
 
     All off-margin parameter derivatives of this margin are lookups into g:
     d lam(L, margin) / d eta_K = g[K xor L] whenever K is not inside margin.
-    ``cells`` is ``compress_map(n, margin)`` when the caller holds it, as a
-    plan's margin does.
     """
     if margin == (1 << n) - 1:
         raise StructureError("kernel is only defined for proper margins")
     pm = marginal_array(p, n, margin)
-    w = p / pm[compress_map(n, margin) if cells is None else cells]
+    w = p / pm[compress_map(n, margin)]
     return fwht(w) / (1 << popcount(margin))
 
 
@@ -529,7 +488,7 @@ def jacobian_array(p: np.ndarray, n: int, spec: MLLSpec) -> np.ndarray:
         if m.cells is None:  # the full margin: every column is inside it
             g = np.zeros(1 << n)
         else:
-            g = margin_kernel_array(p, n, m.margin, m.cells)
+            g = margin_kernel_array(p, n, m.margin)
             g[b.inside] = 0.0
         g[0] = 1.0
         stop = start + len(b.perm)

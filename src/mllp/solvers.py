@@ -35,8 +35,10 @@ target value; every rule is structural, so the relabeled chain is a proof
 of the caller's collection, and every proven route is a step of that
 replay.  When the canonical collection's search is cut at a limit without
 a proof, the collection given is classified instead, as the verdict may
-depend on the labelling.  A reduction (variable removal, per-slice removal, interchange,
-subsystem relocation) uses only the forward map and the fixed point: it
+depend on the labelling.  Either chain is looked up once per labelled
+collection, so a warm AUTO call does no more than its replay.  A
+reduction (variable removal, per-slice removal, interchange, subsystem
+relocation) uses only the forward map and the fixed point: it
 reads a margin-change term as a difference of forward parameters at a
 table built from the pinning block alone, or solves the relocated
 subsystem as a single-feedback collection, and hands the rest of the chain
@@ -63,6 +65,9 @@ can run concurrently (two threads may compute one entry twice, equal):
 * ``_class_chain(form, n)``, at most 1 024 entries: the proof chain of a
   relabeling class's canonical collection; the classifier is
   deterministic.
+* ``_labelled_chain(pairs, n)``, at most 1 024: the chain AUTO replays on
+  a labelled collection, or None for the fallback; rules read masks only,
+  so the names are not part of the key.
 * ``_one_step_chain(pairs, n, rule)``, at most 1 024: the witness record
   of the forced methods HIERARCHICAL and MARKOV.  Rules read masks only,
   so the variables' names are not part of the key.
@@ -78,6 +83,9 @@ can run concurrently (two threads may compute one entry twice, equal):
 * ``census._relabelings(n)``, one per variable count up to ``MAX_VARS``,
   and ``tables._hadamard(size)``, one per power of two up to 256: the
   relabelings of canonical forms and the transform's matrices.
+* ``tables.compress_map(n_bits, mask)``, at most 128: the cell maps of the
+  reductions' and the cyclic step's margins, at most 64 MB at
+  ``MAX_VARS``.
 * the classifier's ``_compile(full, effects)``, at most 32, and its mask
   caches ``_inside``, ``_free_tests`` and ``_down``: one entry per margin
   (per margin and submask for ``_down``) of the variable sets classified.
@@ -456,7 +464,7 @@ def contraction_certificate(spec: MLLSpec, t: JointTable) -> float:
             feeder = feeders[0]
             if feeder.margin not in kernels:
                 kernels[feeder.margin] = margin_kernel_array(
-                    t.p, t.n, feeder.margin, feeder.cells
+                    t.p, t.n, feeder.margin
                 )
             g = kernels[feeder.margin]
             col = sum(g[effect ^ ce] ** 2 for ce in feeder.effects.tolist())
@@ -919,18 +927,32 @@ def _numbered(pairs: tuple[Pair, ...], n: int) -> MLLSpec:
     return MLLSpec(VarSet(tuple(str(i + 1) for i in range(n))), pairs)
 
 
+@functools.lru_cache(maxsize=1024)
+def _labelled_chain(
+    pairs: tuple[Pair, ...], n: int
+) -> tuple[cls.RuleStep, ...] | None:
+    """The chain AUTO replays on the collection ``pairs``, or None when it
+    takes the fallback: its class's chain relabeled onto it, or, when the
+    class's search was cut at a limit, the chain of its own classification.
+    Rules read masks only, so the variables' names do not enter."""
+    form, perm = canonical_form(pairs, n)
+    chain, settled = _class_chain(form, n)
+    if chain is not None:
+        inv = sorted(range(len(perm)), key=perm.__getitem__)
+        return _relabel_chain(chain, inv)
+    if not settled:  # a search cut at a limit: classify the labelling given
+        report = cls.classify(_numbered(pairs, n))
+        if report.verdict == cls.PROVEN_SMOOTH:
+            return report.rule_chain
+    return None
+
+
 def _invert_auto(
     spec: MLLSpec, target: MLLVector, opts: SolveOptions
 ) -> SolveResult:
-    form, perm = canonical_form(spec.pairs, spec.vars.n)
-    chain, settled = _class_chain(form, spec.vars.n)
+    chain = _labelled_chain(spec.pairs, spec.vars.n)
     if chain is not None:
-        inv = sorted(range(len(perm)), key=perm.__getitem__)
-        return _replay(spec, target, _relabel_chain(chain, inv), opts)
-    if not settled:  # a search cut at a limit: classify the labelling given
-        report = cls.classify(spec)
-        if report.verdict == cls.PROVEN_SMOOTH:
-            return _replay(spec, target, report.rule_chain, opts)
+        return _replay(spec, target, chain, opts)
     capped = replace(opts, max_iter=min(opts.max_iter, 2000))
     try:
         sub = invert_fixed_point(spec, target, capped)

@@ -61,7 +61,9 @@ Some helpers here are no oracles but test-only views that no route needs:
 classifier's key kernel, :func:`hierarchy_order` reads the hierarchy
 witness of a collection through the classifier's kernel,
 :func:`is_hierarchical` and :func:`verify_hierarchy_order` test it, and
-:func:`chain_from_joint` reads the cycle of conditionals off a joint table.
+:func:`chain_from_joint` reads the cycle of conditionals off a joint table,
+and :func:`conditional_from_lambda` builds a conditional from its margin's
+parameter block through named tables.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ from mllp.mll import (
     MLLVector,
     Pair,
     _plan,
+    conditional_lambda_set,
     lambda_array,
     margin_kernel_array,
 )
@@ -112,6 +115,7 @@ from mllp.tables import (
     compress,
     compress_map,
     condition,
+    eta_from_dict,
     fwht,
     marginal_array,
     marginalize,
@@ -1235,6 +1239,37 @@ def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
     k = len(blocks)
     conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
     return CycleChainSpec(t.vars, tuple(blocks), conds)
+
+
+def conditional_from_lambda(
+    vars: VarSet,
+    target_mask: int,
+    given_mask: int,
+    values: Mapping[Pair, float] | Mapping[int, float],
+) -> ConditionalTable:
+    """Conditional distribution pinned by the parameter block of the margin
+    target|given whose effects meet the target.
+
+    ``values`` may be keyed by (effect, margin) pairs or by effect masks
+    and must cover exactly that block.  Effects inside the conditioning
+    set are immaterial (the block is a parameter cut) and are set to zero.
+    """
+    both = target_mask | given_mask
+    need = conditional_lambda_set(vars, target_mask, given_mask)
+    by_effect: dict[int, float] = {}
+    for key, val in values.items():
+        effect = key[0] if isinstance(key, tuple) else int(key)
+        by_effect[effect] = float(val)
+    if set(by_effect) != {e for e, _ in need}:
+        raise SpecError("values must cover exactly the conditional's parameter block")
+    sub = vars.restrict(both)
+    entries = {compress(e, both): v for e, v in by_effect.items()}
+    t = table_from_eta(eta_from_dict(sub, entries))
+    return condition(
+        t,
+        sub.mask_of(vars.names_of(target_mask)),
+        sub.mask_of(vars.names_of(given_mask)),
+    )
 
 
 def brute_stationary(m: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from mllp.cimodels import (
 )
 from mllp.classify import PROVEN_SMOOTH, classify
 from mllp.errors import NON_CONVERGENCE, SolverError, SpecError
-from mllp.mll import conditional_from_lambda, conditional_lambda_set, lambda_vector
+from mllp.mll import conditional_lambda_set, lambda_vector
 from mllp.markov import (
     GibbsCycleSpec,
     _sweep_kernel,
@@ -34,7 +34,12 @@ from mllp.tables import (
 )
 
 from conftest import dirichlet_table, load_script, make_vars, outside_domain_values
-from oracles import brute_model_spec, brute_sweep_kernel, chain_from_joint
+from oracles import (
+    brute_model_spec,
+    brute_sweep_kernel,
+    chain_from_joint,
+    conditional_from_lambda,
+)
 
 
 def model_specs_sample() -> list[list[CIStatement]]:

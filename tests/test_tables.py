@@ -9,6 +9,7 @@ from mllp.tables import (
     ConditionalTable,
     EtaVector,
     JointTable,
+    MAX_VARS,
     compress,
     compress_map,
     condition,
@@ -65,6 +66,18 @@ class TestBitAlgebra:
         wide = ((1 << 40) - 1) & ~(1 << 3 | 1 << 17)
         for cell in (0, wide, (1 << 41) - 1, 0b1010_1010 << 15):
             assert compress(cell, wide) == brute_compress(cell, wide)
+
+    def test_compress_maps_are_cached_read_only(self):
+        # every mask up to 6 bits, and two wide ones at 10 and MAX_VARS bits
+        cases = [(n, mask) for n in range(1, 7) for mask in range(1 << n)]
+        cases += [(10, 0b1011001101), (MAX_VARS, 0xA5C3)]
+        for n, mask in cases:
+            got = compress_map(n, mask)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1
+            assert got.tolist() == [compress(x, mask) for x in range(1 << n)]
+            assert compress_map(n, mask) is got
 
     def test_bit_packing_maps(self, rng):
         for n in range(1, 6):
