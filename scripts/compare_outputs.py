@@ -31,13 +31,15 @@ inversion of each of the 2 000 cases of ``scripts/cyclic_probe.py``, as
 its ``draw_cases`` draws them from the copy beside this one.
 
 Prints, per workload and seed, the number of operations whose tables
-differ, the largest cell difference and the number of those whose
-``final_residual`` moved with the table, then every operation whose
-``method_used``, iteration count, error, check result or
-``contraction_certificate`` differs, or whose ``final_residual`` differs
-at an equal table; JSON forms that differ are counted by the keys at
-which they differ (``search.fired`` is a key of a report's ``search``
-record).  Exits 0.
+differ, the largest cell difference among the operations that return a
+table on both sides and the number of those whose ``final_residual``
+moved with the table.  When some operations return a table on one side
+only (they raise on the other), a second line counts them, per side.
+Then it prints every operation whose ``method_used``, iteration count,
+error, check result or ``contraction_certificate`` differs, or whose
+``final_residual`` differs at an equal table; JSON forms that differ are
+counted by the keys at which they differ (``search.fired`` is a key of a
+report's ``search`` record).  Exits 0.
 """
 
 from __future__ import annotations
@@ -196,10 +198,14 @@ def compare(parent: dict, change: dict) -> None:
     for key, ops in parent.items():
         tables_differ, worst, moved, lines = 0, 0.0, 0, []
         forms: Counter = Counter()
+        one_sided = Counter()  # tables only the parent or only the change returned
         for i, ((kind, a), (_, b)) in enumerate(zip(ops, change[key])):
             ta, tb = a["table"], b["table"]
             same = True
-            if (ta is None) != (tb is None) or (ta is not None and ta.shape != tb.shape):
+            if (ta is None) != (tb is None):
+                same = False
+                one_sided["parent" if tb is None else "change"] += 1
+            elif ta is not None and ta.shape != tb.shape:
                 same, worst = False, float("inf")
             elif ta is not None and not np.array_equal(ta, tb):
                 same, worst = False, max(worst, float(np.max(np.abs(ta - tb))))
@@ -223,6 +229,10 @@ def compare(parent: dict, change: dict) -> None:
               f"{moved} residuals moved with their table, "
               f"{len(lines)} other differences, "
               f"{sum(forms.values())} JSON forms differ")
+        if one_sided:
+            print(f"  a table on one side only: {one_sided['change']} ops in the change "
+                  f"only, {one_sided['parent']} in the parent only; the largest "
+                  "cell difference is over the ops with a table on both sides")
         print("\n".join(lines), end="\n" if lines else "")
         for paths, count in forms.items():
             print(f"  JSON form differs at {paths}: {count} ops")

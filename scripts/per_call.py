@@ -14,8 +14,11 @@ of sub-margins at m = 3 and m = 8 variables: none; one that drops one
 variable; two that each drop one variable (the shape ``_stratum_fit``
 solves); three that each drop one variable (proportional fitting).  Each
 mixed solve is given the exact margins and uncovered coefficients of one
-of 200 Dirichlet(1) tables, timed the same way.  Prints one JSON line per
-row, times in ms; exits 0.
+of 200 Dirichlet(1) tables, timed the same way.  Last, one solve whose fit
+stalls, so that it runs the Newton solve: the exact 12, 23, 14 and 34
+margins and the uncovered coefficients of draw 178 of the 4-cycle at
+alpha 0.02 in ``scripts/cyclic_probe.py``, timed alone, best of 5.
+Prints one JSON line per row, times in ms; exits 0.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ import timeit  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+# the cyclic probe's draws, from the script beside this one
+import cyclic_probe  # noqa: E402
 from mllp import catalog  # noqa: E402
 from mllp.mixed import reconstruct_mixed  # noqa: E402
 from mllp.mll import MLLVector, lambda_array  # noqa: E402
@@ -82,12 +87,27 @@ def mixed_rows(rng: np.random.Generator):
                    "ms": best_ms(calls)}
 
 
+def newton_row():
+    m, masks, draw = 4, (0b0011, 0b0110, 0b1001, 0b1100), 178
+    p = np.random.default_rng(cyclic_probe.SEED).dirichlet(
+        np.full(1 << m, 0.02), cyclic_probe.DRAWS)[draw]
+    p = np.maximum(p, cyclic_probe.FLOOR)
+    p /= p.sum()
+    theta = fwht(np.log(p)) / p.size
+    margins = {mask: marginal_array(p, m, mask) for mask in masks}
+    targets = {e: float(theta[e]) for e in range(1, 1 << m)
+               if not any(e & ~mask == 0 for mask in masks)}
+    yield {"row": "reconstruct_mixed", "case": f"CYCLE_FOUR alpha 0.02 draw {draw}",
+           "m": m, "sub_margins": len(masks),
+           "ms": best_ms([lambda: reconstruct_mixed(m, margins, targets)])}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    for row in (*collection_rows(rng), *mixed_rows(rng)):
+    for row in (*collection_rows(rng), *mixed_rows(rng), *newton_row()):
         row["ms"] = round(row["ms"], 4)
         print(json.dumps(row), flush=True)
     return 0

@@ -23,10 +23,11 @@ is the cyclic rule tried over every ordering of the proper margins.
 Jacobi sweep with each margin summed out of the cell cube and transformed
 anew.
 :func:`brute_reconstruct_mixed` is the mixed-coordinate solve as Newton
-steps alone, without proportional fitting; it reads the package's weights
-and least-squares step.  :func:`brute_hierarchical_step` is the
-hierarchical step as it passed each margin as a named table, marginalised
-and restricted by variable names; it reads the package's mixed solve
+steps alone, without proportional fitting; it reads the package's weights,
+and :func:`_least_squares_step` is the QR least-squares step it takes.
+:func:`brute_hierarchical_step` is the hierarchical step as it passed
+each margin as a named table, marginalised and restricted by variable
+names; it reads the package's mixed solve
 through :func:`margin_cells`, which reads a named table's mask and cells
 off its names.  :func:`brute_shape` is the index arrays of one mixed
 solve's shape, built per call from sets, as the solve built them before
@@ -88,7 +89,7 @@ from mllp.errors import (
     StructureError,
 )
 from mllp.markov import CycleChainSpec, GibbsCycleSpec, _sweep_kernel
-from mllp.mixed import _least_squares_step, reconstruct_mixed
+from mllp.mixed import reconstruct_mixed
 from mllp.mll import (
     MLLSpec,
     MLLVector,
@@ -991,6 +992,15 @@ def brute_contraction_subsystem(
             if res <= opts.tol * 0.1:
                 return eta, trace
     raise SolverError(NON_CONVERGENCE, "subsystem fixed point did not converge", trace)
+
+
+def _least_squares_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Least-squares solution of ``jac @ step = r`` for a tall ``jac`` of
+    full column rank: Householder QR of [jac | r], whose last column of R
+    is Q^T r, then the triangular k x k system; Q is never formed."""
+    k = jac.shape[1]
+    tri = np.linalg.qr(np.column_stack([jac, r]), mode="r")
+    return np.linalg.solve(tri[:k, :k], tri[:k, k])
 
 
 def brute_reconstruct_mixed(

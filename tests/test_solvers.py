@@ -80,6 +80,7 @@ from conftest import (
     underflow_case,
 )
 from oracles import (
+    _least_squares_step,
     brute_contraction_subsystem,
     brute_fixed_point,
     brute_hierarchical_step,
@@ -101,8 +102,9 @@ def zero_target(spec: MLLSpec) -> MLLVector:
 
 
 def skewed_roundtrip_cases(numbers: set[int]) -> list[tuple[MLLSpec, JointTable]]:
-    """The spec and table of the given cases of scripts/skewed_roundtrip.py."""
-    draws = load_script("skewed_roundtrip").draw_cases()
+    """The spec and table of the given cases of scripts/skewed_roundtrip.py,
+    numbered as it numbers them with ``--alpha 0.02``."""
+    draws = load_script("skewed_roundtrip").draw_cases(0.02)
     cases = itertools.islice(draws, max(numbers) + 1)
     return [(spec, t) for case, _, _, spec, t in cases if case in numbers]
 
@@ -649,25 +651,28 @@ class TestReconstructMixed:
             jac = (u * np.logspace(0.0, -math.log10(cond), cols)) @ v.T
             r = rng.normal(size=rows)
             want = np.linalg.lstsq(jac, r)[0]
-            got = mixed._least_squares_step(jac, r)
+            got = _least_squares_step(jac, r)
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel <= cond * 1e-13
 
     def test_matches_oracle(self, monkeypatch):
         # the solve against the Newton-only solve it replaced, on one and
         # three drop-one margins (two go to the stratum solve).  Three are
-        # fitted once, and the fit keeps the coefficients that no
-        # sub-margin covers; one is solved in closed form, with no fit, and
-        # the result has those coefficients
+        # fitted once, and the fit either returns None or a table that
+        # matches every sub-margin to 1e-12 and keeps the coefficients that
+        # no sub-margin covers: it returns one for every Dirichlet(1) table
+        # and for 3 of the 7 skewed ones.  One is solved in closed form,
+        # with no fit, and the result has those coefficients
         fits = []
         fit = mixed._proportional_fit
 
         def spy(q, cells, sub_p):
-            fits.append((q, fit(q, cells, sub_p)))
-            return fits[-1][1]
+            fits.append((q, cells, sub_p, fit(q, cells, sub_p)))
+            return fits[-1][-1]
 
         monkeypatch.setattr(mixed, "_proportional_fit", spy)
         rng = np.random.default_rng(13)
+        matched = 0
         for n in range(3, 10):
             vs = make_vars(n)
             full = vs.full_mask
@@ -692,20 +697,26 @@ class TestReconstructMixed:
                         after = (fwht(np.log(got)) / got.size)[uncovered]
                         assert float(np.max(np.abs(after - theta[uncovered]))) <= 1e-12
                         continue
-                    [(q, fitted)] = fits
-                    assert fitted is not None
+                    [(q, cells, sub_p, fitted)] = fits
+                    if fitted is None and draw is _skewed_table:
+                        continue
+                    matched += draw is _skewed_table
+                    for c, ps in zip(cells, sub_p):
+                        miss = np.log(ps / np.bincount(c, fitted, minlength=ps.size))
+                        assert float(np.max(np.abs(miss))) < 1e-12
                     before = (fwht(np.log(q)) / q.size)[uncovered]
                     after = (fwht(np.log(fitted)) / q.size)[uncovered]
                     assert float(np.max(np.abs(after - before))) <= 1e-12
+        assert matched == 3
 
     def test_closed_forms_match_oracle(self, monkeypatch):
         # no sub-margin, and one drawn sub-margin, at n = 1-9: the solve
-        # neither fits nor takes a Newton step, and matches the Newton-only
+        # neither fits nor runs the Newton solve, and matches the Newton-only
         # solve and the drawn table
         def fail(*args):
             raise AssertionError("a closed-form solve fitted")
 
-        for name in ("_stratum_fit", "_proportional_fit", "_least_squares_step"):
+        for name in ("_stratum_fit", "_proportional_fit", "_scaling_newton"):
             monkeypatch.setattr(mixed, name, fail)
         rng = np.random.default_rng(37)
         for n in range(1, 10):
@@ -831,7 +842,8 @@ class TestReconstructMixed:
     def test_slow_newton_tail_converges(self):
         # the last solve of the cyclic probe's CYCLE_FOUR draw 178 at alpha
         # 0.02, over all four variables, from the drawn table's own
-        # sub-margins 12, 23, 14 and 34: its Newton tail crawls for 524 steps
+        # sub-margins 12, 23, 14 and 34: the fit stalls, and the Newton
+        # solve takes 31 steps and one on the log ratios
         t = cyclic_probe_table("CYCLE_FOUR", 0.02, 178)
         masks = [0b0011, 0b0110, 0b1001, 0b1100]
         theta = fwht(np.log(t.p)) / t.p.size
@@ -967,6 +979,19 @@ class TestHierarchical:
         t = dirichlet_table(vs, rng)
         res = invert_hierarchical(spec, lambda_vector(t, spec))
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-10
+
+    @pytest.mark.parametrize("case", [
+        931, 941, 959, 963, 984, 1000, 1001, 1028, 993, 1076,
+    ])
+    def test_roundtrip_skewed_alpha_cases(self, case):
+        # cases of scripts/skewed_roundtrip.py --alpha 0.02: the first eight
+        # fail when the mixed solve ends in a dual Newton solve handing over
+        # to Gauss-Newton, and 993 and 1076 when the scaling Newton solve
+        # stops without its steps on the log ratios (993 at a cell of
+        # 7.3e-16, below POSITIVITY_FLOOR)
+        [(spec, t)] = skewed_roundtrip_cases({case})
+        res = invert_hierarchical(spec, lambda_vector(t, spec))
+        assert float(np.max(np.abs(res.table.p - t.p))) <= 1e-8
 
     def test_roundtrip_skewed_tables(self):
         # Dirichlet(0.1) and (0.3) tables put cells near 1e-15, where
@@ -1179,11 +1204,12 @@ class TestCyclic:
         pytest.param("CYCLE_THREE", 0.05, 82, id="0.05-82"),
         pytest.param("CYCLE_THREE", 0.02, 1, id="0.02-1"),
         pytest.param("CYCLE_FOUR", 0.02, 15, id="CYCLE_FOUR-0.02-15"),
-        # the full-margin solve misses its exact sub-margins in mask order
-        # by 5.0e-4 after 1 000 Gauss-Newton steps (ROADMAP item 3)
-        pytest.param("CYCLE_THREE", 0.05, 10, id="0.05-10", marks=pytest.mark.xfail(
-            raises=SolverError, strict=True,
-            reason="mixed solve misses a reachable table: ROADMAP item 3")),
+        # a dual Newton solve handing over to Gauss-Newton missed these
+        # tables' exact sub-margins: the first in mask order by 5.0e-4
+        # after 1 000 steps, the other two in every order of the margins
+        pytest.param("CYCLE_THREE", 0.05, 10, id="0.05-10"),
+        pytest.param("CYCLE_THREE", 0.02, 41, id="0.02-41"),
+        pytest.param("CYCLE_FOUR", 0.02, 22, id="CYCLE_FOUR-0.02-22"),
     ])
     def test_auto_inverts_skewed_tables(self, name, alpha, draw):
         spec = load_script("cyclic_probe").COLLECTIONS[name]
@@ -1191,6 +1217,32 @@ class TestCyclic:
         res = invert(spec, lambda_vector(t, spec))
         assert res.method_used == "cyclic"
         assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
+    @pytest.mark.parametrize("name, alpha, draw", [
+        (name, alpha, draw) for name, alpha, draws in [
+            ("CYCLE_THREE", 0.1, [18]),
+            ("CYCLE_THREE", 0.05, [10, 17, 131, 172, 182, 199]),
+            ("CYCLE_FOUR", 0.05, [129]),
+            ("CYCLE_THREE", 0.02, [30, 33, 36, 41, 84, 87, 158, 165, 175, 189, 197]),
+            ("CYCLE_FOUR", 0.02, [22, 71, 91, 101, 118, 119, 121, 130, 164, 168, 185]),
+        ] for draw in draws
+    ])
+    def test_full_margin_solve_in_every_order(self, name, alpha, draw):
+        # the 30 draws of scripts/cyclic_probe.py whose full-margin solve a
+        # dual Newton solve handing over to Gauss-Newton missed: from the
+        # drawn table's exact cycle margins, given in every order, and its
+        # uncovered coefficients, the solve returns the table
+        spec = load_script("cyclic_probe").COLLECTIONS[name]
+        t = cyclic_probe_table(name, alpha, draw)
+        n = spec.vars.n
+        margins = rule_applies(spec, "cyclic")["margins"]
+        covered = {L for mask in margins for L in nonempty_submasks(mask)}
+        theta = fwht(np.log(t.p)) / t.p.size
+        targets = {L: float(theta[L]) for L in range(1, 1 << n) if L not in covered}
+        for order in itertools.permutations(sorted(margins)):
+            subs = {mask: marginal_array(t.p, n, mask) for mask in order}
+            got = reconstruct_mixed(n, subs, targets)
+            assert float(np.max(np.abs(got - t.p))) <= 1e-12, order
 
     @pytest.mark.parametrize("name", ["CYCLE_THREE", "CYCLE_FOUR"])
     def test_one_mixed_solve_from_the_cycle_margins(self, name, rng, monkeypatch):
