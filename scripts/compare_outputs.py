@@ -3,7 +3,8 @@
 
     python scripts/compare_outputs.py PARENT_DIR CHANGE_DIR --seeds 3 11 \\
         [--workloads classify-sweep invert-routes fallback-models large-tables \\
-                     search-sizes model-specs skewed-roundtrip cyclic-roundtrip]
+                     search-sizes labelled-three model-specs skewed-roundtrip \\
+                     cyclic-roundtrip]
 
 PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Each side
 runs in its own subprocess, with one BLAS thread, which imports that
@@ -17,11 +18,13 @@ report's ``to_json_obj()``, the census document), the error when the
 operation raised, and the result of the operation's own check.  The
 ``search-sizes`` group, a held-out check of the classifier, is the report
 JSON of each of the 550 collections of ``scripts/search_sizes.py`` (its
-seed stands in for the seeds).  The ``model-specs`` group is the
-``cimodels.model_spec`` result of each of the 2 000 statement lists of
-``scripts/model_specs.py``: the embedding's JSON form (None when there is
-none), or the error; both sides draw the lists from the copy of that
-script beside this one.  The ``skewed-roundtrip`` group is the hierarchical
+seed stands in for the seeds).  The ``labelled-three`` group is the report
+JSON of each of the 512 labelled complete three-variable collections, in
+the order of ``census.enumerate_complete(3)``; it has no seed.  The
+``model-specs`` group is the ``cimodels.model_spec`` result of each of the
+2 000 statement lists of ``scripts/model_specs.py``: the embedding's JSON
+form (None when there is none), or the error; both sides draw the lists
+from the copy of that script beside this one.  The ``skewed-roundtrip`` group is the hierarchical
 inversion of each of the 1 125 cases of ``scripts/skewed_roundtrip.py``
 (its 900 default cases and the 225 at ``--alpha 0.02``, as its
 ``draw_cases`` draws them from the copy beside this one), where the mixed
@@ -57,11 +60,12 @@ from pathlib import Path
 import numpy as np
 
 HELD_OUT = "search-sizes"
+LABELLED = "labelled-three"
 MODELS = "model-specs"
 SKEWED = "skewed-roundtrip"
 SKEWED_EXTRA_ALPHA = 0.02
 CYCLIC = "cyclic-roundtrip"
-GROUPS = (HELD_OUT, MODELS, SKEWED, CYCLIC)
+GROUPS = (HELD_OUT, LABELLED, MODELS, SKEWED, CYCLIC)
 WORKLOADS = ("classify-sweep", "invert-routes", "fallback-models", "large-tables",
              *GROUPS)
 FIELDS = ("method_used", "iterations", "error", "check", "contraction_certificate")
@@ -138,6 +142,13 @@ def collect(checkout: Path, workloads: list[str], seeds: list[int]) -> dict:
         out[(HELD_OUT, script.SEED)] = [
             ("classify", {"table": None, "form": m.classify.classify(s).to_json_obj()})
             for s in script.sample()
+        ]
+    if LABELLED in workloads:
+        from mllp.census import enumerate_complete
+
+        out[(LABELLED, None)] = [
+            ("classify", {"table": None, "form": m.classify.classify(s).to_json_obj()})
+            for s in enumerate_complete(3)
         ]
     if MODELS in workloads:
         script = load_script(Path(__file__).resolve().parent / "model_specs.py")
@@ -224,7 +235,8 @@ def compare(parent: dict, change: dict) -> None:
             if paths:
                 forms[", ".join(paths)] += 1
         name, seed = key
-        print(f"{name} seed {seed}: {len(ops)} ops ({len(change[key])} in the change), "
+        label = name if seed is None else f"{name} seed {seed}"
+        print(f"{label}: {len(ops)} ops ({len(change[key])} in the change), "
               f"{tables_differ} tables differ, largest cell difference {worst:.3g}, "
               f"{moved} residuals moved with their table, "
               f"{len(lines)} other differences, "

@@ -12,11 +12,10 @@ implements sufficient conditions that go beyond it:
 ``variable_removal``
     some variable occurs in no margin except the full set; the collection
     is smooth iff the reduced collection without that variable is.
-``slice_split`` / ``slice_split_general``
+``slice_split``
     some variable v pairs every effect A (not containing v) with A+v in a
-    shared margin; the strict variant additionally requires that shared
-    margin to be exactly A+v.  Smoothness reduces to the collection
-    without v, applied per slice of X_v.
+    shared margin.  Smoothness reduces to the collection without v,
+    applied per slice of X_v.
 ``single_feedback``
     every proper-margin pair (L, M) sees at most one other proper margin N
     with L not inside N (so every collection with at most three distinct
@@ -72,7 +71,6 @@ MOVABLE_RULES = (
     "slice_split",
     "single_feedback",
     "cyclic",
-    "slice_split_general",
 )
 CONTRACTION_RULE = "contraction_reduce"
 # Rules that close a proof on their own; the others reduce and recurse.
@@ -284,7 +282,7 @@ class _Plan:
     key; each effect's position; (position, effect) in order of effect, the
     order of :func:`_moves`; and, for a complete order, per variable v in
     bit order the gathers of the margins of a and of a|v over the nonempty a
-    without v, with the strict targets a|v."""
+    without v."""
 
     __slots__ = ("pos", "by_effect", "slices", "one")
 
@@ -300,7 +298,6 @@ class _Plan:
                     v,
                     _gather([self.pos[a] for a in rest]),
                     _gather([self.pos[a | v] for a in rest]),
-                    tuple(a | v for a in rest),
                 ))
 
 
@@ -459,23 +456,13 @@ def _rule_variable_removal(ctx: _Context, key) -> dict | None:
     return _variables([1 << b for b in bit_positions(ctx.full & ~used)])
 
 
-def _slice_split(ctx: _Context, key, strict: bool) -> dict | None:
-    """Variables v whose every effect a without v shares its margin with
-    a|v (strict: the margin a|v itself)."""
-    cands = []
-    for v, margins_a, margins_av, targets in ctx.plan.slices:
-        ma = margins_a(key)
-        if (not strict or ma == targets) and ma == margins_av(key):
-            cands.append(v)
-    return _variables(cands)
-
-
 def _rule_slice_split(ctx: _Context, key) -> dict | None:
-    return _slice_split(ctx, key, True)
-
-
-def _rule_slice_split_general(ctx: _Context, key) -> dict | None:
-    return _slice_split(ctx, key, False)
+    """Variables v whose every effect a without v shares its margin with
+    a|v."""
+    return _variables([
+        v for v, margins_a, margins_av in ctx.plan.slices
+        if margins_a(key) == margins_av(key)
+    ])
 
 
 def _outside_twice(margins: Iterable[int]) -> int:
@@ -626,7 +613,6 @@ _RULE_FUNCS = {
     "two_margin": _rule_two_margin,
     "variable_removal": _rule_variable_removal,
     "slice_split": _rule_slice_split,
-    "slice_split_general": _rule_slice_split_general,
     "single_feedback": _rule_single_feedback,
     "cyclic": _rule_cyclic,
     CONTRACTION_RULE: _rule_contraction_reduce,

@@ -58,7 +58,6 @@ from .tables import (
     fwht,
     marginal_array,
     marginalize,
-    nonempty_submasks,
     parity_signs,
     popcount,
 )
@@ -341,26 +340,6 @@ def lambda_vector(t: JointTable, spec: MLLSpec) -> MLLVector:
     if spec.vars.names != t.vars.names:
         raise SpecError("spec and table use different variable sets")
     return MLLVector(spec, lambda_array(t.p, t.n, spec))
-
-
-def conditional_lambda_set(
-    vars: VarSet, target_mask: int, given_mask: int
-) -> list[Pair]:
-    """Pairs that parameterise p(x_target | x_given): all effects inside
-    target|given that meet the target, computed in the margin target|given.
-
-    Listed in increasing effect-mask order.
-    """
-    if target_mask == 0:
-        raise SpecError("target must be nonempty")
-    if target_mask & given_mask:
-        raise SpecError("target and given sets overlap")
-    both = target_mask | given_mask
-    if both & ~vars.full_mask:
-        raise SpecError("unknown variables in target/given")
-    return [
-        (L, both) for L in nonempty_submasks(both) if L & target_mask
-    ]
 
 
 def decompose_f(t: JointTable, effect: int, margin: int, added: int) -> float:

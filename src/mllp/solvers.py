@@ -819,7 +819,7 @@ def _invert_via_chain(
         rest = chain[i + 1:]
         if rule == "variable_removal":
             p = _invert_variable_removal(spec, tmap, details["v"], rest, opts)
-        elif rule in ("slice_split", "slice_split_general"):
+        elif rule == "slice_split":
             p = _invert_slice_split(spec, tmap, details["v"], rest, opts)
         elif rule == cls.CONTRACTION_RULE:
             p = _invert_contraction(spec, tmap, details["relocate"], rest, opts)

@@ -324,10 +324,6 @@ class JointTable:
         return JointTable(vs, p)
 
 
-def table_from_probs(vars: VarSet, probs: Iterable[float]) -> JointTable:
-    return JointTable(vars, np.asarray(list(probs), dtype=np.float64))
-
-
 def uniform_table(vars: VarSet) -> JointTable:
     return JointTable(vars, np.full(vars.n_cells, 1.0 / vars.n_cells))
 

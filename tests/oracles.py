@@ -63,8 +63,9 @@ classifier's key kernel, :func:`hierarchy_order` reads the hierarchy
 witness of a collection through the classifier's kernel,
 :func:`is_hierarchical` and :func:`verify_hierarchy_order` test it, and
 :func:`chain_from_joint` reads the cycle of conditionals off a joint table,
-and :func:`conditional_from_lambda` builds a conditional from its margin's
-parameter block through named tables.
+:func:`conditional_lambda_set` lists the pairs of a conditional's
+parameter block, and :func:`conditional_from_lambda` builds a conditional
+from that block through named tables.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ from mllp.mll import (
     MLLVector,
     Pair,
     _plan,
-    conditional_lambda_set,
     lambda_array,
     margin_kernel_array,
 )
@@ -491,11 +491,9 @@ def brute_rule_variable_removal(pairs: Sequence[Pair], full: int) -> dict | None
     return {"v": cands[0], "candidates": tuple(cands)}
 
 
-def brute_slice_split_candidates(
-    pairs: Sequence[Pair], full: int, strict: bool
-) -> list[int]:
+def brute_slice_split_candidates(pairs: Sequence[Pair], full: int) -> list[int]:
     """Variables v whose every effect a without v shares its margin with
-    a|v (strict: the margin a|v itself), read from a dict of the pairs."""
+    a|v, read from a dict of the pairs."""
     em = dict(pairs)
     out = []
     for b in range(full.bit_length()):
@@ -509,23 +507,13 @@ def brute_slice_split_candidates(
                 if ma is None or mav is None or ma != mav:
                     ok = False
                     break
-                if strict and ma != (a | v):
-                    ok = False
-                    break
         if ok:
             out.append(v)
     return out
 
 
 def brute_rule_slice_split(pairs: Sequence[Pair], full: int) -> dict | None:
-    cands = brute_slice_split_candidates(pairs, full, strict=True)
-    if not cands:
-        return None
-    return {"v": cands[0], "candidates": tuple(cands)}
-
-
-def brute_rule_slice_split_general(pairs: Sequence[Pair], full: int) -> dict | None:
-    cands = brute_slice_split_candidates(pairs, full, strict=False)
+    cands = brute_slice_split_candidates(pairs, full)
     if not cands:
         return None
     return {"v": cands[0], "candidates": tuple(cands)}
@@ -781,7 +769,6 @@ BRUTE_RULES = {
     "two_margin": brute_rule_two_margin,
     "variable_removal": brute_rule_variable_removal,
     "slice_split": brute_rule_slice_split,
-    "slice_split_general": brute_rule_slice_split_general,
     "single_feedback": brute_rule_single_feedback,
     "cyclic": brute_rule_cyclic,
     cls.CONTRACTION_RULE: brute_rule_contraction_reduce,
@@ -1249,6 +1236,26 @@ def chain_from_joint(t: JointTable, blocks: Sequence[int]) -> CycleChainSpec:
     k = len(blocks)
     conds = tuple(condition(t, blocks[(i + 1) % k], blocks[i]) for i in range(k))
     return CycleChainSpec(t.vars, tuple(blocks), conds)
+
+
+def conditional_lambda_set(
+    vars: VarSet, target_mask: int, given_mask: int
+) -> list[Pair]:
+    """Pairs that parameterise p(x_target | x_given): all effects inside
+    target|given that meet the target, computed in the margin target|given.
+
+    Listed in increasing effect-mask order.
+    """
+    if target_mask == 0:
+        raise SpecError("target must be nonempty")
+    if target_mask & given_mask:
+        raise SpecError("target and given sets overlap")
+    both = target_mask | given_mask
+    if both & ~vars.full_mask:
+        raise SpecError("unknown variables in target/given")
+    return [
+        (L, both) for L in nonempty_submasks(both) if L & target_mask
+    ]
 
 
 def conditional_from_lambda(

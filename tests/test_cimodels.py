@@ -14,7 +14,7 @@ from mllp.cimodels import (
 )
 from mllp.classify import PROVEN_SMOOTH, classify
 from mllp.errors import NON_CONVERGENCE, SolverError, SpecError
-from mllp.mll import conditional_lambda_set, lambda_vector
+from mllp.mll import lambda_vector
 from mllp.markov import (
     GibbsCycleSpec,
     _sweep_kernel,
@@ -39,6 +39,7 @@ from oracles import (
     brute_sweep_kernel,
     chain_from_joint,
     conditional_from_lambda,
+    conditional_lambda_set,
 )
 
 

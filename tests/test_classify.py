@@ -547,7 +547,7 @@ class TestClassify:
     def test_four_variable_embedding_chain(self):
         report = classify(catalog.PAIRED_SLICES_FOUR)
         assert report.verdict == PROVEN_SMOOTH
-        assert report.chain_names() == ("slice_split_general", "cyclic")
+        assert report.chain_names() == ("slice_split", "cyclic")
 
     def test_proven_chains_end_in_base_rule(self):
         base = {"hierarchical", "two_margin", "single_feedback", "cyclic"}

@@ -93,8 +93,7 @@ class TestSubcommands:
         fired = {9: {"variable_removal": 16, "contraction_reduce": 15},
                  8: {"contraction_reduce": 15}}[specs]
         rules = ["hierarchical", "two_margin", "variable_removal", "slice_split",
-                 "single_feedback", "cyclic", "slice_split_general",
-                 "contraction_reduce"]
+                 "single_feedback", "cyclic", "contraction_reduce"]
         assert doc["search"] == {
             "specs_expanded": specs, "closure_states": states, "closures_truncated": 0,
             "exhausted": True,

@@ -11,7 +11,6 @@ from mllp.errors import SpecError, StructureError
 from mllp.mll import (
     MLLSpec,
     MLLVector,
-    conditional_lambda_set,
     decompose_f,
     jacobian,
     jacobian_array,
@@ -28,7 +27,6 @@ from mllp.tables import (
     nonempty_submasks,
     submasks,
     table_from_eta,
-    table_from_probs,
     uniform_table,
 )
 
@@ -42,6 +40,7 @@ from oracles import (
     brute_row_norm,
     brute_sign_matrix,
     chunked_jacobian,
+    conditional_lambda_set,
     fd_jacobian,
     rowwise_jacobian,
 )
@@ -123,7 +122,7 @@ class TestLambda:
     def test_log_odds_ratio_frozen(self):
         # two-variable table with cells (0.4, 0.1, 0.1, 0.4): the pair
         # coefficient is a quarter of log 16, i.e. log 2
-        t = table_from_probs(VarSet(("1", "3")), [0.4, 0.1, 0.1, 0.4])
+        t = JointTable(VarSet(("1", "3")), [0.4, 0.1, 0.1, 0.4])
         lam = margin_lambda_array(t.p, t.n, 0b11)[0b11]
         assert lam == pytest.approx(math.log(2), abs=1e-13)
 

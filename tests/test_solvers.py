@@ -67,7 +67,6 @@ from mllp.tables import (
     nonempty_submasks,
     popcount,
     table_from_eta,
-    table_from_probs,
     uniform_table,
 )
 
@@ -618,8 +617,8 @@ class TestReconstructMixed:
         # uniform one-variable margins plus a pairwise coefficient of
         # log 2 pin the 2x2 table (0.4, 0.1, 0.1, 0.4)
         vs = VarSet(("1", "3"))
-        u = table_from_probs(VarSet(("1",)), [0.5, 0.5])
-        u3 = table_from_probs(VarSet(("3",)), [0.5, 0.5])
+        u = JointTable(VarSet(("1",)), [0.5, 0.5])
+        u3 = JointTable(VarSet(("3",)), [0.5, 0.5])
         got = JointTable(vs, reconstruct_mixed(
             vs.n, margin_cells(vs, [u, u3]), {0b11: math.log(2.0)}))
         assert np.allclose(got.p, [0.4, 0.1, 0.1, 0.4], atol=1e-11)
@@ -881,8 +880,8 @@ class TestReconstructMixed:
 
     def test_inconsistent_margins_rejected(self, rng):
         vs = make_vars(2)
-        p1a = table_from_probs(VarSet(("1",)), [0.9, 0.1])
-        p1b_p2 = table_from_probs(VarSet(("1", "2")), [0.1, 0.4, 0.1, 0.4])
+        p1a = JointTable(VarSet(("1",)), [0.9, 0.1])
+        p1b_p2 = JointTable(VarSet(("1", "2")), [0.1, 0.4, 0.1, 0.4])
         with pytest.raises(SolverError) as err:
             reconstruct_mixed(vs.n, margin_cells(vs, [p1a, p1b_p2]), {})
         assert err.value.kind == INCONSISTENT_MARGINS
@@ -899,7 +898,7 @@ class TestReconstructMixed:
     def test_wrong_target_cover_rejected(self):
         # the margin over 1 covers effect 1; the targets must be 2 and 3
         vs = make_vars(2)
-        p1 = table_from_probs(VarSet(("1",)), [0.5, 0.5])
+        p1 = JointTable(VarSet(("1",)), [0.5, 0.5])
         for keys in [
             (1,),  # a covered effect
             (2,),  # 3 missing
@@ -918,7 +917,7 @@ class TestReconstructMixed:
 
     def test_numpy_int_targets_of_the_right_cover_are_read(self, rng):
         vs = make_vars(2)
-        p1 = table_from_probs(VarSet(("1",)), [0.3, 0.7])
+        p1 = JointTable(VarSet(("1",)), [0.3, 0.7])
         targets = {2: 0.25, 3: -0.5}
         want = reconstruct_mixed(vs.n, margin_cells(vs, [p1]), targets)
         got = reconstruct_mixed(
@@ -1119,13 +1118,13 @@ class TestStationary:
         vs = make_vars(2)
         row = np.array([0.7, 0.3])
         c12 = condition(
-            table_from_probs(vs, np.outer([0.5, 0.5], row).T.reshape(-1) /
-                             np.outer([0.5, 0.5], row).sum()),
+            JointTable(vs, np.outer([0.5, 0.5], row).T.reshape(-1) /
+                       np.outer([0.5, 0.5], row).sum()),
             0b10, 0b01,
         )
         c21 = condition(
-            table_from_probs(vs, np.outer(row, [0.5, 0.5]).T.reshape(-1) /
-                             np.outer(row, [0.5, 0.5]).sum()),
+            JointTable(vs, np.outer(row, [0.5, 0.5]).T.reshape(-1) /
+                       np.outer(row, [0.5, 0.5]).sum()),
             0b01, 0b10,
         )
         chain = CycleChainSpec(vs, (0b01, 0b10), (c12, c21))
@@ -1420,7 +1419,7 @@ class TestInvertAuto:
         # fixed point and Newton from the uniform table fail to invert
         spec = MLLSpec.from_text("1: 1\n2: 2\n12: 12\n13: 13\n23: 23\n123: 3 123")
         p = np.random.default_rng(2).dirichlet(np.full(8, 0.1))
-        t = table_from_probs(spec.vars, p / p.sum())
+        t = JointTable(spec.vars, p / p.sum())
         return spec, lambda_vector(t, spec)
 
     def test_fallback_failure_names_each_stage_once(self):
@@ -1606,6 +1605,37 @@ class TestInvertAuto:
             assert float(np.max(np.abs(got.values - vals))) < 1e-9
 
 
+class TestSliceSplitRoutes:
+    """Collections whose slice split shares each margin of a and a|v without
+    that margin being a|v itself: ``slice_split`` reduces them to a
+    three-variable ``single_feedback`` collection, which runs its fixed
+    point once per slice of X_v.  The first three are collections 228, 289
+    and 295 of ``scripts/search_sizes.py``'s sample, the last is 191 of the
+    bench's classification sample."""
+
+    SPECS = (
+        "134: 1 3 14 34\n24: 2 24\n1234: 12 13 23 123 4 124 134 234 1234",
+        "124: 1 2 12 4 24\n234: 3 23\n1234: 13 123 14 124 34 134 234 1234",
+        "1234: 1 23 123 4 14 34 134 234 1234\n124: 2 12 24 124\n13: 3 13",
+        "14: 1 14\n1234: 2 12 13 23 123 24 124 134 234 1234\n234: 3 4 34",
+    )
+
+    @pytest.mark.parametrize("text", SPECS)
+    def test_chain_and_roundtrip(self, text):
+        spec = MLLSpec.from_text(text)
+        report = classify(spec)
+        assert report.chain_names() == ("slice_split", "single_feedback")
+        assert [s.vars.n for s in report.reduced_specs] == [3]
+        rng = np.random.default_rng(4040)
+        for alpha in (1.0, 0.3):
+            for _ in range(20):
+                p = np.maximum(rng.dirichlet(np.full(spec.vars.n_cells, alpha)), 1e-12)
+                t = JointTable(spec.vars, p / p.sum())
+                res = invert(spec, lambda_vector(t, spec))
+                assert res.method_used == "slice_split>single_feedback"
+                assert float(np.max(np.abs(res.table.p - t.p))) < 1e-8
+
+
 def _relabeled(spec: MLLSpec, perm) -> MLLSpec:
     """The collection with bit b of every mask moved to bit perm[b]."""
     return MLLSpec(spec.vars, tuple(
@@ -1625,7 +1655,6 @@ class TestClassChain:
         "two_margin": ({"margins": (3, 7)}, {"margins": (6, 7)}),
         "variable_removal": ({"v": 1}, {"v": 2}),
         "slice_split": ({"v": 4}, {"v": 1}),
-        "slice_split_general": ({"v": 2}, {"v": 4}),
         "single_feedback": ({}, {}),
         "cyclic": ({"blocks": (1, 2, 4), "margins": (5, 3, 6)},
                    {"blocks": (2, 4, 1), "margins": (3, 6, 5)}),

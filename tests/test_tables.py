@@ -21,7 +21,6 @@ from mllp.tables import (
     packed_indices,
     random_table,
     table_from_eta,
-    table_from_probs,
     uniform_table,
 )
 
@@ -138,11 +137,11 @@ class TestJointTable:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidTableError, match="entries must be"):
-            table_from_probs(make_vars(1), [1.0, 0.0])
+            JointTable(make_vars(1), [1.0, 0.0])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(InvalidTableError, match="sum to 1"):
-            table_from_probs(make_vars(1), [0.6, 0.6])
+            JointTable(make_vars(1), [0.6, 0.6])
 
     def test_json_roundtrip(self, rng):
         t = dirichlet_table(make_vars(3), rng)
@@ -165,7 +164,7 @@ class TestEtaTransform:
         assert np.allclose(e.values, 0.0, atol=1e-15)
 
     def test_single_variable_frozen_value(self):
-        t = table_from_probs(make_vars(1), [0.8, 0.2])
+        t = JointTable(make_vars(1), [0.8, 0.2])
         assert eta_from_table(t).value(1) == pytest.approx(
             0.5 * math.log(4.0), abs=1e-14
         )
